@@ -226,9 +226,9 @@ std::vector<Metric> emit(std::span<const MetricSpec> specs,
   return out;
 }
 
-std::vector<std::string> names_of(std::span<const MetricSpec> specs) {
-  std::vector<std::string> out;
-  for (const MetricSpec& spec : specs) out.emplace_back(spec.name);
+std::vector<Metric> declared(std::span<const MetricSpec> specs) {
+  std::vector<Metric> out;
+  for (const MetricSpec& spec : specs) out.push_back({spec.name, spec.unit});
   return out;
 }
 
@@ -269,7 +269,7 @@ void check_repeats(RunResult& run, std::span<const PassResult> first,
 }  // namespace
 
 std::vector<std::string> workload_names() {
-  return {"serve-1m", "serve-8k", "compete-enum"};
+  return {"serve-8k", "compete-enum"};
 }
 
 Workload find_workload(const std::string& name, bool smoke) {
@@ -282,12 +282,7 @@ Workload find_workload(const std::string& name, bool smoke) {
     w.scenario.params.set("users", static_cast<int>(users));
     w.trace["events"] = std::to_string(events);
   };
-  if (name == "serve-1m") {
-    // The serve-1M world: per-event cost is the O(|U|) winner pass.
-    smoke ? shape(40, 4000, 128) : shape(2000, 1000000, 1024);
-    w.scenario.params.set("interest", smoke ? 40 : 2000);
-    w.family = "churn";
-  } else if (name == "serve-8k") {
+  if (name == "serve-8k") {
     // Many streams, few users: per-event cost is the completion.
     smoke ? shape(160, 40, 256) : shape(8000, 2000, 10240);
     w.family = "churn";
@@ -295,14 +290,13 @@ Workload find_workload(const std::string& name, bool smoke) {
     // The online policy against an offline enum reference. One small
     // world's ratio and enum cost vary widely with its seed; pooling
     // several worlds per seed keeps the figures steady across seeds. The
-    // two apply() calls after a mid-trace checkpoint run cold (the enum
-    // solve evicted the backend's state), at costs that vary widely from
-    // run to run. Checkpointing at the trace end only keeps them out of
-    // the event tail, so event_p99_us measures apply() itself.
+    // apply() calls after a mid-trace enum solve would run cold, at costs
+    // that vary widely from run to run; solving at the trace end only
+    // keeps them out of the event tail.
     smoke ? shape(24, 8, 120) : shape(200, 50, 400);
     w.family = "zipf-drift";
     w.serve.policy = engine::ServePolicy::kOnline;
-    w.checkpoint_every = smoke ? 40 : 400;
+    w.enum_at_end = true;
     w.worlds = smoke ? 2 : 60;
   } else {
     throw std::invalid_argument("unknown workload '" + name + "'");
@@ -360,39 +354,7 @@ PassResult run_pass(const Workload& w, const Inputs& in, Tracer* tr) {
   const engine::SessionCounters opened = backend->counters();
   const core::SelectStats select0 = backend->select_stats();
 
-  // --- Replay, with the offline reference at every checkpoint.
-  double min_ratio = std::numeric_limits<double>::infinity();
-  const auto checkpoint = [&](std::int64_t event_id) {
-    util::Stopwatch watch;
-    model::Instance snapshot = [&] {
-      SpanScope span(tr, "engine.snapshot", event_id);
-      return backend->snapshot();
-    }();
-    engine::SolveRequest req;
-    req.instance = &snapshot;
-    req.algorithm = "enum";
-    req.options.set("depth", kEnumDepth)
-        .set("threads", 1)
-        .set("select", core::to_string(w.serve.strategy));
-    engine::SolveResult res;
-    {
-      SpanScope span(tr, "core.enum", event_id);
-      res = engine::solve(req);
-    }
-    r.checkpoint_ms.push_back(watch.elapsed_ms());
-    ++r.attempted;
-    if (!res.ok) {
-      fail(r, "offline enum solve after event " + std::to_string(event_id) +
-                  ": " + res.error);
-      return;
-    }
-    min_ratio = std::min(min_ratio, ratio_of(backend->objective(),
-                                             res.objective));
-    r.enum_evals += res.stat("select_evals");
-    r.frames_reused += res.stat("frames_reused");
-    r.completions_replayed += res.stat("completions_replayed");
-  };
-
+  // --- Replay.
   const std::size_t n = events.size();
   r.rejected.assign(n, 0);
   r.objective.assign(n, 0.0);
@@ -421,11 +383,38 @@ PassResult run_pass(const Workload& w, const Inputs& in, Tracer* tr) {
     r.users_refreshed += static_cast<double>(stats.users_refreshed);
     r.streams_released += static_cast<double>(stats.streams_released);
     r.streams_added += static_cast<double>(stats.streams_added);
-    if (w.checkpoint_every > 0 && (i + 1) % w.checkpoint_every == 0 &&
-        i + 1 != n)
-      checkpoint(event_id);
   }
-  if (w.checkpoint_every > 0) checkpoint(static_cast<std::int64_t>(n) - 1);
+
+  // --- The offline reference at the trace end.
+  if (w.enum_at_end) {
+    const auto last = static_cast<std::int64_t>(n) - 1;
+    util::Stopwatch watch;
+    model::Instance snapshot = [&] {
+      SpanScope span(tr, "engine.snapshot", last);
+      return backend->snapshot();
+    }();
+    engine::SolveRequest req;
+    req.instance = &snapshot;
+    req.algorithm = "enum";
+    req.options.set("depth", kEnumDepth)
+        .set("threads", 1)
+        .set("select", core::to_string(w.serve.strategy));
+    engine::SolveResult res;
+    {
+      SpanScope span(tr, "core.enum", last);
+      res = engine::solve(req);
+    }
+    r.checkpoint_ms = watch.elapsed_ms();
+    ++r.attempted;
+    if (res.ok) {
+      r.quality_ratio = ratio_of(backend->objective(), res.objective);
+      r.enum_evals = res.stat("select_evals");
+      r.frames_reused = res.stat("frames_reused");
+      r.completions_replayed = res.stat("completions_replayed");
+    } else {
+      fail(r, "offline enum solve: " + res.error);
+    }
+  }
 
   // --- Final checks: parity against a fresh solve, then feasibility of
   // the served assignment on the world as it is now (serve --check's rule).
@@ -437,12 +426,12 @@ PassResult run_pass(const Workload& w, const Inputs& in, Tracer* tr) {
       SpanScope span(tr, "engine.check_parity");
       parity = backend->check_parity();
     }
-    if (w.checkpoint_every == 0) r.checkpoint_ms.push_back(watch.elapsed_ms());
+    if (!w.enum_at_end) {
+      r.checkpoint_ms = watch.elapsed_ms();
+      r.quality_ratio = ratio_of(backend->objective(), parity.fresh);
+    }
   }
   if (!parity.ok) fail(r, "check_parity: " + parity.detail);
-  r.quality_ratio = w.checkpoint_every > 0
-                        ? min_ratio
-                        : ratio_of(backend->objective(), parity.fresh);
   ++r.attempted;
   {
     const model::Instance snapshot = [&] {
@@ -530,8 +519,7 @@ RunResult measure(const Workload& w, const std::vector<Inputs>& worlds,
     for (const PassResult& p : passes) {
       setups.push_back(p.setup_s);
       runs.push_back(p.run_s);
-      checkpoints.insert(checkpoints.end(), p.checkpoint_ms.begin(),
-                         p.checkpoint_ms.end());
+      checkpoints.push_back(p.checkpoint_ms);
     }
     util::Stopwatch extra;
     for (std::size_t k = 0;
@@ -650,7 +638,7 @@ RunResult measure(const Workload& w, const std::vector<Inputs>& worlds,
   return run;
 }
 
-std::vector<std::string> end_to_end_names() { return names_of(kEndToEnd); }
-std::vector<std::string> per_layer_names() { return names_of(kPerLayer); }
+std::vector<Metric> end_to_end_metrics() { return declared(kEndToEnd); }
+std::vector<Metric> per_layer_metrics() { return declared(kPerLayer); }
 
 }  // namespace wallbench

@@ -30,10 +30,10 @@ struct Workload {
   std::string family;                    // workload-registry trace family
   std::map<std::string, std::string> trace;  // family overrides (no seed)
   vdist::engine::ServeConfig serve;
-  // > 0: snapshot() + offline enum solve (depth 2) every N events and at
-  // the trace end (the competitive-ratio checkpoints); 0: the trace-end
-  // check_parity() is the only checkpoint.
-  std::size_t checkpoint_every = 0;
+  // true: snapshot() + offline enum solve (depth 2) at the trace end, the
+  // competitive-ratio checkpoint; false: the trace-end check_parity() is
+  // the checkpoint.
+  bool enum_at_end = false;
   // Independent worlds (instance + trace) per seed; the metrics pool
   // every world's passes.
   std::size_t worlds = 1;
@@ -65,7 +65,7 @@ struct PassResult {
   std::vector<char> drift_checked;   // per accepted event
   std::vector<char> rejected;        // per trace event
   std::vector<double> objective;     // per trace event (after apply)
-  std::vector<double> checkpoint_ms;
+  double checkpoint_ms = 0.0;  // enum at the trace end, else check_parity()
   double quality_ratio = 0.0;
   double final_objective = 0.0;
   std::size_t attempted = 0;
@@ -119,8 +119,9 @@ struct RunResult {
                                 const std::vector<Inputs>& worlds,
                                 double seconds, Tracer* tracer);
 
-// Every metric name measure() reports, in order, for either mode.
-[[nodiscard]] std::vector<std::string> end_to_end_names();
-[[nodiscard]] std::vector<std::string> per_layer_names();
+// Every metric measure() reports, in order, for either mode (name and
+// unit; the value is 0).
+[[nodiscard]] std::vector<Metric> end_to_end_metrics();
+[[nodiscard]] std::vector<Metric> per_layer_metrics();
 
 }  // namespace wallbench

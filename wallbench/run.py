@@ -5,13 +5,14 @@
 
 Run from the repository root. Builds the measuring program from source
 (wallbench/CMakeLists.txt, Release) into .bench_build/, generates the
-seed's instance and event trace outside the timed region (cached per seed
+seed's instance and event trace outside the timed region (kept per seed
 under .bench_build/inputs/), then runs the measurement. The last line of
 stdout is the result object {"correct", "attempted", "failed",
 "metrics"}; the line before it records the build's provenance. The exit
 code is nonzero when a check failed or the program could not be built.
 """
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -24,16 +25,23 @@ BUILD = os.path.join(WORK, "wallbench")
 INPUTS = os.path.join(WORK, "inputs")
 SPANS = os.path.join(WORK, "spans")
 
-WORKLOADS = ("serve-1m", "serve-8k", "compete-enum")
 DEFAULT_SEED = 1  # the held-out seed is in README.md
-# Cached inputs beyond this many bytes are evicted, oldest first (one
-# serve-1m input set is ~265 MB).
-CACHE_BYTES = 1200 * 1024 * 1024
-RUN_TIMEOUT_S = 175
+# The measurement may run this long past --seconds (it finishes the round
+# under way; one compete-enum round takes about 20 s).
+RUN_SLACK_S = 165
+# Tiny shapes of the same workloads (see main.cpp); kept apart.
+SMOKE = "VDIST_BENCH_SMOKE" in os.environ
 
 
 def log(*parts):
     print("wallbench:", *parts, file=sys.stderr, flush=True)
+
+
+def workload_names():
+    """The workloads BENCHMARK.json declares (the self-test checks that
+    they are the harness's)."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return [w["name"] for w in json.load(f)["workloads"]]
 
 
 def build():
@@ -45,26 +53,11 @@ def build():
     return os.path.join(BUILD, "vdist_wallbench")
 
 
-def dir_bytes(path):
-    return sum(os.path.getsize(os.path.join(path, name))
-               for name in os.listdir(path))
-
-
-def evict(keep):
-    dirs = [os.path.join(INPUTS, d) for d in os.listdir(INPUTS)]
-    dirs = [d for d in dirs if d != keep and not d.endswith(".tmp")]
-    dirs.sort(key=os.path.getmtime)
-    total = dir_bytes(keep) + sum(dir_bytes(d) for d in dirs)
-    while dirs and total > CACHE_BYTES:
-        victim = dirs.pop(0)
-        total -= dir_bytes(victim)
-        shutil.rmtree(victim)
-
-
 def inputs(binary, workload, seed):
     """The seed's input directory, generated on first use."""
     os.makedirs(INPUTS, exist_ok=True)
-    final = os.path.join(INPUTS, "%s-%d" % (workload, seed))
+    final = os.path.join(INPUTS, "%s-%d%s" % (workload, seed,
+                                              "-smoke" if SMOKE else ""))
     if not os.path.isdir(final):  # complete once renamed into place
         tmp = final + ".tmp"
         shutil.rmtree(tmp, ignore_errors=True)
@@ -72,16 +65,14 @@ def inputs(binary, workload, seed):
         log("generating inputs for", workload, "seed", seed)
         subprocess.run([binary, "gen", "--workload", workload, "--seed",
                         str(seed), "--out", tmp], check=True)
-        shutil.rmtree(final, ignore_errors=True)
         os.replace(tmp, final)
-    os.utime(final)
-    evict(final)
     return final
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--workload", required=True,
+                        choices=workload_names())
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -98,7 +89,7 @@ def main():
     if args.trace:
         cmd += ["--spans", os.path.join(SPANS, args.workload + ".jsonl")]
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
-                          timeout=RUN_TIMEOUT_S)
+                          timeout=args.seconds + RUN_SLACK_S)
     sys.stdout.write(proc.stdout)
     return proc.returncode
 

@@ -1,9 +1,11 @@
-// Self-test of the serving-path benchmark on the smoke shapes of every
-// workload: generation is deterministic in the seed, both runs pass their
-// checks, the mirror reproduces the backend, the metric sets match the
-// declared ones and are well-named, and a rejected event fails the run.
+// Self-test of the serving-path benchmark. BENCHMARK.json declares the
+// harness's workloads and metrics (names and units, in order). On the
+// smoke shapes of every workload: generation is deterministic in the
+// seed, both runs pass their checks, the mirror reproduces the backend,
+// the reported metrics are the declared ones and are well-named, and a
+// rejected event fails the run.
 //
-//   wallbench_selftest WORK_DIR
+//   wallbench_selftest WORK_DIR BENCHMARK_JSON
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +15,7 @@
 #include <string>
 
 #include "harness.h"
+#include "util/json.h"
 
 namespace {
 
@@ -37,16 +40,51 @@ double metric(const wallbench::RunResult& run, const std::string& name) {
 }
 
 void check_metrics(const wallbench::RunResult& run,
-                   const std::vector<std::string>& declared,
+                   const std::vector<wallbench::Metric>& declared,
                    const std::string& label) {
   static const std::regex name_re("[A-Za-z0-9_.-]+");
   expect(run.metrics.size() == declared.size(), label + ": metric count");
   for (std::size_t i = 0; i < run.metrics.size() && i < declared.size(); ++i) {
     const wallbench::Metric& m = run.metrics[i];
-    expect(m.name == declared[i], label + ": metric " + m.name + " in order");
+    expect(m.name == declared[i].name && m.unit == declared[i].unit,
+           label + ": metric " + m.name + " in order");
     expect(std::regex_match(m.name, name_re), label + ": name " + m.name);
     expect(std::isfinite(m.value), label + ": " + m.name + " finite");
   }
+}
+
+// The "name" (and "unit") of each entry of BENCHMARK.json's array `key`.
+std::vector<wallbench::Metric> listed(const vdist::util::JsonValue& doc,
+                                      const std::string& key) {
+  std::vector<wallbench::Metric> out;
+  const vdist::util::JsonValue* entries = doc.find(key);
+  if (entries != nullptr)
+    for (const vdist::util::JsonValue& e : entries->array)
+      out.push_back({e.string_or("name", ""), e.string_or("unit", "")});
+  return out;
+}
+
+void same_list(const std::vector<wallbench::Metric>& json,
+               const std::vector<wallbench::Metric>& harness,
+               const std::string& key) {
+  bool same = json.size() == harness.size();
+  for (std::size_t i = 0; same && i < json.size(); ++i)
+    same = json[i].name == harness[i].name && json[i].unit == harness[i].unit;
+  expect(same, "BENCHMARK.json " + key + " differ from the harness's");
+}
+
+void test_declared(const std::string& benchmark_json) {
+  std::ifstream is(benchmark_json);
+  expect(is.good(), "cannot read " + benchmark_json);
+  const vdist::util::JsonValue doc = vdist::util::parse_json(is);
+  std::vector<wallbench::Metric> workloads;
+  for (const std::string& name : wallbench::workload_names())
+    workloads.push_back({name, ""});
+  same_list(listed(doc, "workloads"), workloads, "workloads");
+  same_list(listed(doc, "end_to_end"), wallbench::end_to_end_metrics(),
+            "end_to_end metrics");
+  same_list(listed(doc, "per_layer"), wallbench::per_layer_metrics(),
+            "per_layer metrics");
 }
 
 void test_workload(const std::string& name, const std::filesystem::path& work) {
@@ -72,7 +110,7 @@ void test_workload(const std::string& name, const std::filesystem::path& work) {
   const wallbench::RunResult plain = wallbench::measure(w, in, 0.0, nullptr);
   for (const std::string& f : plain.failures) std::cerr << "  " << f << "\n";
   expect(plain.correct() && plain.attempted > 0, name + ": untraced checks");
-  check_metrics(plain, wallbench::end_to_end_names(), name + " untraced");
+  check_metrics(plain, wallbench::end_to_end_metrics(), name + " untraced");
   expect(metric(plain, "setup_s") > 0.0 && metric(plain, "run_s") > 0.0 &&
              metric(plain, "event_p50_us") > 0.0 &&
              metric(plain, "checkpoint_p50_ms") > 0.0 &&
@@ -83,7 +121,7 @@ void test_workload(const std::string& name, const std::filesystem::path& work) {
   const wallbench::RunResult traced = wallbench::measure(w, in, 0.0, &tracer);
   for (const std::string& f : traced.failures) std::cerr << "  " << f << "\n";
   expect(traced.correct(), name + ": traced checks");
-  check_metrics(traced, wallbench::per_layer_names(), name + " traced");
+  check_metrics(traced, wallbench::per_layer_metrics(), name + " traced");
   expect(metric(traced, "trace.mirror_mismatches") == 0.0,
          name + ": mirror reproduces the backend");
   expect(traced.final_objective == plain.final_objective,
@@ -110,9 +148,17 @@ void test_workload(const std::string& name, const std::filesystem::path& work) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::filesystem::path work =
-      argc > 1 ? argv[1] : "wallbench-selftest-work";
+  if (argc != 3) {
+    std::cerr << "usage: wallbench_selftest WORK_DIR BENCHMARK_JSON\n";
+    return 2;
+  }
+  const std::filesystem::path work = argv[1];
   std::filesystem::remove_all(work);
+  try {
+    test_declared(argv[2]);
+  } catch (const std::exception& e) {
+    expect(false, std::string("BENCHMARK.json: ") + e.what());
+  }
   for (const std::string& name : wallbench::workload_names()) {
     try {
       test_workload(name, work);
