@@ -34,6 +34,10 @@ struct Workload {
   // competitive-ratio checkpoint; false: the trace-end check_parity() is
   // the checkpoint.
   bool enum_at_end = false;
+  // Repair workloads: check_parity() also after every this many accepted
+  // events (a multiple of serve.refresh, so a drift check just ran); each
+  // is a checkpoint. 0: at the trace end only.
+  std::size_t parity_every = 0;
   // Independent worlds (instance + trace) per seed; the metrics pool
   // every world's passes.
   std::size_t worlds = 1;
@@ -65,7 +69,8 @@ struct PassResult {
   std::vector<char> drift_checked;   // per accepted event
   std::vector<char> rejected;        // per trace event
   std::vector<double> objective;     // per trace event (after apply)
-  double checkpoint_ms = 0.0;  // enum at the trace end, else check_parity()
+  // Enum at the trace end, else every check_parity().
+  std::vector<double> checkpoint_ms;
   double quality_ratio = 0.0;
   double final_objective = 0.0;
   std::size_t attempted = 0;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Serving-path benchmark: one measurement of one workload and seed.
 
-    python3 wallbench/run.py --workload serve-8k --seed 1 --seconds 10 --trace 0
+    python3 wallbench/run.py --workload serve-8k --seed 1 --seconds 40 --trace 0
 
 Run from the repository root. Builds the measuring program from source
 (wallbench/CMakeLists.txt, Release) into .bench_build/, generates the
@@ -27,8 +27,8 @@ SPANS = os.path.join(WORK, "spans")
 
 DEFAULT_SEED = 1  # the held-out seed is in README.md
 # The measurement may run this long past --seconds (it finishes the round
-# under way; one compete-enum round takes about 20 s).
-RUN_SLACK_S = 165
+# under way; one compete-enum round takes about 16 s).
+RUN_SLACK_S = 120
 # Tiny shapes of the same workloads (see main.cpp); kept apart.
 SMOKE = "VDIST_BENCH_SMOKE" in os.environ
 
@@ -74,7 +74,7 @@ def main():
     parser.add_argument("--workload", required=True,
                         choices=workload_names())
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
 

@@ -134,6 +134,14 @@ void test_workload(const std::string& name, const std::filesystem::path& work) {
     expect(metric(traced, "core.enum_ms_p50") > 0.0,
            name + ": the offline enum ran");
 
+  // A repair pass checks parity every parity_every events and at the
+  // trace end; an enum pass has the one trace-end checkpoint.
+  const std::size_t events = std::stoul(w.trace.at("events"));
+  const wallbench::PassResult pass = wallbench::run_pass(w, in[0], nullptr);
+  expect(pass.checkpoint_ms.size() ==
+             (w.parity_every > 0 ? events / w.parity_every : 1),
+         name + ": checkpoints per pass");
+
   // An event naming a user the world does not have is rejected by
   // apply() and must fail the run.
   {
