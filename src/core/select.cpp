@@ -298,6 +298,7 @@ void StreamSelector::reset(SolveWorkspace& ws, std::span<const double> wbar,
   pool_size_ = n;
   round_ = 0;
   heap_size_ = 0;
+  readmitted_ = false;
   ++mutation_count_;
   stats_ = {};
   if (strategy_ == SelectStrategy::kNaiveScan) {
@@ -387,9 +388,8 @@ double StreamSelector::settle_top_eff() {
   if (pool_size_ == 0) return -util::kInf;
   ++mutation_count_;
   SoaHeap h = heap_of(*ws_, heap_size_);
-  const char* const in_pool = ws_->in_pool.data();
   for (;;) {
-    while (h.size > 0 && !in_pool[static_cast<std::size_t>(h.stream[0])]) {
+    while (h.size > 0 && entry_dead(h.stream[0], h.stamp[0])) {
       --h.size;
       if (h.size > 0)
         heap_sift_down(h, 0, h.eff[h.size], h.wbar[h.size], h.stream[h.size],
@@ -414,7 +414,6 @@ double StreamSelector::settle_top_eff() {
 
 model::StreamId StreamSelector::pop_best_heap() {
   SoaHeap h = heap_of(*ws_, heap_size_);
-  const char* const in_pool = ws_->in_pool.data();
 
   auto refresh = [&](SelectHeapEntry& e) {
     const auto s = static_cast<std::size_t>(e.stream);
@@ -440,7 +439,7 @@ model::StreamId StreamSelector::pop_best_heap() {
     heap_sift_up(h, i, e.eff, e.wbar, e.stream, e.stamp, stats_);
   };
   auto drop_removed = [&]() {
-    while (h.size > 0 && !in_pool[static_cast<std::size_t>(h.stream[0])])
+    while (h.size > 0 && entry_dead(h.stream[0], h.stamp[0]))
       (void)pop_entry();
   };
 
@@ -518,6 +517,84 @@ model::StreamId StreamSelector::pop_best_naive() {
     tied.push_back({eff[s], wbar_[s], static_cast<model::StreamId>(s), 0});
   }
   return tied[break_ties(tied)].stream;
+}
+
+void StreamSelector::readmit(model::StreamId s) {
+  ++mutation_count_;
+  const auto ss = static_cast<std::size_t>(s);
+  if (ws_->in_pool[ss] == 0) {
+    ws_->in_pool[ss] = 1;
+    ++pool_size_;
+  }
+  if (strategy_ == SelectStrategy::kNaiveScan) return;
+  if (!readmitted_) {
+    ws_->admit_floor.assign(wbar_.size(), 0);
+    readmitted_ = true;
+  }
+  // A fresh stamp no older entry of `s` can carry: under kDeltaHeap the
+  // stream's next version, under kLazyHeap the next global round (which
+  // also ages every other entry — the lazy strategy's usual price).
+  std::uint32_t& counter =
+      strategy_ == SelectStrategy::kDeltaHeap ? ws_->version[ss] : round_;
+  if (counter >= (1u << 31)) {
+    // Far from wrapping, but a long-lived selector must never get there:
+    // re-evaluate the live entries and restart every stamp at zero.
+    compact();
+    SoaHeap h = heap_of(*ws_, heap_size_);
+    for (std::size_t i = 0; i < h.size; ++i) {
+      const auto t = static_cast<std::size_t>(h.stream[i]);
+      h.eff[i] = select_effectiveness(wbar_[t], cost_[t]);
+      h.wbar[i] = wbar_[t];
+      h.stamp[i] = 0;
+    }
+    stats_.evaluations += h.size;
+    heap_build(h, stats_);
+    std::fill(ws_->version.begin(), ws_->version.end(), 0u);
+    std::fill(ws_->admit_floor.begin(), ws_->admit_floor.end(), 0u);
+    round_ = 0;
+  }
+  const std::uint32_t stamp = ++counter;
+  // Raising the floor first retires the old entry of `s` before any
+  // compaction, so a compacted heap holds at most |pool| - 1 entries and
+  // the push below fits the reset()-time capacity |S|. The capacity only
+  // doubles when compaction frees less than an eighth of it, which keeps
+  // compaction amortized O(1) per readmit when nearly every stream is in
+  // the pool.
+  ws_->admit_floor[ss] = stamp;
+  const std::size_t cap = ws_->heap_eff.size();
+  if (heap_size_ >= 2 * pool_size_ + 64 || heap_size_ == cap) {
+    compact();
+    if (8 * heap_size_ > 7 * cap) {
+      ws_->heap_eff.resize(2 * cap);
+      ws_->heap_wbar.resize(2 * cap);
+      ws_->heap_stream.resize(2 * cap);
+      ws_->heap_stamp.resize(2 * cap);
+    }
+  }
+  ++stats_.evaluations;
+  SoaHeap h = heap_of(*ws_, heap_size_ + 1);
+  heap_sift_up(h, heap_size_, select_effectiveness(wbar_[ss], cost_[ss]),
+               wbar_[ss], s, stamp, stats_);
+  heap_size_ = h.size;
+}
+
+// Drops every dead entry (left the pool, or retired by a readmit) and
+// rebuilds the heap over the survivors — exactly one entry per pool
+// stream. Keys keep their stamps: a stale key is still an overestimate.
+void StreamSelector::compact() {
+  SoaHeap h = heap_of(*ws_, heap_size_);
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < h.size; ++i) {
+    if (entry_dead(h.stream[i], h.stamp[i])) continue;
+    h.eff[live] = h.eff[i];
+    h.wbar[live] = h.wbar[i];
+    h.stream[live] = h.stream[i];
+    h.stamp[live] = h.stamp[i];
+    ++live;
+  }
+  h.size = live;
+  heap_build(h, stats_);
+  heap_size_ = live;
 }
 
 void StreamSelector::remove(model::StreamId s) {

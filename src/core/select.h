@@ -159,6 +159,10 @@ struct SolveWorkspace {
   util::AlignedVector<std::uint32_t> heap_stamp;
   std::vector<char> in_pool;
   std::vector<std::uint32_t> version;   // kDeltaHeap per-stream stamps
+  // Per-stream admission floor (StreamSelector::readmit): a heap entry
+  // stamped below its stream's floor predates the stream's latest
+  // readmission and is retired. Sized on the first readmit after reset().
+  std::vector<std::uint32_t> admit_floor;
   util::AlignedVector<double> eff;      // naive-scan per-stream cache
   std::vector<SelectHeapEntry> tied;    // tolerance-tied candidates
   // Greedy engine (core/greedy.cpp, core/partial_enum.cpp).
@@ -228,8 +232,12 @@ struct SolveWorkspace {
 //
 // The selector borrows the caller's live w̄/cost arrays; the caller may
 // decrease w̄ entries between pops — reporting each change through
-// update() — but must never increase one: that would invalidate the
-// stale-entries-overestimate invariant both heap strategies rely on.
+// update(). An increase would break the stale-entries-overestimate
+// invariant both heap strategies rely on, so it goes through readmit(),
+// which also puts a popped or removed stream back into the pool. A
+// selector kept alive across many rounds of such changes (the serving
+// engine's repair completion, engine/repair_core.h) never needs another
+// reset().
 class StreamSelector {
  public:
   StreamSelector() = default;
@@ -256,6 +264,16 @@ class StreamSelector {
   // Removes a stream from the pool without selecting it (seed pre-passes
   // force-add streams outside the argmax order).
   void remove(model::StreamId s);
+
+  // Puts `s` back into the pool with a fresh key for its current w̄ —
+  // after a w̄ increase, or to return a popped or removed stream. Under
+  // the heap strategies it pushes a fresh entry and raises the stream's
+  // admission floor, so any older entry of `s` is retired when it
+  // surfaces (where removed streams' entries are already dropped); the
+  // heap is compacted to its live entries once it outgrows about twice
+  // the pool. Not combinable with save()/restore() (the floors are not
+  // checkpointed); the §2.3 enumeration never readmits.
+  void readmit(model::StreamId s);
 
   // Tells the selector that ws.wbar[s] just decreased to `new_wbar`.
   //   * kDeltaHeap: bumps only stream s's version — the exact delta
@@ -304,6 +322,15 @@ class StreamSelector {
   [[nodiscard]] model::StreamId pop_best_naive();
   [[nodiscard]] bool entry_fresh(model::StreamId stream,
                                  std::uint32_t stamp) const noexcept;
+  // Whether a heap entry is garbage: its stream left the pool, or the
+  // entry predates the stream's latest readmit().
+  [[nodiscard]] bool entry_dead(model::StreamId stream,
+                                std::uint32_t stamp) const noexcept {
+    const auto s = static_cast<std::size_t>(stream);
+    return ws_->in_pool[s] == 0 ||
+           (readmitted_ && stamp < ws_->admit_floor[s]);
+  }
+  void compact();
 
   SolveWorkspace* ws_ = nullptr;
   std::span<const double> wbar_;
@@ -312,6 +339,7 @@ class StreamSelector {
   std::size_t pool_size_ = 0;
   std::size_t heap_size_ = 0;  // live prefix of the workspace SoA arrays
   std::uint32_t round_ = 0;
+  bool readmitted_ = false;  // any readmit() since reset(): floors live
   // Monotone count of state mutations (pops, removes, updates,
   // invalidates) since reset(). save() bumps then records it (mutable:
   // the bump-then-record scheme makes each saved value unique without

@@ -1,6 +1,8 @@
 #include "engine/repair_core.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cmath>
 #include <string>
 
 #include "util/float_cmp.h"
@@ -18,6 +20,12 @@ using util::kAbsEps;
 namespace {
 
 [[nodiscard]] double clamp0(double x) noexcept { return x > 0.0 ? x : 0.0; }
+
+#ifndef NDEBUG
+[[nodiscard]] bool rel_close(double a, double b) noexcept {
+  return std::abs(a - b) <= 1e-12 * std::max(std::abs(a), std::abs(b));
+}
+#endif
 
 }  // namespace
 
@@ -61,12 +69,47 @@ void RepairCore::reset(const WorldRef& w) {
   added_seq_.assign(S, -1);
   next_seq_ = 0;
   used_ = 0.0;
+  race_stale_ = true;
 }
 
 void RepairCore::resolve(const WorldRef& w, const Context& ctx,
                          core::SelectStats& select) {
   reset(w);
-  run_completion(w, ctx, select);
+  reset_selector(ctx.strategy);
+  (void)run_completion(w);
+  update_race(w, {});
+  flush_select(select);
+}
+
+void RepairCore::reset_selector(core::SelectStrategy strategy) {
+  strategy_ = strategy;
+  selector_.reset(select_ws_, wbar_, cost_, strategy);
+  flushed_ = {};
+  const std::size_t S = wbar_.size();
+  for (std::size_t s = 0; s < S; ++s)
+    if (added_seq_[s] >= 0 || wbar_[s] <= kAbsEps)
+      selector_.remove(static_cast<StreamId>(s));
+}
+
+void RepairCore::pool_track(StreamId s, double before) {
+  const auto ss = static_cast<std::size_t>(s);
+  const double now = wbar_[ss];
+  if (added_seq_[ss] >= 0 || now <= kAbsEps)
+    selector_.remove(s);
+  else if (!selector_.contains(s) || now > before)
+    selector_.readmit(s);  // re-entry, or a key that would underestimate
+  else if (now < before)
+    selector_.update(s, now);
+}
+
+void RepairCore::flush_select(core::SelectStats& select) {
+  const core::SelectStats& now = selector_.stats();
+  select.picks += now.picks - flushed_.picks;
+  select.evaluations += now.evaluations - flushed_.evaluations;
+  select.pairs_touched += now.pairs_touched - flushed_.pairs_touched;
+  select.rows_walked += now.rows_walked - flushed_.rows_walked;
+  select.heap_sifts += now.heap_sifts - flushed_.heap_sifts;
+  flushed_ = now;
 }
 
 // Re-derives every per-entity array after an overlay rebuild (append).
@@ -110,6 +153,8 @@ void RepairCore::rebind(const WorldRef& w) {
     }
     wbar_[ss] = total;
   }
+  race_stale_ = true;
+  reset_selector(strategy_);
 }
 
 void RepairCore::refresh_user(const WorldRef& w, UserId u, double old_clamp,
@@ -124,6 +169,7 @@ void RepairCore::refresh_user(const WorldRef& w, UserId u, double old_clamp,
   user_w_[uu] = 0.0;
   user_last_w_[uu] = 0.0;
   rem_[uu] = w.capacity[uu];
+  mark_user(uu);
   replay_.clear();
   for (std::size_t t = 0; t < edges.size(); ++t) {
     const auto ss = static_cast<std::size_t>(streams[t]);
@@ -153,12 +199,15 @@ void RepairCore::refresh_user(const WorldRef& w, UserId u, double old_clamp,
     const double contrib_new = w_new > 0.0 ? std::min(w_new, new_clamp) : 0.0;
     const double contrib_old = w_old > 0.0 ? std::min(w_old, old_clamp) : 0.0;
     const double delta = contrib_new - contrib_old;
-    if (delta != 0.0) wbar_[ss] += delta;
+    if (delta == 0.0) continue;
+    const double before = wbar_[ss];
+    wbar_[ss] += delta;
+    pool_track(streams[t], before);
   }
 }
 
-void RepairCore::add_stream_state(const WorldRef& w, StreamId s, double cost,
-                                  core::StreamSelector* selector) {
+void RepairCore::add_stream_state(const WorldRef& w, StreamId s,
+                                  double cost) {
   const model::Instance& inst = *w.base;
   used_ += cost;
   added_seq_[static_cast<std::size_t>(s)] = next_seq_++;
@@ -178,6 +227,7 @@ void RepairCore::add_stream_state(const WorldRef& w, StreamId s, double cost,
     }
     const double wv = w.edge_utility[static_cast<std::size_t>(e)];
     if (rem_[uu] <= kAbsEps || wv <= 0.0) continue;
+    mark_user(uu);
     assigned_[uu].push_back(s);
     user_w_[uu] += wv;
     user_last_w_[uu] = wv;
@@ -201,50 +251,46 @@ void RepairCore::add_stream_state(const WorldRef& w, StreamId s, double cost,
       const double before = we < rem_old ? we : rem_old;
       wbar_[sps] += rem_new_clamped - before;
       ++pairs;
-      if (selector != nullptr && selector->contains(sp)) {
+      // Skipped streams are out of the pool and rejoin with a fresh key.
+      if (selector_.contains(sp)) {
         if (wbar_[sps] <= kAbsEps)
-          selector->remove(sp);
+          selector_.remove(sp);
         else
-          selector->update(sp, wbar_[sps]);
+          selector_.update(sp, wbar_[sps]);
       }
     }
   }
   wbar_[static_cast<std::size_t>(s)] = 0.0;
-  if (selector != nullptr) selector->note_propagation(rows, pairs);
+  selector_.note_propagation(rows, pairs);
 }
 
-std::size_t RepairCore::run_completion(const WorldRef& w, const Context& ctx,
-                                       core::SelectStats& select) {
-  const std::size_t S = wbar_.size();
-  core::StreamSelector selector;
-  selector.reset(*ctx.workspace, wbar_, cost_, ctx.strategy);
-  for (std::size_t s = 0; s < S; ++s)
-    if (added_seq_[s] >= 0 || wbar_[s] <= kAbsEps)
-      selector.remove(static_cast<StreamId>(s));
-
+std::size_t RepairCore::run_completion(const WorldRef& w) {
   const double B = w.budget();
   std::size_t added = 0;
   std::size_t cursor = 0;
+  skipped_.clear();
   for (;;) {
     // Bulk budget cutoff, as in the untraced GreedyEngine::run(): once
     // the cheapest pool stream no longer fits, nothing ever will.
     while (cursor < cost_order_.size() &&
-           !selector.contains(cost_order_[cursor]))
+           !selector_.contains(cost_order_[cursor]))
       ++cursor;
     if (cursor >= cost_order_.size()) break;
     if (!approx_le(
             used_ + cost_[static_cast<std::size_t>(cost_order_[cursor])], B))
       break;
-    const StreamId best = selector.pop_best();
+    const StreamId best = selector_.pop_best();
     if (best == model::kInvalidStream) break;
     if (wbar_[static_cast<std::size_t>(best)] <= kAbsEps) break;
-    if (!approx_le(used_ + cost_[static_cast<std::size_t>(best)], B))
-      continue;  // skipped this round; future events may readmit it
-    add_stream_state(w, best, cost_[static_cast<std::size_t>(best)],
-                     &selector);
+    if (!approx_le(used_ + cost_[static_cast<std::size_t>(best)], B)) {
+      skipped_.push_back(best);  // out for this completion only
+      continue;
+    }
+    add_stream_state(w, best, cost_[static_cast<std::size_t>(best)]);
     ++added;
   }
-  select.merge(selector.stats());
+  for (const StreamId s : skipped_)
+    if (wbar_[static_cast<std::size_t>(s)] > kAbsEps) selector_.readmit(s);
   return added;
 }
 
@@ -316,11 +362,65 @@ double RepairCore::race(const WinnerPartial& acc, double w_amax,
   return w_amax;
 }
 
+void RepairCore::update_race(const WorldRef& w,
+                             std::span<const StreamId> changed) {
+  const std::size_t U = w.num_users();
+  AmaxPartial& best = race_.amax;
+  if (race_stale_) {
+    race_block_.resize((U + kRaceBlock - 1) / kRaceBlock);
+    for (std::size_t b = 0; b < race_block_.size(); ++b)
+      race_block_[b] =
+          winner_partial(w, b * kRaceBlock, std::min(U, (b + 1) * kRaceBlock));
+    block_dirty_.assign(race_block_.size(), 0);
+    dirty_blocks_.clear();
+    best = amax_partial(w, 0, w.num_streams());
+    race_stale_ = false;
+  } else {
+    for (const std::size_t b : dirty_blocks_) {
+      race_block_[b] =
+          winner_partial(w, b * kRaceBlock, std::min(U, (b + 1) * kRaceBlock));
+      block_dirty_[b] = 0;
+    }
+    dirty_blocks_.clear();
+    // The first-max argmax over the changed totals: rescan only when the
+    // argmax itself lost ground; otherwise it still beats every
+    // unchanged stream, and each changed one challenges it under the
+    // same rule (strictly greater, or equal with a lower id).
+    const auto total_of = [&](StreamId s) {
+      return w.total_utility[static_cast<std::size_t>(s)];
+    };
+    const bool dropped =
+        best.best != model::kInvalidStream && total_of(best.best) < best.total;
+    if (dropped) {
+      best = amax_partial(w, 0, w.num_streams());
+    } else {
+      if (best.best != model::kInvalidStream) best.total = total_of(best.best);
+      for (const StreamId s : changed) {
+        const double total = total_of(s);
+        if (total > best.total || (total == best.total && s < best.best))
+          best = {s, total};
+      }
+    }
+  }
+  race_.winner = {};
+  for (const WinnerPartial& p : race_block_) {
+    race_.winner.capped += p.capped;
+    race_.winner.split.w1 += p.split.w1;
+    race_.winner.split.w2 += p.split.w2;
+  }
+}
+
 double RepairCore::winner_objective(const WorldRef& w, core::SmdMode mode,
                                     const char** variant) const {
+#ifndef NDEBUG
   const WinnerPartial acc = winner_partial(w, 0, w.num_users());
-  const AmaxPartial best = amax_partial(w, 0, w.num_streams());
-  return race(acc, amax_value(w, best), mode, variant);
+  const AmaxPartial amax = amax_partial(w, 0, w.num_streams());
+  assert(amax.best == race_.amax.best && amax.total == race_.amax.total);
+  assert(rel_close(acc.capped, race_.winner.capped));
+  assert(rel_close(acc.split.w1, race_.winner.split.w1));
+  assert(rel_close(acc.split.w2, race_.winner.split.w2));
+#endif
+  return race(race_.winner, amax_value(w, race_.amax), mode, variant);
 }
 
 model::Assignment RepairCore::build_semi(const WorldRef& w) const {
@@ -366,6 +466,8 @@ void RepairCore::post_event(const WorldRef& w, const InstanceEvent& event,
   const model::Instance& inst = *w.base;
   const EventType type = event.type;
   bool needs_completion = false;
+  // The persistent selector honors the per-call strategy like resolve().
+  if (ctx.strategy != strategy_) reset_selector(ctx.strategy);
 
   if (pre.appends_user || pre.appends_stream) {
     rebind(w);
@@ -423,7 +525,9 @@ void RepairCore::post_event(const WorldRef& w, const InstanceEvent& event,
       }
       needs_completion = true;  // budget and capacity were freed
     }
+    const double before = wbar_[ss];
     wbar_[ss] = 0.0;
+    pool_track(s, before);
   } else {  // kStreamAdd restore
     const StreamId s = event.stream;
     const auto ss = static_cast<std::size_t>(s);
@@ -437,11 +541,20 @@ void RepairCore::post_event(const WorldRef& w, const InstanceEvent& event,
           clamp0(rem_[static_cast<std::size_t>(inst.edge_user(e))]);
       total += wv < c ? wv : c;
     }
+    const double before = wbar_[ss];
     wbar_[ss] = total;
+    pool_track(s, before);
     needs_completion = true;
   }
 
-  if (needs_completion) stats.streams_added = run_completion(w, ctx, select);
+  if (needs_completion) stats.streams_added = run_completion(w);
+  // The effective totals the event changed: the touched user's streams,
+  // or the event's stream (appends recompute everything anyway).
+  if (pre.user_event && !pre.appends_user)
+    update_race(w, inst.streams_of(event.user));
+  else
+    update_race(w, std::span<const StreamId>(&event.stream, 1));
+  flush_select(select);
 }
 
 double fresh_winner_objective(const WorldRef& w, const RepairCore::Context& ctx,

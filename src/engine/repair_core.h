@@ -10,6 +10,17 @@
 // event lifecycle as pre_event / post_event around the caller's world
 // mutation. Keeping the arithmetic in one class is what makes the
 // single-shard and sharded repair paths bit-identical per shard count.
+//
+// An event costs what it touches. The completion's StreamSelector lives
+// across events over RepairCore's own storage, and between events its
+// pool is exactly {s : s not added, w̄(s) > kAbsEps}, every key fresh or
+// an overestimate: each write to w̄ or to the added set reports to it
+// (update on a decrease, readmit on an increase or a re-entry, remove on
+// an add or a death), and streams skipped as over budget rejoin when
+// their completion ends. The Theorem 2.8 race terms are maintained too:
+// the per-user sums as fixed blocks of users, recomputed when one of
+// their users changes and summed in block order, and the Amax argmax
+// over the streams whose effective totals the event changed.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +66,11 @@ struct WorldRef {
 
 class RepairCore {
  public:
+  RepairCore() = default;
+  // The selector points into this object's own storage.
+  RepairCore(const RepairCore&) = delete;
+  RepairCore& operator=(const RepairCore&) = delete;
+
   // Per-call solve context (the owner's knobs; never stored).
   struct Context {
     core::SolveWorkspace* workspace = nullptr;
@@ -85,6 +101,13 @@ class RepairCore {
     model::StreamId best = model::kInvalidStream;
     double total = -1.0;
   };
+  // The race terms of the maintained state: the per-user sums over all
+  // users (per-block partials summed in block order) and the Amax argmax
+  // over all streams (identical to amax_partial over [0, |S|)).
+  struct RaceTerms {
+    WinnerPartial winner;
+    AmaxPartial amax;
+  };
 
   // From-scratch rebuild: engine-identical init (pool w̄ = effective
   // totals, tombstoned streams start dead at 0) + greedy completion.
@@ -101,8 +124,10 @@ class RepairCore {
                   core::SelectStats& select, RepairStats& stats);
 
   // The race value of the maintained state; sets *variant to the winner.
+  // Reads the maintained race terms: O(degree of the Amax stream).
   [[nodiscard]] double winner_objective(const WorldRef& w, core::SmdMode mode,
                                         const char** variant) const;
+  [[nodiscard]] const RaceTerms& race_terms() const noexcept { return race_; }
 
   // The race, in parallel-reducible pieces. Chunked partials combined in
   // chunk order reproduce the serial winner_objective() exactly when the
@@ -125,16 +150,30 @@ class RepairCore {
   [[nodiscard]] model::Assignment build_semi(const WorldRef& w) const;
 
  private:
-  [[nodiscard]] std::size_t run_completion(const WorldRef& w,
-                                           const Context& ctx,
-                                           core::SelectStats& select);
+  [[nodiscard]] std::size_t run_completion(const WorldRef& w);
   void reset(const WorldRef& w);
   void rebind(const WorldRef& w);
   void refresh_cost_arrays(const WorldRef& w);
   void refresh_user(const WorldRef& w, model::UserId u, double old_clamp,
                     const double* old_w);
-  void add_stream_state(const WorldRef& w, model::StreamId s, double cost,
-                        core::StreamSelector* selector);
+  void add_stream_state(const WorldRef& w, model::StreamId s, double cost);
+  // Rebuilds the selector's pool from scratch (resolve and appends only).
+  void reset_selector(core::SelectStrategy strategy);
+  // Restores the pool invariant after wbar_[s] moved from `before`.
+  void pool_track(model::StreamId s, double before);
+  // Merges the selector's work since the last flush into `select`.
+  void flush_select(core::SelectStats& select);
+  void mark_user(std::size_t u) {
+    if (race_stale_) return;
+    const std::size_t b = u / kRaceBlock;
+    if (block_dirty_[b] != 0) return;
+    block_dirty_[b] = 1;
+    dirty_blocks_.push_back(b);
+  }
+  // Brings race_ up to date; `changed` lists the streams whose effective
+  // totals may have changed since the last call.
+  void update_race(const WorldRef& w,
+                   std::span<const model::StreamId> changed);
 
   // Mirrors GreedyEngine's invariants, owner-held so fresh scoring solves
   // can share the workspace without clobbering it.
@@ -152,6 +191,23 @@ class RepairCore {
   // the (add-sequence, adjacency-position) replay keys.
   std::vector<double> snap_w_;
   std::vector<std::pair<std::int32_t, std::int32_t>> replay_;
+
+  // The completion's selector, over its own workspace: the drift check's
+  // fresh solves run a GreedyEngine on the caller's and would clobber it.
+  core::SolveWorkspace select_ws_;
+  core::StreamSelector selector_;
+  core::SelectStrategy strategy_ = core::SelectStrategy::kDeltaHeap;
+  core::SelectStats flushed_;           // selector work already merged
+  std::vector<model::StreamId> skipped_;  // over budget this completion
+
+  // Maintained race terms: per-block user sums, the blocks touched since
+  // the last update_race(), and a pending full recompute (reset/rebind).
+  static constexpr std::size_t kRaceBlock = 256;
+  std::vector<WinnerPartial> race_block_;
+  std::vector<char> block_dirty_;
+  std::vector<std::size_t> dirty_blocks_;
+  bool race_stale_ = true;
+  RaceTerms race_;
 };
 
 // From-scratch §2.2 winner value of the world (scoring mode, no

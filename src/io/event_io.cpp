@@ -48,7 +48,9 @@ std::int32_t parse_id(const std::string& token, int line) {
   try {
     std::size_t pos = 0;
     const long value = std::stol(token, &pos);
-    if (pos != token.size() || value < 0) throw std::invalid_argument(token);
+    if (pos != token.size() || value < 0 ||
+        value > std::numeric_limits<std::int32_t>::max())
+      throw std::invalid_argument(token);
     return static_cast<std::int32_t>(value);
   } catch (const std::exception&) {
     parse_error(line, "expected a non-negative id, got '" + token + "'");

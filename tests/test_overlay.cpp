@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "gen/events.h"
 #include "gen/random_instances.h"
@@ -254,6 +255,17 @@ TEST(EventIo, RoundTripsEveryEventKind) {
   EXPECT_THROW(io::load_events(bad), std::runtime_error);
   std::istringstream headerless("leave 3\n");
   EXPECT_THROW(io::load_events(headerless), std::runtime_error);
+  // An id past INT32_MAX is rejected, not wrapped onto a small id.
+  std::istringstream wide("vdist-events 1\ncapacity 4294967296 1.5\n");
+  try {
+    (void)io::load_events(wide);
+    ADD_FAILURE() << "id 4294967296 was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "line 2: expected a non-negative id, got '4294967296'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

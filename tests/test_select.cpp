@@ -18,6 +18,7 @@
 #include "engine/scenario.h"
 #include "model/factory.h"
 #include "model/instance.h"
+#include "util/rng.h"
 
 namespace vdist::core {
 namespace {
@@ -255,6 +256,98 @@ TEST(StreamSelector, DeltaUpdateDemotesExactlyLikeARescan) {
   EXPECT_EQ(sel.pop_best(), model::kInvalidStream);
   // Only the one touched stream ever re-evaluated.
   EXPECT_EQ(sel.stats().evaluations, evals_after_reset + 1);
+}
+
+// A selector kept alive across many rounds (the serving engine's repair
+// completion) sees pops, removes, w̄ decreases, w̄ increases with
+// readmission, and over-budget skips that rejoin at the end of their
+// completion. After every operation it must pop exactly what a selector
+// reset() from scratch on the same pool pops, under every strategy. The
+// coarse value grids make exact and tolerance ties common; the probe pop
+// is readmitted at once, so it also drives the heap through compaction.
+TEST(StreamSelector, PersistentSelectorMatchesAFreshResetAfterEveryOp) {
+  constexpr std::size_t n = 48;
+  for (const SelectStrategy strategy :
+       {SelectStrategy::kDeltaHeap, SelectStrategy::kLazyHeap,
+        SelectStrategy::kNaiveScan}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      util::Rng rng(seed);
+      std::vector<double> wbar(n);
+      std::vector<double> cost(n);
+      for (std::size_t s = 0; s < n; ++s) {
+        wbar[s] = 0.5 * static_cast<double>(rng.uniform_int(1, 12));
+        cost[s] = static_cast<double>(rng.uniform_int(0, 4));
+      }
+      SolveWorkspace ws;
+      SolveWorkspace scratch;
+      StreamSelector sel;
+      sel.reset(ws, wbar, cost, strategy);
+      std::vector<char> member(n, 1);
+      std::vector<StreamId> skipped;
+
+      const auto probe = [&](int step) {
+        StreamSelector fresh;
+        fresh.reset(scratch, wbar, cost, strategy);
+        std::size_t pool = 0;
+        for (std::size_t s = 0; s < n; ++s) {
+          if (member[s] == 0) fresh.remove(static_cast<StreamId>(s));
+          pool += member[s] != 0 ? 1 : 0;
+        }
+        ASSERT_EQ(sel.pool_size(), pool)
+            << to_string(strategy) << " step " << step;
+        const StreamId want = fresh.pop_best();
+        const StreamId got = sel.pop_best();
+        ASSERT_EQ(got, want) << to_string(strategy) << " seed " << seed
+                             << " step " << step;
+        if (got != model::kInvalidStream) sel.readmit(got);
+      };
+
+      for (int step = 0; step < 600; ++step) {
+        const auto t = static_cast<StreamId>(
+            rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+        const auto tt = static_cast<std::size_t>(t);
+        switch (rng.uniform_int(0, 5)) {
+          case 0: {  // pop: the stream is taken and leaves the pool
+            const StreamId s = sel.pop_best();
+            if (s != model::kInvalidStream)
+              member[static_cast<std::size_t>(s)] = 0;
+            break;
+          }
+          case 1:  // remove: the stream died
+            sel.remove(t);
+            member[tt] = 0;
+            break;
+          case 2:  // w̄ decrease
+            wbar[tt] *= 0.25 * static_cast<double>(rng.uniform_int(1, 3));
+            if (member[tt] != 0) sel.update(t, wbar[tt]);
+            break;
+          case 3:  // w̄ increase, or a re-entry
+            wbar[tt] += 0.5 * static_cast<double>(rng.uniform_int(1, 6));
+            sel.readmit(t);
+            member[tt] = 1;
+            break;
+          case 4: {  // over-budget skip: out for this completion only
+            const StreamId s = sel.pop_best();
+            if (s != model::kInvalidStream) {
+              member[static_cast<std::size_t>(s)] = 0;
+              skipped.push_back(s);
+            }
+            break;
+          }
+          default:  // the completion ends: skipped streams rejoin
+            for (const StreamId s : skipped) {
+              if (member[static_cast<std::size_t>(s)] != 0) continue;
+              sel.readmit(s);
+              member[static_cast<std::size_t>(s)] = 1;
+            }
+            skipped.clear();
+            break;
+        }
+        probe(step);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
 }
 
 // Selector checkpointing: save/restore rewinds the pool and heap so the

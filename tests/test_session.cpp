@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "core/greedy.h"
 #include "engine/batch.h"
@@ -18,7 +20,9 @@
 #include "gen/events.h"
 #include "gen/random_instances.h"
 #include "model/factory.h"
+#include "model/overlay.h"
 #include "model/validate.h"
+#include "workload/workload.h"
 
 namespace vdist::engine {
 namespace {
@@ -415,6 +419,116 @@ TEST(ChurnScenario, RegisteredAndLayersOverUnitSkewBases) {
   ScenarioSpec bad = spec;
   bad.params.set("base", "mmd");  // not unit-skew
   EXPECT_THROW(build_scenario(bad), std::invalid_argument);
+}
+
+// RepairCore keeps the Theorem 2.8 race terms incrementally: the per-user
+// sums as per-block partials, the Amax argmax over the streams an event
+// touched. At every event of a flash-crowd, a hetero-cap and a churn
+// trace they must match a full winner_partial + amax_partial pass (the
+// argmax exactly, the sums to 1e-12 relative), and winner_objective
+// must equal race() over that pass. The world spans several user
+// blocks; its loose budget lets completions add streams (and the churn
+// trace releases them); the check runs in every build type, not only
+// under the debug assert.
+TEST(RepairCore, MaintainedRaceTermsMatchAFullPassAtEveryEvent) {
+  const auto close = [](double a, double b) {
+    return std::abs(a - b) <= 1e-12 * std::max(std::abs(a), std::abs(b));
+  };
+  gen::RandomCapConfig cfg;
+  cfg.num_streams = 300;
+  cfg.num_users = 600;
+  cfg.interest_per_stream = 12.0;
+  cfg.budget_fraction = 0.85;
+  cfg.seed = 9;
+  const Instance inst = gen::random_cap_instance(cfg);
+  for (const std::string family : {"flash-crowd", "hetero-cap", "churn"}) {
+    for (const core::SmdMode mode :
+         {core::SmdMode::kFeasible, core::SmdMode::kAugmented}) {
+      const std::vector<InstanceEvent> trace =
+          workload::WorkloadRegistry::global().generate(
+              family, inst, {{"events", "300"}, {"seed", "4"}});
+      model::InstanceOverlay overlay(inst);
+      const auto world = [&] {
+        return WorldRef{&overlay.instance(), overlay.edge_utilities(),
+                        overlay.total_utilities(), overlay.capacities(),
+                        overlay.stream_alive_flags()};
+      };
+      core::SolveWorkspace ws;
+      core::SelectStats select;
+      RepairCore repair;
+      const RepairCore::Context ctx{&ws, core::SelectStrategy::kDeltaHeap,
+                                    mode};
+      repair.resolve(world(), ctx, select);
+      std::size_t added = 0;
+      for (std::size_t i = 0; i < trace.size(); ++i) {
+        const RepairCore::PreEvent pre = repair.pre_event(world(), trace[i]);
+        overlay.apply(trace[i]);
+        RepairStats stats;
+        repair.post_event(world(), trace[i], pre, ctx, select, stats);
+        added += stats.streams_added;
+        if (i % 100 == 99) repair.resolve(world(), ctx, select);
+
+        const WorldRef w = world();
+        const RepairCore::RaceTerms& kept = repair.race_terms();
+        const RepairCore::WinnerPartial full =
+            repair.winner_partial(w, 0, w.num_users());
+        const RepairCore::AmaxPartial amax =
+            RepairCore::amax_partial(w, 0, w.num_streams());
+        const std::string where = family + " event " + std::to_string(i);
+        ASSERT_EQ(kept.amax.best, amax.best) << where;
+        ASSERT_EQ(kept.amax.total, amax.total) << where;
+        ASSERT_TRUE(close(kept.winner.capped, full.capped)) << where;
+        ASSERT_TRUE(close(kept.winner.split.w1, full.split.w1)) << where;
+        ASSERT_TRUE(close(kept.winner.split.w2, full.split.w2)) << where;
+        const char* kept_variant = "";
+        const char* full_variant = "";
+        const double value = repair.winner_objective(w, mode, &kept_variant);
+        const double expect = RepairCore::race(
+            full, RepairCore::amax_value(w, amax), mode, &full_variant);
+        ASSERT_TRUE(close(value, expect)) << where;
+        ASSERT_STREQ(kept_variant, full_variant) << where;
+      }
+      EXPECT_GT(added, 0u) << family << ": no completion added a stream";
+    }
+  }
+}
+
+// The maintained Amax argmax keeps amax_partial's first-max rule on
+// exact ties: when a stream returns with a total equal to the current
+// argmax's, the lower id wins.
+TEST(RepairCore, MaintainedAmaxBreaksExactTiesByLowestId) {
+  // Streams 0 and 1 both total 5; stream 2 totals 3.
+  const Instance inst = model::build_cap_instance(
+      {1.0, 1.0, 1.0}, 1.0, {10.0, 10.0},
+      {{0, 0, 2.0}, {1, 0, 3.0}, {0, 1, 5.0}, {1, 2, 3.0}});
+  model::InstanceOverlay overlay(inst);
+  const auto world = [&] {
+    return WorldRef{&overlay.instance(), overlay.edge_utilities(),
+                    overlay.total_utilities(), overlay.capacities(),
+                    overlay.stream_alive_flags()};
+  };
+  core::SolveWorkspace ws;
+  core::SelectStats select;
+  RepairCore repair;
+  const RepairCore::Context ctx{&ws, core::SelectStrategy::kDeltaHeap,
+                                core::SmdMode::kFeasible};
+  repair.resolve(world(), ctx, select);
+  EXPECT_EQ(repair.race_terms().amax.best, 0);
+  InstanceEvent event;
+  for (const EventType type : {EventType::kStreamRemove,
+                               EventType::kStreamAdd}) {
+    event.type = type;
+    event.stream = 0;
+    const RepairCore::PreEvent pre = repair.pre_event(world(), event);
+    overlay.apply(event);
+    RepairStats stats;
+    repair.post_event(world(), event, pre, ctx, select, stats);
+    const RepairCore::AmaxPartial full =
+        RepairCore::amax_partial(world(), 0, inst.num_streams());
+    EXPECT_EQ(repair.race_terms().amax.best, full.best);
+    EXPECT_EQ(repair.race_terms().amax.total, full.total);
+  }
+  EXPECT_EQ(repair.race_terms().amax.best, 0);  // 0 ties 1 and wins
 }
 
 }  // namespace
