@@ -549,25 +549,7 @@ const model::Assignment& ShardedSession::assignment() {
 }
 
 model::Instance ShardedSession::snapshot() const {
-  // Mirrors InstanceOverlay::materialize() over the gathered arrays, so
-  // the sharded snapshot is the same Instance a single overlay would bake.
-  const model::Instance& inst = *base_;
-  model::InstanceBuilder b(1, 1);
-  b.set_budget(0, inst.budget(0));
-  for (std::size_t ss = 0; ss < inst.num_streams(); ++ss) {
-    const auto s = static_cast<StreamId>(ss);
-    b.add_stream({inst.cost(s, 0)}, inst.stream_name(s));
-  }
-  for (std::size_t u = 0; u < inst.num_users(); ++u)
-    b.add_user({capacity_[u]}, inst.user_name(static_cast<UserId>(u)));
-  for (std::size_t ss = 0; ss < inst.num_streams(); ++ss) {
-    const auto s = static_cast<StreamId>(ss);
-    for (EdgeId e = inst.first_edge(s); e < inst.last_edge(s); ++e) {
-      const double w = edge_utility_[static_cast<std::size_t>(e)];
-      if (w > 0.0) b.add_interest_unit_skew(inst.edge_user(e), s, w);
-    }
-  }
-  return std::move(b).build();
+  return model::snapshot_instance(*base_, edge_utility_, capacity_);
 }
 
 ParityReport ShardedSession::check_parity() {

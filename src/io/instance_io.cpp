@@ -1,9 +1,11 @@
 #include "io/instance_io.h"
 
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -44,6 +46,23 @@ double parse_value(const std::string& token, std::size_t line) {
   } catch (const std::exception&) {
     throw std::runtime_error("instance_io: bad number '" + token +
                              "' at line " + std::to_string(line));
+  }
+}
+
+// Ids, indices and dimensions: the whole token must be a decimal integer
+// in [0, INT32_MAX] (the rule of event_io's ids).
+std::int32_t parse_int(const std::string& token, std::size_t line) {
+  try {
+    std::size_t pos = 0;
+    const long value = std::stol(token, &pos);
+    if (pos != token.size() || value < 0 ||
+        value > std::numeric_limits<std::int32_t>::max())
+      throw std::invalid_argument(token);
+    return static_cast<std::int32_t>(value);
+  } catch (const std::exception&) {
+    throw std::runtime_error("instance_io: expected a non-negative integer, "
+                             "got '" + token + "' at line " +
+                             std::to_string(line));
   }
 }
 
@@ -127,6 +146,64 @@ Instance load_instance(std::istream& is) {
   std::unique_ptr<InstanceBuilder> builder;
   std::size_t next_stream = 0;
   std::size_t next_user = 0;
+  // The numeric tail of a record (costs, capacities or loads), parsed
+  // into one reused buffer.
+  std::vector<double> values;
+  auto values_from = [&](const std::vector<std::string>& tokens,
+                         std::size_t first) -> std::span<const double> {
+    values.clear();
+    for (std::size_t k = first; k < tokens.size(); ++k)
+      values.push_back(parse_value(tokens[k], line_no));
+    return values;
+  };
+
+  // One record; the builder's own rejections (std::invalid_argument) are
+  // rethrown below with the line number.
+  auto parse_record = [&](const std::string& kind,
+                          const std::vector<std::string>& tokens) {
+    if (kind == "dims") {
+      if (builder) throw fail("duplicate dims");
+      if (tokens.size() != 2) throw fail("dims needs m and mc");
+      m = parse_int(tokens[0], line_no);
+      mc = parse_int(tokens[1], line_no);
+      builder = std::make_unique<InstanceBuilder>(m, mc);
+      return;
+    }
+    if (!builder) throw fail("dims must come first");
+
+    if (kind == "budget") {
+      if (tokens.size() != 2) throw fail("budget needs index and value");
+      builder->set_budget(parse_int(tokens[0], line_no),
+                          parse_value(tokens[1], line_no));
+    } else if (kind == "stream") {
+      if (tokens.size() != 2 + static_cast<std::size_t>(m))
+        throw fail("stream needs id, name and m costs");
+      if (static_cast<std::size_t>(parse_int(tokens[0], line_no)) !=
+          next_stream)
+        throw fail("stream ids must be dense and ordered");
+      ++next_stream;
+      builder->add_stream(values_from(tokens, 2),
+                          tokens[1] == "-" ? std::string{} : tokens[1]);
+    } else if (kind == "user") {
+      if (tokens.size() != 2 + static_cast<std::size_t>(mc))
+        throw fail("user needs id, name and mc capacities");
+      if (static_cast<std::size_t>(parse_int(tokens[0], line_no)) !=
+          next_user)
+        throw fail("user ids must be dense and ordered");
+      ++next_user;
+      builder->add_user(values_from(tokens, 2),
+                        tokens[1] == "-" ? std::string{} : tokens[1]);
+    } else if (kind == "interest") {
+      if (tokens.size() != 3 + static_cast<std::size_t>(mc))
+        throw fail("interest needs user, stream, utility and mc loads");
+      const UserId u = parse_int(tokens[0], line_no);
+      const StreamId s = parse_int(tokens[1], line_no);
+      const double w = parse_value(tokens[2], line_no);
+      builder->add_interest(u, s, w, values_from(tokens, 3));
+    } else {
+      throw fail("unknown record '" + kind + "'");
+    }
+  };
 
   while (std::getline(is, line)) {
     ++line_no;
@@ -136,58 +213,20 @@ Instance load_instance(std::istream& is) {
     ss >> kind;
     std::vector<std::string> tokens;
     for (std::string t; ss >> t;) tokens.push_back(t);
-
-    if (kind == "dims") {
-      if (builder) throw fail("duplicate dims");
-      if (tokens.size() != 2) throw fail("dims needs m and mc");
-      m = std::stoi(tokens[0]);
-      mc = std::stoi(tokens[1]);
-      builder = std::make_unique<InstanceBuilder>(m, mc);
-      continue;
-    }
-    if (!builder) throw fail("dims must come first");
-
-    if (kind == "budget") {
-      if (tokens.size() != 2) throw fail("budget needs index and value");
-      builder->set_budget(std::stoi(tokens[0]), parse_value(tokens[1], line_no));
-    } else if (kind == "stream") {
-      if (tokens.size() != 2 + static_cast<std::size_t>(m))
-        throw fail("stream needs id, name and m costs");
-      if (std::stoul(tokens[0]) != next_stream)
-        throw fail("stream ids must be dense and ordered");
-      ++next_stream;
-      std::vector<double> costs;
-      for (int i = 0; i < m; ++i)
-        costs.push_back(parse_value(tokens[2 + static_cast<std::size_t>(i)], line_no));
-      builder->add_stream(std::move(costs),
-                          tokens[1] == "-" ? std::string{} : tokens[1]);
-    } else if (kind == "user") {
-      if (tokens.size() != 2 + static_cast<std::size_t>(mc))
-        throw fail("user needs id, name and mc capacities");
-      if (std::stoul(tokens[0]) != next_user)
-        throw fail("user ids must be dense and ordered");
-      ++next_user;
-      std::vector<double> caps;
-      for (int j = 0; j < mc; ++j)
-        caps.push_back(parse_value(tokens[2 + static_cast<std::size_t>(j)], line_no));
-      builder->add_user(std::move(caps),
-                        tokens[1] == "-" ? std::string{} : tokens[1]);
-    } else if (kind == "interest") {
-      if (tokens.size() != 3 + static_cast<std::size_t>(mc))
-        throw fail("interest needs user, stream, utility and mc loads");
-      const auto u = static_cast<UserId>(std::stoi(tokens[0]));
-      const auto s = static_cast<StreamId>(std::stoi(tokens[1]));
-      const double w = parse_value(tokens[2], line_no);
-      std::vector<double> loads;
-      for (int j = 0; j < mc; ++j)
-        loads.push_back(parse_value(tokens[3 + static_cast<std::size_t>(j)], line_no));
-      builder->add_interest(u, s, w, std::move(loads));
-    } else {
-      throw fail("unknown record '" + kind + "'");
+    try {
+      parse_record(kind, tokens);
+    } catch (const std::invalid_argument& e) {
+      throw fail(e.what());
     }
   }
   if (!builder) throw fail("empty input");
-  return std::move(*builder).build();
+  // Whole-instance checks (c_i(S) <= B_i, duplicate pairs) report the
+  // last line read.
+  try {
+    return std::move(*builder).build();
+  } catch (const std::invalid_argument& e) {
+    throw fail(e.what());
+  }
 }
 
 void save_instance_file(const std::string& path, const Instance& inst) {

@@ -11,8 +11,9 @@
 //   interest <user> <stream> <utility> <k_0> ... <k_{mc-1}>
 //
 // Comments start with '#'; blank lines are ignored. Ids must be dense and
-// in order (the loader validates). Doubles are written with enough digits
-// to round-trip exactly.
+// in order (the loader validates). Ids, indices and dimensions are whole
+// decimal tokens in [0, INT32_MAX]. Doubles are written with enough
+// digits to round-trip exactly.
 #pragma once
 
 #include <iosfwd>
@@ -27,7 +28,8 @@ namespace vdist::io {
 void save_instance(std::ostream& os, const model::Instance& inst);
 
 // Parses the format above. Throws std::runtime_error with a line number
-// on malformed input.
+// on malformed input, InstanceBuilder's rejections included (a
+// whole-instance check such as a duplicate pair names the last line).
 [[nodiscard]] model::Instance load_instance(std::istream& is);
 
 // Convenience file wrappers (throw std::runtime_error on IO failure).

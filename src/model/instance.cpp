@@ -40,7 +40,17 @@ void InstanceBuilder::set_budget(int i, double value) {
   budgets_[static_cast<std::size_t>(i)] = value;
 }
 
-StreamId InstanceBuilder::add_stream(std::vector<double> costs,
+void InstanceBuilder::reserve(std::size_t streams, std::size_t users,
+                              std::size_t edges) {
+  costs_.reserve(streams * static_cast<std::size_t>(m_));
+  stream_names_.reserve(streams);
+  capacities_.reserve(users * static_cast<std::size_t>(mc_));
+  user_names_.reserve(users);
+  edges_.reserve(edges);
+  loads_.reserve(edges * static_cast<std::size_t>(mc_));
+}
+
+StreamId InstanceBuilder::add_stream(std::span<const double> costs,
                                      std::string name) {
   if (costs.size() != static_cast<std::size_t>(m_))
     throw std::invalid_argument("add_stream: expected " + std::to_string(m_) +
@@ -48,12 +58,12 @@ StreamId InstanceBuilder::add_stream(std::vector<double> costs,
   for (double c : costs)
     if (!is_finite_nonneg(c))
       throw std::invalid_argument("add_stream: costs must be finite and >= 0");
-  stream_costs_.push_back(std::move(costs));
+  costs_.insert(costs_.end(), costs.begin(), costs.end());
   stream_names_.push_back(std::move(name));
-  return static_cast<StreamId>(stream_costs_.size() - 1);
+  return static_cast<StreamId>(stream_names_.size() - 1);
 }
 
-UserId InstanceBuilder::add_user(std::vector<double> capacities,
+UserId InstanceBuilder::add_user(std::span<const double> capacities,
                                  std::string name) {
   if (capacities.size() != static_cast<std::size_t>(mc_))
     throw std::invalid_argument(
@@ -63,16 +73,16 @@ UserId InstanceBuilder::add_user(std::vector<double> capacities,
     if (!(is_finite_nonneg(k) || is_unbounded(k)))
       throw std::invalid_argument(
           "add_user: capacities must be >= 0 or unbounded");
-  user_caps_.push_back(std::move(capacities));
+  capacities_.insert(capacities_.end(), capacities.begin(), capacities.end());
   user_names_.push_back(std::move(name));
-  return static_cast<UserId>(user_caps_.size() - 1);
+  return static_cast<UserId>(user_names_.size() - 1);
 }
 
 void InstanceBuilder::add_interest(UserId u, StreamId s, double utility,
-                                   std::vector<double> loads) {
-  if (u < 0 || static_cast<std::size_t>(u) >= user_caps_.size())
+                                   std::span<const double> loads) {
+  if (u < 0 || static_cast<std::size_t>(u) >= num_users())
     throw std::invalid_argument("add_interest: unknown user");
-  if (s < 0 || static_cast<std::size_t>(s) >= stream_costs_.size())
+  if (s < 0 || static_cast<std::size_t>(s) >= num_streams())
     throw std::invalid_argument("add_interest: unknown stream");
   if (!is_finite_nonneg(utility))
     throw std::invalid_argument("add_interest: utility must be finite, >= 0");
@@ -82,14 +92,15 @@ void InstanceBuilder::add_interest(UserId u, StreamId s, double utility,
   for (double k : loads)
     if (!is_finite_nonneg(k))
       throw std::invalid_argument("add_interest: loads must be finite, >= 0");
-  edges_.push_back(RawEdge{u, s, utility, std::move(loads)});
+  edges_.push_back(RawEdge{u, s, utility});
+  loads_.insert(loads_.end(), loads.begin(), loads.end());
 }
 
 void InstanceBuilder::add_interest_unit_skew(UserId u, StreamId s,
                                              double utility) {
   if (mc_ != 1)
     throw std::logic_error("add_interest_unit_skew requires mc == 1");
-  add_interest(u, s, utility, {utility});
+  add_interest(u, s, utility, std::span<const double>(&utility, 1));
 }
 
 Instance InstanceBuilder::build() && {
@@ -97,100 +108,115 @@ Instance InstanceBuilder::build() && {
   inst.m_ = m_;
   inst.mc_ = mc_;
   inst.budgets_ = std::move(budgets_);
-  const std::size_t S = stream_costs_.size();
-  const std::size_t U = user_caps_.size();
+  const std::size_t S = num_streams();
+  const std::size_t U = num_users();
+  const auto m = static_cast<std::size_t>(m_);
   const auto mc = static_cast<std::size_t>(mc_);
 
   // Validate the paper's c_i(S) <= B_i assumption and pack costs
   // measure-major for cache-friendly per-measure scans.
-  inst.costs_.resize(static_cast<std::size_t>(m_) * S);
+  inst.costs_.resize(m * S);
   for (std::size_t s = 0; s < S; ++s) {
-    for (int i = 0; i < m_; ++i) {
-      const double c = stream_costs_[s][static_cast<std::size_t>(i)];
-      if (!approx_le(c, inst.budgets_[static_cast<std::size_t>(i)]))
+    for (std::size_t i = 0; i < m; ++i) {
+      const double c = costs_[s * m + i];
+      if (!approx_le(c, inst.budgets_[i]))
         throw std::invalid_argument(
             "build: stream " + std::to_string(s) + " violates c_i(S) <= B_i "
             "in measure " + std::to_string(i) +
             " (the paper assumes every stream fits alone)");
-      inst.costs_[static_cast<std::size_t>(i) * S + s] = c;
+      inst.costs_[i * S + s] = c;
     }
   }
-
-  inst.capacities_.resize(U * mc);
-  for (std::size_t u = 0; u < U; ++u)
-    for (std::size_t j = 0; j < mc; ++j)
-      inst.capacities_[u * mc + j] = user_caps_[u][j];
+  inst.capacities_ = std::move(capacities_);
 
   // Apply the paper's convention: w_u(S) = 0 whenever some k_j^u(S) > K_j^u
   // (the stream alone would violate the user's capacity). Such edges are
-  // dropped, as are explicitly zero-utility edges.
-  std::vector<RawEdge> kept;
-  kept.reserve(edges_.size());
+  // zeroed in place and, like explicitly zero-utility edges, dropped. The
+  // kept edges are counted per user and per stream.
+  inst.user_offsets_.assign(U + 1, 0);
+  inst.stream_offsets_.assign(S + 1, 0);
   std::size_t zeroed = 0;
-  for (auto& e : edges_) {
+  for (std::size_t k = 0; k < edges_.size(); ++k) {
+    RawEdge& e = edges_[k];
     if (e.utility <= 0.0) continue;
+    const double* loads = loads_.data() + k * mc;
+    const double* caps =
+        inst.capacities_.data() + static_cast<std::size_t>(e.u) * mc;
     bool over_cap = false;
-    for (std::size_t j = 0; j < mc; ++j) {
-      if (!approx_le(e.loads[j],
-                     user_caps_[static_cast<std::size_t>(e.u)][j])) {
-        over_cap = true;
-        break;
-      }
-    }
+    for (std::size_t j = 0; j < mc && !over_cap; ++j)
+      over_cap = !approx_le(loads[j], caps[j]);
     if (over_cap) {
+      e.utility = 0.0;
       ++zeroed;
       continue;
     }
-    kept.push_back(std::move(e));
+    ++inst.user_offsets_[static_cast<std::size_t>(e.u) + 1];
+    ++inst.stream_offsets_[static_cast<std::size_t>(e.s) + 1];
   }
   inst.zeroed_edges_ = zeroed;
+  for (std::size_t u = 0; u < U; ++u)
+    inst.user_offsets_[u + 1] += inst.user_offsets_[u];
+  for (std::size_t s = 0; s < S; ++s)
+    inst.stream_offsets_[s + 1] += inst.stream_offsets_[s];
+  const auto E = static_cast<std::size_t>(inst.stream_offsets_[S]);
 
-  // Sort by (stream, user) for the stream-CSR; duplicates are an error.
-  std::sort(kept.begin(), kept.end(), [](const RawEdge& a, const RawEdge& b) {
-    return a.s != b.s ? a.s < b.s : a.u < b.u;
-  });
-  for (std::size_t i = 1; i < kept.size(); ++i)
-    if (kept[i].s == kept[i - 1].s && kept[i].u == kept[i - 1].u)
-      throw std::invalid_argument("build: duplicate (user, stream) interest");
+  // The stream-CSR in (stream, user) order: a stable counting sort of the
+  // kept edges by user, then a stable counting sort by stream that writes
+  // the CSR arrays directly. A duplicate pair's copies end up adjacent.
+  std::vector<EdgeId> cursor(std::max(S, U));
+  const auto next_slot = [&](auto id) {
+    return static_cast<std::size_t>(cursor[static_cast<std::size_t>(id)]++);
+  };
+  std::vector<EdgeId> by_user(E);
+  std::copy(inst.user_offsets_.begin(), inst.user_offsets_.end() - 1,
+            cursor.begin());
+  for (std::size_t k = 0; k < edges_.size(); ++k)
+    if (edges_[k].utility > 0.0)
+      by_user[next_slot(edges_[k].u)] = static_cast<EdgeId>(k);
 
-  const std::size_t E = kept.size();
-  inst.stream_offsets_.assign(S + 1, 0);
   inst.edge_user_.resize(E);
   inst.edge_utility_.resize(E);
   inst.edge_loads_.resize(E * mc);
-  inst.stream_total_utility_.assign(S, 0.0);
-  for (std::size_t e = 0; e < E; ++e) {
-    ++inst.stream_offsets_[static_cast<std::size_t>(kept[e].s) + 1];
-    inst.edge_user_[e] = kept[e].u;
-    inst.edge_utility_[e] = kept[e].utility;
-    for (std::size_t j = 0; j < mc; ++j)
-      inst.edge_loads_[e * mc + j] = kept[e].loads[j];
-    inst.stream_total_utility_[static_cast<std::size_t>(kept[e].s)] +=
-        kept[e].utility;
-    inst.utility_grand_total_ += kept[e].utility;
+  std::copy(inst.stream_offsets_.begin(), inst.stream_offsets_.end() - 1,
+            cursor.begin());
+  for (const EdgeId id : by_user) {
+    const auto k = static_cast<std::size_t>(id);
+    const RawEdge& r = edges_[k];
+    const std::size_t e = next_slot(r.s);
+    inst.edge_user_[e] = r.u;
+    inst.edge_utility_[e] = r.utility;
+    std::copy_n(loads_.data() + k * mc, mc, inst.edge_loads_.data() + e * mc);
   }
-  for (std::size_t s = 0; s < S; ++s)
-    inst.stream_offsets_[s + 1] += inst.stream_offsets_[s];
 
-  // Mirror CSR by user, sorted by (user, stream).
-  std::vector<EdgeId> order(E);
-  for (std::size_t e = 0; e < E; ++e) order[e] = static_cast<EdgeId>(e);
-  std::sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-    const auto& ea = kept[static_cast<std::size_t>(a)];
-    const auto& eb = kept[static_cast<std::size_t>(b)];
-    return ea.u != eb.u ? ea.u < eb.u : ea.s < eb.s;
-  });
-  inst.user_offsets_.assign(U + 1, 0);
+  // Duplicates are an error; totals are summed in CSR edge order.
+  inst.stream_total_utility_.assign(S, 0.0);
+  for (std::size_t s = 0; s < S; ++s) {
+    const auto first = static_cast<std::size_t>(inst.stream_offsets_[s]);
+    const auto last = static_cast<std::size_t>(inst.stream_offsets_[s + 1]);
+    for (std::size_t e = first; e < last; ++e) {
+      if (e > first && inst.edge_user_[e] == inst.edge_user_[e - 1])
+        throw std::invalid_argument(
+            "build: duplicate (user, stream) interest");
+      inst.stream_total_utility_[s] += inst.edge_utility_[e];
+      inst.utility_grand_total_ += inst.edge_utility_[e];
+    }
+  }
+
+  // Mirror CSR by user: a stable counting sort of the stream-CSR edges by
+  // user keeps each user's edges sorted by stream.
   inst.user_edge_idx_.resize(E);
   inst.user_edge_stream_.resize(E);
-  for (std::size_t i = 0; i < E; ++i) {
-    const auto& e = kept[static_cast<std::size_t>(order[i])];
-    ++inst.user_offsets_[static_cast<std::size_t>(e.u) + 1];
-    inst.user_edge_idx_[i] = order[i];
-    inst.user_edge_stream_[i] = e.s;
+  std::copy(inst.user_offsets_.begin(), inst.user_offsets_.end() - 1,
+            cursor.begin());
+  for (std::size_t s = 0; s < S; ++s) {
+    for (EdgeId e = inst.stream_offsets_[s]; e < inst.stream_offsets_[s + 1];
+         ++e) {
+      const std::size_t pos =
+          next_slot(inst.edge_user_[static_cast<std::size_t>(e)]);
+      inst.user_edge_idx_[pos] = e;
+      inst.user_edge_stream_[pos] = static_cast<StreamId>(s);
+    }
   }
-  for (std::size_t u = 0; u < U; ++u)
-    inst.user_offsets_[u + 1] += inst.user_offsets_[u];
 
   // Unit-skew detection (Section 2 form).
   inst.unit_skew_ = (m_ == 1 && mc_ == 1);

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cassert>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <string>
@@ -223,43 +224,72 @@ class Instance {
 //   * every cost is finite, nonnegative and c_i(S) <= B_i (throws);
 //   * utilities are finite and nonnegative; zero-utility edges are dropped;
 //   * edges with k_j^u(S) > K_j^u are zeroed (dropped) per the paper, and
-//     counted in num_edges_zeroed_by_capacity().
+//     counted in num_edges_zeroed_by_capacity();
+//   * no (user, stream) pair appears twice among the kept edges (throws).
+//
+// Cost: costs, capacities and loads live in flat arrays, so an add
+// allocates nothing beyond amortized growth (none after reserve()) and a
+// name longer than the small-string buffer. build() is
+// O(nnz + |S| + |U|): the CSR comes from two stable counting sorts (by
+// user, then by stream) and its user mirror from one more, no comparison
+// sort. The edges come out in (stream, user) order, so the result does
+// not depend on the order the edges were added in.
 class InstanceBuilder {
  public:
   InstanceBuilder(int num_server_measures, int num_user_measures);
 
+  // Capacity hint; optional.
+  void reserve(std::size_t streams, std::size_t users, std::size_t edges);
+
   void set_budget(int i, double value);
-  StreamId add_stream(std::vector<double> costs, std::string name = {});
-  UserId add_user(std::vector<double> capacities, std::string name = {});
+  StreamId add_stream(std::span<const double> costs, std::string name = {});
+  StreamId add_stream(std::initializer_list<double> costs,
+                      std::string name = {}) {
+    return add_stream(std::span<const double>(costs.begin(), costs.size()),
+                      std::move(name));
+  }
+  UserId add_user(std::span<const double> capacities, std::string name = {});
+  UserId add_user(std::initializer_list<double> capacities,
+                  std::string name = {}) {
+    return add_user(
+        std::span<const double>(capacities.begin(), capacities.size()),
+        std::move(name));
+  }
   // loads must have exactly mc entries; for mc == 0 pass {}.
   void add_interest(UserId u, StreamId s, double utility,
-                    std::vector<double> loads);
+                    std::span<const double> loads);
+  void add_interest(UserId u, StreamId s, double utility,
+                    std::initializer_list<double> loads) {
+    add_interest(u, s, utility,
+                 std::span<const double>(loads.begin(), loads.size()));
+  }
   // Convenience for the Section-2 cap form (mc == 1, load == utility).
   void add_interest_unit_skew(UserId u, StreamId s, double utility);
 
   [[nodiscard]] std::size_t num_streams() const noexcept {
-    return stream_costs_.size();
+    return stream_names_.size();
   }
   [[nodiscard]] std::size_t num_users() const noexcept {
-    return user_caps_.size();
+    return user_names_.size();
   }
 
   [[nodiscard]] Instance build() &&;
 
  private:
+  // Edge k's loads are loads_[k * mc, (k + 1) * mc).
   struct RawEdge {
     UserId u;
     StreamId s;
     double utility;
-    std::vector<double> loads;
   };
 
   int m_;
   int mc_;
   std::vector<double> budgets_;
-  std::vector<std::vector<double>> stream_costs_;
-  std::vector<std::vector<double>> user_caps_;
+  std::vector<double> costs_;       // |S| x m, stream-major
+  std::vector<double> capacities_;  // |U| x mc, user-major
   std::vector<RawEdge> edges_;
+  std::vector<double> loads_;       // edges x mc
   std::vector<std::string> stream_names_;
   std::vector<std::string> user_names_;
 };

@@ -26,6 +26,32 @@ void check_stream(const char* who, StreamId s, std::size_t count) {
 
 }  // namespace
 
+Instance snapshot_instance(const Instance& base,
+                           std::span<const double> edge_utility,
+                           std::span<const double> capacity) {
+  if (edge_utility.size() != base.num_edges() ||
+      capacity.size() != base.num_users())
+    throw std::invalid_argument(
+        "snapshot_instance: spans must cover every edge and user of base");
+  InstanceBuilder b(1, 1);
+  b.reserve(base.num_streams(), base.num_users(), base.num_edges());
+  b.set_budget(0, base.budget(0));
+  for (std::size_t ss = 0; ss < base.num_streams(); ++ss) {
+    const auto s = static_cast<StreamId>(ss);
+    b.add_stream({base.cost(s, 0)}, base.stream_name(s));
+  }
+  for (std::size_t u = 0; u < capacity.size(); ++u)
+    b.add_user({capacity[u]}, base.user_name(static_cast<UserId>(u)));
+  for (std::size_t ss = 0; ss < base.num_streams(); ++ss) {
+    const auto s = static_cast<StreamId>(ss);
+    for (EdgeId e = base.first_edge(s); e < base.last_edge(s); ++e) {
+      const double w = edge_utility[static_cast<std::size_t>(e)];
+      if (w > 0.0) b.add_interest_unit_skew(base.edge_user(e), s, w);
+    }
+  }
+  return std::move(b).build();
+}
+
 InstanceOverlay::InstanceOverlay(const Instance& parent) : parent_(&parent) {
   if (!parent.is_smd() || !parent.is_unit_skew())
     throw std::invalid_argument(
@@ -216,7 +242,14 @@ void InstanceOverlay::rebuild() {
     for (const InterestSpec& spec : pending_users_[k].interests)
       max_w[old_users + k] = std::max(max_w[old_users + k], spec.utility);
 
+  std::size_t new_edges = old.num_edges();
+  for (const PendingStream& ps : pending_streams_)
+    new_edges += ps.interests.size();
+  for (const PendingUser& pu : pending_users_)
+    new_edges += pu.interests.size();
   InstanceBuilder b(1, 1);
+  b.reserve(old_streams + pending_streams_.size(),
+            old_users + pending_users_.size(), new_edges);
   b.set_budget(0, old.budget(0));
   for (std::size_t ss = 0; ss < old_streams; ++ss) {
     const auto s = static_cast<StreamId>(ss);
@@ -316,26 +349,6 @@ void InstanceOverlay::apply(const InstanceEvent& event) {
       return;
   }
   throw std::invalid_argument("InstanceOverlay::apply: unknown event type");
-}
-
-Instance InstanceOverlay::materialize() const {
-  const Instance& inst = base();
-  InstanceBuilder b(1, 1);
-  b.set_budget(0, inst.budget(0));
-  for (std::size_t ss = 0; ss < inst.num_streams(); ++ss) {
-    const auto s = static_cast<StreamId>(ss);
-    b.add_stream({inst.cost(s, 0)}, inst.stream_name(s));
-  }
-  for (std::size_t u = 0; u < num_users(); ++u)
-    b.add_user({capacity_[u]}, inst.user_name(static_cast<UserId>(u)));
-  for (std::size_t ss = 0; ss < inst.num_streams(); ++ss) {
-    const auto s = static_cast<StreamId>(ss);
-    for (EdgeId e = inst.first_edge(s); e < inst.last_edge(s); ++e) {
-      const double w = edge_utility_[static_cast<std::size_t>(e)];
-      if (w > 0.0) b.add_interest_unit_skew(inst.edge_user(e), s, w);
-    }
-  }
-  return std::move(b).build();
 }
 
 }  // namespace vdist::model

@@ -40,6 +40,18 @@
 
 namespace vdist::model {
 
+// Bakes effective cap-form state over `base` (same streams, costs,
+// budget, names and CSR topology) into a standalone Instance under the
+// paper's conventions: edge e carries edge_utility[e] (pairs <= 0 are
+// dropped), user u's cap is capacity[u], and the builder zeroes pairs
+// with w above their user's cap. O(nnz + |S| + |U|). The one snapshot of
+// the serving layer: InstanceOverlay::materialize() and the sharded
+// gather both call it. Throws std::invalid_argument when the spans do not
+// match base's edge and user counts.
+[[nodiscard]] Instance snapshot_instance(const Instance& base,
+                                         std::span<const double> edge_utility,
+                                         std::span<const double> capacity);
+
 class InstanceOverlay {
  public:
   // Requires parent.is_smd() && parent.is_unit_skew() (throws
@@ -152,12 +164,13 @@ class InstanceOverlay {
   // ids throw std::invalid_argument.
   void apply(const InstanceEvent& event);
 
-  // Bakes the current effective state into a standalone Instance under
-  // the paper's conventions: zero-utility (dead) pairs are dropped and
-  // pairs with w above the user's effective cap are zeroed by the
-  // builder. Bit-compatible with view() for solver parity as long as no
-  // live pair exceeds its user's cap (the event generator guarantees it).
-  [[nodiscard]] Instance materialize() const;
+  // Bakes the current effective state into a standalone Instance:
+  // snapshot_instance() over the current base and effective arrays.
+  // Bit-compatible with view() for solver parity as long as no live pair
+  // exceeds its user's cap (the event generator guarantees it).
+  [[nodiscard]] Instance materialize() const {
+    return snapshot_instance(instance(), edge_utility_, capacity_);
+  }
 
  private:
   [[nodiscard]] const Instance& base() const noexcept { return instance(); }

@@ -208,6 +208,53 @@ TEST(InstanceIo, RejectsMalformedInput) {
       << "wrong arity";
 }
 
+// Integer fields take the whole token, in [0, INT32_MAX]; every rejection,
+// the builder's included, is an instance_io error naming the line.
+TEST(InstanceIo, IntegerFieldsAreStrictAndEveryErrorNamesItsLine) {
+  const std::string head =
+      "vdist-instance 1\n"
+      "dims 1 1\n"
+      "budget 0 5\n"
+      "stream 0 - 1\n"
+      "user 0 - 3\n"
+      "user 1 - 3\n";
+  auto expect_error = [](const std::string& text, const std::string& what) {
+    std::istringstream is(text);
+    try {
+      (void)load_instance(is);
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_EQ(msg.rfind("instance_io: ", 0), 0u) << msg;
+      EXPECT_NE(msg.find(what), std::string::npos) << msg;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "bare exception: " << e.what() << "\n" << text;
+    }
+  };
+  expect_error(head + "interest 1x 0 2 2\n", "'1x' at line 7");
+  expect_error("vdist-instance 1\ndims 1 1x\n", "'1x' at line 2");
+  expect_error(head + "interest 4294967296 0 2 2\n",
+               "'4294967296' at line 7");
+  expect_error(head + "interest 0 -1 2 2\n", "'-1' at line 7");
+  expect_error(head + "stream 1.0 - 1\n", "'1.0' at line 7");
+  expect_error("vdist-instance 1\ndims 1 1\nbudget 0x 5\n", "'0x' at line 3");
+  // Builder rejections, rethrown with the line.
+  expect_error(head + "interest 0 0 nan nan\n",
+               "add_interest: utility must be finite, >= 0 at line 7");
+  expect_error(head + "interest 0 7 2 2\n",
+               "add_interest: unknown stream at line 7");
+  expect_error("vdist-instance 1\ndims 0 1\n",
+               "InstanceBuilder: m must be >= 1 at line 2");
+  expect_error("vdist-instance 1\ndims 1 1\nbudget 3 5\n",
+               "set_budget: measure out of range at line 3");
+  expect_error(head + "stream 1 - -2\n",
+               "add_stream: costs must be finite and >= 0 at line 7");
+  // Whole-instance checks report the last line read.
+  expect_error(head + "interest 0 0 1 1\ninterest 1 0 1 1\ninterest 0 0 2 2\n",
+               "build: duplicate (user, stream) interest at line 9");
+  expect_error(head + "stream 1 - 9\n", "violates c_i(S) <= B_i");
+}
+
 TEST(InstanceIo, UnboundedValuesSerializeAsInf) {
   model::InstanceBuilder b(1, 1);
   b.set_budget(0, model::kUnbounded);
