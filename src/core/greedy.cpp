@@ -1,6 +1,8 @@
 #include "core/greedy.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -54,6 +56,123 @@ template <typename OverCapFn>
     }
   }
   return out;
+}
+
+// Brings the workspace's row cache up to date for `view` and returns the
+// number of user rows it sorted. The rows are a user-major copy of the
+// (surrogate) utilities, each user's adjacency sorted by DESCENDING
+// utility with the stream ids in parallel. The w̄ propagation of
+// add_stream only has to touch pairs whose fractional contribution
+// min(w, rem) actually changed — with the row sorted, the first pair
+// with w <= rem ends the scan (everything after it is unchanged too).
+// Reordering is exact: each pair's delta lands in its own stream
+// accumulator, so per-user visit order never affects a single
+// floating-point sum.
+//
+// The one prep path: a user's row is dirty when the cache is keyed to
+// another instance (then every row is, and cost_order is rebuilt too) or
+// when one of its edge utilities differs in bits from the ones the row
+// was sorted from — bits, not ==, so a 0.0/-0.0 flip is a change and an
+// unchanged NaN is not. Only dirty rows are re-sorted. A row is a pure
+// function of its CSR row and utilities under the unique total order
+// (w desc, stream asc), so a kept row is bit-identical to a re-sorted one.
+std::size_t prepare_rows(const InstanceView& view, SolveWorkspace& ws) {
+  const std::size_t users = view.num_users();
+  const std::size_t streams = view.num_streams();
+  const std::size_t edges = view.num_edges();
+  const SolveWorkspace::RowKey key{view.base().uid(), streams, users, edges};
+  const bool warm = key.uid != 0 && ws.row_key == key;
+  // Unkeyed until every dirty row is sorted again.
+  ws.invalidate_rows();
+  if (warm) {
+    ws.row_dirty.assign(users, 0);
+    for (std::size_t e = 0; e < edges; ++e) {
+      const double w = view.edge_utility(static_cast<EdgeId>(e));
+      if (std::bit_cast<std::uint64_t>(w) ==
+          std::bit_cast<std::uint64_t>(ws.row_edge_w[e]))
+        continue;
+      ws.row_edge_w[e] = w;
+      ws.row_dirty[static_cast<std::size_t>(
+          view.edge_user(static_cast<EdgeId>(e)))] = 1;
+    }
+  } else {
+    ws.row_dirty.assign(users, 1);
+    ws.row_edge_w.resize(edges);
+    for (std::size_t e = 0; e < edges; ++e)
+      ws.row_edge_w[e] = view.edge_utility(static_cast<EdgeId>(e));
+    ws.user_edge_w.resize(edges);
+    ws.user_edge_s.resize(edges);
+    // Streams by ascending cost: run()'s budget cutoff reads the cheapest
+    // stream still in the pool off this order. Stable LSD radix on the
+    // order-preserving key keeps cost ties in ascending-id input order —
+    // exactly the old (cost, id) comparator's tie rule, a fraction of the
+    // branches. Costs are the base's, so the order lives as long as the
+    // key.
+    ws.cost_order.resize(streams);
+    ws.radix_keys.resize(streams);
+    for (std::size_t s = 0; s < streams; ++s) {
+      ws.cost_order[s] = static_cast<StreamId>(s);
+      ws.radix_keys[s] =
+          util::radix_key_from_double(view.cost(static_cast<StreamId>(s)));
+    }
+    util::radix_sort_pairs(ws.radix_keys, ws.cost_order,
+                           ws.radix_key_scratch, ws.radix_val_scratch);
+  }
+  // Each row is sorted in place in the destination arrays by an in-tandem
+  // insertion sort — rows are short on every registered scenario, and
+  // skipping the build-pairs / sort / copy-back round trip halves this
+  // loop's cost. The order (w desc, stream asc on ties) is a unique total
+  // order per row (within-user CSR streams are strictly ascending), so
+  // the big-row std::sort spill below produces the bit-identical arrays.
+  constexpr std::size_t kInsertionSortMaxDeg = 48;
+  std::vector<std::pair<double, StreamId>> spill;
+  std::size_t sorted = 0;
+  for (std::size_t u = 0; u < users; ++u) {
+    if (ws.row_dirty[u] == 0) continue;
+    ++sorted;
+    const auto edges_of_u = view.edges_of(static_cast<UserId>(u));
+    const auto streams_of_u = view.streams_of(static_cast<UserId>(u));
+    const std::size_t deg = edges_of_u.size();
+    const std::size_t begin = view.user_edge_begin(static_cast<UserId>(u));
+    double* const w_row = ws.user_edge_w.data() + begin;
+    StreamId* const s_row = ws.user_edge_s.data() + begin;
+    if (deg <= kInsertionSortMaxDeg) {
+      // Gather first — the utility reads are a random-index gather over
+      // the per-edge span, kept out of the shift loop — then
+      // stable-insertion-sort the row in place. Stability makes the
+      // stream tie-break free: equal-w pairs keep their input order,
+      // which is ascending stream (within-user CSR order).
+      for (std::size_t t = 0; t < deg; ++t)
+        w_row[t] = view.edge_utility(edges_of_u[t]);
+      std::copy(streams_of_u.begin(), streams_of_u.end(), s_row);
+      for (std::size_t t = 1; t < deg; ++t) {
+        const double w = w_row[t];
+        const StreamId sp = s_row[t];
+        std::size_t j = t;
+        while (j > 0 && w_row[j - 1] < w) {
+          w_row[j] = w_row[j - 1];
+          s_row[j] = s_row[j - 1];
+          --j;
+        }
+        w_row[j] = w;
+        s_row[j] = sp;
+      }
+    } else {
+      spill.clear();
+      for (std::size_t t = 0; t < deg; ++t)
+        spill.emplace_back(view.edge_utility(edges_of_u[t]), streams_of_u[t]);
+      std::sort(spill.begin(), spill.end(), [](const auto& a, const auto& b) {
+        if (a.first != b.first) return a.first > b.first;
+        return a.second < b.second;  // deterministic on w ties
+      });
+      for (std::size_t t = 0; t < deg; ++t) {
+        w_row[t] = spill[t].first;
+        s_row[t] = spill[t].second;
+      }
+    }
+  }
+  ws.row_key = key;
+  return sorted;
 }
 
 }  // namespace
@@ -155,83 +274,7 @@ GreedyEngine::GreedyEngine(InstanceView view, SolveWorkspace& ws,
     ws_.wbar[s] = view_.total_utility(static_cast<StreamId>(s));
     ws_.cost[s] = view_.cost(static_cast<StreamId>(s));
   }
-  // User-major copy of the (surrogate) utilities, each user's adjacency
-  // sorted by DESCENDING utility with the stream ids in parallel. The w̄
-  // propagation of add_stream only has to touch pairs whose fractional
-  // contribution min(w, rem) actually changed — with the row sorted, the
-  // first pair with w <= rem ends the scan (everything after it is
-  // unchanged too). Reordering is exact: each pair's delta lands in its
-  // own stream accumulator, so per-user visit order never affects a
-  // single floating-point sum. Built once per engine, read-only after.
-  ws_.user_edge_w.resize(view_.num_edges());
-  ws_.user_edge_s.resize(view_.num_edges());
-  {
-    // Each row is sorted in place in the destination arrays by an
-    // in-tandem insertion sort — rows are short on every registered
-    // scenario, and skipping the build-pairs / sort / copy-back round
-    // trip halves this loop's share of the constructor. The order
-    // (w desc, stream asc on ties) is a unique total order per row
-    // (within-user CSR streams are strictly ascending), so the big-row
-    // std::sort spill below produces the bit-identical arrays.
-    constexpr std::size_t kInsertionSortMaxDeg = 48;
-    std::vector<std::pair<double, StreamId>> spill;
-    for (std::size_t u = 0; u < users; ++u) {
-      const auto edges = view_.edges_of(static_cast<UserId>(u));
-      const auto streams_of_u = view_.streams_of(static_cast<UserId>(u));
-      const std::size_t deg = edges.size();
-      const std::size_t begin = view_.user_edge_begin(static_cast<UserId>(u));
-      double* const w_row = ws_.user_edge_w.data() + begin;
-      StreamId* const s_row = ws_.user_edge_s.data() + begin;
-      if (deg <= kInsertionSortMaxDeg) {
-        // Gather first — the utility reads are a random-index gather
-        // over the per-edge span, kept out of the shift loop — then
-        // stable-insertion-sort the row in place. Stability makes the
-        // stream tie-break free: equal-w pairs keep their input order,
-        // which is ascending stream (within-user CSR order).
-        for (std::size_t t = 0; t < deg; ++t)
-          w_row[t] = view_.edge_utility(edges[t]);
-        std::copy(streams_of_u.begin(), streams_of_u.end(), s_row);
-        for (std::size_t t = 1; t < deg; ++t) {
-          const double w = w_row[t];
-          const StreamId sp = s_row[t];
-          std::size_t j = t;
-          while (j > 0 && w_row[j - 1] < w) {
-            w_row[j] = w_row[j - 1];
-            s_row[j] = s_row[j - 1];
-            --j;
-          }
-          w_row[j] = w;
-          s_row[j] = sp;
-        }
-      } else {
-        spill.clear();
-        for (std::size_t t = 0; t < deg; ++t)
-          spill.emplace_back(view_.edge_utility(edges[t]), streams_of_u[t]);
-        std::sort(spill.begin(), spill.end(), [](const auto& a,
-                                                 const auto& b) {
-          if (a.first != b.first) return a.first > b.first;
-          return a.second < b.second;  // deterministic on w ties
-        });
-        for (std::size_t t = 0; t < deg; ++t) {
-          w_row[t] = spill[t].first;
-          s_row[t] = spill[t].second;
-        }
-      }
-    }
-  }
-  // Streams by ascending cost: run()'s budget cutoff reads the cheapest
-  // stream still in the pool off this order. Stable LSD radix on the
-  // order-preserving key keeps cost ties in ascending-id input order —
-  // exactly the old (cost, id) comparator's tie rule, a fraction of the
-  // branches.
-  ws_.cost_order.resize(streams);
-  ws_.radix_keys.resize(streams);
-  for (std::size_t s = 0; s < streams; ++s) {
-    ws_.cost_order[s] = static_cast<StreamId>(s);
-    ws_.radix_keys[s] = util::radix_key_from_double(ws_.cost[s]);
-  }
-  util::radix_sort_pairs(ws_.radix_keys, ws_.cost_order,
-                         ws_.radix_key_scratch, ws_.radix_val_scratch);
+  rows_sorted_ = prepare_rows(view_, ws_);
   // Propagation-batching scratch: the mark array stays all-zero between
   // picks (add_stream clears the marks it set).
   ws_.touched.clear();
@@ -481,12 +524,14 @@ void GreedyEngine::sync_assignment() {
 const GreedyResult& GreedyEngine::result() {
   sync_assignment();
   result_.select = selector_.stats();
+  result_.select.rows_sorted = rows_sorted_;
   return result_;
 }
 
 GreedyResult GreedyEngine::take() && {
   sync_assignment();
   result_.select = selector_.stats();
+  result_.select.rows_sorted = rows_sorted_;
   return std::move(result_);
 }
 

@@ -213,6 +213,16 @@ struct SplitValues {
 // kernel (core/select.h) — and extracts each pick through the kernel. All
 // per-solve buffers live in the caller's SolveWorkspace.
 //
+// Row cache contract: the constructor's prep — each user's utilities
+// sorted by descending w, and the streams by ascending cost — lives in
+// the workspace (SolveWorkspace::user_edge_w/_s, cost_order) and
+// outlives the engine. The next engine on the same base instance
+// (model::Instance::uid()) re-sorts only the rows of users whose edge
+// utilities changed bit for bit since; any other base rebuilds all of
+// it. The prepared arrays are bit-identical either way, so picks,
+// evaluations and objectives never depend on what the workspace solved
+// before. SelectStats::rows_sorted reports the rows this prep re-sorted.
+//
 // Checkpoint contract: save() copies the full solve state into a frame;
 // restore() rewinds to it. Restores must target a frame saved by *this*
 // engine since its construction (same view, same workspace). The
@@ -282,6 +292,7 @@ class GreedyEngine {
 
   model::InstanceView view_;
   SolveWorkspace& ws_;
+  std::size_t rows_sorted_ = 0;  // user rows the constructor's prep sorted
   bool record_trace_ = true;
   bool build_assignment_ = true;
   GreedyResult result_;

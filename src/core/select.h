@@ -76,18 +76,24 @@ enum class SelectStrategy {
 // operations (down or up) on the selection heap. All of them are
 // deterministic functions of the pick sequence, so like evaluations they
 // are machine-independent and diffable across BENCH baselines.
+// rows_sorted is the greedy engine's prep: the user rows its constructor
+// re-sorted (|U| on a cold workspace, only the rows whose utilities
+// changed on a warm one; see SolveWorkspace's row cache) — deterministic
+// given the sequence of solves a workspace ran.
 struct SelectStats {
   std::size_t picks = 0;         // streams returned by pop_best()
   std::size_t evaluations = 0;   // effectiveness (re-)computations
   std::size_t pairs_touched = 0;  // w̄ propagation: per-pair deltas applied
   std::size_t rows_walked = 0;    // w̄ propagation: user rows entered
   std::size_t heap_sifts = 0;     // heap sift-down/up operations
+  std::size_t rows_sorted = 0;    // engine prep: user rows re-sorted
   void merge(const SelectStats& other) noexcept {
     picks += other.picks;
     evaluations += other.evaluations;
     pairs_touched += other.pairs_touched;
     rows_walked += other.rows_walked;
     heap_sifts += other.heap_sifts;
+    rows_sorted += other.rows_sorted;
   }
 };
 
@@ -172,9 +178,31 @@ struct SolveWorkspace {
   std::vector<double> user_w;       // per-user assigned (surrogate) utility
   std::vector<double> user_last_w;  // last assigned pair's utility per user
   std::vector<char> taken;          // greedy: seeded-or-considered marks
+  // The greedy's prepared rows, a cache that outlives the engine: each
+  // user's utilities sorted desc (user-major, at the view's
+  // user_edge_begin), the streams parallel to them, and all streams by
+  // ascending cost. GreedyEngine's constructor is their only writer
+  // (core/replay.cpp reads them). They hold for the instance named by
+  // row_key and the edge utilities in row_edge_w (base edge order, as
+  // the rows were last sorted from): a row is a pure function of its CSR
+  // row and those utilities, and cost_order of the base's costs. The
+  // next engine on the same base re-sorts only the rows of users with an
+  // edge whose utility differs bit for bit from row_edge_w; any other
+  // key rebuilds everything. Footprint: one double per edge and one byte
+  // per user.
+  struct RowKey {
+    std::uint64_t uid = 0;  // model::Instance::uid() of the view's base
+    std::size_t streams = 0;
+    std::size_t users = 0;
+    std::size_t edges = 0;
+    bool operator==(const RowKey&) const = default;
+  };
   std::vector<double> user_edge_w;  // user-major utilities, sorted desc
   std::vector<model::StreamId> user_edge_s;  // streams parallel to the above
   std::vector<model::StreamId> cost_order;   // streams by ascending cost
+  RowKey row_key;                  // uid 0: nothing cached
+  std::vector<double> row_edge_w;  // utilities the rows were sorted from
+  std::vector<char> row_dirty;     // per user: re-sort at this prep
   // w̄ propagation batching (GreedyEngine::add_stream): the streams whose
   // residual utility changed during the current pick, deduplicated via
   // the parallel mark array (all-zero between picks), so the selector
@@ -208,6 +236,10 @@ struct SolveWorkspace {
   std::shared_ptr<CheckpointArena> checkpoint_arena;
   // Generic double scratch (group dedup, allocator cost rows).
   std::vector<double> scratch;
+
+  // Drops the greedy row cache: the next GreedyEngine on this workspace
+  // prepares every row from scratch (a cold solve).
+  void invalidate_rows() noexcept { row_key = RowKey{}; }
 };
 
 // Effectiveness of a stream: residual utility per unit cost; zero-cost

@@ -104,6 +104,7 @@ CompetitiveReport run_competitive(const model::Instance& parent,
   checkpoint(applied);
 
   report.counters = backend->counters();
+  report.select = backend->select_stats();
   double sum = 0.0;
   report.min_ratio = std::numeric_limits<double>::infinity();
   for (const CompetitiveCheckpoint& cp : report.checkpoints) {
@@ -148,6 +149,7 @@ void write_competitive_json(std::ostream& os,
       << ",\"local_repairs\":" << report.counters.local_repairs
       << ",\"full_resolves\":" << report.counters.full_resolves
       << ",\"drift_checks\":" << report.counters.drift_checks
+      << ",\"select_rows_sorted\":" << report.select.rows_sorted
       << ",\"serve_wall_ms\":" << report.serve_wall_ms
       << ",\"offline_wall_ms\":" << report.offline_wall_ms
       << ",\"checkpoints\":[";

@@ -67,6 +67,7 @@ struct CompetitiveReport {
   double mean_ratio = 0.0;
   double final_ratio = 0.0;
   SessionCounters counters;
+  core::SelectStats select;      // the backend's selection-kernel work
   double serve_wall_ms = 0.0;    // summed backend repair wall
   double offline_wall_ms = 0.0;  // summed offline reference solves
 };

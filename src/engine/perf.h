@@ -9,7 +9,11 @@
 // `repetitions` times keeping the *minimum* wall time (robust against
 // scheduler noise), and cross-checks that all strategies produced the
 // identical objective — they are pick-for-pick equivalent by
-// construction, so any mismatch is a kernel bug, not noise.
+// construction, so any mismatch is a kernel bug, not noise. Every
+// repetition is a cold solve: engine::solve() drops the workspace's
+// greedy row cache (SolveWorkspace::invalidate_rows) before each
+// request, so from the second repetition on, rows sorted by the first
+// do not show up as a speedup no cold solve gets.
 //
 // Consumers:
 //   * `vdist_cli perf [--smoke] [--baseline FILE]` — runs the suite,

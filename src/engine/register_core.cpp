@@ -63,6 +63,8 @@ void report_select(SolveOutcome& out, const core::SelectStats& select) {
       static_cast<double>(select.pairs_touched);
   out.stats["select_rows_walked"] = static_cast<double>(select.rows_walked);
   out.stats["select_heap_sifts"] = static_cast<double>(select.heap_sifts);
+  // The greedy prep's user-row sorts (all rows on a cold workspace).
+  out.stats["select_rows_sorted"] = static_cast<double>(select.rows_sorted);
 }
 
 SolveOutcome run_pipeline(const SolveRequest& req) {
@@ -273,7 +275,8 @@ void register_core_solvers(SolverRegistry& r) {
              "Section 3 classify-and-select over skew bands; options: "
              "enum-bands, depth, mode, select; stats: alpha, num_bands, "
              "chosen_band, select_picks, select_evals, "
-             "select_pairs_touched, select_rows_walked, select_heap_sifts",
+             "select_pairs_touched, select_rows_walked, select_heap_sifts, "
+             "select_rows_sorted",
          .form = InstanceForm::kSmd,
          .option_keys = {"enum-bands", "depth", "mode", "select"}},
         run_bands);
@@ -302,7 +305,7 @@ void register_core_solvers(SolverRegistry& r) {
              "Algorithm 1 verbatim (semi-feasible, unbounded ratio alone); "
              "options: select; stats: considered, skipped_budget, "
              "select_picks, select_evals, select_pairs_touched, "
-             "select_rows_walked, select_heap_sifts",
+             "select_rows_walked, select_heap_sifts, select_rows_sorted",
          .form = InstanceForm::kUnitSkew,
          .option_keys = {"select"}},
         run_plain_greedy);

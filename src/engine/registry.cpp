@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/select.h"
 #include "engine/builtin_solvers.h"
 #include "util/stopwatch.h"
 
@@ -188,6 +189,11 @@ SolveResult SolverRegistry::solve(const SolveRequest& req) const {
     }
   }
 
+  // Every request is a cold solve: the greedy's row cache is dropped so
+  // the stats (select_rows_sorted) do not depend on what the workspace
+  // solved before: a sweep reports the same numbers under any schedule,
+  // and each perf repetition times a cold solve.
+  if (req.workspace != nullptr) req.workspace->invalidate_rows();
   util::Stopwatch watch;
   try {
     SolveOutcome outcome = entry->fn(req);

@@ -103,7 +103,9 @@ struct SolveRequest {
   // support it solve on these instead of allocating fresh vectors;
   // BatchRunner supplies one workspace per worker thread when a request
   // leaves this null. Must outlive the solve and must never be shared by
-  // two concurrent solves.
+  // two concurrent solves. Each solve starts from a cold greedy row cache
+  // (the registry drops it), so the stats never depend on what the
+  // workspace solved before.
   core::SolveWorkspace* workspace = nullptr;
   // Record per-pick trace vectors in the greedy family (GreedyOptions::
   // record_trace). On for interactive solves; BatchRunner and the perf

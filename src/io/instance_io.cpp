@@ -166,6 +166,10 @@ Instance load_instance(std::istream& is) {
       if (tokens.size() != 2) throw fail("dims needs m and mc");
       m = parse_int(tokens[0], line_no);
       mc = parse_int(tokens[1], line_no);
+      if (m > kMaxMeasures || mc > kMaxMeasures)
+        throw fail("dims allows at most " + std::to_string(kMaxMeasures) +
+                   " measures, got m = " + std::to_string(m) +
+                   ", mc = " + std::to_string(mc));
       builder = std::make_unique<InstanceBuilder>(m, mc);
       return;
     }

@@ -12,8 +12,8 @@
 //
 // Comments start with '#'; blank lines are ignored. Ids must be dense and
 // in order (the loader validates). Ids, indices and dimensions are whole
-// decimal tokens in [0, INT32_MAX]. Doubles are written with enough
-// digits to round-trip exactly.
+// decimal tokens in [0, INT32_MAX]; m and mc are at most kMaxMeasures.
+// Doubles are written with enough digits to round-trip exactly.
 #pragma once
 
 #include <iosfwd>
@@ -23,6 +23,11 @@
 #include "model/instance.h"
 
 namespace vdist::io {
+
+// The largest m and mc a `dims` line may declare. The builder sizes
+// per-measure arrays from them before any stream is read, so a larger
+// count is rejected (with its line number) instead of allocated.
+inline constexpr int kMaxMeasures = 4096;
 
 // Serializes an instance. Never fails (beyond stream badbit).
 void save_instance(std::ostream& os, const model::Instance& inst);

@@ -1,6 +1,7 @@
 #include "model/instance.h"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <string>
 
@@ -12,6 +13,13 @@ using util::approx_eq;
 using util::approx_le;
 using util::is_finite_nonneg;
 using util::is_unbounded;
+
+namespace {
+
+// Instance::uid() source; starts at 1 so 0 never names a built instance.
+std::atomic<std::uint64_t> next_uid{1};
+
+}  // namespace
 
 double Instance::utility(UserId u, StreamId s) const noexcept {
   const auto e = find_edge(u, s);
@@ -105,6 +113,7 @@ void InstanceBuilder::add_interest_unit_skew(UserId u, StreamId s,
 
 Instance InstanceBuilder::build() && {
   Instance inst;
+  inst.uid_ = next_uid.fetch_add(1, std::memory_order_relaxed);
   inst.m_ = m_;
   inst.mc_ = mc_;
   inst.budgets_ = std::move(budgets_);

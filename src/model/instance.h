@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cassert>
+#include <cstdint>
 #include <initializer_list>
 #include <optional>
 #include <span>
@@ -48,6 +49,12 @@ class Instance {
   [[nodiscard]] std::size_t input_length() const noexcept {
     return num_streams() + num_users() + num_edges();
   }
+  // Process-unique identity, assigned by InstanceBuilder::build() (the
+  // only way to make an Instance) and shared by copies, which are equal
+  // because an Instance never changes after build. Caches of data derived
+  // from one instance key on it (core::SolveWorkspace's sorted greedy
+  // rows); no built instance has uid 0.
+  [[nodiscard]] std::uint64_t uid() const noexcept { return uid_; }
 
   // --- Server side ------------------------------------------------------
   // c_i(S) for measure i in [0, m).
@@ -186,6 +193,7 @@ class Instance {
   friend class InstanceBuilder;
   Instance() = default;
 
+  std::uint64_t uid_ = 0;
   int m_ = 1;
   int mc_ = 1;
   std::vector<double> budgets_;        // m

@@ -255,6 +255,29 @@ TEST(InstanceIo, IntegerFieldsAreStrictAndEveryErrorNamesItsLine) {
   expect_error(head + "stream 1 - 9\n", "violates c_i(S) <= B_i");
 }
 
+// A dims line sizes the builder's per-measure arrays before any stream
+// is read: counts above kMaxMeasures are a line-numbered error, not an
+// allocation.
+TEST(InstanceIo, HugeDimsAreRejectedBeforeAllocating) {
+  for (const std::string dims : {"dims 2000000000 1", "dims 1 2000000000"}) {
+    std::istringstream is("vdist-instance 1\n" + dims + "\nbudget 0 5\n");
+    try {
+      (void)load_instance(is);
+      ADD_FAILURE() << "accepted " << dims;
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_EQ(msg.rfind("instance_io: dims allows at most 4096 measures", 0),
+                0u)
+          << msg;
+      EXPECT_NE(msg.find("2000000000"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("at line 2"), std::string::npos) << msg;
+    }
+  }
+  std::istringstream at_bound("vdist-instance 1\ndims " +
+                              std::to_string(kMaxMeasures) + " 1\n");
+  EXPECT_EQ(load_instance(at_bound).num_server_measures(), kMaxMeasures);
+}
+
 TEST(InstanceIo, UnboundedValuesSerializeAsInf) {
   model::InstanceBuilder b(1, 1);
   b.set_budget(0, model::kUnbounded);

@@ -570,6 +570,7 @@ int cmd_serve(const Args& args) {
       << "\",\"local_repairs\":" << counters.local_repairs
       << ",\"full_resolves\":" << counters.full_resolves
       << ",\"drift_checks\":" << counters.drift_checks
+      << ",\"select_rows_sorted\":" << backend->select_stats().rows_sorted
       << ",\"feasible\":" << (report.feasible() ? "true" : "false")
       << ",\"timeline\":[" << timeline.str() << "]}\n";
   const std::string json_path = opt(args, "json", "-");
