@@ -69,9 +69,8 @@ CompetitiveReport run_competitive(const model::Instance& parent,
       !opts.offline.empty()               ? opts.offline
       : cfg.mode == core::SmdMode::kAugmented ? "greedy-augmented"
                                               : "greedy";
-  report.shards = cfg.shards;
 
-  const std::unique_ptr<ServingBackend> backend = make_backend(parent, cfg);
+  const std::unique_ptr<Session> backend = make_backend(parent, cfg);
   const auto checkpoint = [&](std::size_t applied) {
     const model::Instance snapshot = backend->snapshot();
     const OfflinePoint offline =
@@ -141,8 +140,8 @@ void write_competitive_json(std::ostream& os,
   std::ostringstream doc;
   doc.precision(17);
   doc << "{\"compete\":\"" << report.policy << "\",\"offline\":\""
-      << report.offline_algorithm << "\",\"shards\":" << report.shards
-      << ",\"events\":" << report.counters.events
+      << report.offline_algorithm
+      << "\",\"events\":" << report.counters.events
       << ",\"min_ratio\":" << report.min_ratio
       << ",\"mean_ratio\":" << report.mean_ratio
       << ",\"final_ratio\":" << report.final_ratio

@@ -1,5 +1,6 @@
 // Online-vs-offline competitive-ratio harness: replay a full event trace
-// through any ServingBackend policy (online / repair / resolve) and, at
+// through a serving Session under any policy (online / repair / resolve)
+// and, at
 // every checkpoint prefix plus the trace end, solve the offline optimum
 // on the materialized snapshot instance from scratch. The report carries
 // per-prefix (online, offline, ratio) rows and whole-trace aggregates
@@ -31,7 +32,7 @@
 namespace vdist::engine {
 
 struct CompetitiveOptions {
-  // The backend under test (policy, shards, mode, select, ...). The
+  // The session under test (policy, mode, select, ...). The
   // trace-derivation knobs (events / trace / family) are ignored here —
   // the caller provides the trace.
   ServeConfig serve;
@@ -60,7 +61,6 @@ struct CompetitiveCheckpoint {
 struct CompetitiveReport {
   std::string policy;
   std::string offline_algorithm;
-  int shards = 1;
   std::vector<CompetitiveCheckpoint> checkpoints;  // last = trace end
   // Aggregates over the checkpoints.
   double min_ratio = 0.0;

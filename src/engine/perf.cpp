@@ -57,18 +57,10 @@ PerfMeasurement measure(const model::Instance& inst,
     out.completions_replayed = r.stat("completions_replayed");
     // Serve cases: throughput over the event-apply time alone (the
     // repair_wall_ms stat excludes instance generation and the opening
-    // solve). Best repetition, consistent with the minimum wall. Only
-    // recorded when the case's worker threads fit the box — oversubscribed
-    // shards timeslice on one core and the quotient measures the
-    // scheduler, not the engine (hardware_concurrency() of 0 means
-    // "unknown", which records rather than discards).
-    const unsigned threads = static_cast<unsigned>(
-        std::max(spec.options.get_int("shards", 1),
-                 spec.options.get_int("threads", 1)));
-    const unsigned hc = std::thread::hardware_concurrency();
+    // solve). Best repetition, consistent with the minimum wall.
     const double events = r.stat("events");
     const double repair_s = r.stat("repair_wall_ms") / 1000.0;
-    if ((hc == 0 || threads <= hc) && events > 0.0 && repair_s > 0.0)
+    if (events > 0.0 && repair_s > 0.0)
       out.events_per_sec = std::max(out.events_per_sec, events / repair_s);
     out.ok = true;
   }
@@ -177,10 +169,6 @@ std::vector<PerfCaseSpec> default_perf_suite(bool smoke) {
     suite.back().options.set("policy", "resolve").set("events", 300);
     suite.back().label = "serve-300/resolve";
     suite.push_back(make_case("cap", 60, 20, "serve"));
-    suite.back().options.set("policy", "resolve").set("events", 300).set(
-        "shards", 2);
-    suite.back().label = "serve-300/shards-2";
-    suite.push_back(make_case("cap", 60, 20, "serve"));
     suite.back().options.set("policy", "repair").set("events", 300).set(
         "family", "flash-crowd");
     suite.back().label = "serve-flash-crowd/repair";
@@ -225,23 +213,13 @@ std::vector<PerfCaseSpec> default_perf_suite(bool smoke) {
   suite.back().options.set("policy", "repair").set("events", 10000).set(
       "family", "flash-crowd");
   suite.back().label = "serve-flash-crowd/repair";
-  // The sharded engine at serving scale: one ~1M-user cap world churned
-  // by ~160 events under the repair policy, served by the single-session
-  // engine (shards 1) and the 8-shard router. The pair's events_per_sec
-  // is the trajectory's sharding-throughput number; the objectives must
-  // still match bit-for-bit across shard counts (the resolve parity
-  // guarantee is exercised separately in the tests — here the repair
-  // policy keeps the event loop on the incremental path).
+  // The session at serving scale: one ~1M-user cap world churned by ~160
+  // events under the repair policy. Its events_per_sec is the
+  // trajectory's large-world throughput number.
   suite.push_back(make_case("cap", 2000, 1000000, "serve"));
   suite.back().scenario.params.set("interest", 2000);
-  suite.back().options.set("policy", "repair").set("events", 160).set(
-      "shards", 1);
-  suite.back().label = "serve-1M/shards-1";
-  suite.push_back(make_case("cap", 2000, 1000000, "serve"));
-  suite.back().scenario.params.set("interest", 2000);
-  suite.back().options.set("policy", "repair").set("events", 160).set(
-      "shards", 8);
-  suite.back().label = "serve-1M/shards-8";
+  suite.back().options.set("policy", "repair").set("events", 160);
+  suite.back().label = "serve-1M/repair";
   return suite;
 }
 
@@ -284,9 +262,8 @@ PerfReport run_perf(const PerfOptions& opts) {
     result.streams = inst.num_streams();
     result.users = inst.num_users();
     result.edges = inst.num_edges();
-    result.threads = static_cast<unsigned>(
-        std::max(spec.options.get_int("shards", 1),
-                 spec.options.get_int("threads", 1)));
+    result.threads =
+        static_cast<unsigned>(spec.options.get_int("threads", 1));
     result.delta = measure(inst, spec, core::SelectStrategy::kDeltaHeap,
                            report.repetitions, opts.seed, ws);
     result.lazy = measure(inst, spec, core::SelectStrategy::kLazyHeap,

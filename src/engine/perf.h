@@ -32,10 +32,8 @@
 //       "label": str, "scenario": str, "algorithm": str,
 //       "streams": N, "users": N, "edges": N,
 //       "threads": N,        // worker threads the case runs on: the
-//                            // serve cases' shards option (1 = the
-//                            // single-session engine) or the enum
-//                            // cases' DFS threads (--threads); 1 for
-//                            // the other offline solvers. Recorded per
+//                            // enum cases' DFS threads (--threads);
+//                            // 1 for every other case. Recorded per
 //                            // case so a wall-ms delta against a
 //                            // baseline entry with a different thread
 //                            // count is visibly not a like-for-like
@@ -51,11 +49,7 @@
 //                                      // engine completion); 0 elsewhere
 //                 "events_per_sec": x},  // serve cases: events stat /
 //                                        // event-apply seconds
-//                                        // (repair_wall_ms); 0 elsewhere,
-//                                        // and 0 when the case's threads
-//                                        // exceed hardware_concurrency
-//                                        // (timesliced shards measure the
-//                                        // scheduler, not the engine)
+//                                        // (repair_wall_ms); 0 elsewhere
 //       "lazy":  {...}, "naive": {...},
 //       "speedup": x,        // naive.wall_ms / delta.wall_ms
 //       "speedup_lazy": x,   // naive.wall_ms / lazy.wall_ms
@@ -110,7 +104,7 @@ struct PerfOptions {
   // Worker threads for the enumeration cases (`vdist_cli perf --threads
   // N` -> the enum solver's "threads" option). Recorded in each affected
   // case's `threads` field; results are bit-identical at any value, so
-  // only the wall changes. Leaves the serve cases' shards untouched.
+  // only the wall changes.
   int threads = 1;
   // Empty = default_perf_suite(smoke).
   std::vector<PerfCaseSpec> cases;
@@ -137,10 +131,7 @@ struct PerfMeasurement {
   double completions_replayed = 0.0;
   // Serve cases: events applied per second of event-apply wall time
   // (the "events" stat over "repair_wall_ms"; best repetition). 0 for
-  // algorithms without an event loop, and 0 when the case asks for
-  // more worker threads than the box has cores — timesliced shards
-  // produce a scheduler number, not an engine number (the ROADMAP's
-  // serve-1M artifact).
+  // algorithms without an event loop.
   double events_per_sec = 0.0;
 };
 
@@ -151,7 +142,7 @@ struct PerfCase {
   std::size_t streams = 0;
   std::size_t users = 0;
   std::size_t edges = 0;
-  // Worker threads the case solves on (the serve cases' `shards`
+  // Worker threads the case solves on (the enum cases' `threads`
   // option; 1 everywhere else). Bugfix: earlier BENCH documents never
   // recorded this, leaving multi-threaded and single-threaded walls
   // indistinguishable in the trajectory.

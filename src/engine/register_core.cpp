@@ -187,14 +187,14 @@ SolveOutcome run_online(const SolveRequest& req) {
   return out;
 }
 
-// The serving backend as a sweepable solver: derive a deterministic
+// The serving session as a sweepable solver: derive a deterministic
 // event trace from (instance, family, seed, trace overrides), replay it
-// through a make_backend() ServingBackend under the requested repair
-// policy and shard count, and report the end-state solution plus the
-// backend's repair accounting. This is how BatchRunner sweeps exercise
-// the dynamic setting without a side-channel event file; `family`
-// selects any workload-registry adversary (churn, zipf-drift,
-// flash-crowd, diurnal, hetero-cap) as a sweepable axis.
+// through a make_backend() Session under the requested repair policy,
+// and report the end-state solution plus the session's repair
+// accounting. This is how BatchRunner sweeps exercise the dynamic
+// setting without a side-channel event file; `family` selects any
+// workload-registry adversary (churn, zipf-drift, flash-crowd, diurnal,
+// hetero-cap) as a sweepable axis.
 SolveOutcome run_serve(const SolveRequest& req) {
   ServeConfig cfg = ServeConfig::from_options(req.options);
   // Share the batch runner's per-thread workspace like every adapter.
@@ -214,8 +214,7 @@ SolveOutcome run_serve(const SolveRequest& req) {
       workload::WorkloadRegistry::global().generate(cfg.family,
                                                     *req.instance, wparams);
 
-  const std::unique_ptr<ServingBackend> backend =
-      make_backend(*req.instance, cfg);
+  const std::unique_ptr<Session> backend = make_backend(*req.instance, cfg);
   double objective_sum = 0.0;
   double repair_wall_ms = 0.0;
   for (const model::InstanceEvent& event : trace) {
@@ -251,7 +250,6 @@ SolveOutcome run_serve(const SolveRequest& req) {
       static_cast<double>(counters.online_accepts);
   out.stats["online_rejects"] =
       static_cast<double>(counters.online_rejects);
-  out.stats["shards"] = static_cast<double>(backend->num_shards());
   out.stats["repair_wall_ms"] = repair_wall_ms;
   if (!trace.empty())
     out.stats["objective_mean"] =
@@ -335,13 +333,12 @@ void register_core_solvers(SolverRegistry& r) {
         run_exact);
   r.add({.name = "serve",
          .description =
-             "serving backend (engine/serving.h): replay a seed-derived "
+             "serving session (engine/serving.h): replay a seed-derived "
              "workload event trace through the repair|resolve|online "
-             "policy, sharded when --shards > 1; options: policy, events, "
-             "bound, refresh, mode, select, mu, guard, shards, queue, "
-             "trace, family; "
+             "policy; options: policy, events, bound, refresh, mode, "
+             "select, mu, guard, trace, family; "
              "stats: events, local_repairs, full_resolves, drift_checks, "
-             "shards, repair_wall_ms, objective_mean",
+             "repair_wall_ms, objective_mean",
          .form = InstanceForm::kUnitSkew,
          .deterministic = false,
          .option_keys = ServeConfig::option_keys()},

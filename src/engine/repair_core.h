@@ -1,15 +1,12 @@
-// The §2 greedy's live repair state, extracted from engine::Session so
-// the sharded coordinator (engine/sharded_session.h) can run the
-// *identical* arithmetic over its gathered arrays.
+// The §2 greedy's live repair state behind engine::Session's kRepair
+// policy.
 //
-// WorldRef is the seam: a read-only binding of the serving world — the
-// structural base plus the four effective arrays an InstanceOverlay (or
-// the sharded gather) maintains. RepairCore holds everything the
-// incremental repair needs between events (per-user residuals, the added
-// sequence, pool residual utilities w̄, budget accounting) and exposes the
-// event lifecycle as pre_event / post_event around the caller's world
-// mutation. Keeping the arithmetic in one class is what makes the
-// single-shard and sharded repair paths bit-identical per shard count.
+// WorldRef is the read-only binding of the serving world — the
+// structural base plus the four effective arrays an InstanceOverlay
+// maintains. RepairCore holds everything the incremental repair needs
+// between events (per-user residuals, the added sequence, pool residual
+// utilities w̄, budget accounting) and exposes the event lifecycle as
+// pre_event / post_event around the caller's world mutation.
 //
 // An event costs what it touches. The completion's StreamSelector lives
 // across events over RepairCore's own storage, and between events its
@@ -29,16 +26,33 @@
 
 #include "core/greedy.h"
 #include "core/select.h"
-#include "engine/serving.h"
+#include "model/assignment.h"
 #include "model/events.h"
 #include "model/instance.h"
 #include "model/view.h"
 
 namespace vdist::engine {
 
+enum class RepairAction {
+  kLocalRepair,  // touched users released + replayed, completion run
+  kFullResolve,  // from-scratch solve (kResolve always; kRepair on drift)
+  kOnlineStep,   // allocator offer/release/bookkeeping
+};
+
+// What one event cost and did.
+struct RepairStats {
+  RepairAction action = RepairAction::kLocalRepair;
+  double objective = 0.0;  // session objective after the event
+  double wall_ms = 0.0;
+  std::size_t users_refreshed = 0;   // users released and replayed
+  std::size_t streams_released = 0;  // added streams given back
+  std::size_t streams_added = 0;     // streams admitted by the completion
+  bool drift_checked = false;
+  double drift = 0.0;  // meaningful when drift_checked
+};
+
 // Read-only view of the live serving world: the structural base plus the
-// effective per-entity arrays (what InstanceOverlay::view() binds, and
-// what the sharded coordinator gathers from the shard owners).
+// effective per-entity arrays (what InstanceOverlay::view() binds).
 struct WorldRef {
   const model::Instance* base = nullptr;
   std::span<const double> edge_utility;   // effective, per base edge
@@ -91,7 +105,7 @@ class RepairCore {
   };
 
   // Per-user terms of the Theorem 2.8 race, summed over [u_begin, u_end)
-  // in user order — the sharded winner reduction's partial.
+  // in user order.
   struct WinnerPartial {
     double capped = 0.0;  // greedy capped utility
     core::SplitValues split;
@@ -129,9 +143,10 @@ class RepairCore {
                                         const char** variant) const;
   [[nodiscard]] const RaceTerms& race_terms() const noexcept { return race_; }
 
-  // The race, in parallel-reducible pieces. Chunked partials combined in
-  // chunk order reproduce the serial winner_objective() exactly when the
-  // chunks tile the ranges in order (and bit-identically for one chunk).
+  // The race computed from scratch, in pieces: the maintained terms are
+  // built from these per block, and a full pass over [0, |U|) and
+  // [0, |S|) is the reference the maintained race_terms() are checked
+  // against.
   [[nodiscard]] WinnerPartial winner_partial(const WorldRef& w,
                                              std::size_t u_begin,
                                              std::size_t u_end) const noexcept;

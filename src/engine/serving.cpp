@@ -1,11 +1,8 @@
 #include "engine/serving.h"
 
-#include <algorithm>
 #include <array>
+#include <climits>
 #include <stdexcept>
-
-#include "engine/session.h"
-#include "engine/sharded_session.h"
 
 namespace vdist::engine {
 
@@ -30,7 +27,7 @@ const char* to_string(ServePolicy policy) noexcept {
 
 namespace {
 
-constexpr std::array<ServeOptionSpec, 12> kServeOptions = {{
+constexpr std::array<ServeOptionSpec, 10> kServeOptions = {{
     {"policy", "repair", "repair policy per event: repair|resolve|online"},
     {"bound", "0.05", "repair: relative drift tolerated before a resolve"},
     {"refresh", "64", "repair: events between drift checks (0 = never)"},
@@ -38,8 +35,6 @@ constexpr std::array<ServeOptionSpec, 12> kServeOptions = {{
     {"select", "delta", "argmax kernel: delta|lazy|naive"},
     {"mu", "0", "online: learning rate (<= 0 derives the paper's)"},
     {"guard", "1", "online: feasibility guard"},
-    {"shards", "1", "worker shards; > 1 routes events by entity id"},
-    {"queue", "256", "per-shard bounded event-queue capacity"},
     {"events", "200", "derived event-trace length (registry adapter)"},
     {"trace", "", "comma-separated workload key=value overrides"},
     {"family", "churn", "workload family deriving the trace (see "
@@ -67,7 +62,12 @@ ServeConfig ServeConfig::from_options(const SolveOptions& opts) {
     throw std::invalid_argument(
         "option --bound expects a number >= 0, got '" +
         opts.get("bound", "") + "'");
-  cfg.refresh = static_cast<int>(opts.get_int("refresh", cfg.refresh));
+  const std::int64_t refresh = opts.get_int("refresh", cfg.refresh);
+  if (refresh < 0 || refresh > INT_MAX)
+    throw std::invalid_argument("option --refresh expects an integer in "
+                                "[0, 2147483647], got '" +
+                                opts.get("refresh", "") + "'");
+  cfg.refresh = static_cast<int>(refresh);
   const std::string mode = opts.get("mode", "feasible");
   if (mode == "feasible") {
     cfg.mode = core::SmdMode::kFeasible;
@@ -80,19 +80,6 @@ ServeConfig ServeConfig::from_options(const SolveOptions& opts) {
   cfg.strategy = core::parse_select_strategy(opts.get("select", "delta"));
   cfg.mu = opts.get_double("mu", cfg.mu);
   cfg.guard = opts.get_bool("guard", cfg.guard);
-  const std::int64_t shards = opts.get_int("shards", cfg.shards);
-  if (shards < 1 || shards > 64)
-    throw std::invalid_argument("option --shards expects an integer in "
-                                "[1, 64], got '" +
-                                opts.get("shards", "") + "'");
-  cfg.shards = static_cast<int>(shards);
-  const std::int64_t queue = opts.get_int(
-      "queue", static_cast<std::int64_t>(cfg.queue));
-  if (queue < 1)
-    throw std::invalid_argument("option --queue expects an integer >= 1, "
-                                "got '" +
-                                opts.get("queue", "") + "'");
-  cfg.queue = static_cast<std::size_t>(queue);
   const std::int64_t events = opts.get_int(
       "events", static_cast<std::int64_t>(cfg.events));
   if (events < 0)
@@ -106,10 +93,6 @@ ServeConfig ServeConfig::from_options(const SolveOptions& opts) {
   // engine layer does not pull the workload registry in here; the serve
   // adapter and CLI both route through WorkloadRegistry::global(), which
   // rejects unknown names with the known-family list.
-  if (cfg.policy == ServePolicy::kOnline && cfg.shards > 1)
-    throw std::invalid_argument(
-        "option --shards expects 1 under --policy online (the §5 allocator "
-        "is a single sequential decision process)");
   return cfg;
 }
 
@@ -127,42 +110,9 @@ SessionOptions ServeConfig::session_options() const {
   return sopts;
 }
 
-ParityReport check_parity_against(const model::Instance& snapshot,
-                                  double current, ServePolicy policy,
-                                  core::SmdMode mode,
-                                  core::SelectStrategy strategy,
-                                  core::SolveWorkspace* workspace,
-                                  double bound) {
-  ParityReport rep;
-  rep.current = current;
-  if (policy == ServePolicy::kOnline) {
-    // Allocate's guarantee is competitiveness over the arrival sequence,
-    // not a per-event bound against the offline optimum.
-    rep.fresh = current;
-    return rep;
-  }
-  core::GreedyOptions gopts;
-  gopts.strategy = strategy;
-  gopts.workspace = workspace;
-  gopts.record_trace = false;
-  rep.fresh = core::solve_unit_skew(snapshot, mode, gopts).utility;
-  rep.drift = (rep.fresh - current) / std::max(rep.fresh, 1.0);
-  if (policy == ServePolicy::kResolve) {
-    rep.ok = current == rep.fresh;
-    if (!rep.ok)
-      rep.detail = "resolve objective diverged from the from-scratch solve";
-  } else {
-    rep.ok = rep.drift <= bound + 1e-9;
-    if (!rep.ok) rep.detail = "repair drift exceeds the quality bound";
-  }
-  return rep;
-}
-
-std::unique_ptr<ServingBackend> make_backend(const model::Instance& parent,
-                                             const ServeConfig& cfg) {
-  if (cfg.shards <= 1)
-    return std::make_unique<Session>(parent, cfg.session_options());
-  return std::make_unique<ShardedSession>(parent, cfg);
+std::unique_ptr<Session> make_backend(const model::Instance& parent,
+                                      const ServeConfig& cfg) {
+  return std::make_unique<Session>(parent, cfg.session_options());
 }
 
 }  // namespace vdist::engine

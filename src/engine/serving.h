@@ -1,38 +1,62 @@
-// The serving backend API: one interface over every engine that consumes
-// model::InstanceEvents and maintains a live Section-2 solution.
+// The serving engine: a long-lived solve over a mutable instance.
 //
-// PR 5's engine::Session is the single-shard implementation; this header
-// is the seam that makes horizontal scale a pure config flip. A
-// ServeConfig is the one typed home of every serve option — the solver
+// The paper states its algorithms as one-shot optimizations; a video
+// server's reality is a stream of small world changes. A Session opens on
+// a cap-form Instance, keeps a model::InstanceOverlay as the live world,
+// consumes typed model::InstanceEvents, and maintains an always-valid
+// assignment plus per-event RepairStats. Three repair policies:
+//
+//   * kRepair (default) — incremental repair. The session keeps the §2
+//     greedy's live state (per-user residual caps, per-stream residual
+//     utility w̄, the added-stream sequence — engine/repair_core.h) and
+//     reacts to an event by releasing only the touched users/streams: the
+//     affected user's pairs are replayed against the unchanged added
+//     sequence (O(deg)), each w̄ delta is propagated exactly (the same
+//     arithmetic as GreedyEngine::add_stream, reported through
+//     StreamSelector::update), and a greedy *completion* reconsiders the
+//     pool only when the event could have opened room (joins, restores,
+//     freed budget/capacity). Every `refresh_interval` events the session
+//     scores a from-scratch greedy (scoring mode, no assignment build);
+//     relative drift beyond `quality_bound` triggers a full resolve that
+//     rebuilds the state.
+//   * kResolve — per-event from-scratch solve_unit_skew on the overlay
+//     view: bit-identical to a one-shot `greedy` solve of the overlay's
+//     materialized instance after every event (the differential anchor,
+//     and the baseline the ≥10x repair speedup is measured against).
+//   * kOnline — the §5 Allocate allocator as a repair policy, through the
+//     shared core::OnlineDriver: stream add/remove events become offers
+//     and releases (decisions never revoked, per the paper); user events
+//     update the allocator's capacity bounds and the ground-truth
+//     objective only.
+//
+// The objective is the Section-2 value of the maintained solution under
+// the *current* overlay: for kRepair/kResolve the Theorem 2.8 feasible
+// winner (or the Corollary 2.7 semi-feasible one under kAugmented); for
+// kOnline the capped utility of the accepted pairs.
+//
+// A ServeConfig is the one typed home of every serve option — the solver
 // registry's `serve` adapter, `vdist_cli serve`, and sweep plan lines all
 // parse through ServeConfig::from_options(), so a typo'd key or a bad
-// value is rejected identically everywhere. make_backend() then returns
-//
-//   * engine::Session        when cfg.shards == 1 (engine/session.h), or
-//   * engine::ShardedSession when cfg.shards  > 1 (engine/sharded_session.h):
-//     users and streams hash-partitioned across N worker shards, events
-//     routed by entity id over bounded per-shard queues.
-//
-// The parity contract callers rely on: under ServePolicy::kResolve the
-// objective and pair set are bit-identical for every shard count at every
-// event prefix (the sharded coordinator re-solves the same gathered
-// arrays a single overlay would hold). Under kRepair each fixed shard
-// count is deterministic and drift-bounded, but float summation order —
-// and therefore the exact bits — may differ across shard counts.
+// value is rejected identically everywhere. make_backend() opens the
+// Session a config describes.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/allocate_online.h"
 #include "core/greedy.h"
 #include "core/select.h"
+#include "engine/repair_core.h"
 #include "engine/solver.h"
 #include "model/assignment.h"
 #include "model/events.h"
 #include "model/instance.h"
+#include "model/overlay.h"
 
 namespace vdist::engine {
 
@@ -69,24 +93,6 @@ struct SessionOptions {
   bool open_empty = false;
 };
 
-enum class RepairAction {
-  kLocalRepair,  // touched users released + replayed, completion run
-  kFullResolve,  // from-scratch solve (kResolve always; kRepair on drift)
-  kOnlineStep,   // allocator offer/release/bookkeeping
-};
-
-// What one event cost and did.
-struct RepairStats {
-  RepairAction action = RepairAction::kLocalRepair;
-  double objective = 0.0;  // backend objective after the event
-  double wall_ms = 0.0;
-  std::size_t users_refreshed = 0;   // users released and replayed
-  std::size_t streams_released = 0;  // added streams given back
-  std::size_t streams_added = 0;     // streams admitted by the completion
-  bool drift_checked = false;
-  double drift = 0.0;  // meaningful when drift_checked
-};
-
 struct SessionCounters {
   std::size_t events = 0;
   std::size_t local_repairs = 0;
@@ -113,11 +119,6 @@ struct ServeConfig {
   core::SelectStrategy strategy = core::SelectStrategy::kDeltaHeap;
   double mu = 0.0;   // kOnline learning rate (<= 0 derives the paper's)
   bool guard = true;  // kOnline feasibility guard
-  // Shard count: 1 = single Session; > 1 = ShardedSession with one
-  // worker thread + overlay replica + workspace per shard.
-  int shards = 1;
-  // Bounded per-shard event-queue capacity (the router blocks when full).
-  std::size_t queue = 256;
   // Registry-adapter knobs (`serve` derives an event trace per request;
   // the CLI replays an event file instead and ignores these).
   std::size_t events = 200;
@@ -137,68 +138,140 @@ struct ServeConfig {
   // registry's / CLI's strict-mode concern; bad values throw
   // std::invalid_argument here, with the same message everywhere).
   [[nodiscard]] static ServeConfig from_options(const SolveOptions& opts);
-  // The single-shard engine's native option struct.
+  // The session's native option struct.
   [[nodiscard]] SessionOptions session_options() const;
 };
 
-// What check_parity() found: the backend's maintained objective vs a
+// What check_parity() found: the session's maintained objective vs a
 // from-scratch solve of the materialized current world.
 struct ParityReport {
   bool ok = true;
-  double current = 0.0;  // backend objective
+  double current = 0.0;  // session objective
   double fresh = 0.0;    // from-scratch solve of snapshot()
   double drift = 0.0;    // (fresh - current) / max(fresh, 1)
   std::string detail;    // set when !ok
 };
 
-// The backend interface every serving engine implements. Lifetime and
-// threading contract: one logical caller (apply/assignment/check_parity
-// are not concurrently callable); implementations may own worker threads
-// internally.
-class ServingBackend {
+// Threading contract: one logical caller (apply/assignment/check_parity
+// are not concurrently callable).
+class Session {
  public:
-  virtual ~ServingBackend() = default;
+  // Requires parent.is_smd() && parent.is_unit_skew() (throws
+  // std::invalid_argument otherwise). The parent must outlive the
+  // session; the opening solve runs here.
+  explicit Session(const model::Instance& parent, SessionOptions opts = {});
+  Session(model::Instance&&, SessionOptions = {}) = delete;
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
 
   // Applies one event and repairs per the policy. Invalid ids throw
-  // std::invalid_argument with the backend state unchanged.
-  virtual RepairStats apply(const model::InstanceEvent& event) = 0;
+  // std::invalid_argument (the overlay's validation) with the session
+  // state unchanged.
+  RepairStats apply(const model::InstanceEvent& event);
 
-  // The maintained objective under the current world (see session.h for
-  // the per-policy definition).
-  [[nodiscard]] virtual double objective() const = 0;
+  // The session objective under the current overlay (see the header
+  // comment); maintained by apply().
+  [[nodiscard]] double objective() const noexcept { return objective_; }
+
   // The maintained assignment, materialized lazily against instance().
   // Valid until the next apply().
-  [[nodiscard]] virtual const model::Assignment& assignment() = 0;
-  // The current structural base (stable entity ids; rebuilt on appends).
-  [[nodiscard]] virtual const model::Instance& instance() const = 0;
-  [[nodiscard]] virtual ServePolicy policy() const = 0;
-  [[nodiscard]] virtual const SessionCounters& counters() const = 0;
-  [[nodiscard]] virtual const core::SelectStats& select_stats() const = 0;
+  [[nodiscard]] const model::Assignment& assignment();
+
+  // The overlay's current base (stable entity ids; rebuilt on appends).
+  [[nodiscard]] const model::Instance& instance() const noexcept {
+    return overlay_.instance();
+  }
+  [[nodiscard]] const model::InstanceOverlay& overlay() const noexcept {
+    return overlay_;
+  }
+  [[nodiscard]] ServePolicy policy() const noexcept { return opts_.policy; }
+  [[nodiscard]] const SessionCounters& counters() const noexcept {
+    return counters_;
+  }
+  // Selection-kernel work accumulated across every repair/resolve.
+  [[nodiscard]] const core::SelectStats& select_stats() const noexcept {
+    return select_;
+  }
   // Which race candidate objective() reflects ("greedy", "A1", "A2",
   // "Amax", or "online").
-  [[nodiscard]] virtual const char* variant() const = 0;
-  // From-scratch §2.2 winner value of the current world (scoring mode).
-  [[nodiscard]] virtual double fresh_objective() = 0;
-  [[nodiscard]] virtual int num_shards() const = 0;
+  [[nodiscard]] const char* variant() const noexcept { return variant_; }
+
+  // From-scratch §2.2 winner value of the *current* overlay state
+  // (scoring mode, no assignment). The parity yardstick for any policy,
+  // and what drift checks compare against.
+  [[nodiscard]] double fresh_objective();
+
   // Bakes the current world into a standalone Instance (the validation /
   // parity snapshot; bit-compatible with the live view while no live
   // pair exceeds its cap — the event generator's guarantee).
-  [[nodiscard]] virtual model::Instance snapshot() const = 0;
+  [[nodiscard]] model::Instance snapshot() const {
+    return overlay_.materialize();
+  }
   // Solves snapshot() from scratch and compares: kResolve demands
   // bit-equality, kRepair drift within bound (+1e-9 slack), kOnline is
   // trivially ok (Allocate's competitiveness is not a per-event bound).
-  [[nodiscard]] virtual ParityReport check_parity() = 0;
+  [[nodiscard]] ParityReport check_parity();
+
+ private:
+  struct AcceptedStream {  // kOnline bookkeeping, per stream
+    core::OnlineDriver::Offer offer;
+    std::vector<std::size_t> taken;
+    bool active = false;
+  };
+
+  void open();
+  // The overlay's current state as the repair core's world binding.
+  // Rebind after every mutation — appends move the arrays.
+  [[nodiscard]] WorldRef world() const noexcept {
+    return WorldRef{&overlay_.instance(), overlay_.edge_utilities(),
+                    overlay_.total_utilities(), overlay_.capacities(),
+                    overlay_.stream_alive_flags()};
+  }
+  [[nodiscard]] RepairCore::Context repair_context() const noexcept {
+    return RepairCore::Context{ws_, opts_.strategy, opts_.mode};
+  }
+  // --- kRepair internals -------------------------------------------------
+  void repair_apply(const model::InstanceEvent& event, RepairStats& stats);
+  void full_resolve_repair();
+  // --- kResolve internals ------------------------------------------------
+  void resolve_apply();
+  // --- kOnline internals -------------------------------------------------
+  void online_open();
+  void online_apply(const model::InstanceEvent& event, RepairStats& stats);
+  void online_offer(model::StreamId s, RepairStats& stats);
+  [[nodiscard]] double online_objective() const;
+
+  SessionOptions opts_;
+  std::unique_ptr<core::SolveWorkspace> owned_ws_;
+  core::SolveWorkspace* ws_ = nullptr;
+  model::InstanceOverlay overlay_;
+
+  SessionCounters counters_;
+  core::SelectStats select_;
+  double objective_ = 0.0;
+
+  // kRepair state (engine/repair_core.h), session-owned so fresh scoring
+  // solves can share the workspace without clobbering it.
+  RepairCore repair_;
+  const char* variant_ = "";  // which race candidate objective_ reflects
+
+  // kResolve state.
+  std::optional<core::SmdSolveResult> resolved_;
+
+  // kOnline state.
+  std::optional<core::OnlineDriver> driver_;
+  std::vector<AcceptedStream> accepted_;
+
+  std::optional<model::Assignment> assignment_;  // lazy cache
 };
 
-// The config flip: Session for shards == 1, ShardedSession for > 1.
-// Requires a unit-skew cap-form parent that outlives the backend.
-[[nodiscard]] std::unique_ptr<ServingBackend> make_backend(
-    const model::Instance& parent, const ServeConfig& cfg);
+// The serving engine under the name its callers hold it by
+// (`std::unique_ptr<ServingBackend>` from make_backend()).
+using ServingBackend = Session;
 
-// Shared implementation of ServingBackend::check_parity().
-[[nodiscard]] ParityReport check_parity_against(
-    const model::Instance& snapshot, double current, ServePolicy policy,
-    core::SmdMode mode, core::SelectStrategy strategy,
-    core::SolveWorkspace* workspace, double bound);
+// Opens the Session cfg describes. Requires a unit-skew cap-form parent
+// that outlives the session.
+[[nodiscard]] std::unique_ptr<Session> make_backend(
+    const model::Instance& parent, const ServeConfig& cfg);
 
 }  // namespace vdist::engine

@@ -1,4 +1,4 @@
-#include "engine/session.h"
+#include "engine/serving.h"
 
 #include <algorithm>
 #include <stdexcept>
@@ -70,9 +70,30 @@ RepairStats Session::apply(const InstanceEvent& event) {
 }
 
 ParityReport Session::check_parity() {
-  return check_parity_against(overlay_.materialize(), objective_,
-                              opts_.policy, opts_.mode, opts_.strategy, ws_,
-                              opts_.quality_bound);
+  ParityReport rep;
+  rep.current = objective_;
+  if (opts_.policy == ServePolicy::kOnline) {
+    // Allocate's guarantee is competitiveness over the arrival sequence,
+    // not a per-event bound against the offline optimum.
+    rep.fresh = objective_;
+    return rep;
+  }
+  core::GreedyOptions gopts;
+  gopts.strategy = opts_.strategy;
+  gopts.workspace = ws_;
+  gopts.record_trace = false;
+  rep.fresh =
+      core::solve_unit_skew(overlay_.materialize(), opts_.mode, gopts).utility;
+  rep.drift = (rep.fresh - objective_) / std::max(rep.fresh, 1.0);
+  if (opts_.policy == ServePolicy::kResolve) {
+    rep.ok = objective_ == rep.fresh;
+    if (!rep.ok)
+      rep.detail = "resolve objective diverged from the from-scratch solve";
+  } else {
+    rep.ok = rep.drift <= opts_.quality_bound + 1e-9;
+    if (!rep.ok) rep.detail = "repair drift exceeds the quality bound";
+  }
+  return rep;
 }
 
 // --- kResolve ---------------------------------------------------------------

@@ -83,8 +83,8 @@ struct SolveRequest {
   // adapter's event trace). Unlike `seed` — which BatchRunner decorrelates
   // per request index so equal-seeded cells don't accidentally share RNG
   // streams — this passes through the batch runner untouched, so sweep
-  // cells paired on the same instance replay the identical workload (the
-  // shards axis of a serve sweep must compare objectives on one trace).
+  // cells paired on the same instance replay the identical workload (a
+  // policy axis of a serve sweep must compare objectives on one trace).
   // 0 = fall back to `seed`.
   std::uint64_t workload_seed = 0;
   // Advisory wall-clock budget; 0 = unlimited. Algorithms with an

@@ -131,7 +131,7 @@ SolveRequest ExpandedSweep::make_request(std::size_t sc, std::size_t rep,
   req.seed = scenario_cells[sc].spec.seed + rep;
   // Pair generated workloads (serve traces) across algorithm cells
   // the same way instances are paired: replicate r of every cell
-  // replays the same trace, so a shards or policy axis compares
+  // replays the same trace, so a policy or mode axis compares
   // algorithms on one workload instead of one workload each.
   req.workload_seed = req.seed;
   req.time_budget_ms = time_budget_ms;

@@ -83,9 +83,9 @@ struct SweepPlan {
   // on. run_sweep() and the distributed scheduler (dist/scheduler.h) are
   // both consumers, so a cell executed on a remote worker reproduces the
   // single-process solve bit-for-bit. Throws std::invalid_argument on
-  // plan errors (unknown scenario, undeclared param, empty grid); with
-  // strict = true, algorithm options are validated too.
-  [[nodiscard]] ExpandedSweep expand(bool strict = false) const;
+  // plan errors (unknown scenario, undeclared param, empty grid) and,
+  // unless strict = false, on undeclared algorithm options.
+  [[nodiscard]] ExpandedSweep expand(bool strict = true) const;
 };
 
 // The fully expanded grid of a SweepPlan. Request indices are assigned in
@@ -233,9 +233,10 @@ struct SweepOptions {
   // Retain the generated instances for post-hoc inspection.
   bool keep_instances = false;
   // Error (rather than ignore) on algorithm option keys the registration
-  // does not declare. Off by default because a shared axis may apply to
-  // only some algorithms of the plan. Scenario params are always strict.
-  bool strict = false;
+  // does not declare. Every `algo` / `algo-axis` line binds to one
+  // algorithm, so no plan option is shared; false is the opt-out.
+  // Scenario params are always strict.
+  bool strict = true;
   // Zero every wall-clock field (per-run wall_ms, timing-derived stats
   // such as the serve adapter's repair_wall_ms) before aggregation, so
   // the emitted CSV/JSON is a pure function of the plan: two runs — or a

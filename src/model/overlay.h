@@ -45,9 +45,9 @@ namespace vdist::model {
 // paper's conventions: edge e carries edge_utility[e] (pairs <= 0 are
 // dropped), user u's cap is capacity[u], and the builder zeroes pairs
 // with w above their user's cap. O(nnz + |S| + |U|). The one snapshot of
-// the serving layer: InstanceOverlay::materialize() and the sharded
-// gather both call it. Throws std::invalid_argument when the spans do not
-// match base's edge and user counts.
+// the serving layer: InstanceOverlay::materialize() calls it. Throws
+// std::invalid_argument when the spans do not match base's edge and user
+// counts.
 [[nodiscard]] Instance snapshot_instance(const Instance& base,
                                          std::span<const double> edge_utility,
                                          std::span<const double> capacity);

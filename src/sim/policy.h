@@ -53,8 +53,8 @@ class OnlineAllocatePolicy final : public AdmissionPolicy {
   core::ExponentialCostAllocator allocator_;
 };
 
-// The serving backend as an admission policy: the simulator becomes a
-// thin client of engine::ServingBackend (engine/serving.h). The backend
+// The serving session as an admission policy: the simulator becomes a
+// thin client of engine::Session (engine/serving.h). The session
 // opens empty over the catalog (every stream tombstoned); an arriving
 // stream session becomes a kStreamAdd event, the last departure of a
 // stream a kStreamRemove, and the decision for an offer is whatever user
@@ -64,13 +64,11 @@ class OnlineAllocatePolicy final : public AdmissionPolicy {
 // multiplicity), and — as the AdmissionPolicy contract requires — a
 // decision handed to the plant is never revised mid-session even if
 // later repairs reassign internally. Requires a unit-skew cap-form
-// catalog (the backend's form). cfg.shards > 1 serves through the
-// sharded engine — a pure config flip.
+// catalog (the session's form).
 class SessionPolicy final : public AdmissionPolicy {
  public:
   // `cfg.open_empty` is forced on; every other knob (policy, bound,
-  // refresh, select, shards, queue, workspace) passes through
-  // engine::make_backend().
+  // refresh, select, workspace) passes through engine::make_backend().
   explicit SessionPolicy(const model::Instance& catalog,
                          engine::ServeConfig cfg = {});
   [[nodiscard]] std::string name() const override {
@@ -79,12 +77,10 @@ class SessionPolicy final : public AdmissionPolicy {
   std::vector<std::size_t> on_arrival(const StreamOffer& offer) override;
   void on_departure(const StreamOffer& offer,
                     const std::vector<std::size_t>& taken) override;
-  [[nodiscard]] const engine::ServingBackend& backend() const {
-    return *backend_;
-  }
+  [[nodiscard]] const engine::Session& backend() const { return *backend_; }
 
  private:
-  std::unique_ptr<engine::ServingBackend> backend_;
+  std::unique_ptr<engine::Session> backend_;
   std::vector<int> refcount_;  // concurrent plant sessions per stream
 };
 

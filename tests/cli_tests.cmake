@@ -110,7 +110,10 @@ endif()
 run_cli(0 sweep --plan "${WORK_DIR}/tiny.plan" --replicates 2)
 
 # --- perf: smoke suite, BENCH JSON, speedup gate, flag strictness ------------
-run_cli(0 perf --smoke 1 --reps 1 --out "${WORK_DIR}/perf.json")
+# Runs under the default wall-clock speedup gate take the best of three
+# repetitions: a single repetition of a sub-millisecond case can be
+# preempted on a loaded machine, and one such stall flips the gate.
+run_cli(0 perf --smoke 1 --reps 3 --out "${WORK_DIR}/perf.json")
 file(READ "${WORK_DIR}/perf.json" perf_json)
 if(NOT perf_json MATCHES "\"bench\":\"perf\"")
   message(FATAL_ERROR "perf JSON missing bench id:\n${perf_json}")
@@ -135,12 +138,12 @@ endif()
 # --- perf --baseline: regression diff against a committed BENCH JSON --------
 # Self-diff with a huge allowance passes; a sub-unity allowance trips the
 # gate deterministically (every ratio is positive).
-run_cli(0 perf --smoke 1 --reps 1 --out "${WORK_DIR}/perf4.json"
+run_cli(0 perf --smoke 1 --reps 3 --out "${WORK_DIR}/perf4.json"
         --baseline "${WORK_DIR}/perf.json" --max-regress 1000)
 if(NOT cli_out MATCHES "wall_ratio")
   message(FATAL_ERROR "perf --baseline printed no diff table:\n${cli_out}")
 endif()
-run_cli(3 perf --smoke 1 --reps 1 --out "${WORK_DIR}/perf5.json"
+run_cli(3 perf --smoke 1 --reps 3 --out "${WORK_DIR}/perf5.json"
         --baseline "${WORK_DIR}/perf.json" --max-regress 0.000001)
 if(NOT cli_err MATCHES "regression past --max-regress")
   message(FATAL_ERROR "perf baseline gate did not trip:\n${cli_err}")
@@ -155,7 +158,7 @@ if(NOT cli_err MATCHES "max-regress")
 endif()
 # The machine-independent gate: identical evals self-diff under a tight
 # threshold passes even when wall clocks are noisy.
-run_cli(0 perf --smoke 1 --reps 1 --out "${WORK_DIR}/perf6.json"
+run_cli(0 perf --smoke 1 --reps 3 --out "${WORK_DIR}/perf6.json"
         --baseline "${WORK_DIR}/perf.json" --max-regress 1.05
         --regress-metric evals)
 run_cli(1 perf --smoke 1 --regress-metric fastest)
@@ -246,37 +249,14 @@ if(NOT cli_err MATCHES "repair|resolve|online")
   message(FATAL_ERROR "bad --policy value not rejected:\n${cli_err}")
 endif()
 
-# --- sharded serving: --shards is a pure config flip -------------------------
-# Replaying one trace under resolve with 1 and 4 shards must report the
-# bit-identical end-state objective (the ShardedSession parity contract,
-# checked per event by --check 1 on the sharded run too).
-run_cli(0 serve "${WORK_DIR}/cap.vd" --events "${WORK_DIR}/cap.events"
-        --policy resolve --shards 1 --json "${WORK_DIR}/serve-s1.json")
-run_cli(0 serve "${WORK_DIR}/cap.vd" --events "${WORK_DIR}/cap.events"
-        --policy resolve --shards 4 --check 1 --json "${WORK_DIR}/serve-s4.json")
-file(READ "${WORK_DIR}/serve-s1.json" serve_s1)
-file(READ "${WORK_DIR}/serve-s4.json" serve_s4)
-if(NOT serve_s4 MATCHES "\"shards\":4")
-  message(FATAL_ERROR "sharded serve JSON missing shard count:\n${serve_s4}")
-endif()
-string(REGEX MATCH "\"objective\":[^,]*" obj_s1 "${serve_s1}")
-string(REGEX MATCH "\"objective\":[^,]*" obj_s4 "${serve_s4}")
-if(NOT obj_s1 STREQUAL obj_s4 OR obj_s1 STREQUAL "")
-  message(FATAL_ERROR
-    "sharded serve objective diverged: '${obj_s1}' vs '${obj_s4}'")
-endif()
-# ServeConfig validation reaches the CLI: out-of-range shard counts and
-# the online-policy restriction (Section 5's allocator is sequential) are
-# rejected before any event is applied.
+# --- serve option validation ------------------------------------------------
+# ServeConfig validation reaches the CLI: an out-of-range refresh interval
+# is rejected before any event is applied (a negative one would silently
+# disable drift checks, a huge one wrap around).
 run_cli(1 serve "${WORK_DIR}/cap.vd" --events "${WORK_DIR}/cap.events"
-        --shards 0)
-if(NOT cli_err MATCHES "shards")
-  message(FATAL_ERROR "bad --shards value not rejected:\n${cli_err}")
-endif()
-run_cli(1 serve "${WORK_DIR}/cap.vd" --events "${WORK_DIR}/cap.events"
-        --policy online --shards 2)
-if(NOT cli_err MATCHES "online")
-  message(FATAL_ERROR "online+shards not rejected:\n${cli_err}")
+        --refresh -5)
+if(NOT cli_err MATCHES "option --refresh expects an integer in \\[0, 2147483647\\], got '-5'")
+  message(FATAL_ERROR "bad --refresh value not rejected:\n${cli_err}")
 endif()
 
 # --- gen-events declared params: every knob is a flag ------------------------
@@ -294,7 +274,7 @@ if(NOT cli_err MATCHES "w-utility")
 endif()
 
 # --- perf --filter: label-subset runs ----------------------------------------
-run_cli(0 perf --smoke 1 --reps 1 --filter greedy
+run_cli(0 perf --smoke 1 --reps 3 --filter greedy
         --out "${WORK_DIR}/perf-filter.json")
 file(READ "${WORK_DIR}/perf-filter.json" perf_filter)
 if(NOT perf_filter MATCHES "greedy-plain")

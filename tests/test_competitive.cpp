@@ -4,8 +4,6 @@
 //     workload family;
 //   * the repair policy stays within its declared drift bound at every
 //     aligned checkpoint;
-//   * sharded resolve (shards 4) reproduces the single-shard checkpoint
-//     vector bit-identically on flash-crowd traces;
 //   * aggregates, emitters, and the exact-reference sanity bound hold.
 #include "engine/competitive.h"
 
@@ -88,33 +86,6 @@ TEST(Competitive, RepairStaysWithinDeclaredBoundAtEveryCheckpoint) {
           << family << " event " << cp.event;
     EXPECT_GE(report.min_ratio, 1.0 - opts.serve.bound - 1e-9) << family;
   }
-}
-
-// The sharded engine behind the same harness: resolve checkpoints are
-// bit-identical for every shard count (the ServingBackend parity
-// contract, measured through ratios here).
-TEST(Competitive, ShardedResolveReproducesSingleShardCheckpoints) {
-  const Instance inst = base_instance(12, 36, 14);
-  const auto trace = family_trace("flash-crowd", inst, 100, 23);
-  std::vector<CompetitiveReport> reports;
-  for (const int shards : {1, 4}) {
-    CompetitiveOptions opts;
-    opts.serve.policy = ServePolicy::kResolve;
-    opts.serve.shards = shards;
-    opts.every = 20;
-    reports.push_back(run_competitive(inst, trace, opts));
-  }
-  ASSERT_EQ(reports[0].checkpoints.size(), reports[1].checkpoints.size());
-  for (std::size_t i = 0; i < reports[0].checkpoints.size(); ++i) {
-    EXPECT_EQ(reports[0].checkpoints[i].online_objective,
-              reports[1].checkpoints[i].online_objective)
-        << i;
-    EXPECT_EQ(reports[0].checkpoints[i].offline_objective,
-              reports[1].checkpoints[i].offline_objective)
-        << i;
-    EXPECT_EQ(reports[1].checkpoints[i].ratio, 1.0) << i;
-  }
-  EXPECT_EQ(reports[1].shards, 4);
 }
 
 // Against the exact reference the greedy-maintained resolve policy can

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "engine/scenario.h"
-#include "engine/serving.h"
 #include "gen/events.h"
 #include "gen/random_instances.h"
 #include "model/overlay.h"
@@ -393,35 +392,6 @@ TEST(InstanceBuild, MaterializeMatchesReferenceAfterAppendsAndChurn) {
     expect_matches(overlay.materialize(),
                    reference_build(effective_state(overlay)),
                    where + " after churn");
-  }
-}
-
-// Session and ShardedSession bake their snapshots through the one
-// snapshot_instance(): the arrays agree bit for bit after a trace.
-TEST(InstanceBuild, ShardedSnapshotEqualsSingleSessionSnapshot) {
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const Instance parent = cap_world(seed);
-    engine::ServeConfig single_cfg;
-    engine::ServeConfig sharded_cfg;
-    sharded_cfg.shards = 3;
-    const auto single = engine::make_backend(parent, single_cfg);
-    const auto sharded = engine::make_backend(parent, sharded_cfg);
-    gen::EventTraceConfig trace;
-    trace.num_events = 50;
-    trace.seed = seed;
-    for (const InstanceEvent& ev : gen::make_event_trace(parent, trace)) {
-      single->apply(ev);
-      sharded->apply(ev);
-    }
-    const Instance a = single->snapshot();
-    const Instance b = sharded->snapshot();
-    const std::string where = "seed " + std::to_string(seed);
-    expect_matches(a, csr_of(b), where);
-    for (std::size_t u = 0; u < a.num_users(); ++u) {
-      const auto uid = static_cast<UserId>(u);
-      EXPECT_EQ(bits({a.capacity(uid, 0)}), bits({b.capacity(uid, 0)}))
-          << where << " user " << u;
-    }
   }
 }
 

@@ -32,7 +32,7 @@
 
 #include "assignment_pairs.h"
 #include "core/select.h"
-#include "engine/session.h"
+#include "engine/serving.h"
 #include "gen/random_instances.h"
 #include "model/instance.h"
 #include "workload/workload.h"

@@ -5,11 +5,10 @@
 //   * the repair policy stays within the configured quality bound of a
 //     from-scratch solve at every prefix when drift checks run per event;
 //   * `serve` sweeps are deterministic across BatchRunner thread counts.
-#include "engine/session.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <string>
 
@@ -17,6 +16,7 @@
 #include "engine/batch.h"
 #include "engine/registry.h"
 #include "engine/scenario.h"
+#include "engine/serving.h"
 #include "gen/events.h"
 #include "gen/random_instances.h"
 #include "model/factory.h"
@@ -323,6 +323,393 @@ TEST(Session, InvalidEventIdsThrowAndLeaveStateIntact) {
   }
 }
 
+// The overlay's canonical messages reach the caller, rejected events
+// leave no trace in the counters, and the session keeps serving with
+// parity afterwards — for the two policies that keep a maintained winner.
+TEST(Session, RejectedEventsNameTheOverlayErrorAndServingContinues) {
+  const Instance inst = churn_base(71, 25, 12);
+  for (const ServePolicy policy :
+       {ServePolicy::kResolve, ServePolicy::kRepair}) {
+    SessionOptions opts;
+    opts.policy = policy;
+    opts.refresh_interval = 1;
+    Session session(inst, opts);
+    const double before = session.objective();
+
+    InstanceEvent bad;
+    bad.type = EventType::kUserLeave;
+    bad.user = 999;
+    try {
+      session.apply(bad);
+      ADD_FAILURE() << "unknown user must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("user_leave: unknown user 999"),
+                std::string::npos)
+          << e.what();
+    }
+    bad.type = EventType::kStreamRemove;
+    bad.stream = -1;
+    EXPECT_THROW(session.apply(bad), std::invalid_argument);
+    InstanceEvent bad_cap;
+    bad_cap.type = EventType::kCapacityChange;
+    bad_cap.user = 0;
+    bad_cap.value = -2.0;
+    EXPECT_THROW(session.apply(bad_cap), std::invalid_argument);
+
+    EXPECT_EQ(session.counters().events, 0u);
+    EXPECT_EQ(session.objective(), before);
+    InstanceEvent ok;
+    ok.type = EventType::kUserLeave;
+    ok.user = 0;
+    session.apply(ok);
+    EXPECT_EQ(session.counters().events, 1u);
+    const ParityReport parity = session.check_parity();
+    EXPECT_TRUE(parity.ok) << to_string(policy) << ": " << parity.detail;
+  }
+}
+
+// --- Replay determinism and the parity report ----------------------------
+
+// Two sessions fed the same trace agree at every prefix: same objective,
+// same pair set, same race winner, same counters. Serving has no hidden
+// state beyond (instance, options, events).
+TEST(Session, ReplayIsDeterministicAcrossSessions) {
+  const Instance inst = churn_base(23, 25, 12);
+  const auto trace = churn_trace(inst, 60, 7);
+  for (const ServePolicy policy :
+       {ServePolicy::kRepair, ServePolicy::kResolve, ServePolicy::kOnline}) {
+    SessionOptions opts;
+    opts.policy = policy;
+    opts.refresh_interval = 8;
+    Session a(inst, opts);
+    Session b(inst, opts);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      a.apply(trace[i]);
+      b.apply(trace[i]);
+      ASSERT_EQ(a.objective(), b.objective())
+          << to_string(policy) << " event " << i;
+      ASSERT_EQ(pairs_of(a.assignment(), a.instance().num_users()),
+                pairs_of(b.assignment(), b.instance().num_users()))
+          << to_string(policy) << " event " << i;
+      ASSERT_STREQ(a.variant(), b.variant())
+          << to_string(policy) << " event " << i;
+    }
+    EXPECT_EQ(a.counters().local_repairs, b.counters().local_repairs);
+    EXPECT_EQ(a.counters().full_resolves, b.counters().full_resolves);
+    EXPECT_EQ(a.counters().drift_checks, b.counters().drift_checks);
+    EXPECT_EQ(a.counters().online_accepts, b.counters().online_accepts);
+    EXPECT_EQ(a.select_stats().picks, b.select_stats().picks);
+  }
+}
+
+// check_parity() under resolve reports zero drift and a fresh value equal
+// to the maintained one after every event; the snapshot it solves keeps
+// the world's shape.
+TEST(Session, CheckParityHoldsAfterEveryResolveEvent) {
+  const Instance inst = churn_base(31, 25, 12);
+  ServeConfig cfg;
+  cfg.policy = ServePolicy::kResolve;
+  const auto backend = make_backend(inst, cfg);
+  for (const InstanceEvent& event : churn_trace(inst, 25, 13)) {
+    backend->apply(event);
+    const ParityReport parity = backend->check_parity();
+    EXPECT_TRUE(parity.ok) << parity.detail;
+    EXPECT_EQ(parity.current, backend->objective());
+    EXPECT_EQ(parity.current, parity.fresh);
+    EXPECT_EQ(parity.drift, 0.0);
+  }
+  const Instance snap = backend->snapshot();
+  EXPECT_EQ(snap.num_users(), inst.num_users());
+  EXPECT_EQ(snap.num_streams(), inst.num_streams());
+}
+
+// The same gate under repair with a drift check per event, driven through
+// ServeConfig and make_backend: every event passes the bound, every event
+// is drift-checked, and the maintained assignment is feasible on the
+// maintained world.
+TEST(Session, CheckParityHoldsUnderRepairWithPerEventRefresh) {
+  const Instance inst = churn_base(41, 25, 12);
+  ServeConfig cfg;
+  cfg.policy = ServePolicy::kRepair;
+  cfg.refresh = 1;
+  cfg.bound = 0.05;
+  const auto backend = make_backend(inst, cfg);
+  const auto trace = churn_trace(inst, 30, 19);
+  for (const InstanceEvent& event : trace) {
+    backend->apply(event);
+    const ParityReport parity = backend->check_parity();
+    EXPECT_TRUE(parity.ok) << parity.detail;
+    EXPECT_LE(parity.drift, cfg.bound + 1e-9);
+  }
+  EXPECT_EQ(backend->counters().drift_checks, trace.size());
+  const Instance snap = backend->snapshot();
+  model::Assignment on_snap(snap);
+  for (const auto& [u, s] : pairs_of(backend->assignment(), snap.num_users()))
+    on_snap.assign(u, s);
+  EXPECT_TRUE(model::validate(on_snap).feasible());
+}
+
+// The online policy has no per-event bound against the offline optimum:
+// its parity report is trivially ok and echoes the maintained objective.
+TEST(Session, OnlineCheckParityEchoesTheMaintainedObjective) {
+  const Instance inst = churn_base(43, 25, 12);
+  SessionOptions opts;
+  opts.policy = ServePolicy::kOnline;
+  Session session(inst, opts);
+  for (const InstanceEvent& event : churn_trace(inst, 30, 11)) {
+    session.apply(event);
+    const ParityReport parity = session.check_parity();
+    EXPECT_TRUE(parity.ok);
+    EXPECT_EQ(parity.current, session.objective());
+    EXPECT_EQ(parity.fresh, session.objective());
+    EXPECT_STREQ(session.variant(), "online");
+  }
+  EXPECT_EQ(session.counters().events, 30u);
+}
+
+// Appending a user and a stream rebases the overlay; churn over the grown
+// world keeps resolve parity at every event.
+TEST(Session, AppendsThenChurnKeepResolveParity) {
+  const Instance inst = churn_base(53, 15, 8);
+  SessionOptions opts;
+  opts.policy = ServePolicy::kResolve;
+  Session session(inst, opts);
+
+  InstanceEvent user_append;
+  user_append.type = EventType::kUserJoin;
+  user_append.user = static_cast<UserId>(inst.num_users());
+  user_append.value = 12.0;
+  user_append.interests = {{.stream = 0, .utility = 3.0},
+                           {.stream = 4, .utility = 2.5}};
+  InstanceEvent stream_append;
+  stream_append.type = EventType::kStreamAdd;
+  stream_append.stream = static_cast<StreamId>(inst.num_streams());
+  stream_append.value = 4.0;
+  stream_append.interests = {{.user = 1, .utility = 2.0},
+                             {.user = user_append.user, .utility = 1.5}};
+  for (const InstanceEvent& event : {user_append, stream_append}) {
+    session.apply(event);
+    EXPECT_TRUE(session.check_parity().ok);
+  }
+  EXPECT_EQ(session.instance().num_users(), inst.num_users() + 1);
+  EXPECT_EQ(session.instance().num_streams(), inst.num_streams() + 1);
+  EXPECT_EQ(session.overlay().generation(), 2u);
+
+  const Instance grown = session.snapshot();
+  for (const InstanceEvent& event : churn_trace(grown, 20, 61)) {
+    session.apply(event);
+    const Instance snap = session.snapshot();
+    const core::SmdSolveResult fresh = core::solve_unit_skew(snap);
+    ASSERT_EQ(session.objective(), fresh.utility);
+    ASSERT_EQ(pairs_of(session.assignment(), snap.num_users()),
+              pairs_of(fresh.assignment, snap.num_users()));
+  }
+}
+
+// --- Options that shape the event loop -------------------------------------
+
+// refresh_interval is the drift-check cadence: 0 never checks, k checks
+// on every k-th event, and RepairStats flags exactly those events.
+TEST(Session, RefreshIntervalSetsTheDriftCheckCadence) {
+  const Instance inst = churn_base(47, 25, 12);
+  const auto trace = churn_trace(inst, 50, 3);
+  for (const int refresh : {0, 1, 10}) {
+    SessionOptions opts;
+    opts.policy = ServePolicy::kRepair;
+    opts.refresh_interval = refresh;
+    Session session(inst, opts);
+    std::size_t flagged = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const RepairStats stats = session.apply(trace[i]);
+      const bool due = refresh > 0 && (i + 1) % refresh == 0;
+      EXPECT_EQ(stats.drift_checked, due) << "refresh " << refresh
+                                          << " event " << i;
+      flagged += stats.drift_checked ? 1 : 0;
+    }
+    const std::size_t expected =
+        refresh > 0 ? trace.size() / static_cast<std::size_t>(refresh) : 0;
+    EXPECT_EQ(session.counters().drift_checks, expected);
+    EXPECT_EQ(flagged, expected);
+  }
+}
+
+// The three selection kernels are pick-for-pick equivalent, so resolve
+// sessions that differ only in the kernel agree bit-for-bit at every
+// prefix — objective and pair set.
+TEST(Session, EverySelectStrategyResolvesBitIdentically) {
+  const Instance inst = churn_base(59, 30, 12);
+  const auto trace = churn_trace(inst, 40, 21);
+  SessionOptions opts;
+  opts.policy = ServePolicy::kResolve;
+  opts.strategy = core::SelectStrategy::kDeltaHeap;
+  Session delta(inst, opts);
+  opts.strategy = core::SelectStrategy::kLazyHeap;
+  Session lazy(inst, opts);
+  opts.strategy = core::SelectStrategy::kNaiveScan;
+  Session naive(inst, opts);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    delta.apply(trace[i]);
+    lazy.apply(trace[i]);
+    naive.apply(trace[i]);
+    ASSERT_EQ(delta.objective(), lazy.objective()) << "event " << i;
+    ASSERT_EQ(delta.objective(), naive.objective()) << "event " << i;
+    const auto pairs = pairs_of(delta.assignment(), inst.num_users());
+    ASSERT_EQ(pairs, pairs_of(lazy.assignment(), inst.num_users()))
+        << "event " << i;
+    ASSERT_EQ(pairs, pairs_of(naive.assignment(), inst.num_users()))
+        << "event " << i;
+  }
+}
+
+// Under the augmented (Corollary 2.7) winner, resolve is bit-identical to
+// a from-scratch augmented solve of the materialized world.
+TEST(Session, AugmentedModeResolveMatchesTheFromScratchSolve) {
+  const Instance inst = churn_base(61, 25, 12);
+  SessionOptions opts;
+  opts.policy = ServePolicy::kResolve;
+  opts.mode = core::SmdMode::kAugmented;
+  Session session(inst, opts);
+  for (const InstanceEvent& event : churn_trace(inst, 40, 5)) {
+    session.apply(event);
+    const core::SmdSolveResult fresh =
+        core::solve_unit_skew(session.snapshot(), core::SmdMode::kAugmented);
+    ASSERT_EQ(session.objective(), fresh.utility);
+    ASSERT_TRUE(session.check_parity().ok);
+  }
+}
+
+// fresh_objective() — the drift checks' yardstick — is the value of a
+// from-scratch solve of the current world, however far the maintained
+// winner has drifted. It scores the live world in scoring mode rather
+// than solving the materialized snapshot, so the two sums agree to
+// rounding, not bit-for-bit.
+TEST(Session, FreshObjectiveMatchesAFromScratchSolve) {
+  const Instance inst = churn_base(67, 25, 12);
+  SessionOptions opts;
+  opts.policy = ServePolicy::kRepair;
+  opts.refresh_interval = 0;  // let the maintained winner drift freely
+  Session session(inst, opts);
+  for (const InstanceEvent& event : churn_trace(inst, 40, 9)) {
+    session.apply(event);
+    const double fresh = core::solve_unit_skew(session.snapshot()).utility;
+    ASSERT_NEAR(session.fresh_objective(), fresh,
+                1e-9 * std::max(fresh, 1.0));
+  }
+}
+
+// --- ServeConfig -------------------------------------------------------
+
+// session_options() carries every ServeConfig field into the session's
+// native options, and make_backend opens a session with them.
+TEST(Session, ServeConfigMapsEveryFieldIntoSessionOptions) {
+  SolveOptions opts;
+  opts.set("policy", "online").set("bound", "0.2").set("refresh", "7");
+  opts.set("mode", "augmented").set("select", "naive").set("mu", "0.3");
+  opts.set("guard", "0");
+  ServeConfig cfg = ServeConfig::from_options(opts);
+  core::SolveWorkspace ws;
+  cfg.workspace = &ws;
+  cfg.open_empty = true;
+  const SessionOptions sopts = cfg.session_options();
+  EXPECT_EQ(sopts.policy, ServePolicy::kOnline);
+  EXPECT_EQ(sopts.quality_bound, 0.2);
+  EXPECT_EQ(sopts.refresh_interval, 7);
+  EXPECT_EQ(sopts.mode, core::SmdMode::kAugmented);
+  EXPECT_EQ(sopts.strategy, core::SelectStrategy::kNaiveScan);
+  EXPECT_EQ(sopts.mu, 0.3);
+  EXPECT_FALSE(sopts.guard);
+  EXPECT_EQ(sopts.workspace, &ws);
+  EXPECT_TRUE(sopts.open_empty);
+
+  cfg.policy = ServePolicy::kRepair;
+  const Instance inst = churn_base(83, 20, 8);
+  const auto backend = make_backend(inst, cfg);
+  EXPECT_EQ(backend->policy(), ServePolicy::kRepair);
+  EXPECT_EQ(backend->objective(), 0.0);  // opened empty
+  EXPECT_EQ(backend->assignment().num_assigned_pairs(), 0u);
+}
+
+TEST(Session, ServeConfigValidatesEveryDeclaredOption) {
+  EXPECT_EQ(ServeConfig::declared().size(), 10u);
+  // Defaults round-trip through from_options.
+  const ServeConfig defaults = ServeConfig::from_options({});
+  EXPECT_EQ(defaults.policy, ServePolicy::kRepair);
+  EXPECT_EQ(defaults.refresh, 64);
+  EXPECT_EQ(defaults.family, "churn");
+
+  const auto from = [](const std::string& key, const std::string& value) {
+    SolveOptions opts;
+    opts.set(key, value);
+    return ServeConfig::from_options(opts);
+  };
+  EXPECT_THROW(from("bound", "-0.1"), std::invalid_argument);
+  EXPECT_THROW(from("policy", "rapair"), std::invalid_argument);
+
+  // refresh is an int in [0, INT_MAX]: a negative value must not
+  // silently disable drift checks, nor a huge one wrap around.
+  EXPECT_EQ(from("refresh", "0").refresh, 0);
+  EXPECT_EQ(from("refresh", "2147483647").refresh, INT_MAX);
+  for (const char* bad : {"-5", "-1", "2147483648", "4294967297"}) {
+    try {
+      (void)from("refresh", bad);
+      ADD_FAILURE() << "refresh " << bad << " must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("option --refresh expects an integer in "
+                            "[0, 2147483647], got '") +
+                    bad + "'");
+    }
+  }
+
+  // make_backend opens the session the config describes.
+  const Instance inst = churn_base(79, 25, 12);
+  SolveOptions opts;
+  opts.set("policy", "resolve");
+  const auto backend = make_backend(inst, ServeConfig::from_options(opts));
+  EXPECT_EQ(backend->policy(), ServePolicy::kResolve);
+}
+
+// --- Declared event-trace params ---------------------------------------
+
+TEST(Session, EventTraceParamsRoundTrip) {
+  EXPECT_EQ(gen::event_trace_params().size(), 12u);
+  gen::EventTraceConfig cfg;
+  // The canonical line reproduces the defaults.
+  const std::string defaults = gen::event_trace_param_line(cfg);
+  for (const gen::EventParamSpec& spec : gen::event_trace_params())
+    EXPECT_NE(defaults.find(std::string(spec.key) + "="), std::string::npos)
+        << spec.key;
+
+  gen::apply_event_trace_overrides(
+      cfg, "events=42,seed=5,w-user-leave=3,cap-scale-min=0.5");
+  EXPECT_EQ(cfg.num_events, 42u);
+  EXPECT_EQ(cfg.seed, 5u);
+  EXPECT_EQ(cfg.w_user_leave, 3.0);
+  EXPECT_EQ(cfg.cap_scale_min, 0.5);
+  const std::string line = gen::event_trace_param_line(cfg);
+  EXPECT_NE(line.find("events=42"), std::string::npos);
+  EXPECT_NE(line.find("w-user-leave=3"), std::string::npos);
+  // Feeding the line back reproduces the config (the reproduction
+  // handle a BENCH report or plan cell carries).
+  gen::EventTraceConfig replay;
+  gen::apply_event_trace_overrides(replay, line);
+  EXPECT_EQ(gen::event_trace_param_line(replay), line);
+
+  EXPECT_THROW(gen::apply_event_trace_overrides(cfg, "bogus=1"),
+               std::invalid_argument);
+  EXPECT_THROW(gen::apply_event_trace_overrides(cfg, "events=-3"),
+               std::invalid_argument);
+  EXPECT_THROW(gen::apply_event_trace_overrides(cfg, "w-utility=abc"),
+               std::invalid_argument);
+  EXPECT_THROW(gen::apply_event_trace_overrides(cfg, "events"),
+               std::invalid_argument);
+  // A failed override leaves the config unchanged enough to keep its
+  // line stable (strong guarantee not required; the line must parse).
+  gen::EventTraceConfig after;
+  gen::apply_event_trace_overrides(after, gen::event_trace_param_line(cfg));
+  SUCCEED();
+}
+
 // --- registry integration ---------------------------------------------------
 
 TEST(ServeSolver, RegisteredAndStrictAboutOptions) {
@@ -346,6 +733,29 @@ TEST(ServeSolver, RegisteredAndStrictAboutOptions) {
   const SolveResult bad = engine::solve(typo);
   EXPECT_FALSE(bad.ok);
   EXPECT_NE(bad.error.find("polcy"), std::string::npos);
+}
+
+// There is one serving engine: the declared option surface is exactly
+// ServeConfig's, and the former sharding knobs are undeclared keys that
+// a strict solve rejects by name.
+TEST(ServeSolver, RejectsTheRemovedShardsAndQueueOptions) {
+  const std::vector<std::string> keys = ServeConfig::option_keys();
+  ASSERT_EQ(keys.size(), ServeConfig::declared().size());
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    EXPECT_EQ(keys[i], ServeConfig::declared()[i].key);
+  for (const std::string removed : {"shards", "queue"}) {
+    EXPECT_EQ(std::find(keys.begin(), keys.end(), removed), keys.end())
+        << removed;
+    const Instance inst = churn_base(2, 20, 8);
+    SolveRequest req;
+    req.instance = &inst;
+    req.algorithm = "serve";
+    req.options.set("events", 10).set(removed, 2);
+    req.strict = true;
+    const SolveResult r = engine::solve(req);
+    EXPECT_FALSE(r.ok) << removed;
+    EXPECT_NE(r.error.find(removed), std::string::npos) << r.error;
+  }
 }
 
 TEST(ServeSolver, RepairTracksResolveObjectiveWithinBound) {

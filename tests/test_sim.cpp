@@ -56,18 +56,6 @@ TEST(Engine, SessionPolicyDrivesTheSimulator) {
   const SimResult rb = run_simulation(catalog, trace, b);
   EXPECT_EQ(ra.totals.utility_time, rb.totals.utility_time);
   EXPECT_EQ(ra.totals.accepted, rb.totals.accepted);
-  // The sharded backend drives the simulator through the same seam and,
-  // under kResolve, lands on the same totals bit-for-bit.
-  engine::ServeConfig sharded;
-  sharded.policy = engine::ServePolicy::kResolve;
-  engine::ServeConfig single = sharded;
-  sharded.shards = 3;
-  SessionPolicy sp(catalog, sharded), sq(catalog, single);
-  const SimResult rs = run_simulation(catalog, trace, sp);
-  const SimResult rq = run_simulation(catalog, trace, sq);
-  EXPECT_EQ(sp.backend().num_shards(), 3);
-  EXPECT_EQ(rs.totals.utility_time, rq.totals.utility_time);
-  EXPECT_EQ(rs.totals.accepted, rq.totals.accepted);
   // Requires the session's cap form.
   const auto mmd = small_workload().instance;
   if (!mmd.is_unit_skew())

@@ -154,11 +154,30 @@ TEST(Sweep, StrictModeRejectsUndeclaredAlgorithmOptions) {
   SweepPlan plan = tiny_plan();
   plan.algorithms = {{.name = "greedy",
                       .options = SolveOptions().set("depht", 2)}};
-  // Lenient (default): the stray key is ignored.
-  EXPECT_EQ(run_sweep(plan).first_error(), "");
-  SweepOptions strict;
-  strict.strict = true;
-  EXPECT_THROW((void)run_sweep(plan, strict), std::invalid_argument);
+  // Strict (default): the stray key fails expansion.
+  EXPECT_THROW((void)run_sweep(plan), std::invalid_argument);
+  // Lenient opt-out: the stray key is ignored.
+  SweepOptions lenient;
+  lenient.strict = false;
+  EXPECT_EQ(run_sweep(plan, lenient).first_error(), "");
+}
+
+TEST(Sweep, PlanOptionsNotDeclaredBySolverFailAtExpansion) {
+  // A plan line naming an option the solver does not declare fails
+  // before any solve, under the default options, and the error names
+  // the key.
+  std::istringstream is(
+      "scenario cap streams=8 users=5 seed=1\n"
+      "algo serve events=10 shards=2\n");
+  const SweepPlan plan = parse_plan(is);
+  try {
+    (void)plan.expand();
+    FAIL() << "undeclared option must fail expansion";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("shards"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)run_sweep(plan), std::invalid_argument);
 }
 
 TEST(Sweep, KeepInstancesAndAssignments) {
@@ -288,7 +307,7 @@ TEST(Sweep, AlgoOnlyRestrictsTheGrid) {
       "scenario cap streams=8 users=5 seed=1\n"
       "scenario mmd streams=8 users=5 m=2 mc=2 seed=2\n"
       "algo pipeline\n"
-      "algo serve events=10 policy=resolve shards=2\n"
+      "algo serve events=10 policy=resolve\n"
       "algo-only cap\n"
       "replicates 2\n");
   const SweepPlan plan = parse_plan(is);
@@ -304,7 +323,7 @@ TEST(Sweep, AlgoOnlyRestrictsTheGrid) {
   EXPECT_TRUE(r.cell(1, 1).skipped);
   EXPECT_TRUE(r.cell(1, 1).runs.empty());
   EXPECT_EQ(r.cell(1, 0).runs.size(), 2u);
-  // The sharded serve cell really served (objective > 0 on this seed).
+  // The serve cell really served (objective > 0 on this seed).
   EXPECT_GT(r.cell(0, 1).objective.mean(), 0.0);
   // Emitters omit the skipped row: 3 cells + header.
   std::ostringstream csv;
@@ -334,33 +353,30 @@ TEST(Sweep, AlgoOnlyRestrictsTheGrid) {
   EXPECT_THROW((void)parse_plan(orphan), std::runtime_error);
 }
 
-TEST(Sweep, ServeCellsArePairedAcrossTheShardsAxis) {
+TEST(Sweep, ServeCellsArePairedAcrossAnAlgorithmAxis) {
   // run_sweep pairs generated workloads across algorithm cells via
   // SolveRequest::workload_seed: replicate r of every serve cell replays
-  // the identical event trace, so under the resolve policy the shards
-  // axis must produce bit-equal objectives (the sharded engine's parity
-  // guarantee, observable through the sweep surface).
+  // the identical event trace. Under the resolve policy the selection
+  // kernels are pick-for-pick equivalent, so a select axis must produce
+  // bit-equal objectives on the shared trace.
   std::istringstream is(
       "scenario cap streams=12 users=6 seed=4\n"
       "algo serve events=40 policy=resolve\n"
-      "algo-axis shards 1 3\n"
+      "algo-axis select delta naive\n"
       "replicates 2\n");
   const SweepResult r = run_sweep(parse_plan(is));
   EXPECT_TRUE(r.first_error().empty());
   ASSERT_EQ(r.cells.size(), 2u);
-  const SweepCell& single = r.cell(0, 0);
-  const SweepCell& sharded = r.cell(0, 1);
-  ASSERT_EQ(single.runs.size(), 2u);
-  ASSERT_EQ(sharded.runs.size(), 2u);
+  const SweepCell& delta = r.cell(0, 0);
+  const SweepCell& naive = r.cell(0, 1);
+  ASSERT_EQ(delta.runs.size(), 2u);
+  ASSERT_EQ(naive.runs.size(), 2u);
   for (std::size_t rep = 0; rep < 2; ++rep) {
-    EXPECT_EQ(single.runs[rep].objective, sharded.runs[rep].objective);
-    EXPECT_EQ(single.runs[rep].stat("events"),
-              sharded.runs[rep].stat("events"));
+    EXPECT_EQ(delta.runs[rep].objective, naive.runs[rep].objective);
+    EXPECT_EQ(delta.runs[rep].stat("events"), naive.runs[rep].stat("events"));
   }
-  EXPECT_EQ(single.runs[0].stat("shards"), 1.0);
-  EXPECT_EQ(sharded.runs[0].stat("shards"), 3.0);
   // The two replicates still see different traces (seed + rep pairing).
-  EXPECT_NE(single.runs[0].objective, single.runs[1].objective);
+  EXPECT_NE(delta.runs[0].objective, delta.runs[1].objective);
 }
 
 }  // namespace

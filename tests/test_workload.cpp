@@ -24,7 +24,7 @@
 #include "engine/batch.h"
 #include "engine/registry.h"
 #include "engine/scenario.h"
-#include "engine/session.h"
+#include "engine/serving.h"
 #include "gen/events.h"
 #include "gen/random_instances.h"
 #include "io/event_io.h"

@@ -33,7 +33,7 @@
 #include "engine/perf.h"
 #include "engine/registry.h"
 #include "engine/scenario.h"
-#include "engine/session.h"
+#include "engine/serving.h"
 #include "engine/sweep.h"
 #include "gen/events.h"
 #include "io/event_io.h"
@@ -318,7 +318,8 @@ int cmd_sweep(const Args& args) {
   engine::SweepOptions options;
   options.batch.num_threads =
       static_cast<unsigned>(opt_u(args, "threads", 0));
-  options.strict = opt(args, "strict", "0") == "1";
+  // Undeclared algorithm options are an error unless --strict 0.
+  options.strict = opt(args, "strict", "1") == "1";
   options.deterministic = opt(args, "deterministic", "0") == "1";
 
   const std::string workers_path = opt(args, "workers", "");
@@ -456,12 +457,11 @@ int cmd_gen_events(const Args& args) {
   return 0;
 }
 
-// Replays an event trace through a make_backend() serving backend
-// (engine::Session, or engine::ShardedSession under --shards N) and
-// reports objective-over-time as JSON. --check N compares the backend
-// against a from-scratch solve every N events: the resolve policy must
-// match the fresh objective bit-exactly, the repair policy must stay
-// within --bound; a violation exits 4.
+// Replays an event trace through a make_backend() serving session
+// (engine/serving.h) and reports objective-over-time as JSON. --check N
+// compares the session against a from-scratch solve every N events: the
+// resolve policy must match the fresh objective bit-exactly, the repair
+// policy must stay within --bound; a violation exits 4.
 int cmd_serve(const Args& args) {
   // Flags are ServeConfig's declared keys — minus the registry-only
   // trace-derivation knobs (events here names the event FILE; trace and
@@ -506,7 +506,7 @@ int cmd_serve(const Args& args) {
       cfg.refresh = check_int;
   }
 
-  const std::unique_ptr<engine::ServingBackend> backend =
+  const std::unique_ptr<engine::Session> backend =
       engine::make_backend(inst, cfg);
   std::ostringstream timeline;
   timeline.precision(17);
@@ -526,7 +526,7 @@ int cmd_serve(const Args& args) {
                            : "online")
              << "\"}";
     // The differential anchor: bake the current world into a standalone
-    // instance and solve it from scratch (ServingBackend::check_parity).
+    // instance and solve it from scratch (Session::check_parity).
     if (check_every > 0 && applied % check_every == 0) {
       const engine::ParityReport parity = backend->check_parity();
       if (!parity.ok) {
@@ -563,8 +563,7 @@ int cmd_serve(const Args& args) {
   std::ostringstream doc;
   doc.precision(17);
   doc << "{\"serve\":\"" << engine::to_string(cfg.policy)
-      << "\",\"shards\":" << backend->num_shards()
-      << ",\"events\":" << counters.events
+      << "\",\"events\":" << counters.events
       << ",\"objective\":" << backend->objective()
       << ",\"variant\":\"" << backend->variant()
       << "\",\"local_repairs\":" << counters.local_repairs
@@ -583,7 +582,6 @@ int cmd_serve(const Args& args) {
     std::cerr << "wrote " << json_path << "\n";
   }
   std::cerr << "serve: policy=" << engine::to_string(cfg.policy)
-            << " shards=" << backend->num_shards()
             << " events=" << counters.events
             << " objective=" << backend->objective()
             << " repairs=" << counters.local_repairs
@@ -592,7 +590,7 @@ int cmd_serve(const Args& args) {
 }
 
 // Online-vs-offline competitive-ratio measurement (engine/competitive.h):
-// replays a trace through a serving backend and solves the offline
+// replays a trace through a serving session and solves the offline
 // optimum on every checkpoint prefix's materialized snapshot. --min-ratio
 // gates the worst per-prefix ratio (exit 5 on violation) — the CI hook
 // for "the online policies stay within their empirical guarantees on the
@@ -695,7 +693,6 @@ int cmd_compete(const Args& args) {
                        report.offline_algorithm);
   std::cerr << "compete: policy=" << report.policy
             << " offline=" << report.offline_algorithm
-            << " shards=" << report.shards
             << " events=" << report.counters.events
             << " checkpoints=" << report.checkpoints.size()
             << " min_ratio=" << util::format_double(report.min_ratio, 6)
@@ -875,11 +872,10 @@ int cmd_help(std::ostream& os) {
       "  vdist_cli serve FILE --events EVENTS_FILE\n"
       "            [--policy repair|resolve|online] [--bound X]\n"
       "            [--refresh N] [--mode M] [--select S] [--mu X]\n"
-      "            [--guard 0|1] [--shards N] [--queue N] [--check N]\n"
-      "            [--json FILE|-]\n"
+      "            [--guard 0|1] [--check N] [--json FILE|-]\n"
       "  vdist_cli compete FILE (--events EVENTS_FILE |\n"
       "            [--family NAME] [--trace k=v,...] [--seed S])\n"
-      "            [serve backend flags] [--every N] [--offline ALGO]\n"
+      "            [serve flags] [--every N] [--offline ALGO]\n"
       "            [--min-ratio X] [--csv FILE|-] [--json FILE|-]\n"
       "  vdist_cli sweep --plan FILE | --scenario NAME [--set k=v,...]\n"
       "            [--axis k=v1,v2[;k2=...]] [--algos a,b,c]\n"
@@ -887,6 +883,7 @@ int cmd_help(std::ostream& os) {
       "            [--seed S] [--threads N] [--csv FILE|-] [--json FILE|-]\n"
       "            [--workers FILE] [--cache DIR] [--deterministic 1]\n"
       "            [--list-cells 1] [--shutdown-workers 1] [--verbose 1]\n"
+      "            [--strict 0]\n"
       "  vdist_cli worker [--port P] [--capacity N]\n"
       "  vdist_cli perf [--smoke 1] [--out FILE|-] [--reps N] [--seed S]\n"
       "            [--filter SUBSTR] [--threads N] [--min-speedup X]\n"
@@ -898,7 +895,7 @@ int cmd_help(std::ostream& os) {
       "and 'solve' through the solver registry ('vdist_cli algos');\n"
       "unconsumed --key value pairs go to the scenario/algorithm and are\n"
       "checked against its declared keys (disable with --strict 0 on\n"
-      "solve). 'sweep' expands a scenario x algorithm x seed cross-\n"
+      "solve and sweep). 'sweep' expands a scenario x algorithm x seed cross-\n"
       "product from a plan file or flags, runs it on a thread pool, and\n"
       "prints per-cell aggregates (mean/min/max objective, gap vs the\n"
       "utility upper bound, wall time); --csv/--json write the table for\n"
@@ -917,17 +914,13 @@ int cmd_help(std::ostream& os) {
       "(churn, zipf-drift, flash-crowd, diurnal, hetero-cap — 'vdist_cli\n"
       "scenarios' lists each family's declared params, shared verbatim\n"
       "with the corresponding scenario's and the serve solver's 'trace'\n"
-      "option). 'serve'\n"
-      "replays such a trace through the ServingBackend API\n"
+      "option). 'serve' replays such a trace through a serving session\n"
       "(engine/serving.h) under one of three repair policies and emits\n"
-      "objective-over-time JSON; --shards N (> 1) serves through the\n"
-      "sharded engine — N overlay replicas, worker threads and bounded\n"
-      "queues behind the same API, bit-identical objectives under\n"
-      "--policy resolve. With --check N the backend is compared against\n"
-      "a from-scratch solve every N events (resolve must match\n"
+      "objective-over-time JSON. With --check N the session is compared\n"
+      "against a from-scratch solve every N events (resolve must match\n"
       "bit-exactly, repair must stay within --bound; exit 4 on\n"
       "violation). 'compete' replays a trace (from --events FILE, or\n"
-      "derived via --family/--trace/--seed) through the same backend and\n"
+      "derived via --family/--trace/--seed) through the same session and\n"
       "solves the OFFLINE optimum on every --every N checkpoint prefix's\n"
       "materialized snapshot, reporting per-prefix online/offline/ratio\n"
       "rows plus min/mean/final aggregates; --offline picks the reference\n"
