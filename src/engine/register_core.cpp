@@ -2,6 +2,7 @@
 // SolveOptions keys onto the algorithm's native option struct and folds
 // its native result into a SolveOutcome; nothing here contains algorithm
 // logic.
+#include <climits>
 #include <memory>
 #include <utility>
 
@@ -45,7 +46,8 @@ core::SkewBandsOptions band_options(const SolveRequest& req) {
   const SolveOptions& opts = req.options;
   core::SkewBandsOptions bands;
   bands.use_partial_enum = opts.get_bool("enum-bands", false);
-  bands.seed_size = static_cast<int>(opts.get_int("depth", bands.seed_size));
+  bands.seed_size =
+      static_cast<int>(opts.get_int("depth", bands.seed_size, 0, INT_MAX));
   bands.mode = parse_mode(opts);
   const core::GreedyOptions greedy = greedy_options(req);
   bands.strategy = greedy.strategy;
@@ -127,13 +129,13 @@ SolveOutcome run_amax(const SolveRequest& req) {
 
 SolveOutcome run_partial_enum(const SolveRequest& req) {
   core::PartialEnumOptions opts;
-  opts.seed_size =
-      static_cast<int>(req.options.get_int("depth", opts.seed_size));
+  opts.seed_size = static_cast<int>(
+      req.options.get_int("depth", opts.seed_size, 0, INT_MAX));
   opts.mode = parse_mode(req.options);
   opts.max_candidates = static_cast<std::size_t>(req.options.get_int(
-      "max-candidates", static_cast<std::int64_t>(opts.max_candidates)));
+      "max-candidates", static_cast<std::int64_t>(opts.max_candidates), 0));
   opts.threads = static_cast<int>(
-      req.options.get_int("threads", static_cast<std::int64_t>(opts.threads)));
+      req.options.get_int("threads", opts.threads, INT_MIN, INT_MAX));
   const core::GreedyOptions greedy = greedy_options(req);
   opts.strategy = greedy.strategy;
   opts.workspace = greedy.workspace;
@@ -153,7 +155,7 @@ SolveOutcome run_partial_enum(const SolveRequest& req) {
 SolveOutcome run_exact(const SolveRequest& req) {
   core::ExactOptions opts;
   opts.max_nodes = static_cast<std::size_t>(req.options.get_int(
-      "max-nodes", static_cast<std::int64_t>(opts.max_nodes)));
+      "max-nodes", static_cast<std::int64_t>(opts.max_nodes), 0));
   core::ExactResult r = core::solve_exact(*req.instance, opts);
   SolveOutcome out{std::move(r.assignment)};
   out.objective = r.utility;

@@ -6,6 +6,7 @@
 // of E7) — they are workload definitions, so they belong to the scenario
 // layer where plans and the CLI can reach them.
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <map>
 #include <string>
@@ -26,12 +27,15 @@ namespace vdist::engine {
 
 namespace {
 
+// Count-typed params, range-checked so a negative or huge value is an
+// error rather than a wrapped count.
 std::size_t get_size(const SolveOptions& p, const std::string& key) {
-  const std::int64_t v = p.get_int(key, 0);
-  if (v < 0)
-    throw std::invalid_argument("param " + key + " must be >= 0, got " +
-                                std::to_string(v));
-  return static_cast<std::size_t>(v);
+  return static_cast<std::size_t>(p.get_int(key, 0, 0));
+}
+
+int get_int_param(const SolveOptions& p, const std::string& key,
+                  int fallback) {
+  return static_cast<int>(p.get_int(key, fallback, 0, INT_MAX));
 }
 
 // Rebuilds an instance with new server budgets, keeping everything else
@@ -131,8 +135,8 @@ model::Instance build_mmd(const ScenarioSpec& spec) {
   gen::RandomMmdConfig cfg;
   cfg.num_streams = get_size(spec.params, "streams");
   cfg.num_users = get_size(spec.params, "users");
-  cfg.num_server_measures = static_cast<int>(spec.params.get_int("m", 0));
-  cfg.num_user_measures = static_cast<int>(spec.params.get_int("mc", 0));
+  cfg.num_server_measures = get_int_param(spec.params, "m", 0);
+  cfg.num_user_measures = get_int_param(spec.params, "mc", 0);
   cfg.interest_per_stream = spec.params.get_double("interest", 0);
   cfg.utility_min = spec.params.get_double("utility-min", 0);
   cfg.utility_max = spec.params.get_double("utility-max", 0);
@@ -162,8 +166,7 @@ model::Instance build_iptv(const ScenarioSpec& spec) {
   cfg.gold_fraction = spec.params.get_double("gold-fraction", 0);
   cfg.silver_fraction = spec.params.get_double("silver-fraction", 0);
   cfg.decorrelate_price = spec.params.get_bool("decorrelate", false);
-  cfg.variants_per_channel =
-      static_cast<int>(spec.params.get_int("variants", 1));
+  cfg.variants_per_channel = get_int_param(spec.params, "variants", 1);
   cfg.seed = spec.seed;
   return gen::make_iptv_workload(cfg).instance;
 }
@@ -174,8 +177,8 @@ model::Instance build_small(const ScenarioSpec& spec) {
   gen::SmallStreamsConfig cfg;
   cfg.num_streams = get_size(spec.params, "streams");
   cfg.num_users = get_size(spec.params, "users");
-  cfg.num_server_measures = static_cast<int>(spec.params.get_int("m", 0));
-  cfg.num_user_measures = static_cast<int>(spec.params.get_int("mc", 0));
+  cfg.num_server_measures = get_int_param(spec.params, "m", 0);
+  cfg.num_user_measures = get_int_param(spec.params, "mc", 0);
   cfg.interest_per_stream = spec.params.get_double("interest", 0);
   cfg.utility_min = spec.params.get_double("utility-min", 0);
   cfg.utility_max = spec.params.get_double("utility-max", 0);
@@ -202,8 +205,8 @@ model::Instance build_small(const ScenarioSpec& spec) {
 
 model::Instance build_tightness(const ScenarioSpec& spec) {
   gen::TightnessConfig cfg;
-  cfg.m = static_cast<int>(spec.params.get_int("m", 0));
-  cfg.mc = static_cast<int>(spec.params.get_int("mc", 0));
+  cfg.m = get_int_param(spec.params, "m", 0);
+  cfg.mc = get_int_param(spec.params, "mc", 0);
   cfg.eps = spec.params.get_double("eps", -1.0);
   cfg.eps_prime = spec.params.get_double("eps-prime", -1.0);
   return gen::tightness_instance(cfg);

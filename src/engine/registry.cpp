@@ -1,7 +1,9 @@
 #include "engine/registry.h"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/select.h"
 #include "engine/builtin_solvers.h"
@@ -18,28 +20,44 @@ std::string SolveOptions::format_number(double value) {
   return os.str();
 }
 
+std::int64_t parse_int_value(const std::string& what, const std::string& text,
+                             std::int64_t lo, std::int64_t hi) {
+  std::int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc() && ptr == end && value >= lo && value <= hi)
+    return value;
+  std::string range;
+  if (hi != std::numeric_limits<std::int64_t>::max())
+    range = " in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+  else if (lo != std::numeric_limits<std::int64_t>::min())
+    range = " >= " + std::to_string(lo);
+  throw std::invalid_argument(what + " expects an integer" + range +
+                              ", got '" + text + "'");
+}
+
+double parse_double_value(const std::string& what, const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc() && ptr == end) return value;
+  throw std::invalid_argument(what + " expects a number, got '" + text + "'");
+}
+
 double SolveOptions::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + key + " expects a number, got '" +
-                                it->second + "'");
-  }
+  return it == values_.end() ? fallback
+                             : parse_double_value("option --" + key,
+                                                  it->second);
 }
 
 std::int64_t SolveOptions::get_int(const std::string& key,
-                                   std::int64_t fallback) const {
+                                   std::int64_t fallback, std::int64_t lo,
+                                   std::int64_t hi) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + key +
-                                " expects an integer, got '" + it->second +
-                                "'");
-  }
+  return it == values_.end()
+             ? fallback
+             : parse_int_value("option --" + key, it->second, lo, hi);
 }
 
 bool SolveOptions::get_bool(const std::string& key, bool fallback) const {

@@ -62,12 +62,8 @@ ServeConfig ServeConfig::from_options(const SolveOptions& opts) {
     throw std::invalid_argument(
         "option --bound expects a number >= 0, got '" +
         opts.get("bound", "") + "'");
-  const std::int64_t refresh = opts.get_int("refresh", cfg.refresh);
-  if (refresh < 0 || refresh > INT_MAX)
-    throw std::invalid_argument("option --refresh expects an integer in "
-                                "[0, 2147483647], got '" +
-                                opts.get("refresh", "") + "'");
-  cfg.refresh = static_cast<int>(refresh);
+  cfg.refresh =
+      static_cast<int>(opts.get_int("refresh", cfg.refresh, 0, INT_MAX));
   const std::string mode = opts.get("mode", "feasible");
   if (mode == "feasible") {
     cfg.mode = core::SmdMode::kFeasible;
@@ -80,13 +76,8 @@ ServeConfig ServeConfig::from_options(const SolveOptions& opts) {
   cfg.strategy = core::parse_select_strategy(opts.get("select", "delta"));
   cfg.mu = opts.get_double("mu", cfg.mu);
   cfg.guard = opts.get_bool("guard", cfg.guard);
-  const std::int64_t events = opts.get_int(
-      "events", static_cast<std::int64_t>(cfg.events));
-  if (events < 0)
-    throw std::invalid_argument("option --events expects an integer >= 0, "
-                                "got '" +
-                                opts.get("events", "") + "'");
-  cfg.events = static_cast<std::size_t>(events);
+  cfg.events = static_cast<std::size_t>(
+      opts.get_int("events", static_cast<std::int64_t>(cfg.events), 0));
   cfg.trace = opts.get("trace", "");
   cfg.family = opts.get("family", cfg.family);
   // Resolves (and therefore validates) lazily at generation time, so the
@@ -96,23 +87,9 @@ ServeConfig ServeConfig::from_options(const SolveOptions& opts) {
   return cfg;
 }
 
-SessionOptions ServeConfig::session_options() const {
-  SessionOptions sopts;
-  sopts.policy = policy;
-  sopts.quality_bound = bound;
-  sopts.refresh_interval = refresh;
-  sopts.mode = mode;
-  sopts.strategy = strategy;
-  sopts.workspace = workspace;
-  sopts.mu = mu;
-  sopts.guard = guard;
-  sopts.open_empty = open_empty;
-  return sopts;
-}
-
 std::unique_ptr<Session> make_backend(const model::Instance& parent,
                                       const ServeConfig& cfg) {
-  return std::make_unique<Session>(parent, cfg.session_options());
+  return std::make_unique<Session>(parent, cfg);
 }
 
 }  // namespace vdist::engine

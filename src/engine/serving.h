@@ -15,9 +15,9 @@
 //     arithmetic as GreedyEngine::add_stream, reported through
 //     StreamSelector::update), and a greedy *completion* reconsiders the
 //     pool only when the event could have opened room (joins, restores,
-//     freed budget/capacity). Every `refresh_interval` events the session
+//     freed budget/capacity). Every `refresh` events the session
 //     scores a from-scratch greedy (scoring mode, no assignment build);
-//     relative drift beyond `quality_bound` triggers a full resolve that
+//     relative drift beyond `bound` triggers a full resolve that
 //     rebuilds the state.
 //   * kResolve — per-event from-scratch solve_unit_skew on the overlay
 //     view: bit-identical to a one-shot `greedy` solve of the overlay's
@@ -70,29 +70,6 @@ enum class ServePolicy {
 [[nodiscard]] ServePolicy parse_serve_policy(const std::string& name);
 [[nodiscard]] const char* to_string(ServePolicy policy) noexcept;
 
-struct SessionOptions {
-  ServePolicy policy = ServePolicy::kRepair;
-  // kRepair: relative drift (fresh - current) / max(fresh, 1) tolerated
-  // before a drift check escalates to a full resolve.
-  double quality_bound = 0.05;
-  // kRepair: events between drift checks; 1 checks after every event
-  // (the parity-test setting), 0 never checks.
-  int refresh_interval = 64;
-  // Which §2.2 winner the session maintains: kFeasible races A1/A2/Amax,
-  // kAugmented races the semi-feasible greedy against Amax.
-  core::SmdMode mode = core::SmdMode::kFeasible;
-  core::SelectStrategy strategy = core::SelectStrategy::kDeltaHeap;
-  // Reusable scratch (one per thread, as everywhere); null = the session
-  // owns a private workspace. Must outlive the session.
-  core::SolveWorkspace* workspace = nullptr;
-  // kOnline knobs (Section 5): mu <= 0 derives the paper's value.
-  double mu = 0.0;
-  bool guard = true;
-  // Open with every stream tombstoned — admission-style serving where
-  // streams arrive through kStreamAdd events (the sim policy adapter).
-  bool open_empty = false;
-};
-
 struct SessionCounters {
   std::size_t events = 0;
   std::size_t local_repairs = 0;
@@ -110,11 +87,18 @@ struct ServeOptionSpec {
   const char* description;
 };
 
-// Every serve knob, typed and validated in one place.
+// Every serve knob, typed and validated in one place; a Session opens on
+// one directly.
 struct ServeConfig {
   ServePolicy policy = ServePolicy::kRepair;
-  double bound = 0.05;  // kRepair relative drift tolerance
-  int refresh = 64;     // kRepair events between drift checks (0 = never)
+  // kRepair: relative drift (fresh - current) / max(fresh, 1) tolerated
+  // before a drift check escalates to a full resolve.
+  double bound = 0.05;
+  // kRepair: events between drift checks; 1 checks after every event
+  // (the parity-test setting), 0 never checks.
+  int refresh = 64;
+  // Which §2.2 winner the session maintains: kFeasible races A1/A2/Amax,
+  // kAugmented races the semi-feasible greedy against Amax.
   core::SmdMode mode = core::SmdMode::kFeasible;
   core::SelectStrategy strategy = core::SelectStrategy::kDeltaHeap;
   double mu = 0.0;   // kOnline learning rate (<= 0 derives the paper's)
@@ -128,7 +112,11 @@ struct ServeConfig {
   std::string family = "churn";
 
   // Not option keys: adapter-level wiring.
+  // Reusable scratch (one per thread, as everywhere); null = the session
+  // owns a private workspace. Must outlive the session.
   core::SolveWorkspace* workspace = nullptr;
+  // Open with every stream tombstoned — admission-style serving where
+  // streams arrive through kStreamAdd events (the sim policy adapter).
   bool open_empty = false;
 
   // The declared option surface, in help order.
@@ -138,8 +126,6 @@ struct ServeConfig {
   // registry's / CLI's strict-mode concern; bad values throw
   // std::invalid_argument here, with the same message everywhere).
   [[nodiscard]] static ServeConfig from_options(const SolveOptions& opts);
-  // The session's native option struct.
-  [[nodiscard]] SessionOptions session_options() const;
 };
 
 // What check_parity() found: the session's maintained objective vs a
@@ -159,8 +145,8 @@ class Session {
   // Requires parent.is_smd() && parent.is_unit_skew() (throws
   // std::invalid_argument otherwise). The parent must outlive the
   // session; the opening solve runs here.
-  explicit Session(const model::Instance& parent, SessionOptions opts = {});
-  Session(model::Instance&&, SessionOptions = {}) = delete;
+  explicit Session(const model::Instance& parent, ServeConfig cfg = {});
+  Session(model::Instance&&, ServeConfig = {}) = delete;
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
@@ -241,7 +227,7 @@ class Session {
   void online_offer(model::StreamId s, RepairStats& stats);
   [[nodiscard]] double online_objective() const;
 
-  SessionOptions opts_;
+  ServeConfig opts_;
   std::unique_ptr<core::SolveWorkspace> owned_ws_;
   core::SolveWorkspace* ws_ = nullptr;
   model::InstanceOverlay overlay_;

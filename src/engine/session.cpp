@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "util/float_cmp.h"
 #include "util/stopwatch.h"
@@ -13,8 +14,8 @@ using model::InstanceEvent;
 using model::StreamId;
 using model::UserId;
 
-Session::Session(const model::Instance& parent, SessionOptions opts)
-    : opts_(opts), overlay_(parent) {
+Session::Session(const model::Instance& parent, ServeConfig cfg)
+    : opts_(std::move(cfg)), overlay_(parent) {
   if (opts_.workspace != nullptr) {
     ws_ = opts_.workspace;
   } else {
@@ -90,7 +91,7 @@ ParityReport Session::check_parity() {
     if (!rep.ok)
       rep.detail = "resolve objective diverged from the from-scratch solve";
   } else {
-    rep.ok = rep.drift <= opts_.quality_bound + 1e-9;
+    rep.ok = rep.drift <= opts_.bound + 1e-9;
     if (!rep.ok) rep.detail = "repair drift exceeds the quality bound";
   }
   return rep;
@@ -164,14 +165,13 @@ void Session::repair_apply(const InstanceEvent& event, RepairStats& stats) {
   ++counters_.local_repairs;
   objective_ = repair_.winner_objective(world(), opts_.mode, &variant_);
 
-  if (opts_.refresh_interval > 0 &&
-      counters_.events % static_cast<std::size_t>(opts_.refresh_interval) ==
-          0) {
+  if (opts_.refresh > 0 &&
+      counters_.events % static_cast<std::size_t>(opts_.refresh) == 0) {
     ++counters_.drift_checks;
     stats.drift_checked = true;
     const double fresh = fresh_objective();
     stats.drift = (fresh - objective_) / std::max(fresh, 1.0);
-    if (stats.drift > opts_.quality_bound) {
+    if (stats.drift > opts_.bound) {
       full_resolve_repair();
       stats.action = RepairAction::kFullResolve;
       --counters_.local_repairs;

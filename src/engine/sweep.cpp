@@ -1,7 +1,9 @@
 #include "engine/sweep.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
@@ -55,8 +57,7 @@ void append_axis_keys(const std::vector<SweepAxis>& axes,
       keys.push_back(axis.key);
 }
 
-}  // namespace
-
+// The SolveResult -> RunRecord projection applied to every solve.
 RunRecord to_run_record(SolveResult&& r, bool keep_assignment) {
   RunRecord rec;
   rec.ok = r.ok;
@@ -75,6 +76,16 @@ RunRecord to_run_record(SolveResult&& r, bool keep_assignment) {
     rec.assignment = std::move(r.assignment);
   return rec;
 }
+
+// The SweepOptions::deterministic scrub: zeroes wall_ms and any stats key
+// containing "wall_ms".
+void redact_timing(RunRecord& record) {
+  record.wall_ms = 0.0;
+  for (auto& [key, value] : record.stats)
+    if (key.find("wall_ms") != std::string::npos) value = 0.0;
+}
+
+}  // namespace
 
 double SweepCell::mean_stat(const std::string& key) const {
   util::RunningStats s;
@@ -219,7 +230,7 @@ ExpandedSweep SweepPlan::expand(bool strict) const {
   // --- Assign the global request indices -----------------------------------
   // This order (scenario cell -> replicate -> algorithm cell) is load-
   // bearing: BatchRunner derives per-request seeds from these indices, so
-  // any executor reproducing a cell must use the same numbering.
+  // renumbering would change every randomized solve.
   ex.slot.assign(S * R * A, ExpandedSweep::kSkippedSlot);
   for (std::size_t sc = 0; sc < S; ++sc)
     for (std::size_t rep = 0; rep < R; ++rep)
@@ -232,64 +243,6 @@ ExpandedSweep SweepPlan::expand(bool strict) const {
   for (const AlgorithmSpec& algo : algorithms)
     append_axis_keys(algo.axes, ex.algorithm_axis_keys);
   return ex;
-}
-
-void redact_timing(RunRecord& record) {
-  record.wall_ms = 0.0;
-  for (auto& [key, value] : record.stats)
-    if (key.find("wall_ms") != std::string::npos) value = 0.0;
-}
-
-SweepResult assemble_sweep_result(const ExpandedSweep& expanded,
-                                  std::vector<RunRecord> records,
-                                  bool deterministic) {
-  const std::size_t S = expanded.num_scenario_cells();
-  const std::size_t A = expanded.num_algorithm_cells();
-  const auto R = static_cast<std::size_t>(expanded.replicates);
-  if (records.size() != expanded.num_requests)
-    throw std::invalid_argument(
-        "assemble_sweep_result: " + std::to_string(records.size()) +
-        " records for " + std::to_string(expanded.num_requests) +
-        " requests");
-  if (deterministic)
-    for (RunRecord& record : records) redact_timing(record);
-
-  SweepResult result;
-  result.num_scenario_cells = S;
-  result.num_algorithm_cells = A;
-  result.replicates = expanded.replicates;
-  result.scenario_axis_keys = expanded.scenario_axis_keys;
-  result.algorithm_axis_keys = expanded.algorithm_axis_keys;
-  result.cells.resize(S * A);
-  for (std::size_t sc = 0; sc < S; ++sc)
-    for (std::size_t ac = 0; ac < A; ++ac) {
-      SweepCell& cell = result.cells[sc * A + ac];
-      cell.scenario_cell = sc;
-      cell.algorithm_cell = ac;
-      cell.scenario = expanded.scenario_cells[sc].spec;
-      cell.algorithm = expanded.algorithm_cells[ac].spec;
-      cell.scenario_label = expanded.scenario_cells[sc].label;
-      cell.algorithm_label = expanded.algorithm_cells[ac].label;
-      if (!expanded.included(sc, ac)) {
-        cell.skipped = true;
-        continue;
-      }
-      cell.runs.reserve(R);
-      for (std::size_t rep = 0; rep < R; ++rep) {
-        RunRecord rec = std::move(records[expanded.request_index(sc, rep, ac)]);
-        if (rec.ok) {
-          ++cell.ok_count;
-          cell.objective.add(rec.objective);
-          cell.wall_ms.add(rec.wall_ms);
-          if (rec.upper_bound > 0.0)
-            cell.gap.add((rec.upper_bound - rec.objective) / rec.upper_bound);
-        }
-        if (rec.feasible) ++cell.feasible_count;
-        if (rec.timed_out) ++cell.timed_out_count;
-        cell.runs.push_back(std::move(rec));
-      }
-    }
-  return result;
 }
 
 SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
@@ -317,16 +270,47 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
         requests[index] = ex.make_request(sc, rep, ac);
         requests[index].instance = &instances[sc * R + rep];
       }
-  std::vector<SolveResult> solve_results =
-      solve_batch(requests, options.batch);
+  std::vector<SolveResult> solved = solve_batch(requests, options.batch);
 
-  std::vector<RunRecord> records;
-  records.reserve(solve_results.size());
-  for (SolveResult& r : solve_results)
-    records.push_back(
-        to_run_record(std::move(r), options.keep_assignments));
-  SweepResult result = assemble_sweep_result(ex, std::move(records),
-                                             options.deterministic);
+  // --- Fold the runs into the grid -----------------------------------------
+  SweepResult result;
+  result.num_scenario_cells = S;
+  result.num_algorithm_cells = A;
+  result.replicates = ex.replicates;
+  result.scenario_axis_keys = ex.scenario_axis_keys;
+  result.algorithm_axis_keys = ex.algorithm_axis_keys;
+  result.cells.resize(S * A);
+  for (std::size_t sc = 0; sc < S; ++sc)
+    for (std::size_t ac = 0; ac < A; ++ac) {
+      SweepCell& cell = result.cells[sc * A + ac];
+      cell.scenario_cell = sc;
+      cell.algorithm_cell = ac;
+      cell.scenario = ex.scenario_cells[sc].spec;
+      cell.algorithm = ex.algorithm_cells[ac].spec;
+      cell.scenario_label = ex.scenario_cells[sc].label;
+      cell.algorithm_label = ex.algorithm_cells[ac].label;
+      if (!ex.included(sc, ac)) {
+        cell.skipped = true;
+        continue;
+      }
+      cell.runs.reserve(R);
+      for (std::size_t rep = 0; rep < R; ++rep) {
+        RunRecord rec =
+            to_run_record(std::move(solved[ex.request_index(sc, rep, ac)]),
+                          options.keep_assignments);
+        if (options.deterministic) redact_timing(rec);
+        if (rec.ok) {
+          ++cell.ok_count;
+          cell.objective.add(rec.objective);
+          cell.wall_ms.add(rec.wall_ms);
+          if (rec.upper_bound > 0.0)
+            cell.gap.add((rec.upper_bound - rec.objective) / rec.upper_bound);
+        }
+        if (rec.feasible) ++cell.feasible_count;
+        if (rec.timed_out) ++cell.timed_out_count;
+        cell.runs.push_back(std::move(rec));
+      }
+    }
   // Retained assignments reference the instances they were solved on, so
   // keep_assignments must keep the instances alive too — otherwise every
   // kept Assignment would dangle the moment `instances` goes out of scope.
@@ -497,6 +481,18 @@ std::vector<std::string> tokenize(const std::string& line) {
                            message);
 }
 
+// A whole-token integer in [lo, hi] (parse_int_value), with the line
+// number on error.
+std::int64_t plan_int(int line_number, const std::string& what,
+                      const std::string& text, std::int64_t lo,
+                      std::int64_t hi) {
+  try {
+    return parse_int_value(what, text, lo, hi);
+  } catch (const std::invalid_argument& e) {
+    plan_error(line_number, e.what());
+  }
+}
+
 // Splits "key=value"; throws on a missing '=' or empty key.
 std::pair<std::string, std::string> split_kv(const std::string& token,
                                              int line_number) {
@@ -524,12 +520,8 @@ SweepPlan parse_plan(std::istream& is) {
       for (std::size_t i = 2; i < tokens.size(); ++i) {
         const auto [key, value] = split_kv(tokens[i], line_number);
         if (key == "seed") {
-          try {
-            spec.seed = std::stoull(value);
-          } catch (const std::exception&) {
-            plan_error(line_number, "seed expects an integer, got '" + value +
-                                        "'");
-          }
+          spec.seed = static_cast<std::uint64_t>(
+              plan_int(line_number, "seed", value, 0, INT64_MAX));
         } else if (key == "label") {
           spec.label = value;
         } else {
@@ -572,20 +564,15 @@ SweepPlan parse_plan(std::istream& is) {
     } else if (directive == "replicates") {
       if (tokens.size() != 2)
         plan_error(line_number, "replicates needs one integer");
-      try {
-        plan.replicates = std::stoi(tokens[1]);
-      } catch (const std::exception&) {
-        plan_error(line_number,
-                   "replicates expects an integer, got '" + tokens[1] + "'");
-      }
+      plan.replicates = static_cast<int>(
+          plan_int(line_number, "replicates", tokens[1], 1, INT_MAX));
     } else if (directive == "budget-ms") {
       if (tokens.size() != 2)
         plan_error(line_number, "budget-ms needs one number");
       try {
-        plan.time_budget_ms = std::stod(tokens[1]);
-      } catch (const std::exception&) {
-        plan_error(line_number,
-                   "budget-ms expects a number, got '" + tokens[1] + "'");
+        plan.time_budget_ms = parse_double_value("budget-ms", tokens[1]);
+      } catch (const std::invalid_argument& e) {
+        plan_error(line_number, e.what());
       }
     } else {
       plan_error(line_number,

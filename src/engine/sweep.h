@@ -80,11 +80,9 @@ struct SweepPlan {
   // Expands the plan grid without building instances or solving: the
   // resolved scenario/algorithm cells, the algo-only inclusion mask, and
   // the global request-index table the BatchRunner seed derivation keys
-  // on. run_sweep() and the distributed scheduler (dist/scheduler.h) are
-  // both consumers, so a cell executed on a remote worker reproduces the
-  // single-process solve bit-for-bit. Throws std::invalid_argument on
-  // plan errors (unknown scenario, undeclared param, empty grid) and,
-  // unless strict = false, on undeclared algorithm options.
+  // on. Throws std::invalid_argument on plan errors (unknown scenario,
+  // undeclared param, empty grid) and, unless strict = false, on
+  // undeclared algorithm options.
   [[nodiscard]] ExpandedSweep expand(bool strict = true) const;
 };
 
@@ -237,11 +235,11 @@ struct SweepOptions {
   // algorithm, so no plan option is shared; false is the opt-out.
   // Scenario params are always strict.
   bool strict = true;
-  // Zero every wall-clock field (per-run wall_ms, timing-derived stats
-  // such as the serve adapter's repair_wall_ms) before aggregation, so
-  // the emitted CSV/JSON is a pure function of the plan: two runs — or a
-  // single-process run and a distributed one — produce byte-identical
-  // artifacts. Objectives, seeds and iteration counters are untouched.
+  // Zero every wall-clock field (per-run wall_ms and any stats key
+  // containing "wall_ms", such as the serve adapter's repair_wall_ms)
+  // before aggregation, so the emitted CSV/JSON is a pure function of the
+  // plan: byte-identical across runs and thread counts. Objectives, seeds
+  // and iteration counters are untouched.
   bool deterministic = false;
 };
 
@@ -250,26 +248,6 @@ struct SweepOptions {
 // solver failures are recorded in the cells, not thrown.
 [[nodiscard]] SweepResult run_sweep(const SweepPlan& plan,
                                     const SweepOptions& options = {});
-
-// Zeroes the record's wall-clock fields (wall_ms and any stats key
-// containing "wall_ms"): the SweepOptions::deterministic scrub.
-void redact_timing(RunRecord& record);
-
-// The SolveResult -> RunRecord projection run_sweep() applies to every
-// solve. Exported so the distributed worker (dist/worker.h) records a
-// cell exactly the way the single-process sweep would.
-[[nodiscard]] RunRecord to_run_record(SolveResult&& result,
-                                      bool keep_assignment = false);
-
-// Folds request-indexed run records into the grid: cells, aggregates and
-// axis keys, exactly as run_sweep() builds them. `records` must have
-// ExpandedSweep::num_requests entries; with deterministic = true every
-// record is redact_timing()-scrubbed first. run_sweep() and the
-// distributed scheduler share this path, which is what makes their
-// CSV/JSON artifacts byte-identical.
-[[nodiscard]] SweepResult assemble_sweep_result(const ExpandedSweep& expanded,
-                                                std::vector<RunRecord> records,
-                                                bool deterministic = false);
 
 // Cell-level aggregate table: one row per cell with the scenario/
 // algorithm labels, axis values, and the aggregate statistics. The same

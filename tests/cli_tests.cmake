@@ -288,46 +288,89 @@ if(NOT cli_err MATCHES "no-such-case")
   message(FATAL_ERROR "unmatched perf --filter not rejected:\n${cli_err}")
 endif()
 
-# --- distributed sweep: cache round-trip and --list-cells dry run ------------
-# Worker-less --cache runs exercise the content-addressed cache without a
-# network: the first run executes every cell, the second recalls all of
-# them, and the deterministic CSVs are byte-identical.
-set(cache_dir "${WORK_DIR}/cell-cache")
-file(REMOVE_RECURSE "${cache_dir}")
-run_cli(0 sweep --scenario cap --set users=5 --axis streams=8,12
-        --algos greedy,pipeline --replicates 2 --deterministic 1
-        --cache "${cache_dir}" --csv "${WORK_DIR}/dist1.csv")
-if(NOT cli_err MATCHES "dist: cells=4 cached=0 executed=4")
-  message(FATAL_ERROR "first cached sweep did not execute all cells:\n${cli_err}")
+# --- sweep artifacts: byte-identical across thread counts --------------------
+# --deterministic 1 zeroes every wall-clock field, so the committed smoke
+# plan's CSV and JSON are pure functions of the plan: a one-thread and a
+# four-thread run must match byte for byte.
+foreach(threads 1 4)
+  run_cli(0 sweep --plan "${_repo_root}/bench/plans/ci_smoke.plan"
+          --deterministic 1 --threads ${threads}
+          --csv "${WORK_DIR}/smoke-t${threads}.csv"
+          --json "${WORK_DIR}/smoke-t${threads}.json")
+endforeach()
+foreach(ext csv json)
+  file(READ "${WORK_DIR}/smoke-t1.${ext}" smoke_t1)
+  file(READ "${WORK_DIR}/smoke-t4.${ext}" smoke_t4)
+  if(NOT smoke_t1 STREQUAL smoke_t4)
+    message(FATAL_ERROR "deterministic sweep ${ext} differs between --threads 1 and 4")
+  endif()
+endforeach()
+# Sweeps run in one process: the worker subcommand and the executor's
+# flags are unknown, not silently ignored.
+run_cli(1 worker)
+if(NOT cli_err MATCHES "unknown command 'worker'")
+  message(FATAL_ERROR "worker subcommand not rejected:\n${cli_err}")
 endif()
-run_cli(0 sweep --scenario cap --set users=5 --axis streams=8,12
-        --algos greedy,pipeline --replicates 2 --deterministic 1
-        --cache "${cache_dir}" --csv "${WORK_DIR}/dist2.csv")
-if(NOT cli_err MATCHES "dist: cells=4 cached=4 executed=0")
-  message(FATAL_ERROR "second cached sweep re-executed cells:\n${cli_err}")
+foreach(flag workers cache)
+  run_cli(1 sweep --scenario cap --algos greedy --${flag} x)
+  if(NOT cli_err MATCHES "sweep does not take --${flag}")
+    message(FATAL_ERROR "sweep --${flag} not rejected:\n${cli_err}")
+  endif()
+endforeach()
+
+# --- numeric and boolean flags parse the whole token -------------------------
+# A trailing suffix, a negative count, an overflowing count or a value
+# outside the boolean vocabulary exits 1 naming the flag and the value,
+# never runs with a silently different setting.
+set(serve_vd "${_repo_root}/bench/traces/serve_smoke.vd")
+set(serve_ev "${_repo_root}/bench/traces/serve_smoke.events")
+set(compete_vd "${_repo_root}/bench/traces/compete_smoke.vd")
+set(compete_ev "${_repo_root}/bench/traces/flash_crowd.events")
+run_cli(1 serve "${serve_vd}" --events "${serve_ev}" --refresh 8x)
+if(NOT cli_err MATCHES "option --refresh expects an integer in \\[0, 2147483647\\], got '8x'")
+  message(FATAL_ERROR "serve --refresh 8x not rejected:\n${cli_err}")
 endif()
-file(READ "${WORK_DIR}/dist1.csv" dist1_csv)
-file(READ "${WORK_DIR}/dist2.csv" dist2_csv)
-if(NOT dist1_csv STREQUAL dist2_csv)
-  message(FATAL_ERROR "cached sweep CSV differs from the executed one")
+run_cli(1 serve "${serve_vd}" --events "${serve_ev}" --check -1)
+if(NOT cli_err MATCHES "option --check expects an integer in \\[0, 2147483647\\], got '-1'")
+  message(FATAL_ERROR "serve --check -1 not rejected:\n${cli_err}")
 endif()
-# The dry run prints one keyed row per cell, all cached by now.
-run_cli(0 sweep --scenario cap --set users=5 --axis streams=8,12
-        --algos greedy,pipeline --replicates 2 --deterministic 1
-        --cache "${cache_dir}" --list-cells 1)
-if(NOT cli_out MATCHES "list-cells: 4 cells, 4 cached")
-  message(FATAL_ERROR "--list-cells missed cached cells:\n${cli_out}")
+run_cli(1 solve "${WORK_DIR}/cap.vd" --algo enum --depth 2x)
+if(NOT cli_err MATCHES "option --depth expects an integer in \\[0, 2147483647\\], got '2x'")
+  message(FATAL_ERROR "solve --depth 2x not rejected:\n${cli_err}")
 endif()
-if(cli_out MATCHES "miss")
-  message(FATAL_ERROR "--list-cells reported misses on a full cache:\n${cli_out}")
+run_cli(1 compete "${compete_vd}" --events "${compete_ev}" --every 12abc)
+if(NOT cli_err MATCHES "option --every expects an integer >= 0, got '12abc'")
+  message(FATAL_ERROR "compete --every 12abc not rejected:\n${cli_err}")
 endif()
-# A malformed workers file is rejected with its line number.
-file(WRITE "${WORK_DIR}/bad-workers.txt" "localhost notaport\n")
-run_cli(1 sweep --scenario cap --algos greedy
-        --workers "${WORK_DIR}/bad-workers.txt")
-if(NOT cli_err MATCHES "workers file line 1")
-  message(FATAL_ERROR "bad workers file not rejected:\n${cli_err}")
+run_cli(1 sweep --scenario cap --algos greedy --replicates 99999999999)
+if(NOT cli_err MATCHES "option --replicates expects an integer in \\[1, 2147483647\\], got '99999999999'")
+  message(FATAL_ERROR "sweep --replicates overflow not rejected:\n${cli_err}")
 endif()
+run_cli(1 sweep --scenario cap --algos greedy --budget-ms abc)
+if(NOT cli_err MATCHES "option --budget-ms expects a number, got 'abc'")
+  message(FATAL_ERROR "sweep --budget-ms abc not rejected:\n${cli_err}")
+endif()
+run_cli(1 sweep --scenario cap --algos greedy --deterministic 2)
+if(NOT cli_err MATCHES "option --deterministic expects a boolean, got '2'")
+  message(FATAL_ERROR "sweep --deterministic 2 not rejected:\n${cli_err}")
+endif()
+# "yes" is a boolean: --strict yes keeps strict mode on, so an undeclared
+# algorithm option still fails expansion.
+run_cli(1 sweep --scenario cap --algos greedy --algo-axis greedy:depht=1
+        --strict yes)
+if(NOT cli_err MATCHES "depht")
+  message(FATAL_ERROR "sweep --strict yes did not stay strict:\n${cli_err}")
+endif()
+# Plan directives follow the same rule.
+foreach(directive "replicates 2abc" "budget-ms 5xyz")
+  file(WRITE "${WORK_DIR}/bad-number.plan"
+       "scenario cap streams=8 users=4\nalgo greedy\n${directive}\n")
+  run_cli(1 sweep --plan "${WORK_DIR}/bad-number.plan")
+  string(REGEX REPLACE " .*" "" key "${directive}")
+  if(NOT cli_err MATCHES "plan line 3: ${key} expects")
+    message(FATAL_ERROR "plan directive '${directive}' not rejected:\n${cli_err}")
+  endif()
+endforeach()
 
 # --- adversarial workload families: gen-events --family ----------------------
 # Every family is a deterministic trace generator behind the same flag

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "engine/batch.h"
 #include "gen/random_instances.h"
@@ -145,6 +149,126 @@ TEST(Registry, InvalidOptionValueIsAnErrorResult) {
   const SolveResult r = solve(req);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("depth"), std::string::npos);
+}
+
+// The typed accessors read whole well-formed tokens; what they refuse is
+// the SolveOptionsRejects table below.
+TEST(SolveOptions, TypedAccessorsParseTheWholeToken) {
+  SolveOptions opts;
+  opts.set("depth", "2").set("bound", "0.25").set("exp", "1e3");
+  opts.set("guard", "yes").set("strict", "off").set("neg", "-7");
+  EXPECT_EQ(opts.get_int("depth", 0), 2);
+  EXPECT_EQ(opts.get_int("neg", 0), -7);
+  EXPECT_EQ(opts.get_int("missing", 9), 9);
+  EXPECT_EQ(opts.get_double("bound", 0.0), 0.25);
+  EXPECT_EQ(opts.get_double("exp", 0.0), 1000.0);
+  EXPECT_EQ(opts.get_double("depth", 0.0), 2.0);
+  EXPECT_TRUE(opts.get_bool("guard", false));
+  EXPECT_FALSE(opts.get_bool("strict", true));
+  EXPECT_EQ(opts.get_int("depth", 0, 0, 2), 2);  // range bounds are inclusive
+  EXPECT_EQ(opts.get_int("neg", 0, -7, 0), -7);
+}
+
+TEST(SolveOptions, GetBoolAcceptsTheWholeVocabulary) {
+  SolveOptions opts;
+  for (const char* word : {"1", "true", "yes", "on"})
+    EXPECT_TRUE(opts.set("b", std::string(word)).get_bool("b", false)) << word;
+  for (const char* word : {"0", "false", "no", "off"})
+    EXPECT_FALSE(opts.set("b", std::string(word)).get_bool("b", true)) << word;
+}
+
+// One row per value the typed accessors must refuse: the repros of the
+// flag-parsing bug (a suffix read as its prefix, a negative wrapped to
+// 2^64-1, an overflow, a boolean outside the vocabulary) and their
+// neighbours. Each error names the option and the value.
+enum class Typed { kInt, kDouble, kBool };
+struct BadValue {
+  const char* name;  // gtest case name
+  Typed type;
+  std::int64_t lo, hi;  // the get_int range
+  const char* key;
+  const char* value;
+  const char* message;
+};
+void PrintTo(const BadValue& bad, std::ostream* os) {
+  *os << "--" << bad.key << " '" << bad.value << "'";
+}
+constexpr std::int64_t kLo = INT64_MIN, kHi = INT64_MAX;
+
+class SolveOptionsRejects : public ::testing::TestWithParam<BadValue> {};
+
+TEST_P(SolveOptionsRejects, NamingTheOptionAndTheValue) {
+  const BadValue& bad = GetParam();
+  SolveOptions opts;
+  opts.set(bad.key, std::string(bad.value));
+  try {
+    if (bad.type == Typed::kInt) (void)opts.get_int(bad.key, 0, bad.lo, bad.hi);
+    if (bad.type == Typed::kDouble) (void)opts.get_double(bad.key, 0.0);
+    if (bad.type == Typed::kBool) (void)opts.get_bool(bad.key, false);
+    ADD_FAILURE() << "accepted '" << bad.value << "'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), bad.message);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tokens, SolveOptionsRejects,
+    ::testing::Values(
+        BadValue{"RefreshSuffix", Typed::kInt, 0, INT_MAX, "refresh", "8x",
+                 "option --refresh expects an integer in [0, 2147483647], "
+                 "got '8x'"},
+        BadValue{"DepthSuffix", Typed::kInt, kLo, kHi, "depth", "2x",
+                 "option --depth expects an integer, got '2x'"},
+        BadValue{"EveryWord", Typed::kInt, 0, kHi, "every", "12abc",
+                 "option --every expects an integer >= 0, got '12abc'"},
+        BadValue{"CheckNegative", Typed::kInt, 0, INT_MAX, "check", "-1",
+                 "option --check expects an integer in [0, 2147483647], "
+                 "got '-1'"},
+        BadValue{"ReplicatesOverInt", Typed::kInt, 1, INT_MAX, "replicates",
+                 "99999999999",
+                 "option --replicates expects an integer in [1, "
+                 "2147483647], got '99999999999'"},
+        BadValue{"OverInt64", Typed::kInt, kLo, kHi, "seed",
+                 "9223372036854775808",
+                 "option --seed expects an integer, got "
+                 "'9223372036854775808'"},
+        BadValue{"IntDecimal", Typed::kInt, kLo, kHi, "n", "3.0",
+                 "option --n expects an integer, got '3.0'"},
+        BadValue{"IntLeadingSpace", Typed::kInt, kLo, kHi, "n", " 3",
+                 "option --n expects an integer, got ' 3'"},
+        BadValue{"IntEmpty", Typed::kInt, kLo, kHi, "n", "",
+                 "option --n expects an integer, got ''"},
+        BadValue{"BudgetWord", Typed::kDouble, 0, 0, "budget-ms", "abc",
+                 "option --budget-ms expects a number, got 'abc'"},
+        BadValue{"BudgetSuffix", Typed::kDouble, 0, 0, "budget-ms", "5xyz",
+                 "option --budget-ms expects a number, got '5xyz'"},
+        BadValue{"SecondPoint", Typed::kDouble, 0, 0, "bound", "0.5.1",
+                 "option --bound expects a number, got '0.5.1'"},
+        BadValue{"BareExponent", Typed::kDouble, 0, 0, "mu", "1e",
+                 "option --mu expects a number, got '1e'"},
+        BadValue{"DeterministicTwo", Typed::kBool, 0, 0, "deterministic", "2",
+                 "option --deterministic expects a boolean, got '2'"},
+        BadValue{"StrictUpperCase", Typed::kBool, 0, 0, "strict", "TRUE",
+                 "option --strict expects a boolean, got 'TRUE'"},
+        BadValue{"GuardEmpty", Typed::kBool, 0, 0, "guard", "",
+                 "option --guard expects a boolean, got ''"}),
+    [](const ::testing::TestParamInfo<BadValue>& info) {
+      return std::string(info.param.name);
+    });
+
+// Through the registry the same error is a failed SolveResult.
+TEST(Registry, SuffixedOptionValueIsAnErrorResultNamingIt) {
+  const model::Instance cap = small_cap_instance();
+  SolveRequest req;
+  req.instance = &cap;
+  req.algorithm = "enum";
+  req.options.set("depth", "2x");
+  const SolveResult r = solve(req);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("option --depth expects an integer in "
+                         "[0, 2147483647], got '2x'"),
+            std::string::npos)
+      << r.error;
 }
 
 TEST(Registry, EveryAlgorithmDeclaresTheOptionsItReads) {

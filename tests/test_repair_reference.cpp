@@ -102,11 +102,11 @@ Instance world(std::uint64_t seed) {
 ReferenceRow replay(const Instance& inst,
                     const std::vector<InstanceEvent>& trace,
                     core::SmdMode mode, core::SelectStrategy strategy) {
-  engine::SessionOptions opts;
+  engine::ServeConfig opts;
   opts.policy = engine::ServePolicy::kRepair;
   opts.mode = mode;
   opts.strategy = strategy;
-  opts.refresh_interval = 40;  // drift checks (and resolves) mid-trace
+  opts.refresh = 40;  // drift checks (and resolves) mid-trace
   engine::Session session(inst, opts);
   ReferenceRow row;
   row.pair_hash = 1469598103934665603ull;  // FNV offset basis

@@ -4,6 +4,10 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "io/instance_io.h"
 #include "model/validate.h"
@@ -123,6 +127,55 @@ TEST(ScenarioRegistry, StrictModeRejectsUndeclaredParams) {
   // Lenient mode ignores the stray key instead.
   const model::Instance inst = build_scenario(spec, /*strict=*/false);
   EXPECT_GT(inst.num_streams(), 0u);
+}
+
+// Count params parse the whole token and are range-checked: a negative,
+// suffixed or int-overflowing value is an error naming the param, never
+// a wrapped or truncated count.
+TEST(ScenarioRegistry, CountParamsRejectOutOfRangeValues) {
+  for (const auto& [name, key, value] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"cap", "streams", "-3"},
+           {"cap", "streams", "12x"},
+           {"tightness", "m", "4294967297"},
+           {"iptv", "variants", "-1"}}) {
+    ScenarioSpec spec;
+    spec.name = name;
+    spec.params.set(key, value);
+    try {
+      (void)build_scenario(spec);
+      ADD_FAILURE() << name << " " << key << "=" << value << " must throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("option --" + key), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + value + "'"), std::string::npos) << what;
+    }
+  }
+}
+
+// A boolean param takes get_bool's vocabulary and nothing else.
+TEST(ScenarioRegistry, BooleanParamsTakeTheBooleanVocabulary) {
+  ScenarioSpec plain;
+  plain.name = "cap";
+  plain.params.set("streams", 8).set("users", 4);
+  ScenarioSpec reduced = plain;
+  reduced.params.set("budget-minus-cmax", "yes");
+  // "yes" turns the reduction on: the budget drops by the largest cost.
+  EXPECT_LT(build_scenario(reduced).budget(0), build_scenario(plain).budget(0));
+
+  for (const char* bad : {"2", "Y", "enable"}) {
+    ScenarioSpec spec = plain;
+    spec.params.set("budget-minus-cmax", std::string(bad));
+    try {
+      (void)build_scenario(spec);
+      ADD_FAILURE() << "budget-minus-cmax=" << bad << " must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("option --budget-minus-cmax expects a boolean, "
+                            "got '") +
+                    bad + "'");
+    }
+  }
 }
 
 TEST(ScenarioRegistry, DuplicateRegistrationThrows) {

@@ -11,6 +11,7 @@
 #include <climits>
 #include <cmath>
 #include <string>
+#include <type_traits>
 
 #include "core/greedy.h"
 #include "engine/batch.h"
@@ -87,7 +88,7 @@ TEST(Session, ResolveBitIdenticalToFromScratchAtEveryPrefix) {
   for (const std::uint64_t seed : {3u, 17u}) {
     const Instance inst = churn_base(seed);
     const auto trace = churn_trace(inst, 80, seed + 100);
-    SessionOptions opts;
+    ServeConfig opts;
     opts.policy = ServePolicy::kResolve;
     Session session(inst, opts);
     std::size_t step = 0;
@@ -113,10 +114,10 @@ TEST(Session, RepairStaysWithinQualityBoundAtEveryPrefix) {
   for (const std::uint64_t seed : {5u, 23u}) {
     const Instance inst = churn_base(seed);
     const auto trace = churn_trace(inst, 120, seed + 7);
-    SessionOptions opts;
+    ServeConfig opts;
     opts.policy = ServePolicy::kRepair;
-    opts.quality_bound = 0.05;
-    opts.refresh_interval = 1;  // check (and self-correct) every event
+    opts.bound = 0.05;
+    opts.refresh = 1;  // check (and self-correct) every event
     Session session(inst, opts);
     for (const InstanceEvent& event : trace) {
       session.apply(event);
@@ -124,7 +125,7 @@ TEST(Session, RepairStaysWithinQualityBoundAtEveryPrefix) {
       const core::SmdSolveResult fresh = core::solve_unit_skew(snap);
       const double drift = (fresh.utility - session.objective()) /
                            std::max(fresh.utility, 1.0);
-      ASSERT_LE(drift, opts.quality_bound + 1e-9)
+      ASSERT_LE(drift, opts.bound + 1e-9)
           << "seed " << seed << " after " << session.counters().events
           << " events";
     }
@@ -141,7 +142,7 @@ TEST(Session, RepairStaysWithinQualityBoundAtEveryPrefix) {
 TEST(Session, RepairAssignmentFeasibleOnTheMaterializedWorld) {
   const Instance inst = churn_base(9);
   const auto trace = churn_trace(inst, 100, 31);
-  SessionOptions opts;
+  ServeConfig opts;
   opts.policy = ServePolicy::kRepair;
   Session session(inst, opts);
   for (const InstanceEvent& event : trace) session.apply(event);
@@ -156,9 +157,9 @@ TEST(Session, RepairStatsReportWhatHappened) {
   const Instance inst = model::build_cap_instance(
       {2.0, 3.0, 4.0}, 6.0, {10.0, 12.0},
       {{0, 0, 4.0}, {1, 0, 5.0}, {0, 1, 6.0}, {1, 2, 7.0}});
-  SessionOptions opts;
+  ServeConfig opts;
   opts.policy = ServePolicy::kRepair;
-  opts.refresh_interval = 0;  // isolate the local path
+  opts.refresh = 0;  // isolate the local path
   Session session(inst, opts);
   const double opening = session.objective();
   EXPECT_GT(opening, 0.0);
@@ -189,7 +190,7 @@ TEST(Session, RepairStatsReportWhatHappened) {
 
 TEST(Session, AppendEventsGrowTheWorldUnderResolveParity) {
   const Instance inst = churn_base(13, 20, 8);
-  SessionOptions opts;
+  ServeConfig opts;
   opts.policy = ServePolicy::kResolve;
   Session session(inst, opts);
 
@@ -221,9 +222,9 @@ TEST(Session, AppendEventsGrowTheWorldUnderResolveParity) {
 
 TEST(Session, AppendEventsRepairStaysBounded) {
   const Instance inst = churn_base(29, 20, 8);
-  SessionOptions opts;
+  ServeConfig opts;
   opts.policy = ServePolicy::kRepair;
-  opts.refresh_interval = 1;
+  opts.refresh = 1;
   Session session(inst, opts);
   InstanceEvent join;
   join.type = EventType::kUserJoin;
@@ -235,12 +236,12 @@ TEST(Session, AppendEventsRepairStaysBounded) {
   const core::SmdSolveResult fresh = core::solve_unit_skew(snap);
   EXPECT_LE((fresh.utility - session.objective()) /
                 std::max(fresh.utility, 1.0),
-            opts.quality_bound + 1e-9);
+            opts.bound + 1e-9);
 }
 
 TEST(Session, OnlinePolicyServesAndReleases) {
   const Instance inst = churn_base(7, 30, 12);
-  SessionOptions opts;
+  ServeConfig opts;
   opts.policy = ServePolicy::kOnline;
   Session session(inst, opts);
   const SessionCounters& counters = session.counters();
@@ -280,7 +281,7 @@ TEST(Session, OnlinePolicyServesAndReleases) {
 
 TEST(Session, OpenEmptyStartsWithNothingServed) {
   const Instance inst = churn_base(3, 15, 6);
-  SessionOptions opts;
+  ServeConfig opts;
   opts.policy = ServePolicy::kRepair;
   opts.open_empty = true;
   Session session(inst, opts);
@@ -298,7 +299,7 @@ TEST(Session, InvalidEventIdsThrowAndLeaveStateIntact) {
   const Instance inst = churn_base(5, 10, 5);
   for (const ServePolicy policy :
        {ServePolicy::kRepair, ServePolicy::kResolve, ServePolicy::kOnline}) {
-    SessionOptions opts;
+    ServeConfig opts;
     opts.policy = policy;
     Session session(inst, opts);
     const double before = session.objective();
@@ -330,9 +331,9 @@ TEST(Session, RejectedEventsNameTheOverlayErrorAndServingContinues) {
   const Instance inst = churn_base(71, 25, 12);
   for (const ServePolicy policy :
        {ServePolicy::kResolve, ServePolicy::kRepair}) {
-    SessionOptions opts;
+    ServeConfig opts;
     opts.policy = policy;
-    opts.refresh_interval = 1;
+    opts.refresh = 1;
     Session session(inst, opts);
     const double before = session.objective();
 
@@ -378,9 +379,9 @@ TEST(Session, ReplayIsDeterministicAcrossSessions) {
   const auto trace = churn_trace(inst, 60, 7);
   for (const ServePolicy policy :
        {ServePolicy::kRepair, ServePolicy::kResolve, ServePolicy::kOnline}) {
-    SessionOptions opts;
+    ServeConfig opts;
     opts.policy = policy;
-    opts.refresh_interval = 8;
+    opts.refresh = 8;
     Session a(inst, opts);
     Session b(inst, opts);
     for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -453,7 +454,7 @@ TEST(Session, CheckParityHoldsUnderRepairWithPerEventRefresh) {
 // its parity report is trivially ok and echoes the maintained objective.
 TEST(Session, OnlineCheckParityEchoesTheMaintainedObjective) {
   const Instance inst = churn_base(43, 25, 12);
-  SessionOptions opts;
+  ServeConfig opts;
   opts.policy = ServePolicy::kOnline;
   Session session(inst, opts);
   for (const InstanceEvent& event : churn_trace(inst, 30, 11)) {
@@ -471,7 +472,7 @@ TEST(Session, OnlineCheckParityEchoesTheMaintainedObjective) {
 // world keeps resolve parity at every event.
 TEST(Session, AppendsThenChurnKeepResolveParity) {
   const Instance inst = churn_base(53, 15, 8);
-  SessionOptions opts;
+  ServeConfig opts;
   opts.policy = ServePolicy::kResolve;
   Session session(inst, opts);
 
@@ -508,15 +509,15 @@ TEST(Session, AppendsThenChurnKeepResolveParity) {
 
 // --- Options that shape the event loop -------------------------------------
 
-// refresh_interval is the drift-check cadence: 0 never checks, k checks
+// refresh is the drift-check cadence: 0 never checks, k checks
 // on every k-th event, and RepairStats flags exactly those events.
 TEST(Session, RefreshIntervalSetsTheDriftCheckCadence) {
   const Instance inst = churn_base(47, 25, 12);
   const auto trace = churn_trace(inst, 50, 3);
   for (const int refresh : {0, 1, 10}) {
-    SessionOptions opts;
+    ServeConfig opts;
     opts.policy = ServePolicy::kRepair;
-    opts.refresh_interval = refresh;
+    opts.refresh = refresh;
     Session session(inst, opts);
     std::size_t flagged = 0;
     for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -539,7 +540,7 @@ TEST(Session, RefreshIntervalSetsTheDriftCheckCadence) {
 TEST(Session, EverySelectStrategyResolvesBitIdentically) {
   const Instance inst = churn_base(59, 30, 12);
   const auto trace = churn_trace(inst, 40, 21);
-  SessionOptions opts;
+  ServeConfig opts;
   opts.policy = ServePolicy::kResolve;
   opts.strategy = core::SelectStrategy::kDeltaHeap;
   Session delta(inst, opts);
@@ -565,7 +566,7 @@ TEST(Session, EverySelectStrategyResolvesBitIdentically) {
 // a from-scratch augmented solve of the materialized world.
 TEST(Session, AugmentedModeResolveMatchesTheFromScratchSolve) {
   const Instance inst = churn_base(61, 25, 12);
-  SessionOptions opts;
+  ServeConfig opts;
   opts.policy = ServePolicy::kResolve;
   opts.mode = core::SmdMode::kAugmented;
   Session session(inst, opts);
@@ -585,9 +586,9 @@ TEST(Session, AugmentedModeResolveMatchesTheFromScratchSolve) {
 // rounding, not bit-for-bit.
 TEST(Session, FreshObjectiveMatchesAFromScratchSolve) {
   const Instance inst = churn_base(67, 25, 12);
-  SessionOptions opts;
+  ServeConfig opts;
   opts.policy = ServePolicy::kRepair;
-  opts.refresh_interval = 0;  // let the maintained winner drift freely
+  opts.refresh = 0;  // let the maintained winner drift freely
   Session session(inst, opts);
   for (const InstanceEvent& event : churn_trace(inst, 40, 9)) {
     session.apply(event);
@@ -598,36 +599,6 @@ TEST(Session, FreshObjectiveMatchesAFromScratchSolve) {
 }
 
 // --- ServeConfig -------------------------------------------------------
-
-// session_options() carries every ServeConfig field into the session's
-// native options, and make_backend opens a session with them.
-TEST(Session, ServeConfigMapsEveryFieldIntoSessionOptions) {
-  SolveOptions opts;
-  opts.set("policy", "online").set("bound", "0.2").set("refresh", "7");
-  opts.set("mode", "augmented").set("select", "naive").set("mu", "0.3");
-  opts.set("guard", "0");
-  ServeConfig cfg = ServeConfig::from_options(opts);
-  core::SolveWorkspace ws;
-  cfg.workspace = &ws;
-  cfg.open_empty = true;
-  const SessionOptions sopts = cfg.session_options();
-  EXPECT_EQ(sopts.policy, ServePolicy::kOnline);
-  EXPECT_EQ(sopts.quality_bound, 0.2);
-  EXPECT_EQ(sopts.refresh_interval, 7);
-  EXPECT_EQ(sopts.mode, core::SmdMode::kAugmented);
-  EXPECT_EQ(sopts.strategy, core::SelectStrategy::kNaiveScan);
-  EXPECT_EQ(sopts.mu, 0.3);
-  EXPECT_FALSE(sopts.guard);
-  EXPECT_EQ(sopts.workspace, &ws);
-  EXPECT_TRUE(sopts.open_empty);
-
-  cfg.policy = ServePolicy::kRepair;
-  const Instance inst = churn_base(83, 20, 8);
-  const auto backend = make_backend(inst, cfg);
-  EXPECT_EQ(backend->policy(), ServePolicy::kRepair);
-  EXPECT_EQ(backend->objective(), 0.0);  // opened empty
-  EXPECT_EQ(backend->assignment().num_assigned_pairs(), 0u);
-}
 
 TEST(Session, ServeConfigValidatesEveryDeclaredOption) {
   EXPECT_EQ(ServeConfig::declared().size(), 10u);
@@ -667,6 +638,53 @@ TEST(Session, ServeConfigValidatesEveryDeclaredOption) {
   opts.set("policy", "resolve");
   const auto backend = make_backend(inst, ServeConfig::from_options(opts));
   EXPECT_EQ(backend->policy(), ServePolicy::kResolve);
+}
+
+// from_options fills every declared key's field from its text.
+TEST(ServeConfig, FromOptionsReadsEveryDeclaredKey) {
+  SolveOptions opts;
+  opts.set("policy", "online").set("bound", "0.125").set("refresh", "7");
+  opts.set("mode", "augmented").set("select", "naive").set("mu", "2.5");
+  opts.set("guard", "off").set("events", "33").set("trace", "seed=4");
+  opts.set("family", "zipf-drift");
+  ASSERT_EQ(opts.raw().size(), ServeConfig::declared().size());
+  const ServeConfig cfg = ServeConfig::from_options(opts);
+  EXPECT_EQ(cfg.policy, ServePolicy::kOnline);
+  EXPECT_EQ(cfg.bound, 0.125);
+  EXPECT_EQ(cfg.refresh, 7);
+  EXPECT_EQ(cfg.mode, core::SmdMode::kAugmented);
+  EXPECT_EQ(cfg.strategy, core::SelectStrategy::kNaiveScan);
+  EXPECT_EQ(cfg.mu, 2.5);
+  EXPECT_FALSE(cfg.guard);
+  EXPECT_EQ(cfg.events, 33u);
+  EXPECT_EQ(cfg.trace, "seed=4");
+  EXPECT_EQ(cfg.family, "zipf-drift");
+}
+
+TEST(ServeConfig, FromOptionsRejectsNegativeEventCounts) {
+  SolveOptions opts;
+  opts.set("events", "-1");
+  EXPECT_THROW((void)ServeConfig::from_options(opts), std::invalid_argument);
+  opts.set("events", "0");
+  EXPECT_EQ(ServeConfig::from_options(opts).events, 0u);
+}
+
+// A Session opens straight on a ServeConfig; it borrows its parent, so
+// opening on a temporary Instance does not compile.
+TEST(ServeConfig, IsWhatASessionOpensOn) {
+  static_assert(
+      std::is_constructible_v<Session, const Instance&, ServeConfig>);
+  static_assert(std::is_constructible_v<Session, const Instance&>);
+  static_assert(!std::is_constructible_v<Session, Instance&&, ServeConfig>);
+  static_assert(!std::is_constructible_v<Session, Instance&&>);
+
+  const Instance inst = churn_base(83, 20, 8);
+  ServeConfig cfg;
+  cfg.policy = ServePolicy::kOnline;
+  cfg.open_empty = true;
+  Session session(inst, cfg);
+  EXPECT_EQ(session.policy(), ServePolicy::kOnline);
+  EXPECT_EQ(session.objective(), 0.0);
 }
 
 // --- Declared event-trace params ---------------------------------------

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "engine/registry.h"
 
@@ -296,6 +299,133 @@ TEST(Sweep, ParsePlanRejectsMalformedInputWithLineNumbers) {
       EXPECT_NE(std::string(e.what()).find("plan line"), std::string::npos)
           << bad;
     }
+  }
+}
+
+// Numeric directives parse the whole token: "2abc" is an error with the
+// line number, never 2 replicates.
+TEST(Sweep, ParsePlanRejectsPartialNumbers) {
+  for (const auto& [directive, expected] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"replicates 2abc",
+            "plan line 3: replicates expects an integer in [1, 2147483647], "
+            "got '2abc'"},
+           {"replicates 99999999999",
+            "plan line 3: replicates expects an integer in [1, 2147483647], "
+            "got '99999999999'"},
+           {"budget-ms 5xyz",
+            "plan line 3: budget-ms expects a number, got '5xyz'"}}) {
+    std::istringstream is("scenario cap streams=8 users=4\nalgo greedy\n" +
+                          directive + "\n");
+    try {
+      (void)parse_plan(is);
+      ADD_FAILURE() << "expected std::runtime_error for: " << directive;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), expected);
+    }
+  }
+  std::istringstream bad_seed("scenario cap seed=3x\nalgo greedy\n");
+  EXPECT_THROW((void)parse_plan(bad_seed), std::runtime_error);
+}
+
+TEST(Sweep, ParsePlanRejectsOutOfRangeSeeds) {
+  for (const std::string seed : {"3x", "-1", "9223372036854775808", ""}) {
+    std::istringstream is("algo greedy\nscenario cap seed=" + seed + "\n");
+    try {
+      (void)parse_plan(is);
+      ADD_FAILURE() << "seed '" << seed << "' must throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "plan line 2: seed expects an integer >= 0, got '" + seed +
+                    "'");
+    }
+  }
+}
+
+// --- Deterministic artifacts ------------------------------------------------
+
+std::string committed_plan(const std::string& name) {
+  return std::string(VDIST_TESTS_DIR) + "/../bench/plans/" + name;
+}
+
+// The CSV and JSON a sweep emits, as one string.
+std::string artifacts(const SweepResult& result) {
+  std::ostringstream os;
+  write_csv(os, result);
+  os << "\n---\n";
+  write_json(os, result);
+  return os.str();
+}
+
+// SweepOptions::deterministic makes the emitted artifacts a pure function
+// of the plan: the committed smoke plan (which includes serve cells and
+// their repair_wall_ms stats) emits the same bytes at 1 and 4 threads.
+TEST(Sweep, DeterministicArtifactsAreByteIdenticalAcrossThreadCounts) {
+  const SweepPlan plan = parse_plan_file(committed_plan("ci_smoke.plan"));
+  SweepOptions options;
+  options.deterministic = true;
+  options.batch.num_threads = 1;
+  const SweepResult a = run_sweep(plan, options);
+  ASSERT_TRUE(a.first_error().empty()) << a.first_error();
+  options.batch.num_threads = 4;
+  EXPECT_EQ(artifacts(a), artifacts(run_sweep(plan, options)));
+}
+
+TEST(Sweep, DeterministicArtifactsAreByteIdenticalAcrossRuns) {
+  const SweepPlan plan = parse_plan_file(committed_plan("serve_smoke.plan"));
+  SweepOptions options;
+  options.deterministic = true;
+  options.batch.num_threads = 2;
+  const SweepResult first = run_sweep(plan, options);
+  ASSERT_TRUE(first.first_error().empty()) << first.first_error();
+  EXPECT_EQ(artifacts(first), artifacts(run_sweep(plan, options)));
+}
+
+// The scrub touches wall-clock fields only: objectives, seeds, verdicts
+// and every other stat equal an unscrubbed run of the same plan.
+TEST(Sweep, DeterministicZeroesWallClockFieldsAndNothingElse) {
+  const SweepPlan plan = parse_plan_file(committed_plan("serve_smoke.plan"));
+  SweepOptions scrubbed;
+  scrubbed.deterministic = true;
+  const SweepResult a = run_sweep(plan, scrubbed);
+  const SweepResult b = run_sweep(plan);
+  ASSERT_EQ(a.cells.size(), b.cells.size());
+  std::size_t wall_stats = 0;
+  for (std::size_t i = 0; i < a.cells.size(); ++i) {
+    EXPECT_EQ(a.cells[i].wall_ms.max(), 0.0);
+    ASSERT_EQ(a.cells[i].runs.size(), b.cells[i].runs.size());
+    for (std::size_t rep = 0; rep < a.cells[i].runs.size(); ++rep) {
+      const RunRecord& x = a.cells[i].runs[rep];
+      const RunRecord& y = b.cells[i].runs[rep];
+      EXPECT_EQ(x.wall_ms, 0.0);
+      EXPECT_EQ(x.objective, y.objective);
+      EXPECT_EQ(x.seed, y.seed);
+      EXPECT_EQ(x.ok, y.ok);
+      EXPECT_EQ(x.variant, y.variant);
+      ASSERT_EQ(x.stats.size(), y.stats.size());
+      for (const auto& [key, value] : x.stats) {
+        if (key.find("wall_ms") != std::string::npos) {
+          ++wall_stats;
+          EXPECT_EQ(value, 0.0) << key;
+        } else {
+          EXPECT_EQ(value, y.stat(key)) << key;
+        }
+      }
+    }
+  }
+  EXPECT_GT(wall_stats, 0u) << "the serve cells report repair_wall_ms";
+}
+
+// Every committed plan parses and expands into a non-empty grid under
+// strict option checking.
+TEST(Sweep, CommittedPlansParseAndExpand) {
+  for (const char* name :
+       {"ci_smoke.plan", "enum_frontier.plan", "serve_smoke.plan"}) {
+    const SweepPlan plan = parse_plan_file(committed_plan(name));
+    const ExpandedSweep grid = plan.expand();
+    EXPECT_GT(grid.num_scenario_cells(), 0u) << name;
+    EXPECT_GT(grid.num_algorithm_cells(), 0u) << name;
+    EXPECT_GT(grid.num_requests, 0u) << name;
   }
 }
 

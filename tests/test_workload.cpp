@@ -184,7 +184,7 @@ TEST(WorkloadRegistry, EveryFamilyKeepsResolveParity) {
   for (const std::string& name : kFamilies) {
     const auto trace =
         registry.generate(name, inst, {{"events", "100"}, {"seed", "13"}});
-    engine::SessionOptions opts;
+    engine::ServeConfig opts;
     opts.policy = engine::ServePolicy::kResolve;
     engine::Session session(inst, opts);
     for (const InstanceEvent& event : trace) session.apply(event);

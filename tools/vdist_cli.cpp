@@ -18,6 +18,7 @@
 // strictly against the registrations, so a typo'd flag is an error, not
 // silence. Instances use the text format of src/io/instance_io.h.
 #include <algorithm>
+#include <climits>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -27,8 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "dist/scheduler.h"
-#include "dist/worker.h"
 #include "engine/competitive.h"
 #include "engine/perf.h"
 #include "engine/registry.h"
@@ -48,10 +47,13 @@ namespace {
 
 using namespace vdist;
 
+// Flag values parse through SolveOptions' typed accessors, so a numeric
+// or boolean flag takes the whole token or fails naming the flag: "--every
+// 12abc" is an error, never 12.
 struct Args {
   std::string command;
   std::string file;
-  std::map<std::string, std::string> options;
+  engine::SolveOptions options;
 };
 
 Args parse(int argc, char** argv) {
@@ -63,24 +65,14 @@ Args parse(int argc, char** argv) {
     if (token.rfind("--", 0) == 0) {
       const std::string key = token.substr(2);
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        args.options[key] = argv[++i];
+        args.options.set(key, std::string(argv[++i]));
       else
-        args.options[key] = "1";
+        args.options.set(key, std::string("1"));
     } else {
       args.file = token;
     }
   }
   return args;
-}
-
-std::string opt(const Args& args, const std::string& key,
-                const std::string& fallback) {
-  const auto it = args.options.find(key);
-  return it == args.options.end() ? fallback : it->second;
-}
-
-std::size_t opt_u(const Args& args, const std::string& key, std::size_t dflt) {
-  return std::stoul(opt(args, key, std::to_string(dflt)));
 }
 
 std::vector<std::string> split(const std::string& s, char sep) {
@@ -94,16 +86,16 @@ std::vector<std::string> split(const std::string& s, char sep) {
 
 int cmd_gen(const Args& args) {
   engine::ScenarioSpec spec;
-  spec.name = opt(args, "kind", "mmd");
-  spec.seed = static_cast<std::uint64_t>(opt_u(args, "seed", 1));
+  spec.name = args.options.get("kind", "mmd");
+  spec.seed = static_cast<std::uint64_t>(args.options.get_int("seed", 1, 0));
   // Every option the CLI does not consume itself is a scenario param;
   // strict resolution rejects params the registration does not declare.
-  for (const auto& [key, value] : args.options)
+  for (const auto& [key, value] : args.options.raw())
     if (key != "kind" && key != "seed" && key != "out")
       spec.params.set(key, value);
   const model::Instance inst = engine::build_scenario(spec);
 
-  const std::string out = opt(args, "out", "");
+  const std::string out = args.options.get("out", "");
   if (out.empty()) {
     io::save_instance(std::cout, inst);
   } else {
@@ -177,18 +169,13 @@ int cmd_solve(const Args& args) {
 
   engine::SolveRequest req;
   req.instance = &inst;
-  req.algorithm = opt(args, "algo", "pipeline");
-  req.seed = static_cast<std::uint64_t>(opt_u(args, "seed", 1));
+  req.algorithm = args.options.get("algo", "pipeline");
+  req.seed = static_cast<std::uint64_t>(args.options.get_int("seed", 1, 0));
   // Typo'd option keys are an error unless --strict 0.
-  req.strict = opt(args, "strict", "1") == "1";
-  try {
-    req.time_budget_ms = std::stod(opt(args, "budget-ms", "0"));
-  } catch (const std::exception&) {
-    throw std::runtime_error("option --budget-ms expects a number, got '" +
-                             opt(args, "budget-ms", "0") + "'");
-  }
+  req.strict = args.options.get_bool("strict", true);
+  req.time_budget_ms = args.options.get_double("budget-ms", 0.0);
   // Every option the CLI does not consume itself belongs to the algorithm.
-  for (const auto& [key, value] : args.options)
+  for (const auto& [key, value] : args.options.raw())
     if (key != "algo" && key != "seed" && key != "budget-ms" &&
         key != "export" && key != "verbose" && key != "strict")
       req.options.set(key, value);
@@ -205,10 +192,11 @@ int cmd_solve(const Args& args) {
   std::cerr << " time_ms=" << r.wall_ms;
   if (r.timed_out) std::cerr << " TIMED-OUT";
   std::cerr << "\n";
-  if (opt(args, "verbose", "0") == "1")
+  if (args.options.get_bool("verbose", false))
     for (const auto& [key, value] : r.stats)
       std::cerr << "  " << key << "=" << value << "\n";
-  if (opt(args, "export", "0") == "1") io::save_assignment(std::cout, result);
+  if (args.options.get_bool("export", false))
+    io::save_assignment(std::cout, result);
   return 0;
 }
 
@@ -237,20 +225,18 @@ std::vector<engine::SweepAxis> parse_axes(const std::string& flag,
 
 int cmd_sweep(const Args& args) {
   engine::SweepPlan plan;
-  const std::string plan_path = opt(args, "plan", "");
+  const std::string plan_path = args.options.get("plan", "");
   // Unlike solve (whose leftover flags go to the algorithm), sweep
   // consumes every flag itself — a typo'd flag must be an error, not a
   // silently different experiment, and plan-structure flags must not be
   // silently discarded when --plan already defines the structure.
   {
     const std::vector<std::string> common = {
-        "plan",          "replicates", "seed",    "budget-ms",
-        "threads",       "csv",        "json",    "strict",
-        "workers",       "cache",      "list-cells", "deterministic",
-        "shutdown-workers", "verbose"};
+        "plan", "replicates", "seed",   "budget-ms",    "threads",
+        "csv",  "json",       "strict", "deterministic"};
     const std::vector<std::string> structure = {"scenario", "set", "axis",
                                                 "algos", "algo-axis"};
-    for (const auto& [key, value] : args.options) {
+    for (const auto& [key, value] : args.options.raw()) {
       const bool is_common =
           std::find(common.begin(), common.end(), key) != common.end();
       const bool is_structure =
@@ -269,27 +255,28 @@ int cmd_sweep(const Args& args) {
     plan = engine::parse_plan_file(plan_path);
   } else {
     engine::ScenarioSpec spec;
-    spec.name = opt(args, "scenario", "");
+    spec.name = args.options.get("scenario", "");
     if (spec.name.empty())
       throw std::runtime_error(
           "sweep needs --plan FILE or at least --scenario NAME (see "
           "'vdist_cli help')");
-    for (const std::string& kv : split(opt(args, "set", ""), ',')) {
+    for (const std::string& kv : split(args.options.get("set", ""), ',')) {
       const std::size_t eq = kv.find('=');
       if (eq == std::string::npos || eq == 0)
         throw std::runtime_error("--set expects key=value[,key=value...]");
       spec.params.set(kv.substr(0, eq), kv.substr(eq + 1));
     }
     plan.scenarios.push_back(std::move(spec));
-    plan.scenario_axes = parse_axes(opt(args, "axis", ""), "axis");
+    plan.scenario_axes = parse_axes(args.options.get("axis", ""), "axis");
     for (const std::string& name :
-         split(opt(args, "algos", "pipeline"), ',')) {
+         split(args.options.get("algos", "pipeline"), ',')) {
       engine::AlgorithmSpec algo;
       algo.name = name;
       plan.algorithms.push_back(std::move(algo));
     }
     // "algo:key=v1,v2" attaches an axis to one named algorithm.
-    for (const std::string& part : split(opt(args, "algo-axis", ""), ';')) {
+    for (const std::string& part :
+         split(args.options.get("algo-axis", ""), ';')) {
       const std::size_t colon = part.find(':');
       if (colon == std::string::npos || colon == 0)
         throw std::runtime_error(
@@ -307,67 +294,26 @@ int cmd_sweep(const Args& args) {
                                  "' which is not in --algos");
     }
   }
-  if (args.options.count("replicates") != 0u)
-    plan.replicates = static_cast<int>(opt_u(args, "replicates", 1));
-  if (args.options.count("seed") != 0u)
+  if (args.options.has("replicates"))
+    plan.replicates =
+        static_cast<int>(args.options.get_int("replicates", 1, 1, INT_MAX));
+  if (args.options.has("seed"))
     for (engine::ScenarioSpec& spec : plan.scenarios)
-      spec.seed = static_cast<std::uint64_t>(opt_u(args, "seed", 1));
-  if (args.options.count("budget-ms") != 0u)
-    plan.time_budget_ms = std::stod(opt(args, "budget-ms", "0"));
+      spec.seed =
+          static_cast<std::uint64_t>(args.options.get_int("seed", 1, 0));
+  plan.time_budget_ms =
+      args.options.get_double("budget-ms", plan.time_budget_ms);
 
   engine::SweepOptions options;
   options.batch.num_threads =
-      static_cast<unsigned>(opt_u(args, "threads", 0));
+      static_cast<unsigned>(args.options.get_int("threads", 0, 0, UINT_MAX));
   // Undeclared algorithm options are an error unless --strict 0.
-  options.strict = opt(args, "strict", "1") == "1";
-  options.deterministic = opt(args, "deterministic", "0") == "1";
+  options.strict = args.options.get_bool("strict", true);
+  options.deterministic = args.options.get_bool("deterministic", false);
+  const engine::SweepResult result = engine::run_sweep(plan, options);
 
-  const std::string workers_path = opt(args, "workers", "");
-  const std::string cache_dir = opt(args, "cache", "");
-
-  // Dry run: expand the grid and key every cell without solving.
-  if (opt(args, "list-cells", "0") == "1") {
-    const std::vector<dist::CellStatus> rows =
-        dist::list_cells(plan, options, cache_dir);
-    std::size_t cached = 0;
-    for (const dist::CellStatus& row : rows) {
-      std::cout << (cache_dir.empty() ? "  -   "
-                    : row.cached       ? "cached"
-                                       : "miss  ")
-                << "  " << row.key << "  " << row.scenario_label << " / "
-                << row.algorithm_label << "\n";
-      if (row.cached) ++cached;
-    }
-    std::cout << "list-cells: " << rows.size() << " cells";
-    if (!cache_dir.empty())
-      std::cout << ", " << cached << " cached in " << cache_dir;
-    std::cout << "\n";
-    return 0;
-  }
-
-  engine::SweepResult result;
-  if (!workers_path.empty() || !cache_dir.empty()) {
-    std::vector<dist::WorkerSpec> workers;
-    if (!workers_path.empty())
-      workers = dist::parse_worker_file(workers_path);
-    dist::DistOptions dopt;
-    dopt.cache_dir = cache_dir;
-    dopt.local_threads = options.batch.num_threads;
-    dopt.shutdown_workers = opt(args, "shutdown-workers", "0") == "1";
-    dopt.log = opt(args, "verbose", "0") == "1";
-    dist::DistStats stats;
-    result = dist::run_distributed_sweep(plan, workers, options, dopt,
-                                         &stats);
-    std::cerr << "dist: cells=" << stats.cells << " cached=" << stats.cached
-              << " executed=" << stats.executed
-              << " retried=" << stats.retried
-              << " workers=" << stats.workers << "\n";
-  } else {
-    result = engine::run_sweep(plan, options);
-  }
-
-  const std::string csv_path = opt(args, "csv", "");
-  const std::string json_path = opt(args, "json", "");
+  const std::string csv_path = args.options.get("csv", "");
+  const std::string json_path = args.options.get("json", "");
   auto emit = [&](const std::string& path, auto writer) {
     if (path == "-") {
       writer(std::cout);
@@ -398,28 +344,12 @@ int cmd_sweep(const Args& args) {
   return 0;
 }
 
-// A distributed-sweep worker process: listens for a scheduler, solves
-// the cells it is assigned, exits on the scheduler's shutdown message.
-int cmd_worker(const Args& args) {
-  {
-    const std::vector<std::string> known = {"port", "capacity"};
-    for (const auto& [key, value] : args.options)
-      if (std::find(known.begin(), known.end(), key) == known.end())
-        throw std::runtime_error("worker does not take --" + key +
-                                 " (see 'vdist_cli help')");
-  }
-  dist::WorkerOptions options;
-  options.port = static_cast<std::uint16_t>(opt_u(args, "port", 0));
-  options.capacity = static_cast<unsigned>(opt_u(args, "capacity", 0));
-  return dist::run_worker(options);
-}
-
 // Draws a deterministic event trace over an instance and writes it in
 // the event text format — the input of `vdist_cli serve --events` and
 // `vdist_cli compete --events`. --family selects any workload-registry
 // adversary; the flags are that family's declared params.
 int cmd_gen_events(const Args& args) {
-  const std::string family = opt(args, "family", "churn");
+  const std::string family = args.options.get("family", "churn");
   const workload::WorkloadRegistry& registry =
       workload::WorkloadRegistry::global();
   const workload::WorkloadModel& wmodel = registry.model(family);
@@ -431,7 +361,7 @@ int cmd_gen_events(const Args& args) {
     std::vector<std::string> known = {"out", "family"};
     for (const workload::WorkloadParam& param : wmodel.info().params)
       known.emplace_back(param.key);
-    for (const auto& [key, value] : args.options)
+    for (const auto& [key, value] : args.options.raw())
       if (std::find(known.begin(), known.end(), key) == known.end())
         throw std::runtime_error("gen-events does not take --" + key +
                                  " under --family " + family +
@@ -439,7 +369,7 @@ int cmd_gen_events(const Args& args) {
   }
   const model::Instance inst = io::load_instance_file(args.file);
   std::map<std::string, std::string> overrides;
-  for (const auto& [key, value] : args.options)
+  for (const auto& [key, value] : args.options.raw())
     if (key != "out" && key != "family") overrides[key] = value;
   const workload::Params params = registry.resolve(family, overrides);
   const std::vector<model::InstanceEvent> trace =
@@ -447,7 +377,7 @@ int cmd_gen_events(const Args& args) {
   // The reproduction handle: every declared key at its resolved value.
   std::cerr << "gen-events: " << workload::workload_param_line(wmodel, params)
             << "\n";
-  const std::string out = opt(args, "out", "");
+  const std::string out = args.options.get("out", "");
   if (out.empty()) {
     io::save_events(std::cout, trace);
   } else {
@@ -474,13 +404,13 @@ int cmd_serve(const Args& args) {
       if (key != "events" && key != "trace" && key != "family")
         known.push_back(key);
     }
-    for (const auto& [key, value] : args.options)
+    for (const auto& [key, value] : args.options.raw())
       if (std::find(known.begin(), known.end(), key) == known.end())
         throw std::runtime_error("serve does not take --" + key +
                                  " (see 'vdist_cli help')");
   }
   const model::Instance inst = io::load_instance_file(args.file);
-  const std::string events_path = opt(args, "events", "");
+  const std::string events_path = args.options.get("events", "");
   if (events_path.empty())
     throw std::runtime_error("serve requires --events FILE");
   const std::vector<model::InstanceEvent> trace =
@@ -490,11 +420,12 @@ int cmd_serve(const Args& args) {
   // the registry's `serve` adapter and sweep plan lines go through, so a
   // bad value is rejected with the same message everywhere.
   engine::SolveOptions raw;
-  for (const auto& [key, value] : args.options)
+  for (const auto& [key, value] : args.options.raw())
     if (key != "events" && key != "check" && key != "json")
       raw.set(key, value);
   engine::ServeConfig cfg = engine::ServeConfig::from_options(raw);
-  const std::size_t check_every = opt_u(args, "check", 0);
+  const auto check_every =
+      static_cast<std::size_t>(args.options.get_int("check", 0, 0, INT_MAX));
   // The repair bound is guaranteed at the backend's own drift
   // checkpoints; align them with the external gate so every checked
   // prefix has had its chance to self-correct. A refresh interval that
@@ -572,7 +503,7 @@ int cmd_serve(const Args& args) {
       << ",\"select_rows_sorted\":" << backend->select_stats().rows_sorted
       << ",\"feasible\":" << (report.feasible() ? "true" : "false")
       << ",\"timeline\":[" << timeline.str() << "]}\n";
-  const std::string json_path = opt(args, "json", "-");
+  const std::string json_path = args.options.get("json", "-");
   if (json_path == "-") {
     std::cout << doc.str();
   } else {
@@ -610,34 +541,26 @@ int cmd_compete(const Args& args) {
       if (key != "events" && key != "trace" && key != "family")
         known.push_back(key);
     }
-    for (const auto& [key, value] : args.options)
+    for (const auto& [key, value] : args.options.raw())
       if (std::find(known.begin(), known.end(), key) == known.end())
         throw std::runtime_error("compete does not take --" + key +
                                  " (see 'vdist_cli help')");
   }
   // Parse the gate up front: a partial parse ("0.9x") must be an error,
   // not a silently different gate.
-  double min_ratio = 0.0;
-  {
-    const std::string raw = opt(args, "min-ratio", "0");
-    std::size_t used = 0;
-    try {
-      min_ratio = std::stod(raw, &used);
-    } catch (const std::exception&) {
-      used = std::string::npos;
-    }
-    if (used != raw.size() || !(min_ratio >= 0.0))
-      throw std::runtime_error("compete --min-ratio expects a non-negative "
-                               "number, got '" + raw + "'");
-  }
+  const double min_ratio = args.options.get_double("min-ratio", 0.0);
+  if (!(min_ratio >= 0.0))
+    throw std::runtime_error(
+        "compete --min-ratio expects a non-negative number, got '" +
+        args.options.get("min-ratio", "") + "'");
 
   const model::Instance inst = io::load_instance_file(args.file);
-  const std::string events_path = opt(args, "events", "");
-  const std::string family = opt(args, "family", "churn");
+  const std::string events_path = args.options.get("events", "");
+  const std::string family = args.options.get("family", "churn");
   std::vector<model::InstanceEvent> trace;
   if (!events_path.empty()) {
-    if (args.options.count("family") || args.options.count("trace") ||
-        args.options.count("seed"))
+    if (args.options.has("family") || args.options.has("trace") ||
+        args.options.has("seed"))
       throw std::runtime_error(
           "compete takes either --events FILE or --family/--trace/--seed, "
           "not both");
@@ -647,27 +570,27 @@ int cmd_compete(const Args& args) {
     // take, so a sweep cell and a compete run on equal flags replay the
     // identical trace.
     std::map<std::string, std::string> wparams;
-    wparams["seed"] = std::to_string(opt_u(args, "seed", 1));
-    workload::apply_workload_overrides(wparams, opt(args, "trace", ""));
+    wparams["seed"] = std::to_string(args.options.get_int("seed", 1, 0));
+    workload::apply_workload_overrides(wparams, args.options.get("trace", ""));
     trace = workload::WorkloadRegistry::global().generate(family, inst,
                                                           wparams);
   }
 
   engine::SolveOptions raw;
-  for (const auto& [key, value] : args.options)
+  for (const auto& [key, value] : args.options.raw())
     if (key != "events" && key != "family" && key != "trace" &&
         key != "seed" && key != "every" && key != "offline" &&
         key != "min-ratio" && key != "csv" && key != "json")
       raw.set(key, value);
   engine::CompetitiveOptions opts;
   opts.serve = engine::ServeConfig::from_options(raw);
-  opts.every = opt_u(args, "every", 0);
-  opts.offline = opt(args, "offline", "");
+  opts.every = static_cast<std::size_t>(args.options.get_int("every", 0, 0));
+  opts.offline = args.options.get("offline", "");
   const engine::CompetitiveReport report =
       engine::run_competitive(inst, trace, opts);
 
-  const std::string csv_path = opt(args, "csv", "");
-  const std::string json_path = opt(args, "json", "");
+  const std::string csv_path = args.options.get("csv", "");
+  const std::string json_path = args.options.get("json", "");
   const auto emit = [&](const std::string& path, auto writer,
                         const char* what) {
     if (path == "-") {
@@ -716,33 +639,19 @@ int cmd_perf(const Args& args) {
         "smoke", "out",      "reps",        "seed",
         "min-speedup", "baseline", "max-regress", "regress-metric",
         "filter", "threads"};
-    for (const auto& [key, value] : args.options)
+    for (const auto& [key, value] : args.options.raw())
       if (std::find(known.begin(), known.end(), key) == known.end())
         throw std::runtime_error("perf does not take --" + key +
                                  " (see 'vdist_cli help')");
   }
   // Validate the gate thresholds before spending minutes benchmarking: a
   // partial parse ("2x") must be an error, not a silently different gate.
-  const auto parse_gate = [&](const char* key, const char* dflt) {
-    const std::string raw = opt(args, key, dflt);
-    double value = 0.0;
-    std::size_t parsed = 0;
-    try {
-      value = std::stod(raw, &parsed);
-    } catch (const std::exception&) {
-      parsed = 0;
-    }
-    if (parsed != raw.size())
-      throw std::runtime_error(std::string("option --") + key +
-                               " expects a number, got '" + raw + "'");
-    return value;
-  };
-  const double min_speedup = parse_gate("min-speedup", "1");
-  const double max_regress = parse_gate("max-regress", "2");
+  const double min_speedup = args.options.get_double("min-speedup", 1.0);
+  const double max_regress = args.options.get_double("max-regress", 2.0);
   // Which ratios the baseline gate inspects: `evals` is deterministic
   // and machine-independent (CI compares against a BENCH produced on
   // different hardware); `wall` only makes sense on comparable machines.
-  const std::string regress_metric = opt(args, "regress-metric", "both");
+  const std::string regress_metric = args.options.get("regress-metric", "both");
   if (regress_metric != "both" && regress_metric != "wall" &&
       regress_metric != "evals")
     throw std::runtime_error(
@@ -750,7 +659,7 @@ int cmd_perf(const Args& args) {
         regress_metric + "'");
   const bool gate_wall = regress_metric != "evals";
   const bool gate_evals = regress_metric != "wall";
-  const std::string baseline_path = opt(args, "baseline", "");
+  const std::string baseline_path = args.options.get("baseline", "");
   // Parse (and validate) the baseline before benchmarking too: a wrong
   // file must fail in milliseconds, not after the full suite ran.
   std::optional<util::JsonValue> baseline;
@@ -765,19 +674,19 @@ int cmd_perf(const Args& args) {
   }
 
   engine::PerfOptions options;
-  options.smoke = opt(args, "smoke", "0") == "1";
-  options.repetitions = static_cast<int>(opt_u(args, "reps", 0));
-  options.seed = static_cast<std::uint64_t>(opt_u(args, "seed", 1));
-  options.filter = opt(args, "filter", "");
-  options.threads = static_cast<int>(opt_u(args, "threads", 1));
-  if (options.threads < 1)
-    throw std::runtime_error("option --threads expects a count >= 1");
+  options.smoke = args.options.get_bool("smoke", false);
+  options.repetitions =
+      static_cast<int>(args.options.get_int("reps", 0, 0, INT_MAX));
+  options.seed = static_cast<std::uint64_t>(args.options.get_int("seed", 1, 0));
+  options.filter = args.options.get("filter", "");
+  options.threads =
+      static_cast<int>(args.options.get_int("threads", 1, 1, INT_MAX));
   const engine::PerfReport report = engine::run_perf(options);
   if (!options.filter.empty() && report.cases.empty())
     throw std::runtime_error("perf --filter '" + options.filter +
                              "' matches no case label");
 
-  const std::string out_path = opt(args, "out", "BENCH_perf.json");
+  const std::string out_path = args.options.get("out", "BENCH_perf.json");
   // Like sweep's '-' emitters: keep stdout machine-parseable when the
   // JSON goes there, printing the table only otherwise.
   if (out_path != "-")
@@ -841,7 +750,7 @@ int cmd_perf(const Args& args) {
 
 int cmd_eval(const Args& args) {
   const model::Instance inst = io::load_instance_file(args.file);
-  const std::string assignment_path = opt(args, "assignment", "");
+  const std::string assignment_path = args.options.get("assignment", "");
   if (assignment_path.empty())
     throw std::runtime_error("eval requires --assignment FILE");
   std::ifstream is(assignment_path);
@@ -881,10 +790,7 @@ int cmd_help(std::ostream& os) {
       "            [--axis k=v1,v2[;k2=...]] [--algos a,b,c]\n"
       "            [--algo-axis algo:k=v1,v2[;...]] [--replicates N]\n"
       "            [--seed S] [--threads N] [--csv FILE|-] [--json FILE|-]\n"
-      "            [--workers FILE] [--cache DIR] [--deterministic 1]\n"
-      "            [--list-cells 1] [--shutdown-workers 1] [--verbose 1]\n"
-      "            [--strict 0]\n"
-      "  vdist_cli worker [--port P] [--capacity N]\n"
+      "            [--deterministic 1] [--strict 0]\n"
       "  vdist_cli perf [--smoke 1] [--out FILE|-] [--reps N] [--seed S]\n"
       "            [--filter SUBSTR] [--threads N] [--min-speedup X]\n"
       "            [--baseline FILE] [--max-regress R]\n"
@@ -899,16 +805,10 @@ int cmd_help(std::ostream& os) {
       "product from a plan file or flags, runs it on a thread pool, and\n"
       "prints per-cell aggregates (mean/min/max objective, gap vs the\n"
       "utility upper bound, wall time); --csv/--json write the table for\n"
-      "plotting ('-' = stdout). With --workers FILE (lines: HOST PORT\n"
-      "[CAPACITY]) the grid cells are dispatched to 'vdist_cli worker'\n"
-      "processes with capacity-aware fan-out and retry on worker death;\n"
-      "--cache DIR recalls cells from a content-addressed result cache\n"
-      "keyed on the cell's parameters and the build's git SHA (works\n"
-      "without --workers too); --deterministic 1 zeroes wall-clock fields\n"
-      "so the merged CSV/JSON is byte-identical across runs and\n"
-      "executors; --list-cells 1 prints each cell's cache key and status\n"
-      "without solving; --shutdown-workers 1 tells surviving workers to\n"
-      "exit afterwards. 'gen-events' draws a deterministic event trace\n"
+      "plotting ('-' = stdout); --deterministic 1 zeroes wall-clock fields\n"
+      "so the CSV/JSON is byte-identical across runs and thread counts.\n"
+      "Numeric and boolean flags must parse whole ('8x' is an error).\n"
+      "'gen-events' draws a deterministic event trace\n"
       "(joins, leaves, stream add/remove, capacity and utility moves)\n"
       "over an instance; --family selects a workload-registry adversary\n"
       "(churn, zipf-drift, flash-crowd, diurnal, hetero-cap — 'vdist_cli\n"
@@ -954,7 +854,6 @@ int main(int argc, char** argv) {
     if (args.command == "serve") return cmd_serve(args);
     if (args.command == "compete") return cmd_compete(args);
     if (args.command == "sweep") return cmd_sweep(args);
-    if (args.command == "worker") return cmd_worker(args);
     if (args.command == "perf") return cmd_perf(args);
     if (args.command == "eval") return cmd_eval(args);
     if (args.command.empty() || args.command == "help" ||
