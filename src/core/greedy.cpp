@@ -360,7 +360,7 @@ void GreedyEngine::run_loop() {
     if (rec_ != nullptr) {
       rec_->pick.push_back(best);
       rec_->applied.push_back(fits ? 1 : 0);
-      // Tolerance-tied candidates from this pop (heap strategies leave
+      // Tolerance-tied candidates from this pop (the delta heap leaves
       // them in ws_.tied). An empty range means a singleton tie set.
       rec_->tie_begin.push_back(
           static_cast<std::uint32_t>(rec_->tie_member.size()));

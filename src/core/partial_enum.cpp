@@ -300,7 +300,7 @@ PartialEnumResult partial_enum_unit_skew(const InstanceView& view,
   // Shared-prefix replay: exact for the feasible-mode split (a per-user
   // function of the pick sequence) and recorded through the delta heap.
   // Other modes/strategies keep the per-leaf engine loop — which makes
-  // every lazy/naive differential run a replay-free cross-check.
+  // every naive differential run a replay-free cross-check.
   const bool replay_on = depth >= 1 && opts.mode == SmdMode::kFeasible &&
                          opts.strategy == SelectStrategy::kDeltaHeap;
 

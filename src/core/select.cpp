@@ -262,28 +262,13 @@ std::size_t select_break_ties(std::vector<SelectHeapEntry>& tied) {
 
 SelectStrategy parse_select_strategy(const std::string& name) {
   if (name == "delta") return SelectStrategy::kDeltaHeap;
-  if (name == "lazy" || name == "heap") return SelectStrategy::kLazyHeap;
-  if (name == "naive" || name == "scan") return SelectStrategy::kNaiveScan;
+  if (name == "naive") return SelectStrategy::kNaiveScan;
   throw std::invalid_argument(
-      "option --select expects delta|lazy|naive, got '" + name + "'");
+      "option --select expects delta|naive, got '" + name + "'");
 }
 
 const char* to_string(SelectStrategy strategy) noexcept {
-  switch (strategy) {
-    case SelectStrategy::kDeltaHeap:
-      return "delta";
-    case SelectStrategy::kLazyHeap:
-      return "lazy";
-    default:
-      return "naive";
-  }
-}
-
-bool StreamSelector::entry_fresh(model::StreamId stream,
-                                 std::uint32_t stamp) const noexcept {
-  if (strategy_ == SelectStrategy::kDeltaHeap)
-    return stamp == ws_->version[static_cast<std::size_t>(stream)];
-  return stamp == round_;
+  return strategy == SelectStrategy::kDeltaHeap ? "delta" : "naive";
 }
 
 void StreamSelector::reset(SolveWorkspace& ws, std::span<const double> wbar,
@@ -296,16 +281,15 @@ void StreamSelector::reset(SolveWorkspace& ws, std::span<const double> wbar,
   const std::size_t n = wbar.size();
   ws.in_pool.assign(n, 1);
   pool_size_ = n;
-  round_ = 0;
   heap_size_ = 0;
   readmitted_ = false;
   ++mutation_count_;
   stats_ = {};
+  ws.version.assign(n, 0);
   if (strategy_ == SelectStrategy::kNaiveScan) {
     ws.eff.assign(n, 0.0);
     return;
   }
-  if (strategy_ == SelectStrategy::kDeltaHeap) ws.version.assign(n, 0);
   ws.heap_eff.resize(n);
   ws.heap_wbar.resize(n);
   ws.heap_stream.resize(n);
@@ -319,17 +303,6 @@ void StreamSelector::reset(SolveWorkspace& ws, std::span<const double> wbar,
   stats_.evaluations += n;
   SoaHeap h = heap_of(ws, heap_size_);
   heap_build(h, stats_);
-}
-
-void StreamSelector::invalidate() noexcept {
-  ++mutation_count_;
-  if (strategy_ == SelectStrategy::kDeltaHeap) {
-    // No global round under delta stamps: conservatively age every
-    // stream's version so every entry re-evaluates once.
-    for (auto& v : ws_->version) ++v;
-    return;
-  }
-  ++round_;
 }
 
 void StreamSelector::save(SelectorCheckpoint& out) const {
@@ -348,12 +321,11 @@ void StreamSelector::save(SelectorCheckpoint& out) const {
   out.version.assign(ws_->version.begin(), ws_->version.end());
   out.heap_size = heap_size_;
   out.pool_size = pool_size_;
-  out.round = round_;
 }
 
 void StreamSelector::restore(const SelectorCheckpoint& in) {
   // Fast path: the live counter still equals the one this save() stamped,
-  // so not a single pop/remove/update/invalidate has happened since — the
+  // so not a single pop/remove/update/readmit has happened since — the
   // selector *is* the checkpoint and every copy below would be a no-op.
   if (mutation_count_ == in.mutation_count) return;
   ++mutation_count_;
@@ -368,7 +340,6 @@ void StreamSelector::restore(const SelectorCheckpoint& in) {
   ws_->version.assign(in.version.begin(), in.version.end());
   heap_size_ = in.heap_size;
   pool_size_ = in.pool_size;
-  round_ = in.round;
 }
 
 model::StreamId StreamSelector::pop_best() {
@@ -404,11 +375,9 @@ double StreamSelector::settle_top_eff() {
       return h.eff[0];
     }
     const auto s = static_cast<std::size_t>(h.stream[0]);
-    const double eff = select_effectiveness(wbar_[s], cost_[s]);
-    const std::uint32_t stamp =
-        strategy_ == SelectStrategy::kDeltaHeap ? ws_->version[s] : round_;
     ++stats_.evaluations;
-    heap_sift_down(h, 0, eff, wbar_[s], h.stream[0], stamp, stats_);
+    heap_sift_down(h, 0, select_effectiveness(wbar_[s], cost_[s]), wbar_[s],
+                   h.stream[0], ws_->version[s], stats_);
   }
 }
 
@@ -419,8 +388,7 @@ model::StreamId StreamSelector::pop_best_heap() {
     const auto s = static_cast<std::size_t>(e.stream);
     e.eff = select_effectiveness(wbar_[s], cost_[s]);
     e.wbar = wbar_[s];
-    e.stamp = strategy_ == SelectStrategy::kDeltaHeap ? ws_->version[s]
-                                                      : round_;
+    e.stamp = ws_->version[s];
     ++stats_.evaluations;
   };
   auto front_entry = [&]() {
@@ -445,12 +413,11 @@ model::StreamId StreamSelector::pop_best_heap() {
 
   // Phase 1: the classic lazy pop. A fresh top beats every remaining
   // stale key, and stale keys only overestimate, so it is the exact
-  // lexicographic (eff, wbar, lowest id) maximum of the pool. Under
-  // kDeltaHeap freshness is per-stream — entries whose w̄ was never
-  // update()d since their last evaluation are fresh by construction and
-  // cost nothing here; under kLazyHeap any entry behind the global round
-  // re-evaluates. A stale top refreshes in place (one sift-down), not
-  // via a pop + push round-trip.
+  // lexicographic (eff, wbar, lowest id) maximum of the pool. Freshness
+  // is per-stream — entries whose w̄ was never update()d since their last
+  // evaluation are fresh by construction and cost nothing here. A stale
+  // top refreshes in place (one sift-down), not via a pop + push
+  // round-trip.
   SelectHeapEntry top;
   for (;;) {
     drop_removed();
@@ -531,11 +498,9 @@ void StreamSelector::readmit(model::StreamId s) {
     ws_->admit_floor.assign(wbar_.size(), 0);
     readmitted_ = true;
   }
-  // A fresh stamp no older entry of `s` can carry: under kDeltaHeap the
-  // stream's next version, under kLazyHeap the next global round (which
-  // also ages every other entry — the lazy strategy's usual price).
-  std::uint32_t& counter =
-      strategy_ == SelectStrategy::kDeltaHeap ? ws_->version[ss] : round_;
+  // A fresh stamp no older entry of `s` can carry: the stream's next
+  // version.
+  std::uint32_t& counter = ws_->version[ss];
   if (counter >= (1u << 31)) {
     // Far from wrapping, but a long-lived selector must never get there:
     // re-evaluate the live entries and restart every stamp at zero.
@@ -551,7 +516,6 @@ void StreamSelector::readmit(model::StreamId s) {
     heap_build(h, stats_);
     std::fill(ws_->version.begin(), ws_->version.end(), 0u);
     std::fill(ws_->admit_floor.begin(), ws_->admit_floor.end(), 0u);
-    round_ = 0;
   }
   const std::uint32_t stamp = ++counter;
   // Raising the floor first retires the old entry of `s` before any

@@ -11,16 +11,11 @@
 // re-evaluates entries on demand returns exactly the stream a full
 // O(|S|) rescan would, at a fraction of the evaluations.
 //
-// Three strategies live behind one StreamSelector interface:
+// Two strategies live behind one StreamSelector interface:
 //   * kDeltaHeap (default): exact delta propagation. The caller reports
 //     every w̄ decrease through update(stream, new_wbar); only that
 //     stream's per-entry stamp goes stale, so entries of *untouched*
-//     streams stay fresh forever and are never re-evaluated. Evaluations
-//     are a strict subset of kLazyHeap's.
-//   * kLazyHeap: the PR-3 global round-bump. invalidate() marks every
-//     cached effectiveness stale; a popped entry re-evaluates whenever
-//     its stamp is behind the round, touched or not. Kept as the
-//     differential middle ground between delta and naive.
+//     streams stay fresh forever and are never re-evaluated.
 //   * kNaiveScan: full O(pool) rescan per pick — the §2.1 baseline for
 //     differential testing (tests/test_select.cpp) and perf
 //     (engine/perf.h, `vdist_cli perf`).
@@ -35,7 +30,7 @@
 // exact lexicographic order below — so AoS→SoA is invisible to every
 // differential test, objective and evaluation count.
 //
-// Tie-break contract, shared verbatim by all strategies so they are
+// Tie-break contract, shared verbatim by both strategies so they are
 // interchangeable pick-for-pick:
 //   1. the selected stream maximizes effectiveness w̄/c;
 //   2. among streams whose effectiveness ties within the library
@@ -58,16 +53,15 @@ namespace vdist::core {
 
 enum class SelectStrategy {
   kDeltaHeap,  // exact per-stream delta propagation (default)
-  kLazyHeap,   // lazy max-heap with global-round stale re-evaluation
   kNaiveScan,  // full O(pool) rescan per pick (differential baseline)
 };
 
-// Parses "delta" / "lazy" / "naive" (the `select` option key of the
-// registry adapters); throws std::invalid_argument otherwise.
+// Parses "delta" / "naive" (the `select` option key of the registry
+// adapters); throws std::invalid_argument otherwise.
 [[nodiscard]] SelectStrategy parse_select_strategy(const std::string& name);
 [[nodiscard]] const char* to_string(SelectStrategy strategy) noexcept;
 
-// Counters all strategies report; the perf subsystem and bench E12-style
+// Counters both strategies report; the perf subsystem and bench E12-style
 // ablations read them off the result structs. picks/evaluations measure
 // the selection work itself; the phase counters below attribute the rest
 // of the hot path: rows_walked/pairs_touched are the w̄ propagation's
@@ -98,10 +92,9 @@ struct SelectStats {
 };
 
 // One materialized heap entry: the stream's effectiveness and residual
-// utility as of `stamp`. Under kLazyHeap the stamp is the selector's
-// global round; under kDeltaHeap it is the stream's own version counter.
-// A stale entry (stamp behind its reference) is an upper bound and gets
-// refreshed on demand. The live heap stores these fields as the SoA
+// utility as of `stamp`, the stream's own version counter at evaluation
+// time. A stale entry (stamp behind the version) is an upper bound and
+// gets refreshed on demand. The live heap stores these fields as the SoA
 // arrays in SolveWorkspace; this struct remains the currency of the
 // small tolerance-tied candidate set and the naive scan.
 struct SelectHeapEntry {
@@ -125,7 +118,6 @@ struct SelectorCheckpoint {
   std::vector<std::uint32_t> version;
   std::size_t heap_size = 0;
   std::size_t pool_size = 0;
-  std::uint32_t round = 0;
   // The selector's mutation counter at save() time. restore() compares it
   // against the live counter and returns without touching a byte when the
   // selector has not mutated since this very save — the checkpoint-restore
@@ -164,7 +156,7 @@ struct SolveWorkspace {
   util::AlignedVector<model::StreamId> heap_stream;
   util::AlignedVector<std::uint32_t> heap_stamp;
   std::vector<char> in_pool;
-  std::vector<std::uint32_t> version;   // kDeltaHeap per-stream stamps
+  std::vector<std::uint32_t> version;   // per-stream heap-entry stamps
   // Per-stream admission floor (StreamSelector::readmit): a heap entry
   // stamped below its stream's floor predates the stream's latest
   // readmission and is retired. Sized on the first readmit after reset().
@@ -244,7 +236,7 @@ struct SolveWorkspace {
 
 // Effectiveness of a stream: residual utility per unit cost; zero-cost
 // streams with positive residual rank first (+inf), dead zero-cost
-// streams last (0). All strategies MUST compute effectiveness through
+// streams last (0). Both strategies MUST compute effectiveness through
 // this one helper so their values are bit-identical (the vectorized
 // fills in select.cpp replicate it lane-wise with per-lane IEEE division
 // — bit-identical by construction).
@@ -265,8 +257,8 @@ struct SolveWorkspace {
 // The selector borrows the caller's live w̄/cost arrays; the caller may
 // decrease w̄ entries between pops — reporting each change through
 // update(). An increase would break the stale-entries-overestimate
-// invariant both heap strategies rely on, so it goes through readmit(),
-// which also puts a popped or removed stream back into the pool. A
+// invariant the heap relies on, so it goes through readmit(), which
+// also puts a popped or removed stream back into the pool. A
 // selector kept alive across many rounds of such changes (the serving
 // engine's repair completion, engine/repair_core.h) never needs another
 // reset().
@@ -284,7 +276,7 @@ class StreamSelector {
   // is empty.
   [[nodiscard]] model::StreamId pop_best();
 
-  // Heap strategies only: refreshes the heap front until it is fresh and
+  // kDeltaHeap only: refreshes the heap front until it is fresh and
   // returns its effectiveness — the *exact* maximum effectiveness over the
   // current pool, without popping anything (the settle is the next pop's
   // phase 1 done early; refreshed entries stay refreshed). Returns -inf on
@@ -299,29 +291,25 @@ class StreamSelector {
 
   // Puts `s` back into the pool with a fresh key for its current w̄ —
   // after a w̄ increase, or to return a popped or removed stream. Under
-  // the heap strategies it pushes a fresh entry and raises the stream's
-  // admission floor, so any older entry of `s` is retired when it
-  // surfaces (where removed streams' entries are already dropped); the
-  // heap is compacted to its live entries once it outgrows about twice
-  // the pool. Not combinable with save()/restore() (the floors are not
+  // kDeltaHeap it pushes a fresh entry and raises the stream's admission
+  // floor, so any older entry of `s` is retired when it surfaces (where
+  // removed streams' entries are already dropped); the heap is compacted
+  // to its live entries once it outgrows about twice the pool. Not
+  // combinable with save()/restore() (the floors are not
   // checkpointed); the §2.3 enumeration never readmits.
   void readmit(model::StreamId s);
 
-  // Tells the selector that ws.wbar[s] just decreased to `new_wbar`.
-  //   * kDeltaHeap: bumps only stream s's version — the exact delta
-  //     path; every other cached effectiveness stays fresh.
-  //   * kLazyHeap: degenerates to invalidate() (the global round-bump).
-  //   * kNaiveScan: no-op (the rescan reads live values anyway).
+  // Tells the selector that ws.wbar[s] just decreased to `new_wbar`:
+  // bumps only stream s's version — the exact delta path; every other
+  // cached effectiveness stays fresh. (kNaiveScan keeps the versions too
+  // but never reads them: its rescan reads live values anyway.)
   // Inline: this sits in the greedy's w̄-propagation batch pass. Calling
   // it once per touched stream at the end of a pick is equivalent to
   // once per touched pair inside it — staleness is binary, so any bump
   // between two pops invalidates exactly the same entries.
   void update(model::StreamId s, double /*new_wbar*/) noexcept {
     ++mutation_count_;
-    if (strategy_ == SelectStrategy::kDeltaHeap)
-      ++ws_->version[static_cast<std::size_t>(s)];
-    else if (strategy_ == SelectStrategy::kLazyHeap)
-      ++round_;
+    ++ws_->version[static_cast<std::size_t>(s)];
   }
 
   // Phase accounting hook for the propagation loops (GreedyEngine::
@@ -331,11 +319,6 @@ class StreamSelector {
     stats_.rows_walked += rows;
     stats_.pairs_touched += pairs;
   }
-
-  // Marks every cached effectiveness stale (the kLazyHeap path; under
-  // kDeltaHeap prefer the exact update() above). Call after decreasing
-  // w̄ without per-stream attribution.
-  void invalidate() noexcept;
 
   // Copies the selector's pool/heap/version state out (in); the stats
   // counters keep running monotonically across restores. The checkpoint
@@ -352,8 +335,12 @@ class StreamSelector {
  private:
   [[nodiscard]] model::StreamId pop_best_heap();
   [[nodiscard]] model::StreamId pop_best_naive();
+  // Whether a heap entry's key is current: no update() or readmit() of
+  // its stream since the entry was evaluated.
   [[nodiscard]] bool entry_fresh(model::StreamId stream,
-                                 std::uint32_t stamp) const noexcept;
+                                 std::uint32_t stamp) const noexcept {
+    return stamp == ws_->version[static_cast<std::size_t>(stream)];
+  }
   // Whether a heap entry is garbage: its stream left the pool, or the
   // entry predates the stream's latest readmit().
   [[nodiscard]] bool entry_dead(model::StreamId stream,
@@ -370,10 +357,9 @@ class StreamSelector {
   SelectStrategy strategy_ = SelectStrategy::kDeltaHeap;
   std::size_t pool_size_ = 0;
   std::size_t heap_size_ = 0;  // live prefix of the workspace SoA arrays
-  std::uint32_t round_ = 0;
   bool readmitted_ = false;  // any readmit() since reset(): floors live
   // Monotone count of state mutations (pops, removes, updates,
-  // invalidates) since reset(). save() bumps then records it (mutable:
+  // readmits) since reset(). save() bumps then records it (mutable:
   // the bump-then-record scheme makes each saved value unique without
   // changing observable selector state); restore() no-ops when the live
   // counter still equals the checkpoint's — the selector provably has

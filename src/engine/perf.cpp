@@ -140,7 +140,6 @@ const PerfCase* PerfReport::largest() const {
 std::string PerfReport::first_error() const {
   for (const PerfCase& c : cases) {
     if (!c.delta.error.empty()) return c.label + ": " + c.delta.error;
-    if (!c.lazy.error.empty()) return c.label + ": " + c.lazy.error;
     if (!c.naive.error.empty()) return c.label + ": " + c.naive.error;
   }
   return {};
@@ -266,19 +265,14 @@ PerfReport run_perf(const PerfOptions& opts) {
         static_cast<unsigned>(spec.options.get_int("threads", 1));
     result.delta = measure(inst, spec, core::SelectStrategy::kDeltaHeap,
                            report.repetitions, opts.seed, ws);
-    result.lazy = measure(inst, spec, core::SelectStrategy::kLazyHeap,
-                          report.repetitions, opts.seed, ws);
     result.naive = measure(inst, spec, core::SelectStrategy::kNaiveScan,
                            report.repetitions, opts.seed, ws);
     if (result.ok()) {
       result.speedup = ratio_of(result.naive.wall_ms, result.delta.wall_ms);
-      result.speedup_lazy =
-          ratio_of(result.naive.wall_ms, result.lazy.wall_ms);
       // The strategies are pick-for-pick equivalent, so the objectives
       // must be bit-identical — any drift is a kernel bug.
       result.objective_match =
-          result.delta.objective == result.naive.objective &&
-          result.lazy.objective == result.naive.objective;
+          result.delta.objective == result.naive.objective;
     }
     report.cases.push_back(std::move(result));
   }
@@ -287,8 +281,8 @@ PerfReport run_perf(const PerfOptions& opts) {
 
 util::Table perf_table(const PerfReport& report) {
   util::Table table({"case", "streams", "edges", "thr", "delta_ms",
-                     "lazy_ms", "naive_ms", "speedup", "delta_evals",
-                     "lazy_evals", "objective", "match"});
+                     "naive_ms", "speedup", "delta_evals", "objective",
+                     "match"});
   for (const PerfCase& c : report.cases) {
     table.row()
         .add(c.label)
@@ -296,11 +290,9 @@ util::Table perf_table(const PerfReport& report) {
         .add(c.edges)
         .add(static_cast<std::size_t>(c.threads))
         .add(c.delta.wall_ms, 3)
-        .add(c.lazy.wall_ms, 3)
         .add(c.naive.wall_ms, 3)
         .add(c.speedup, 2)
         .add(c.delta.evals, 0)
-        .add(c.lazy.evals, 0)
         .add(c.delta.objective, 4)
         .add(std::string(c.ok() ? (c.objective_match ? "yes" : "NO")
                                 : "ERROR"));
@@ -335,14 +327,10 @@ void write_perf_json(std::ostream& os, const PerfReport& report) {
        << ",\"edges\":" << c.edges << ",\"threads\":" << c.threads
        << ",\"delta\":";
     json_measurement(os, c.delta);
-    os << ",\"lazy\":";
-    json_measurement(os, c.lazy);
     os << ",\"naive\":";
     json_measurement(os, c.naive);
     os << ",\"speedup\":";
     json_number(os, c.speedup);
-    os << ",\"speedup_lazy\":";
-    json_number(os, c.speedup_lazy);
     os << ",\"objective_match\":" << (c.objective_match ? "true" : "false")
        << '}';
   }
@@ -398,20 +386,12 @@ PerfBaselineDiff diff_perf_baseline(const PerfReport& current,
       diff.only_current.push_back(cur.label);
       continue;
     }
-    // Primary measurement: the baseline's delta entry when present and
-    // ok, else its lazy entry (pre-PR-4 schema).
     const util::JsonValue* base = match->find("delta");
-    std::string strategy = "delta";
-    if (base == nullptr || !base->bool_or("ok", false)) {
-      base = match->find("lazy");
-      strategy = "lazy";
-    }
     if (base == nullptr || !base->bool_or("ok", false) || !cur.delta.ok)
       continue;  // nothing comparable on one side
 
     PerfBaselineEntry entry;
     entry.label = cur.label;
-    entry.baseline_strategy = strategy;
     entry.baseline_wall_ms = base->number_or("wall_ms", 0.0);
     entry.current_wall_ms = cur.delta.wall_ms;
     entry.wall_ratio = entry.baseline_wall_ms > 0.0
@@ -456,13 +436,12 @@ std::string counter_cell(double base, double now) {
 }  // namespace
 
 util::Table baseline_table(const PerfBaselineDiff& diff) {
-  util::Table table({"case", "base_strategy", "base_ms", "now_ms",
-                     "wall_ratio", "base_evals", "now_evals", "evals_ratio",
-                     "pairs(b/n)", "rows(b/n)", "sifts(b/n)"});
+  util::Table table({"case", "base_ms", "now_ms", "wall_ratio",
+                     "base_evals", "now_evals", "evals_ratio", "pairs(b/n)",
+                     "rows(b/n)", "sifts(b/n)"});
   for (const PerfBaselineEntry& e : diff.entries) {
     table.row()
         .add(e.label)
-        .add(e.baseline_strategy)
         .add(e.baseline_wall_ms, 3)
         .add(e.current_wall_ms, 3)
         .add(e.wall_ratio, 3)

@@ -5,9 +5,9 @@
 //
 // Each case is a (scenario spec, algorithm, options) triple built through
 // the ScenarioRegistry; run_perf() solves it once per strategy
-// (select=delta / lazy / naive) on one reusable SolveWorkspace, repeats
+// (select=delta / naive) on one reusable SolveWorkspace, repeats
 // `repetitions` times keeping the *minimum* wall time (robust against
-// scheduler noise), and cross-checks that all strategies produced the
+// scheduler noise), and cross-checks that both strategies produced the
 // identical objective — they are pick-for-pick equivalent by
 // construction, so any mismatch is a kernel bug, not noise. Every
 // repetition is a cold solve: engine::solve() drops the workspace's
@@ -15,13 +15,10 @@
 // request, so from the second repetition on, rows sorted by the first
 // do not show up as a speedup no cold solve gets.
 //
-// Consumers:
-//   * `vdist_cli perf [--smoke] [--baseline FILE]` — runs the suite,
-//     prints the table, writes BENCH_perf.json, can enforce a minimum
-//     delta-vs-naive speedup on the largest case, and can diff the run
-//     against a committed BENCH JSON (exit 3 past --max-regress);
-//   * bench/bench_perf.cpp — the same suite as an experiment harness
-//     under the bench-smoke target.
+// Driver: `vdist_cli perf [--smoke] [--baseline FILE]` runs the suite,
+// prints the table, writes BENCH_perf.json, can enforce a minimum
+// delta-vs-naive speedup on the largest case, and can diff the run
+// against a committed BENCH JSON (exit 3 past --max-regress).
 //
 // BENCH_perf.json schema (one object):
 //   {
@@ -50,23 +47,21 @@
 //                 "events_per_sec": x},  // serve cases: events stat /
 //                                        // event-apply seconds
 //                                        // (repair_wall_ms); 0 elsewhere
-//       "lazy":  {...}, "naive": {...},
+//       "naive": {...},
 //       "speedup": x,        // naive.wall_ms / delta.wall_ms
-//       "speedup_lazy": x,   // naive.wall_ms / lazy.wall_ms
-//       "objective_match": bool  // exact equality across all strategies
+//       "objective_match": bool  // exact equality across both strategies
 //     }, ...],
 //     "largest": {"label": str, "streams": N, "speedup": x,
 //                 "objective_match": bool}   // case with most streams
 //   }
-// Pre-PR-4 documents lack "delta"/"provenance"; pre-PR-6 documents lack
-// "threads"/"events_per_sec"; pre-PR-8 documents lack the phase counters
-// ("pairs_touched"/"rows_walked"/"heap_sifts"); pre-PR-9 documents lack
-// the replay counters ("frames_reused"/"completions_replayed",
-// informational, never gated). The baseline differ
-// falls back to "lazy" as the primary measurement for the first, never
-// gates on throughput (reported, not diffed), and prints "-" for phase
-// counters a baseline does not carry; phase counters are shown to make
-// regressions attributable but never gate.
+// Pre-PR-6 documents lack "threads"/"events_per_sec"; pre-PR-8 documents
+// lack the phase counters ("pairs_touched"/"rows_walked"/"heap_sifts");
+// pre-PR-9 documents lack the replay counters ("frames_reused"/
+// "completions_replayed", informational, never gated). The baseline
+// differ compares the "delta" entries only, never gates on throughput
+// (reported, not diffed), and prints "-" for phase counters a baseline
+// does not carry; phase counters are shown to make regressions
+// attributable but never gate.
 #pragma once
 
 #include <cstdint>
@@ -148,13 +143,11 @@ struct PerfCase {
   // indistinguishable in the trajectory.
   unsigned threads = 1;
   PerfMeasurement delta;
-  PerfMeasurement lazy;
   PerfMeasurement naive;
-  double speedup = 0.0;       // naive.wall_ms / delta.wall_ms (0 if !ok)
-  double speedup_lazy = 0.0;  // naive.wall_ms / lazy.wall_ms (0 if !ok)
+  double speedup = 0.0;  // naive.wall_ms / delta.wall_ms (0 if !ok)
   bool objective_match = false;
 
-  [[nodiscard]] bool ok() const { return delta.ok && lazy.ok && naive.ok; }
+  [[nodiscard]] bool ok() const { return delta.ok && naive.ok; }
 };
 
 // Where this run came from: stamped into the BENCH JSON so entries are
@@ -205,7 +198,6 @@ void write_perf_json(std::ostream& os, const PerfReport& report);
 // One label present in both the current report and the baseline JSON.
 struct PerfBaselineEntry {
   std::string label;
-  std::string baseline_strategy;  // measurement key compared ("delta"/"lazy")
   double baseline_wall_ms = 0.0;
   double current_wall_ms = 0.0;
   double wall_ratio = 0.0;  // current / baseline (> 1 = regression)
@@ -238,11 +230,10 @@ struct PerfBaselineDiff {
                                bool evals = true) const;
 };
 
-// Matches current cases against a parsed BENCH JSON by label. The
-// baseline's primary measurement is its "delta" entry when present and
-// ok, else "lazy" (pre-PR-4 documents); the current side always uses
-// delta. Throws std::runtime_error when `baseline` is not a perf
-// document.
+// Matches current cases against a parsed BENCH JSON by label, comparing
+// the "delta" measurements; a label whose delta entry is missing or not
+// ok on either side is skipped. Throws std::runtime_error when
+// `baseline` is not a perf document.
 [[nodiscard]] PerfBaselineDiff diff_perf_baseline(
     const PerfReport& current, const util::JsonValue& baseline);
 

@@ -35,8 +35,8 @@ SmdMode parse_mode(const SolveOptions& opts) {
 
 // The `select` option every greedy-family adapter reads: which selection
 // kernel strategy runs the argmax (core/select.h). Default delta (exact
-// per-stream invalidation); `lazy` is the global-round middle ground and
-// `naive` the differential-testing / perf baseline.
+// per-stream invalidation); `naive` is the differential-testing / perf
+// baseline.
 core::GreedyOptions greedy_options(const SolveRequest& req) {
   return {core::parse_select_strategy(req.options.get("select", "delta")),
           req.workspace, req.record_trace};
@@ -166,7 +166,7 @@ SolveOutcome run_exact(const SolveRequest& req) {
 
 SolveOutcome run_online(const SolveRequest& req) {
   core::AllocateOptions opts;
-  opts.mu = req.options.get_double("mu", 0.0);
+  opts.mu = parse_mu_option(req.options);
   opts.guard_feasibility = req.options.get_bool("guard", true);
   opts.workspace = req.workspace;
   if (req.options.get_bool("shuffle", false)) {
@@ -284,7 +284,7 @@ void register_core_solvers(SolverRegistry& r) {
          .description =
              "Section 2.2 fixed greedy (Thm 2.8): feasible best of A1/A2/"
              "Amax; variant reports the winner; options: select "
-             "(delta|lazy|naive argmax kernel)",
+             "(delta|naive argmax kernel)",
          .form = InstanceForm::kUnitSkew,
          .option_keys = {"select"}},
         [](const SolveRequest& req) {

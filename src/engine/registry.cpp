@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -40,7 +41,9 @@ double parse_double_value(const std::string& what, const std::string& text) {
   double value = 0.0;
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec == std::errc() && ptr == end) return value;
+  // NaN passes every range check (each comparison is false), so it is
+  // not a number any option accepts.
+  if (ec == std::errc() && ptr == end && !std::isnan(value)) return value;
   throw std::invalid_argument(what + " expects a number, got '" + text + "'");
 }
 

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <climits>
+#include <cmath>
 #include <stdexcept>
 
 namespace vdist::engine {
@@ -32,8 +33,8 @@ constexpr std::array<ServeOptionSpec, 10> kServeOptions = {{
     {"bound", "0.05", "repair: relative drift tolerated before a resolve"},
     {"refresh", "64", "repair: events between drift checks (0 = never)"},
     {"mode", "feasible", "winner mode: feasible|augmented"},
-    {"select", "delta", "argmax kernel: delta|lazy|naive"},
-    {"mu", "0", "online: learning rate (<= 0 derives the paper's)"},
+    {"select", "delta", "argmax kernel: delta|naive"},
+    {"mu", "0", "online: learning rate (0 derives the paper's, else > 1)"},
     {"guard", "1", "online: feasibility guard"},
     {"events", "200", "derived event-trace length (registry adapter)"},
     {"trace", "", "comma-separated workload key=value overrides"},
@@ -74,7 +75,7 @@ ServeConfig ServeConfig::from_options(const SolveOptions& opts) {
         "option --mode expects feasible|augmented, got '" + mode + "'");
   }
   cfg.strategy = core::parse_select_strategy(opts.get("select", "delta"));
-  cfg.mu = opts.get_double("mu", cfg.mu);
+  cfg.mu = parse_mu_option(opts);
   cfg.guard = opts.get_bool("guard", cfg.guard);
   cfg.events = static_cast<std::size_t>(
       opts.get_int("events", static_cast<std::int64_t>(cfg.events), 0));
@@ -85,6 +86,14 @@ ServeConfig ServeConfig::from_options(const SolveOptions& opts) {
   // adapter and CLI both route through WorkloadRegistry::global(), which
   // rejects unknown names with the known-family list.
   return cfg;
+}
+
+double parse_mu_option(const SolveOptions& opts) {
+  const double mu = opts.get_double("mu", 0.0);
+  if (mu == 0.0 || (std::isfinite(mu) && mu > 1.0)) return mu;
+  throw std::invalid_argument(
+      "option --mu expects 0 (auto) or a finite number > 1, got '" +
+      opts.get("mu", "") + "'");
 }
 
 std::unique_ptr<Session> make_backend(const model::Instance& parent,

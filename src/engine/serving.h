@@ -101,7 +101,7 @@ struct ServeConfig {
   // kAugmented races the semi-feasible greedy against Amax.
   core::SmdMode mode = core::SmdMode::kFeasible;
   core::SelectStrategy strategy = core::SelectStrategy::kDeltaHeap;
-  double mu = 0.0;   // kOnline learning rate (<= 0 derives the paper's)
+  double mu = 0.0;   // kOnline learning rate (0 derives the paper's)
   bool guard = true;  // kOnline feasibility guard
   // Registry-adapter knobs (`serve` derives an event trace per request;
   // the CLI replays an event file instead and ignores these).
@@ -127,6 +127,12 @@ struct ServeConfig {
   // std::invalid_argument here, with the same message everywhere).
   [[nodiscard]] static ServeConfig from_options(const SolveOptions& opts);
 };
+
+// The `mu` option of the online serve policy and the `online` solver:
+// 0 (the default) derives the paper's μ from the instance, anything else
+// is the exponential base itself and must be a finite number > 1. Throws
+// std::invalid_argument naming the option otherwise.
+[[nodiscard]] double parse_mu_option(const SolveOptions& opts);
 
 // What check_parity() found: the session's maintained objective vs a
 // from-scratch solve of the materialized current world.

@@ -127,6 +127,10 @@ endif()
 if(NOT perf_json MATCHES "\"delta\"")
   message(FATAL_ERROR "perf JSON missing delta measurements:\n${perf_json}")
 endif()
+# The suite measures the delta and naive strategies only.
+if(perf_json MATCHES "\"lazy\"")
+  message(FATAL_ERROR "perf JSON still carries a lazy measurement:\n${perf_json}")
+endif()
 # --min-speedup 0 disables the gate; an absurd requirement trips it.
 run_cli(0 perf --smoke 1 --reps 1 --out "${WORK_DIR}/perf2.json" --min-speedup 0)
 run_cli(3 perf --smoke 1 --reps 1 --out "${WORK_DIR}/perf3.json" --min-speedup 100000)
@@ -156,6 +160,26 @@ run_cli(1 perf --smoke 1 --max-regress 2x)
 if(NOT cli_err MATCHES "max-regress")
   message(FATAL_ERROR "partial --max-regress parse not rejected:\n${cli_err}")
 endif()
+# NaN passes every comparison-based gate, and a negative or zero gate
+# can never mean what it says: both thresholds are refused up front.
+run_cli(1 perf --smoke 1 --min-speedup nan)
+if(NOT cli_err MATCHES "option --min-speedup expects a number, got 'nan'")
+  message(FATAL_ERROR "perf --min-speedup nan not rejected:\n${cli_err}")
+endif()
+run_cli(1 perf --smoke 1 --min-speedup -1)
+if(NOT cli_err MATCHES "option --min-speedup expects a number >= 0, got '-1'")
+  message(FATAL_ERROR "perf --min-speedup -1 not rejected:\n${cli_err}")
+endif()
+run_cli(1 perf --smoke 1 --baseline "${WORK_DIR}/perf.json" --max-regress nan)
+if(NOT cli_err MATCHES "option --max-regress expects a number, got 'nan'")
+  message(FATAL_ERROR "perf --max-regress nan not rejected:\n${cli_err}")
+endif()
+foreach(bad -1 0)
+  run_cli(1 perf --smoke 1 --baseline "${WORK_DIR}/perf.json" --max-regress ${bad})
+  if(NOT cli_err MATCHES "option --max-regress expects a number > 0, got '${bad}'")
+    message(FATAL_ERROR "perf --max-regress ${bad} not rejected:\n${cli_err}")
+  endif()
+endforeach()
 # The machine-independent gate: identical evals self-diff under a tight
 # threshold passes even when wall clocks are noisy.
 run_cli(0 perf --smoke 1 --reps 3 --out "${WORK_DIR}/perf6.json"
@@ -258,6 +282,28 @@ run_cli(1 serve "${WORK_DIR}/cap.vd" --events "${WORK_DIR}/cap.events"
 if(NOT cli_err MATCHES "option --refresh expects an integer in \\[0, 2147483647\\], got '-5'")
   message(FATAL_ERROR "bad --refresh value not rejected:\n${cli_err}")
 endif()
+# mu is 0 (derive the paper's) or a finite exponential base > 1; anything
+# else exits 1 naming the flag before an event is served. The online serve
+# policy and the online solver share the one check.
+foreach(mu nan -3 inf 0.5)
+  if(mu STREQUAL "nan")
+    set(mu_msg "option --mu expects a number, got 'nan'")
+  else()
+    set(mu_msg "option --mu expects 0 \\(auto\\) or a finite number > 1, got '${mu}'")
+  endif()
+  run_cli(1 serve "${WORK_DIR}/cap.vd" --events "${WORK_DIR}/cap.events"
+          --policy online --mu ${mu})
+  if(NOT cli_err MATCHES "${mu_msg}")
+    message(FATAL_ERROR "serve --mu ${mu} not rejected:\n${cli_err}")
+  endif()
+  run_cli(1 solve "${WORK_DIR}/cap.vd" --algo online --mu ${mu})
+  if(NOT cli_err MATCHES "${mu_msg}")
+    message(FATAL_ERROR "solve --algo online --mu ${mu} not rejected:\n${cli_err}")
+  endif()
+endforeach()
+run_cli(0 serve "${WORK_DIR}/cap.vd" --events "${WORK_DIR}/cap.events"
+        --policy online --mu 2.5)
+run_cli(0 solve "${WORK_DIR}/cap.vd" --algo online --mu 0)
 
 # --- gen-events declared params: every knob is a flag ------------------------
 # The event-mix weights and scale ranges gen/events.h declares are CLI
@@ -346,6 +392,19 @@ run_cli(1 sweep --scenario cap --algos greedy --replicates 99999999999)
 if(NOT cli_err MATCHES "option --replicates expects an integer in \\[1, 2147483647\\], got '99999999999'")
   message(FATAL_ERROR "sweep --replicates overflow not rejected:\n${cli_err}")
 endif()
+run_cli(1 gen --kind cap --streams 12 --seed 2 --interest nan
+        --out "${WORK_DIR}/nan.vd")
+if(NOT cli_err MATCHES "option --interest expects a number, got 'nan'")
+  message(FATAL_ERROR "gen --interest nan not rejected:\n${cli_err}")
+endif()
+# The selection kernel is delta|naive; any other --select value exits 1
+# naming that vocabulary.
+foreach(select lazy heap scan)
+  run_cli(1 solve "${WORK_DIR}/cap.vd" --algo greedy --select ${select})
+  if(NOT cli_err MATCHES "option --select expects delta\\|naive, got '${select}'")
+    message(FATAL_ERROR "solve --select ${select} not rejected:\n${cli_err}")
+  endif()
+endforeach()
 run_cli(1 sweep --scenario cap --algos greedy --budget-ms abc)
 if(NOT cli_err MATCHES "option --budget-ms expects a number, got 'abc'")
   message(FATAL_ERROR "sweep --budget-ms abc not rejected:\n${cli_err}")

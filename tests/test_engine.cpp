@@ -10,6 +10,7 @@
 #include <string>
 
 #include "engine/batch.h"
+#include "engine/serving.h"
 #include "gen/random_instances.h"
 #include "model/factory.h"
 
@@ -179,9 +180,10 @@ TEST(SolveOptions, GetBoolAcceptsTheWholeVocabulary) {
 
 // One row per value the typed accessors must refuse: the repros of the
 // flag-parsing bug (a suffix read as its prefix, a negative wrapped to
-// 2^64-1, an overflow, a boolean outside the vocabulary) and their
-// neighbours. Each error names the option and the value.
-enum class Typed { kInt, kDouble, kBool };
+// 2^64-1, an overflow, a boolean outside the vocabulary, a NaN that
+// passes every range check) and their neighbours, plus the `mu` domain
+// (parse_mu_option). Each error names the option and the value.
+enum class Typed { kInt, kDouble, kBool, kMu };
 struct BadValue {
   const char* name;  // gtest case name
   Typed type;
@@ -205,6 +207,7 @@ TEST_P(SolveOptionsRejects, NamingTheOptionAndTheValue) {
     if (bad.type == Typed::kInt) (void)opts.get_int(bad.key, 0, bad.lo, bad.hi);
     if (bad.type == Typed::kDouble) (void)opts.get_double(bad.key, 0.0);
     if (bad.type == Typed::kBool) (void)opts.get_bool(bad.key, false);
+    if (bad.type == Typed::kMu) (void)parse_mu_option(opts);
     ADD_FAILURE() << "accepted '" << bad.value << "'";
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(std::string(e.what()), bad.message);
@@ -246,6 +249,28 @@ INSTANTIATE_TEST_SUITE_P(
                  "option --bound expects a number, got '0.5.1'"},
         BadValue{"BareExponent", Typed::kDouble, 0, 0, "mu", "1e",
                  "option --mu expects a number, got '1e'"},
+        BadValue{"MinSpeedupNaN", Typed::kDouble, 0, 0, "min-speedup", "nan",
+                 "option --min-speedup expects a number, got 'nan'"},
+        BadValue{"MaxRegressNaN", Typed::kDouble, 0, 0, "max-regress", "nan",
+                 "option --max-regress expects a number, got 'nan'"},
+        BadValue{"InterestNaN", Typed::kDouble, 0, 0, "interest", "nan",
+                 "option --interest expects a number, got 'nan'"},
+        BadValue{"NegativeNaN", Typed::kDouble, 0, 0, "bound", "-nan",
+                 "option --bound expects a number, got '-nan'"},
+        BadValue{"MuNaN", Typed::kMu, 0, 0, "mu", "nan",
+                 "option --mu expects a number, got 'nan'"},
+        BadValue{"MuNegative", Typed::kMu, 0, 0, "mu", "-3",
+                 "option --mu expects 0 (auto) or a finite number > 1, "
+                 "got '-3'"},
+        BadValue{"MuInf", Typed::kMu, 0, 0, "mu", "inf",
+                 "option --mu expects 0 (auto) or a finite number > 1, "
+                 "got 'inf'"},
+        BadValue{"MuHalf", Typed::kMu, 0, 0, "mu", "0.5",
+                 "option --mu expects 0 (auto) or a finite number > 1, "
+                 "got '0.5'"},
+        BadValue{"MuOne", Typed::kMu, 0, 0, "mu", "1",
+                 "option --mu expects 0 (auto) or a finite number > 1, "
+                 "got '1'"},
         BadValue{"DeterministicTwo", Typed::kBool, 0, 0, "deterministic", "2",
                  "option --deterministic expects a boolean, got '2'"},
         BadValue{"StrictUpperCase", Typed::kBool, 0, 0, "strict", "TRUE",

@@ -1,7 +1,7 @@
 // Committed-reference repair tests: the serving engine's incremental
 // repair (engine::Session under the repair policy) is pinned to
 // tests/data/repair_reference.txt per event, for every workload family
-// × two cap worlds × all three selection strategies. Each row
+// × two cap worlds × both selection strategies. Each row
 // carries a rolling FNV digest of assignment()'s pair set over every
 // event, the per-event race winners (one letter per event), and the
 // final objective to 12 significant digits. World 1 (48 streams × 20
@@ -181,10 +181,10 @@ TEST(RepairReference, AllStrategiesMatchCommittedPicks) {
       const core::SmdMode mode = seed == 1 ? core::SmdMode::kFeasible
                                            : core::SmdMode::kAugmented;
       const std::string key = key_of(family, seed);
-      // All three strategies are asserted against the one committed row:
+      // Both strategies are asserted against the one committed row:
       // pick-for-pick identity to the past AND to each other.
       for (const core::SelectStrategy strategy :
-           {core::SelectStrategy::kDeltaHeap, core::SelectStrategy::kLazyHeap,
+           {core::SelectStrategy::kDeltaHeap,
             core::SelectStrategy::kNaiveScan}) {
         const char* name = core::to_string(strategy);
         const ReferenceRow row = replay(inst, trace, mode, strategy);

@@ -1,5 +1,5 @@
 // The selection kernel (core/select.h): differential equivalence of the
-// delta-heap, lazy-heap and naive-scan strategies, the deterministic
+// delta-heap and naive-scan strategies, the deterministic
 // tie-break contract, exact delta propagation via update(), and
 // SolveWorkspace reuse.
 #include "core/select.h"
@@ -60,8 +60,8 @@ std::vector<std::string> kernel_algorithms(const Instance& inst) {
 
 // The headline differential guarantee: on every registered scenario, for
 // several seeds, every kernel-backed algorithm produces the identical
-// assignment, objective, variant and pick count under all three
-// strategies (exact delta propagation, global-round lazy, naive rescan).
+// assignment, objective, variant and pick count under both strategies
+// (exact delta propagation, naive rescan).
 TEST(SelectKernel, AllStrategiesMatchOnEveryRegisteredScenario) {
   const ScenarioRegistry& registry = ScenarioRegistry::global();
   for (const std::string& name : registry.names()) {
@@ -73,24 +73,21 @@ TEST(SelectKernel, AllStrategiesMatchOnEveryRegisteredScenario) {
       for (const std::string& algo : kernel_algorithms(inst)) {
         const SolveResult naive = solve_with(inst, algo, "naive");
         ASSERT_TRUE(naive.ok) << name << "/" << algo << ": " << naive.error;
-        for (const char* strategy : {"delta", "lazy"}) {
-          const SolveResult fast = solve_with(inst, algo, strategy);
-          ASSERT_TRUE(fast.ok)
-              << name << "/" << algo << ": " << fast.error;
-          EXPECT_EQ(fast.objective, naive.objective)
-              << name << "/" << algo << "/" << strategy << " seed " << seed;
-          EXPECT_EQ(fast.variant, naive.variant)
-              << name << "/" << algo << "/" << strategy << " seed " << seed;
-          // Work counters match across strategies except under "enum",
-          // where the shared-prefix replay (delta-heap only) scores most
-          // leaves without touching the kernel — fewer picks, same bits.
-          if (algo != "enum") {
-            EXPECT_EQ(fast.stat("select_picks"), naive.stat("select_picks"))
-                << name << "/" << algo << "/" << strategy << " seed " << seed;
-          }
-          EXPECT_EQ(pairs(fast.solution()), pairs(naive.solution()))
-              << name << "/" << algo << "/" << strategy << " seed " << seed;
+        const SolveResult delta = solve_with(inst, algo, "delta");
+        ASSERT_TRUE(delta.ok) << name << "/" << algo << ": " << delta.error;
+        EXPECT_EQ(delta.objective, naive.objective)
+            << name << "/" << algo << " seed " << seed;
+        EXPECT_EQ(delta.variant, naive.variant)
+            << name << "/" << algo << " seed " << seed;
+        // Work counters match across strategies except under "enum",
+        // where the shared-prefix replay (delta-heap only) scores most
+        // leaves without touching the kernel — fewer picks, same bits.
+        if (algo != "enum") {
+          EXPECT_EQ(delta.stat("select_picks"), naive.stat("select_picks"))
+              << name << "/" << algo << " seed " << seed;
         }
+        EXPECT_EQ(pairs(delta.solution()), pairs(naive.solution()))
+            << name << "/" << algo << " seed " << seed;
       }
     }
   }
@@ -107,25 +104,22 @@ TEST(SelectKernel, GreedyTracesIdenticalAcrossStrategies) {
       const Instance inst = engine::build_scenario(spec);
       const GreedyResult naive =
           greedy_unit_skew(inst, {SelectStrategy::kNaiveScan, nullptr});
-      for (const SelectStrategy strategy :
-           {SelectStrategy::kDeltaHeap, SelectStrategy::kLazyHeap}) {
-        const GreedyResult fast = greedy_unit_skew(inst, {strategy, nullptr});
-        EXPECT_EQ(fast.trace.considered, naive.trace.considered)
-            << scenario << "/" << to_string(strategy) << " seed " << seed;
-        EXPECT_EQ(fast.trace.added, naive.trace.added)
-            << scenario << "/" << to_string(strategy) << " seed " << seed;
-        EXPECT_EQ(fast.trace.skipped_budget, naive.trace.skipped_budget);
-        EXPECT_EQ(fast.capped_utility, naive.capped_utility);
-        EXPECT_EQ(fast.select.picks, naive.select.picks);
-      }
+      const GreedyResult delta =
+          greedy_unit_skew(inst, {SelectStrategy::kDeltaHeap, nullptr});
+      EXPECT_EQ(delta.trace.considered, naive.trace.considered)
+          << scenario << " seed " << seed;
+      EXPECT_EQ(delta.trace.added, naive.trace.added)
+          << scenario << " seed " << seed;
+      EXPECT_EQ(delta.trace.skipped_budget, naive.trace.skipped_budget);
+      EXPECT_EQ(delta.capped_utility, naive.capped_utility);
+      EXPECT_EQ(delta.select.picks, naive.select.picks);
     }
   }
 }
 
-// The heap strategies must be equivalent *and* cheaper: far fewer
-// effectiveness evaluations than the rescan, and the exact delta path
-// must never evaluate more than the global round-bump.
-TEST(SelectKernel, DeltaAndLazyEvaluateFarLessThanNaive) {
+// The heap strategy must be equivalent *and* cheaper: far fewer
+// effectiveness evaluations than the rescan.
+TEST(SelectKernel, DeltaEvaluatesFarLessThanNaive) {
   ScenarioSpec spec;
   spec.name = "cap";
   spec.params.set("streams", 300).set("users", 80);
@@ -133,16 +127,10 @@ TEST(SelectKernel, DeltaAndLazyEvaluateFarLessThanNaive) {
   const Instance inst = engine::build_scenario(spec);
   const GreedyResult delta =
       greedy_unit_skew(inst, {SelectStrategy::kDeltaHeap, nullptr});
-  const GreedyResult lazy =
-      greedy_unit_skew(inst, {SelectStrategy::kLazyHeap, nullptr});
   const GreedyResult naive =
       greedy_unit_skew(inst, {SelectStrategy::kNaiveScan, nullptr});
   EXPECT_EQ(delta.capped_utility, naive.capped_utility);
-  EXPECT_EQ(lazy.capped_utility, naive.capped_utility);
-  EXPECT_LT(lazy.select.evaluations * 10, naive.select.evaluations);
-  // Untouched entries never re-evaluate under delta stamps, so delta's
-  // evaluation count is bounded by lazy's.
-  EXPECT_LE(delta.select.evaluations, lazy.select.evaluations);
+  EXPECT_LT(delta.select.evaluations * 10, naive.select.evaluations);
 }
 
 // Exact effectiveness tie: the larger residual utility w̄ wins.
@@ -152,8 +140,7 @@ TEST(SelectKernel, TieBreakPrefersLargerResidual) {
       {2.0, 3.0, 1.0}, 100.0, {100.0},
       {{0, 0, 4.0}, {0, 1, 6.0}, {0, 2, 1.0}});
   for (const SelectStrategy strategy :
-       {SelectStrategy::kDeltaHeap, SelectStrategy::kLazyHeap,
-        SelectStrategy::kNaiveScan}) {
+       {SelectStrategy::kDeltaHeap, SelectStrategy::kNaiveScan}) {
     const GreedyResult g = greedy_unit_skew(inst, {strategy, nullptr});
     ASSERT_GE(g.trace.considered.size(), 2u) << to_string(strategy);
     EXPECT_EQ(g.trace.considered[0], 1) << to_string(strategy);
@@ -171,8 +158,7 @@ TEST(SelectKernel, NearTieFallsBackToLowestStreamId) {
   const Instance inst = model::build_cap_instance(
       {1.0, 1.0}, 100.0, {100.0}, {{0, 0, w0}, {0, 1, w1}});
   for (const SelectStrategy strategy :
-       {SelectStrategy::kDeltaHeap, SelectStrategy::kLazyHeap,
-        SelectStrategy::kNaiveScan}) {
+       {SelectStrategy::kDeltaHeap, SelectStrategy::kNaiveScan}) {
     const GreedyResult g = greedy_unit_skew(inst, {strategy, nullptr});
     ASSERT_FALSE(g.trace.considered.empty());
     EXPECT_EQ(g.trace.considered[0], 0) << to_string(strategy);
@@ -186,8 +172,7 @@ TEST(SelectKernel, ZeroCostStreamsRankFirstUnderBothStrategies) {
       {0.0, 0.0, 1.0}, 1.0, {100.0},
       {{0, 0, 0.5}, {0, 1, 2.0}, {0, 2, 50.0}});
   for (const SelectStrategy strategy :
-       {SelectStrategy::kDeltaHeap, SelectStrategy::kLazyHeap,
-        SelectStrategy::kNaiveScan}) {
+       {SelectStrategy::kDeltaHeap, SelectStrategy::kNaiveScan}) {
     const GreedyResult g = greedy_unit_skew(inst, {strategy, nullptr});
     ASSERT_GE(g.trace.considered.size(), 3u);
     EXPECT_EQ(g.trace.considered[0], 1) << "larger w̄ among the two infs";
@@ -203,8 +188,7 @@ TEST(StreamSelector, PopsInEffectivenessOrderAndHonorsRemove) {
   ws.wbar = {10.0, 30.0, 20.0, 5.0};
   ws.cost = {1.0, 1.0, 1.0, 1.0};
   for (const SelectStrategy strategy :
-       {SelectStrategy::kDeltaHeap, SelectStrategy::kLazyHeap,
-        SelectStrategy::kNaiveScan}) {
+       {SelectStrategy::kDeltaHeap, SelectStrategy::kNaiveScan}) {
     StreamSelector sel;
     sel.reset(ws, ws.wbar, ws.cost, strategy);
     EXPECT_EQ(sel.pool_size(), 4u);
@@ -215,25 +199,6 @@ TEST(StreamSelector, PopsInEffectivenessOrderAndHonorsRemove) {
     EXPECT_EQ(sel.pop_best(), 3);
     EXPECT_EQ(sel.pop_best(), model::kInvalidStream);
     EXPECT_EQ(sel.stats().picks, 3u);
-  }
-}
-
-// Lazy re-evaluation: decreasing w̄ between pops (with invalidate())
-// must demote a stream exactly like a fresh rescan would.
-TEST(StreamSelector, StaleEntriesAreReevaluatedAfterInvalidate) {
-  SolveWorkspace ws;
-  ws.wbar = {8.0, 10.0, 6.0};
-  ws.cost = {1.0, 1.0, 1.0};
-  for (const SelectStrategy strategy :
-       {SelectStrategy::kDeltaHeap, SelectStrategy::kLazyHeap}) {
-    ws.wbar = {8.0, 10.0, 6.0};
-    StreamSelector sel;
-    sel.reset(ws, ws.wbar, ws.cost, strategy);
-    EXPECT_EQ(sel.pop_best(), 1) << to_string(strategy);
-    ws.wbar[0] = 0.5;  // stream 0's stale entry (8.0) now overestimates
-    sel.invalidate();
-    EXPECT_EQ(sel.pop_best(), 2) << to_string(strategy);
-    EXPECT_EQ(sel.pop_best(), 0) << to_string(strategy);
   }
 }
 
@@ -262,14 +227,13 @@ TEST(StreamSelector, DeltaUpdateDemotesExactlyLikeARescan) {
 // completion) sees pops, removes, w̄ decreases, w̄ increases with
 // readmission, and over-budget skips that rejoin at the end of their
 // completion. After every operation it must pop exactly what a selector
-// reset() from scratch on the same pool pops, under every strategy. The
+// reset() from scratch on the same pool pops, under both strategies. The
 // coarse value grids make exact and tolerance ties common; the probe pop
 // is readmitted at once, so it also drives the heap through compaction.
 TEST(StreamSelector, PersistentSelectorMatchesAFreshResetAfterEveryOp) {
   constexpr std::size_t n = 48;
   for (const SelectStrategy strategy :
-       {SelectStrategy::kDeltaHeap, SelectStrategy::kLazyHeap,
-        SelectStrategy::kNaiveScan}) {
+       {SelectStrategy::kDeltaHeap, SelectStrategy::kNaiveScan}) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       util::Rng rng(seed);
       std::vector<double> wbar(n);
@@ -503,8 +467,14 @@ TEST(SelectKernel, SelectOptionIsDeclaredAndValidated) {
   }
   EXPECT_THROW(parse_select_strategy("fastest"), std::invalid_argument);
   EXPECT_EQ(parse_select_strategy("delta"), SelectStrategy::kDeltaHeap);
-  EXPECT_EQ(parse_select_strategy("lazy"), SelectStrategy::kLazyHeap);
   EXPECT_EQ(parse_select_strategy("naive"), SelectStrategy::kNaiveScan);
+  // The vocabulary is exactly delta|naive; any other name is refused
+  // with that list.
+  for (const char* retired : {"lazy", "heap", "scan"}) {
+    const SolveResult r = solve_with(inst, "greedy", retired);
+    EXPECT_FALSE(r.ok) << retired;
+    EXPECT_NE(r.error.find("delta|naive"), std::string::npos) << r.error;
+  }
 }
 
 // Seeded greedy through the kernel: seeds leave the pool, duplicates are
@@ -519,13 +489,10 @@ TEST(SelectKernel, SeededGreedyIdenticalAcrossStrategies) {
   const StreamId seeds[] = {3, 7, 3};  // duplicate on purpose
   const GreedyResult naive = greedy_unit_skew_seeded(
       inst, seeds, {SelectStrategy::kNaiveScan, nullptr});
-  for (const SelectStrategy strategy :
-       {SelectStrategy::kDeltaHeap, SelectStrategy::kLazyHeap}) {
-    const GreedyResult fast =
-        greedy_unit_skew_seeded(inst, seeds, {strategy, nullptr});
-    EXPECT_EQ(fast.trace.considered, naive.trace.considered);
-    EXPECT_EQ(fast.capped_utility, naive.capped_utility);
-  }
+  const GreedyResult delta = greedy_unit_skew_seeded(
+      inst, seeds, {SelectStrategy::kDeltaHeap, nullptr});
+  EXPECT_EQ(delta.trace.considered, naive.trace.considered);
+  EXPECT_EQ(delta.capped_utility, naive.capped_utility);
   ASSERT_GE(naive.trace.considered.size(), 2u);
   EXPECT_EQ(naive.trace.considered[0], 3);
   EXPECT_EQ(naive.trace.considered[1], 7);

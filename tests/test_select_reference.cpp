@@ -1,11 +1,11 @@
 // Committed-reference pick tests: the kernel's exact output — the
 // (user, stream) pair set and the bit-exact objective — is pinned to
 // tests/data/select_reference.txt for every registered scenario × three
-// seeds × all three strategies. The lazy==delta==naive differentials in
+// seeds × both strategies. The delta==naive differentials in
 // test_select.cpp prove the strategies agree with *each other*; this
 // suite proves they agree with the *past* — a layout or SIMD rework that
 // shifts any pick (the exact failure mode of the SoA/AVX2 rebuild)
-// breaks here even if it shifts all three strategies identically.
+// breaks here even if it shifts both strategies identically.
 //
 // Regenerate after an intentional pick change:
 //   VDIST_UPDATE_SELECT_REFERENCE=1 ./build/vdist_tests \
@@ -80,7 +80,7 @@ ReferenceRow row_of(const SolveResult& r) {
 }
 
 // "scenario seed algorithm" — strategies share one row by construction
-// (they are pick-for-pick identical; the test asserts all three against
+// (they are pick-for-pick identical; the test asserts both against
 // the same committed row).
 std::string key_of(const std::string& scenario, std::uint64_t seed,
                    const std::string& algorithm) {
@@ -161,9 +161,9 @@ TEST(SelectReference, AllStrategiesMatchCommittedPicks) {
       const Instance inst = engine::build_scenario(spec);
       for (const std::string& algo : reference_algorithms(inst)) {
         const std::string key = key_of(name, seed, algo);
-        // All three strategies are asserted against the one committed
-        // row — pick-for-pick identity to the past AND to each other.
-        for (const char* strategy : {"delta", "lazy", "naive"}) {
+        // Both strategies are asserted against the one committed row —
+        // pick-for-pick identity to the past AND to each other.
+        for (const char* strategy : {"delta", "naive"}) {
           const SolveResult r = solve_with(inst, algo, strategy);
           ASSERT_TRUE(r.ok) << key << "/" << strategy << ": " << r.error;
           const ReferenceRow row = row_of(r);

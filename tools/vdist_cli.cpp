@@ -647,7 +647,15 @@ int cmd_perf(const Args& args) {
   // Validate the gate thresholds before spending minutes benchmarking: a
   // partial parse ("2x") must be an error, not a silently different gate.
   const double min_speedup = args.options.get_double("min-speedup", 1.0);
+  if (!(min_speedup >= 0.0))
+    throw std::runtime_error("option --min-speedup expects a number >= 0, "
+                             "got '" + args.options.get("min-speedup", "") +
+                             "'");
   const double max_regress = args.options.get_double("max-regress", 2.0);
+  if (!(max_regress > 0.0))
+    throw std::runtime_error("option --max-regress expects a number > 0, "
+                             "got '" + args.options.get("max-regress", "") +
+                             "'");
   // Which ratios the baseline gate inspects: `evals` is deterministic
   // and machine-independent (CI compares against a BENCH produced on
   // different hardware); `wall` only makes sense on comparable machines.
@@ -827,7 +835,7 @@ int cmd_help(std::ostream& os) {
       "algorithm (default: the mode-matched greedy, under which resolve's\n"
       "ratio is 1.0 bit-exactly), --min-ratio X gates the worst prefix\n"
       "(exit 5 on violation). 'perf' benchmarks the selection-kernel\n"
-      "strategies (delta/lazy/naive) on scaling registered scenarios and\n"
+      "strategies (delta/naive) on scaling registered scenarios and\n"
       "writes BENCH_perf.json with build provenance (exit 3 when the\n"
       "objectives diverge, the largest case's delta-vs-naive speedup\n"
       "falls below --min-speedup, or — with --baseline FILE — any\n"
