@@ -214,8 +214,7 @@ struct SolveWorkspace {
   // Band views (core/skew_bands.cpp): per-edge surrogate utilities,
   // per-stream totals, per-user caps, per-edge band tags, plus the
   // band-major edge partition (edge ids grouped by band, ascending
-  // within each band) and the edge -> stream map the grouped fill and
-  // the event-trace generator (gen/events.cpp) share.
+  // within each band) and the edge -> stream map the grouped fill uses.
   std::vector<double> view_utility;
   std::vector<double> view_totals;
   std::vector<double> view_caps;

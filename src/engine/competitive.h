@@ -13,8 +13,8 @@
 // §2.2 greedy in the backend's own mode) the resolve policy's ratio is
 // 1.0 bit-exactly at every checkpoint — resolve maintains exactly the
 // from-scratch solve of the overlay view, and the workload generators'
-// parity-safety guarantee makes the materialized snapshot bit-compatible
-// with that view. Repair stays within its declared drift bound at every
+// parity-safety guarantee (workload/trace_state.h) makes the materialized
+// snapshot bit-compatible with that view. Repair stays within its declared drift bound at every
 // aligned checkpoint; online has no per-prefix guarantee (that is the
 // point of measuring it).
 #pragma once

@@ -211,7 +211,7 @@ SolveOutcome run_serve(const SolveRequest& req) {
       std::to_string(req.workload_seed != 0 ? req.workload_seed : req.seed);
   // --trace key=value,... overrides any family knob, including events and
   // seed — a plan line reproduces the exact workload.
-  workload::apply_workload_overrides(wparams, cfg.trace);
+  workload::apply_workload_overrides(wparams, cfg.trace, "option --trace");
   const std::vector<model::InstanceEvent> trace =
       workload::WorkloadRegistry::global().generate(cfg.family,
                                                     *req.instance, wparams);

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "engine/scenario.h"
-#include "gen/events.h"
 #include "gen/iptv.h"
 #include "gen/random_instances.h"
 #include "gen/small_streams.h"
@@ -283,85 +282,42 @@ model::Instance build_trace(const ScenarioSpec& spec) {
   return std::move(b).build();
 }
 
-// --- churn -------------------------------------------------------------
+// --- event-churned snapshots -------------------------------------------
 
-// Event-churned snapshot of any unit-skew generator family: build the
-// base scenario, replay a deterministic event trace (gen/events.h) over
-// an InstanceOverlay, and materialize the end state. Layers the serving
-// session's arrival/departure processes over every existing workload, so
-// offline solvers and sweeps face the world a session would have been
-// serving after `events` changes.
-// Resolves the shared base-scenario surface of every event-churned
-// scenario (`churn` and the adversarial workload families): `base` names
-// the family, `set` forwards arbitrary params, and the common knobs are
-// declared directly so sweep axes can drive them. The result must be a
-// unit-skew cap form — the form every event trace churns.
-model::Instance churned_base_instance(const ScenarioSpec& spec,
-                                      const std::string& self) {
+// One scenario per workload-registry family: build the base scenario,
+// replay the family's deterministic event trace over an InstanceOverlay,
+// and materialize the end state, so offline solvers and sweeps face the
+// world a serving session would have been serving after `events`
+// changes. `base` names the base family, `set` forwards arbitrary params
+// to it, and the common knobs are declared directly so sweep axes can
+// drive them. The family's declared params are flattened into the
+// scenario surface; the scenario seed drives the trace.
+model::Instance build_churned(const ScenarioSpec& spec,
+                              const std::string& family) {
   ScenarioSpec base;
   base.name = spec.params.get("base", "cap");
-  if (base.name == self)
-    throw std::invalid_argument(self + " scenario cannot nest itself");
+  if (base.name == family)
+    throw std::invalid_argument(family + " scenario cannot nest itself");
   base.seed = spec.seed;
-  // `set` forwards comma-separated key=value pairs to the base scenario
-  // (strictly resolved there, so typos still fail loudly); "-" = none.
-  std::string set = spec.params.get("set", "-");
-  if (set == "-") set.clear();
-  std::size_t pos = 0;
-  while (pos < set.size()) {
-    std::size_t comma = set.find(',', pos);
-    if (comma == std::string::npos) comma = set.size();
-    const std::string kv = set.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (kv.empty()) continue;
-    const std::size_t eq = kv.find('=');
-    if (eq == std::string::npos || eq == 0)
-      throw std::invalid_argument(
-          self + " param set expects key=value[,key=value...], got '" + kv +
-          "'");
-    base.params.set(kv.substr(0, eq), kv.substr(eq + 1));
-  }
-  // Common knobs declared directly (so sweep axes can drive them without
-  // the `set` syntax); "-" = leave the base default.
+  // `set` is strictly resolved by the base scenario, so typos still fail
+  // loudly; "-" = none.
+  const std::string set = spec.params.get("set", "-");
+  std::map<std::string, std::string> forwarded;
+  if (set != "-")
+    workload::apply_workload_overrides(forwarded, set, family + " param set");
+  for (const auto& [key, value] : forwarded) base.params.set(key, value);
+  // "-" = leave the base default.
   for (const char* key : {"streams", "users", "budget-fraction"}) {
     const std::string value = spec.params.get(key, "-");
     if (value != "-") base.params.set(key, value);
   }
   const model::Instance inst = build_scenario(base);
+  // The form every event trace churns.
   if (!inst.is_smd() || !inst.is_unit_skew())
     throw std::invalid_argument(
-        self + " base scenario '" + base.name +
+        family + " base scenario '" + base.name +
         "' must build a unit-skew cap-form instance (try cap or trace)");
-  return inst;
-}
 
-model::Instance build_churn(const ScenarioSpec& spec) {
-  const model::Instance inst = churned_base_instance(spec, "churn");
-
-  gen::EventTraceConfig cfg;
-  cfg.num_events = get_size(spec.params, "events");
-  cfg.seed = spec.seed;
-  // `trace` reuses the declared gen-events param surface (event-mix
-  // weights, scale ranges, events/seed), so a plan can reshape the churn
-  // the same way the CLI's gen-events flags and the serve solver's
-  // `trace` option do. Overrides win over the scenario-level knobs.
-  const std::string trace = spec.params.get("trace", "-");
-  if (trace != "-") gen::apply_event_trace_overrides(cfg, trace);
-  model::InstanceOverlay overlay(inst);
-  for (const model::InstanceEvent& event : gen::make_event_trace(inst, cfg))
-    overlay.apply(event);
-  return overlay.materialize();
-}
-
-// --- adversarial workload families ------------------------------------
-
-// One registration per workload-registry family: the family's declared
-// params are flattened into the scenario surface (next to the shared
-// base/set/... knobs), the scenario seed drives the trace, and the
-// snapshot rides the same overlay machinery as `churn`.
-model::Instance build_workload_churned(const ScenarioSpec& spec,
-                                       const std::string& family) {
-  const model::Instance inst = churned_base_instance(spec, family);
   const workload::WorkloadRegistry& registry =
       workload::WorkloadRegistry::global();
   std::map<std::string, std::string> overrides;
@@ -380,13 +336,12 @@ void register_workload_scenarios(ScenarioRegistry& r) {
   const workload::WorkloadRegistry& registry =
       workload::WorkloadRegistry::global();
   for (const std::string& family : registry.names()) {
-    if (family == "churn") continue;  // registered above, predating this
     const workload::WorkloadInfo& winfo = registry.model(family).info();
     ScenarioInfo info;
     info.name = family;
     info.description =
-        "adversarial event-churned snapshot of a unit-skew base scenario: " +
-        winfo.description;
+        "event-churned snapshot of a unit-skew base scenario under the " +
+        family + " workload: " + winfo.description;
     info.params = {
         {"base", "cap",
          "base scenario family (must build a unit-skew cap form)"},
@@ -404,7 +359,7 @@ void register_workload_scenarios(ScenarioRegistry& r) {
       if (std::string(p.key) != "seed")  // the scenario seed drives it
         info.params.push_back({p.key, p.fallback, p.description});
     r.add(std::move(info), [family](const ScenarioSpec& spec) {
-      return build_workload_churned(spec, family);
+      return build_churned(spec, family);
     });
   }
 }
@@ -535,30 +490,6 @@ void register_builtin_scenarios(ScenarioRegistry& r) {
               {"eps-prime", "-1",
                "load perturbation; <= 0 uses the paper's 1/mc^2"}}},
         build_tightness);
-  r.add({.name = "churn",
-         .description =
-             "event-churned snapshot of a unit-skew base scenario: replay "
-             "a deterministic join/leave/add/remove/capacity/utility trace "
-             "(gen/events.h) over an InstanceOverlay and materialize the "
-             "end state",
-         .params =
-             {{"base", "cap",
-               "base scenario family (must build a unit-skew cap form)"},
-              {"set", "-",
-               "comma-separated key=value params forwarded to the base "
-               "scenario (\"-\" = none)"},
-              {"streams", "-",
-               "forwarded to the base scenario (\"-\" = base default)"},
-              {"users", "-",
-               "forwarded to the base scenario (\"-\" = base default)"},
-              {"budget-fraction", "-",
-               "forwarded to the base scenario (\"-\" = base default)"},
-              {"events", "60", "number of churn events to replay"},
-              {"trace", "-",
-               "comma-separated gen-events key=value overrides (event-mix "
-               "weights, scale ranges, events/seed; see 'vdist_cli "
-               "gen-events'); \"-\" = defaults"}}},
-        build_churn);
   r.add({.name = "trace",
          .description =
              "session-expanded dynamic workload (Section 5 footnote 1): a "

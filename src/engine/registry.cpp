@@ -1,8 +1,6 @@
 #include "engine/registry.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -21,36 +19,10 @@ std::string SolveOptions::format_number(double value) {
   return os.str();
 }
 
-std::int64_t parse_int_value(const std::string& what, const std::string& text,
-                             std::int64_t lo, std::int64_t hi) {
-  std::int64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec == std::errc() && ptr == end && value >= lo && value <= hi)
-    return value;
-  std::string range;
-  if (hi != std::numeric_limits<std::int64_t>::max())
-    range = " in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
-  else if (lo != std::numeric_limits<std::int64_t>::min())
-    range = " >= " + std::to_string(lo);
-  throw std::invalid_argument(what + " expects an integer" + range +
-                              ", got '" + text + "'");
-}
-
-double parse_double_value(const std::string& what, const std::string& text) {
-  double value = 0.0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  // NaN passes every range check (each comparison is false), so it is
-  // not a number any option accepts.
-  if (ec == std::errc() && ptr == end && !std::isnan(value)) return value;
-  throw std::invalid_argument(what + " expects a number, got '" + text + "'");
-}
-
 double SolveOptions::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   return it == values_.end() ? fallback
-                             : parse_double_value("option --" + key,
+                             : util::parse_double_value("option --" + key,
                                                   it->second);
 }
 
@@ -60,7 +32,7 @@ std::int64_t SolveOptions::get_int(const std::string& key,
   const auto it = values_.find(key);
   return it == values_.end()
              ? fallback
-             : parse_int_value("option --" + key, it->second, lo, hi);
+             : util::parse_int_value("option --" + key, it->second, lo, hi);
 }
 
 bool SolveOptions::get_bool(const std::string& key, bool fallback) const {

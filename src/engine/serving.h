@@ -195,7 +195,8 @@ class Session {
 
   // Bakes the current world into a standalone Instance (the validation /
   // parity snapshot; bit-compatible with the live view while no live
-  // pair exceeds its cap — the event generator's guarantee).
+  // pair exceeds its cap — the parity-safety contract of
+  // workload/trace_state.h).
   [[nodiscard]] model::Instance snapshot() const {
     return overlay_.materialize();
   }

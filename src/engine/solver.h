@@ -24,25 +24,13 @@
 #include "model/assignment.h"
 #include "model/instance.h"
 #include "model/validate.h"
+#include "util/parse.h"
 
 namespace vdist::core {
 struct SolveWorkspace;
 }  // namespace vdist::core
 
 namespace vdist::engine {
-
-// Whole-token number parsing, the one rule behind SolveOptions' typed
-// accessors, the CLI's flags and the sweep plan's directives: the entire
-// token must parse (std::from_chars), so "8x" is an error, never 8, and an
-// integer outside [lo, hi] is an error, never wrapped or narrowed. `what`
-// names the value in the std::invalid_argument message, e.g. "option
-// --every expects an integer, got '12abc'".
-[[nodiscard]] std::int64_t parse_int_value(
-    const std::string& what, const std::string& text,
-    std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
-    std::int64_t hi = std::numeric_limits<std::int64_t>::max());
-[[nodiscard]] double parse_double_value(const std::string& what,
-                                        const std::string& text);
 
 // String-keyed per-algorithm options with typed accessors. Keys are
 // algorithm-defined (see each registration's description); unknown keys
@@ -70,7 +58,7 @@ class SolveOptions {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
-  // Numbers parse with the parse_*_value rules above, booleans take
+  // Numbers parse with the util/parse.h whole-token rules, booleans take
   // 1/true/yes/on and 0/false/no/off; errors name "option --key".
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;

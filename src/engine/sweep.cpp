@@ -481,13 +481,13 @@ std::vector<std::string> tokenize(const std::string& line) {
                            message);
 }
 
-// A whole-token integer in [lo, hi] (parse_int_value), with the line
+// A whole-token integer in [lo, hi] (util::parse_int_value), with the line
 // number on error.
 std::int64_t plan_int(int line_number, const std::string& what,
                       const std::string& text, std::int64_t lo,
                       std::int64_t hi) {
   try {
-    return parse_int_value(what, text, lo, hi);
+    return util::parse_int_value(what, text, lo, hi);
   } catch (const std::invalid_argument& e) {
     plan_error(line_number, e.what());
   }
@@ -570,7 +570,7 @@ SweepPlan parse_plan(std::istream& is) {
       if (tokens.size() != 2)
         plan_error(line_number, "budget-ms needs one number");
       try {
-        plan.time_budget_ms = parse_double_value("budget-ms", tokens[1]);
+        plan.time_budget_ms = util::parse_double_value("budget-ms", tokens[1]);
       } catch (const std::invalid_argument& e) {
         plan_error(line_number, e.what());
       }

@@ -3,8 +3,8 @@
 // changes one small step at a time — a user joins or leaves, a stream is
 // added to or dropped from the catalog, a capacity or a utility moves —
 // and every layer that reacts to that world (model::InstanceOverlay,
-// engine::Session, the event-trace generator in gen/events.h, the text
-// format in io/event_io.h) speaks this one event vocabulary.
+// engine::Session, the trace generators in workload/trace_state.h, the
+// text format in io/event_io.h) speaks this one event vocabulary.
 //
 // Events reference model ids only, so they sit at the model layer; the
 // semantics of *applying* one live in model::InstanceOverlay (tombstone /

@@ -167,7 +167,8 @@ class InstanceOverlay {
   // Bakes the current effective state into a standalone Instance:
   // snapshot_instance() over the current base and effective arrays.
   // Bit-compatible with view() for solver parity as long as no live pair
-  // exceeds its user's cap (the event generator guarantees it).
+  // exceeds its user's cap (the parity-safety contract every workload
+  // trace keeps, workload/trace_state.h).
   [[nodiscard]] Instance materialize() const {
     return snapshot_instance(instance(), edge_utility_, capacity_);
   }

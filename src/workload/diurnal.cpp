@@ -3,8 +3,9 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <vector>
 
-#include "gen/events.h"
+#include "workload/churn.h"
 #include "workload/workload.h"
 
 namespace vdist::workload {
@@ -17,8 +18,8 @@ class DiurnalWorkload final : public WorkloadModel {
     info_.name = "diurnal";
     info_.description =
         "sinusoidal arrival/departure intensity: join weight swells and "
-        "leave weight ebbs over phased cycles (gen/events.h phase "
-        "schedule)";
+        "leave weight ebbs over phased cycles (the churn mix under a "
+        "piecewise weight schedule)";
     info_.params = {
         {"events", "800", "trace length"},
         {"seed", "7", "RNG seed"},
@@ -41,27 +42,24 @@ class DiurnalWorkload final : public WorkloadModel {
       throw std::invalid_argument("workload param phases must be >= 2");
     const double amplitude = params.get_fraction("amplitude");
 
-    gen::EventTraceConfig cfg;
-    cfg.num_events = static_cast<std::size_t>(params.get_count("events"));
-    cfg.seed = params.get_count("seed");
+    const auto events = static_cast<std::size_t>(params.get_count("events"));
     const std::size_t total = cycles * phases;
-    cfg.phases.reserve(total);
+    std::vector<detail::ChurnPhase> schedule;
+    schedule.reserve(total);
     for (std::size_t k = 0; k < total; ++k) {
       const double theta = 2.0 * std::numbers::pi *
                            (static_cast<double>(k % phases) + 0.5) /
                            static_cast<double>(phases);
-      gen::EventPhase p;
-      p.until = static_cast<double>(k + 1) / static_cast<double>(total);
       const double swing = amplitude * std::sin(theta);
-      p.w_user_join = 2.0 * (1.0 + swing);   // day: arrivals surge
-      p.w_user_leave = 2.0 * (1.0 - swing);  // night: departures surge
-      p.w_stream_remove = 0.5;
-      p.w_stream_add = 0.5;
-      p.w_capacity = 1.0;
-      p.w_utility = 1.0;
-      cfg.phases.push_back(p);
+      detail::ChurnPhase p;
+      p.until = static_cast<double>(k + 1) / static_cast<double>(total);
+      p.weights = {2.0 * (1.0 - swing),  // night: departures surge
+                   2.0 * (1.0 + swing),  // day: arrivals surge
+                   0.5, 0.5, 1.0, 1.0};
+      schedule.push_back(p);
     }
-    return gen::make_event_trace(inst, cfg);
+    return detail::mixed_churn(inst, events, params.get_count("seed"),
+                               schedule, detail::ChurnScales{});
   }
 
  private:

@@ -1,6 +1,6 @@
-// diurnal: sinusoidal arrival/departure intensity over phases — built
-// directly on the gen/events.h piecewise phase schedule, so it composes
-// with the full mixed-churn machinery.
+// diurnal: sinusoidal arrival/departure intensity over phases — the
+// churn mix (workload/churn.h) under a piecewise weight schedule, so it
+// composes with the full mixed-churn machinery.
 #pragma once
 
 namespace vdist::workload {

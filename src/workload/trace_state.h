@@ -1,8 +1,10 @@
-// Shared bookkeeping for the adversarial trace generators: alive flags,
+// Shared bookkeeping for the workload trace generators: alive flags,
 // current declared caps, per-user utility ceilings, and event emitters
-// that centralize the parity-safety contract (caps floored at the user's
-// largest declared pair utility, utilities clamped to the declared
-// value). Internal to src/workload/ — the public surface is workload.h.
+// that are the one home of the parity-safety contract — caps floored at
+// the user's largest declared pair utility, utilities clamped to the
+// declared value — so w_u(S) <= W_u keeps holding at every prefix and
+// InstanceOverlay::materialize() stays bit-compatible with the overlay
+// view. Internal to src/workload/ — the public surface is workload.h.
 #pragma once
 
 #include <algorithm>
@@ -85,6 +87,34 @@ struct TraceState {
     return true;
   }
 
+  // Stream pull, keeping at least one stream alive.
+  bool emit_stream_remove(model::StreamId s,
+                          std::vector<model::InstanceEvent>& out) {
+    const auto ss = static_cast<std::size_t>(s);
+    if (streams_alive < 2 || stream_alive[ss] == 0) return false;
+    model::InstanceEvent ev;
+    ev.type = model::EventType::kStreamRemove;
+    ev.stream = s;
+    out.push_back(std::move(ev));
+    stream_alive[ss] = 0;
+    --streams_alive;
+    return true;
+  }
+
+  // Restore of a pulled stream.
+  bool emit_stream_add(model::StreamId s,
+                       std::vector<model::InstanceEvent>& out) {
+    const auto ss = static_cast<std::size_t>(s);
+    if (stream_alive[ss] != 0) return false;
+    model::InstanceEvent ev;
+    ev.type = model::EventType::kStreamAdd;
+    ev.stream = s;
+    out.push_back(std::move(ev));
+    stream_alive[ss] = 1;
+    ++streams_alive;
+    return true;
+  }
+
   // Capacity change floored at max_w[u] (the parity-safety contract);
   // unbounded caps are never churned.
   bool emit_capacity(model::UserId u, double value,
@@ -114,12 +144,26 @@ struct TraceState {
 
   // --- uniform draws over the current state ---
 
+  // Each draw takes one uniform_int over the qualifying count; callers
+  // check the count is non-zero first.
   [[nodiscard]] model::UserId random_alive_user(util::Rng& rng) const {
-    auto r = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(users_alive) - 1));
-    for (std::size_t i = 0; i < U; ++i)
-      if (user_alive[i] != 0 && r-- == 0) return static_cast<model::UserId>(i);
-    return static_cast<model::UserId>(U - 1);  // unreachable
+    return static_cast<model::UserId>(
+        nth_flag(rng, user_alive, true, users_alive));
+  }
+
+  [[nodiscard]] model::UserId random_dead_user(util::Rng& rng) const {
+    return static_cast<model::UserId>(
+        nth_flag(rng, user_alive, false, U - users_alive));
+  }
+
+  [[nodiscard]] model::StreamId random_alive_stream(util::Rng& rng) const {
+    return static_cast<model::StreamId>(
+        nth_flag(rng, stream_alive, true, streams_alive));
+  }
+
+  [[nodiscard]] model::StreamId random_dead_stream(util::Rng& rng) const {
+    return static_cast<model::StreamId>(
+        nth_flag(rng, stream_alive, false, S - streams_alive));
   }
 
   [[nodiscard]] model::EdgeId random_edge(util::Rng& rng) const {
@@ -154,9 +198,9 @@ struct TraceState {
     return static_cast<std::size_t>(e) < inst.num_edges();
   }
 
-  // Guaranteed emitter, the gen/events.h fallback chain: capacity wiggle
-  // on a random alive user, else a utility change on a random pair. Keeps
-  // every trace at its exact declared length.
+  // Guaranteed emitter: capacity wiggle on a random alive user, else a
+  // utility change on a random pair. Keeps every trace at its exact
+  // declared length.
   void emit_fallback(util::Rng& rng, std::vector<model::InstanceEvent>& out) {
     const model::UserId u = random_alive_user(rng);
     if (emit_capacity(u, cur_cap[static_cast<std::size_t>(u)] *
@@ -164,6 +208,19 @@ struct TraceState {
                       out))
       return;
     emit_utility(random_edge(rng), rng.uniform(0.4, 1.0), out);
+  }
+
+ private:
+  // Index of a uniform entry among the `count` flags whose aliveness is
+  // `alive`. O(n); trace generation is not a hot path and the scan keeps
+  // the draw independent of container churn.
+  static std::size_t nth_flag(util::Rng& rng, const std::vector<char>& flags,
+                              bool alive, std::size_t count) {
+    auto r = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+    for (std::size_t i = 0; i < flags.size(); ++i)
+      if ((flags[i] != 0) == alive && r-- == 0) return i;
+    return flags.size() - 1;  // unreachable when count was right
   }
 };
 

@@ -1,12 +1,12 @@
 #include "workload/workload.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "gen/events.h"
+#include "util/parse.h"
+#include "workload/churn.h"
 #include "workload/diurnal.h"
 #include "workload/flash_crowd.h"
 #include "workload/hetero_cap.h"
@@ -26,26 +26,16 @@ const std::string& Params::get(const std::string& key) const {
 }
 
 double Params::get_double(const std::string& key) const {
-  const std::string& value = get(key);
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || !std::isfinite(v))
+  const double v = util::parse_double_value("workload param " + key, get(key));
+  if (!std::isfinite(v))
     throw std::invalid_argument("workload param " + key +
-                                " expects a finite number, got '" + value +
+                                " expects a finite number, got '" + get(key) +
                                 "'");
   return v;
 }
 
 std::uint64_t Params::get_count(const std::string& key) const {
-  const std::string& value = get(key);
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0' ||
-      value.find('-') != std::string::npos)
-    throw std::invalid_argument("workload param " + key +
-                                " expects a non-negative integer, got '" +
-                                value + "'");
-  return static_cast<std::uint64_t>(v);
+  return util::parse_count_value("workload param " + key, get(key));
 }
 
 double Params::get_fraction(const std::string& key) const {
@@ -57,40 +47,8 @@ double Params::get_fraction(const std::string& key) const {
   return v;
 }
 
-namespace {
-
-// The gen/events.h mixed churn as a workload family: the declared param
-// surface IS gen::event_trace_params(), so defaults (and therefore the
-// traces) stay byte-identical with the pre-registry gen-events path.
-class ChurnWorkload final : public WorkloadModel {
- public:
-  ChurnWorkload() {
-    info_.name = "churn";
-    info_.description =
-        "mixed background churn: leave/join, stream pull/restore, "
-        "capacity and utility drift (gen/events.h)";
-    for (const gen::EventParamSpec& spec : gen::event_trace_params())
-      info_.params.push_back({spec.key, spec.fallback, spec.description});
-  }
-
-  [[nodiscard]] const WorkloadInfo& info() const override { return info_; }
-
-  [[nodiscard]] std::vector<model::InstanceEvent> generate(
-      const model::Instance& inst, const Params& params) const override {
-    gen::EventTraceConfig cfg;
-    for (const WorkloadParam& p : info_.params)
-      gen::set_event_trace_param(cfg, p.key, params.get(p.key));
-    return gen::make_event_trace(inst, cfg);
-  }
-
- private:
-  WorkloadInfo info_;
-};
-
-}  // namespace
-
 void register_builtin_workloads(WorkloadRegistry& registry) {
-  registry.add(std::make_unique<ChurnWorkload>());
+  register_churn(registry);
   register_zipf_drift(registry);
   register_flash_crowd(registry);
   register_diurnal(registry);
@@ -160,7 +118,8 @@ std::vector<model::InstanceEvent> WorkloadRegistry::generate(
 }
 
 void apply_workload_overrides(std::map<std::string, std::string>& overrides,
-                              const std::string& spec) {
+                              const std::string& spec,
+                              const std::string& what) {
   std::size_t pos = 0;
   while (pos < spec.size()) {
     std::size_t comma = spec.find(',', pos);
@@ -170,7 +129,8 @@ void apply_workload_overrides(std::map<std::string, std::string>& overrides,
     if (item.empty()) continue;
     const std::size_t eq = item.find('=');
     if (eq == std::string::npos || eq == 0)
-      throw std::invalid_argument("workload trace: expected key=value, got '" +
+      throw std::invalid_argument(what +
+                                  " expects key=value[,key=value...], got '" +
                                   item + "'");
     overrides[item.substr(0, eq)] = item.substr(eq + 1);
   }

@@ -1,17 +1,18 @@
-// Adversarial workload models: named event-trace families layered over
-// any built instance, the dynamic counterpart of the scenario registry.
-// A WorkloadModel declares its parameter surface (key / fallback /
-// description triples, the same shape as gen::EventParamSpec and
-// engine::ScenarioParam) and turns a resolved parameter set into a
-// deterministic model::InstanceEvent trace. The registry is the single
-// source the CLI (`gen-events --family`, `compete`), the serve solver's
-// `family` option, and the workload scenarios resolve through, so every
-// trace is reproducible from one `family=NAME,key=value,...` line.
+// Workload models: named event-trace families layered over any built
+// instance, the dynamic counterpart of the scenario registry. A
+// WorkloadModel declares its parameter surface (key / fallback /
+// description triples, the same shape as engine::ScenarioParam) and turns
+// a resolved parameter set into a deterministic model::InstanceEvent
+// trace. The registry is the single source the CLI (`gen-events
+// --family`, `compete`), the serve solver's `family` option, and the
+// churned-snapshot scenarios resolve through, so every trace is
+// reproducible from one `family=NAME,key=value,...` line.
 //
-// Every family honors the gen/events.h parity-safety contract: generated
-// capacities never drop below the user's largest declared pair utility
-// and generated utilities never rise above the declared value, so
-// w_u(S) <= W_u keeps holding at every prefix and
+// Every family honors the parity-safety contract of
+// workload/trace_state.h, whose emitters every generator goes through:
+// generated capacities never drop below the user's largest declared pair
+// utility and generated utilities never rise above the declared value,
+// so w_u(S) <= W_u keeps holding at every prefix and
 // InstanceOverlay::materialize() stays bit-compatible with the overlay
 // view — the invariant the resolve-policy parity checks (and the
 // competitive harness's ratio == 1.0 differential) stand on.
@@ -79,8 +80,7 @@ class WorkloadModel {
 class WorkloadRegistry {
  public:
   // The process-wide registry with the builtin families pre-registered:
-  // churn (the gen/events.h mixed churn, byte-identical to its declared
-  // defaults), zipf-drift, flash-crowd, diurnal, hetero-cap.
+  // churn, zipf-drift, flash-crowd, diurnal, hetero-cap.
   static WorkloadRegistry& global();
 
   void add(std::unique_ptr<WorkloadModel> model);
@@ -105,10 +105,14 @@ class WorkloadRegistry {
   std::vector<std::unique_ptr<WorkloadModel>> models_;
 };
 
-// Parses a comma-separated "key=value,..." override list (the same syntax
-// as the gen-events trace override line; empty = none) into `overrides`.
+// Parses a comma-separated "key=value,..." list (empty items skipped;
+// empty = none) into `overrides`, later keys winning — the one parser
+// behind every such list: trace overrides, the churned scenarios' `set`
+// param and the CLI's --set. `what` names the flag or param in the
+// std::invalid_argument message, e.g. "--set expects key=value[,...]".
 void apply_workload_overrides(std::map<std::string, std::string>& overrides,
-                              const std::string& spec);
+                              const std::string& spec,
+                              const std::string& what);
 
 // The canonical reproduction handle: "family=NAME,key=value,..." over the
 // resolved params in declared order.

@@ -306,8 +306,8 @@ run_cli(0 serve "${WORK_DIR}/cap.vd" --events "${WORK_DIR}/cap.events"
 run_cli(0 solve "${WORK_DIR}/cap.vd" --algo online --mu 0)
 
 # --- gen-events declared params: every knob is a flag ------------------------
-# The event-mix weights and scale ranges gen/events.h declares are CLI
-# flags; the summary line echoes the resolved configuration.
+# The event-mix weights and scale ranges the churn family declares are
+# CLI flags; the summary line echoes the resolved configuration.
 run_cli(0 gen-events "${WORK_DIR}/cap.vd" --events 30 --seed 5
         --w-stream-add 0 --w-capacity 4 --cap-scale-min 0.9
         --cap-scale-max 1.1 --out "${WORK_DIR}/mix.events")
@@ -318,6 +318,85 @@ run_cli(1 gen-events "${WORK_DIR}/cap.vd" --events 30 --w-utility abc)
 if(NOT cli_err MATCHES "w-utility")
   message(FATAL_ERROR "bad gen-events weight not rejected:\n${cli_err}")
 endif()
+
+# churn's own params cannot break its parity contract: utility scales are
+# fractions in [0, 1] (a scale of 2 once lifted utilities over their
+# declared value and failed serve --check 1), and both scale pairs must
+# be ordered. Every error names the param.
+run_cli(0 gen --kind cap --streams 12 --users 5 --seed 2
+        --out "${WORK_DIR}/w.vd")
+run_cli(1 gen-events "${WORK_DIR}/w.vd" --utility-scale-min 2
+        --utility-scale-max 3 --events 40 --seed 2 --out "${WORK_DIR}/ev")
+if(NOT cli_err MATCHES "utility-scale-m")
+  message(FATAL_ERROR "out-of-range utility scale not rejected:\n${cli_err}")
+endif()
+run_cli(1 gen-events "${WORK_DIR}/w.vd" --utility-scale-min 0.9
+        --utility-scale-max 0.5)
+if(NOT cli_err MATCHES "utility-scale-min")
+  message(FATAL_ERROR "reversed utility scales not rejected:\n${cli_err}")
+endif()
+run_cli(1 gen-events "${WORK_DIR}/w.vd" --cap-scale-min 1.5
+        --cap-scale-max 1.2)
+if(NOT cli_err MATCHES "cap-scale-min")
+  message(FATAL_ERROR "reversed cap scales not rejected:\n${cli_err}")
+endif()
+# The harshest accepted churn keeps per-event resolve parity.
+run_cli(0 gen-events "${WORK_DIR}/w.vd" --utility-scale-min 1
+        --cap-scale-min 0 --cap-scale-max 0.2 --w-capacity 6 --events 40
+        --seed 2 --out "${WORK_DIR}/ev")
+run_cli(0 serve "${WORK_DIR}/w.vd" --events "${WORK_DIR}/ev"
+        --policy resolve --check 1)
+
+# Workload params parse as whole tokens, like every other option: a
+# sign, whitespace or hex is an error naming the param, not a number.
+run_cli(1 gen-events "${WORK_DIR}/w.vd" --events +5)
+if(NOT cli_err MATCHES "workload param events")
+  message(FATAL_ERROR "gen-events --events +5 not rejected:\n${cli_err}")
+endif()
+run_cli(1 gen-events "${WORK_DIR}/w.vd" --w-capacity 0x1p3)
+if(NOT cli_err MATCHES "workload param w-capacity")
+  message(FATAL_ERROR "gen-events --w-capacity 0x1p3 not rejected:\n${cli_err}")
+endif()
+run_cli(1 gen-events "${WORK_DIR}/w.vd" --cap-scale-min " 0.5")
+if(NOT cli_err MATCHES "workload param cap-scale-min")
+  message(FATAL_ERROR "gen-events --cap-scale-min ' 0.5' not rejected:\n${cli_err}")
+endif()
+run_cli(1 gen-events "${WORK_DIR}/w.vd" --family zipf-drift --events +5)
+if(NOT cli_err MATCHES "workload param events")
+  message(FATAL_ERROR "zipf-drift --events +5 not rejected:\n${cli_err}")
+endif()
+run_cli(1 compete "${WORK_DIR}/w.vd" --trace events=+5)
+if(NOT cli_err MATCHES "workload param events")
+  message(FATAL_ERROR "compete --trace events=+5 not rejected:\n${cli_err}")
+endif()
+
+# The churn scenario declares its family's knobs flat, like every other
+# churned scenario: no nested `trace` param.
+run_cli(1 gen --kind churn --trace w-capacity=3)
+if(NOT cli_err MATCHES "trace")
+  message(FATAL_ERROR "gen --kind churn --trace not rejected:\n${cli_err}")
+endif()
+run_cli(0 gen --kind churn --w-capacity 3 --streams 12 --users 5
+        --out "${WORK_DIR}/churned.vd")
+
+# --- committed traces regenerate byte for byte --------------------------------
+set(traces_dir "${CMAKE_CURRENT_LIST_DIR}/../bench/traces")
+function(expect_same_file actual committed)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files "${actual}" "${committed}"
+    RESULT_VARIABLE differ)
+  if(NOT differ EQUAL 0)
+    message(FATAL_ERROR "${actual} differs from committed ${committed}")
+  endif()
+endfunction()
+run_cli(0 gen-events "${traces_dir}/serve_smoke.vd" --events 120 --seed 19
+        --out "${WORK_DIR}/serve_smoke.events")
+expect_same_file("${WORK_DIR}/serve_smoke.events"
+                 "${traces_dir}/serve_smoke.events")
+run_cli(0 gen-events "${traces_dir}/compete_smoke.vd" --family flash-crowd
+        --events 80 --seed 7 --out "${WORK_DIR}/flash_crowd.events")
+expect_same_file("${WORK_DIR}/flash_crowd.events"
+                 "${traces_dir}/flash_crowd.events")
 
 # --- perf --filter: label-subset runs ----------------------------------------
 run_cli(0 perf --smoke 1 --reps 3 --filter greedy

@@ -16,11 +16,11 @@
 #include <vector>
 
 #include "engine/scenario.h"
-#include "gen/events.h"
 #include "gen/random_instances.h"
 #include "model/overlay.h"
 #include "util/float_cmp.h"
 #include "util/rng.h"
+#include "workload/workload.h"
 
 namespace vdist::model {
 namespace {
@@ -384,10 +384,9 @@ TEST(InstanceBuild, MaterializeMatchesReferenceAfterAppendsAndChurn) {
                    reference_build(effective_state(overlay)),
                    where + " after appends");
 
-    gen::EventTraceConfig trace;
-    trace.num_events = 60;
-    trace.seed = seed + 10;
-    for (const InstanceEvent& ev : gen::make_event_trace(base, trace))
+    for (const InstanceEvent& ev : workload::WorkloadRegistry::global().generate(
+             "churn", base,
+             {{"events", "60"}, {"seed", std::to_string(seed + 10)}}))
       overlay.apply(ev);
     expect_matches(overlay.materialize(),
                    reference_build(effective_state(overlay)),

@@ -5,14 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 
-#include "gen/events.h"
 #include "gen/random_instances.h"
 #include "io/event_io.h"
 #include "io/instance_io.h"
 #include "model/factory.h"
+#include "workload/workload.h"
 
 namespace vdist::model {
 namespace {
@@ -184,11 +185,12 @@ TEST(EventTrace, DeterministicAndParitySafe) {
   cfg.num_users = 10;
   cfg.seed = 11;
   const Instance inst = gen::random_cap_instance(cfg);
-  gen::EventTraceConfig ecfg;
-  ecfg.num_events = 300;
-  ecfg.seed = 21;
-  const auto a = gen::make_event_trace(inst, ecfg);
-  const auto b = gen::make_event_trace(inst, ecfg);
+  const std::map<std::string, std::string> ecfg = {{"events", "300"},
+                                                   {"seed", "21"}};
+  const workload::WorkloadRegistry& registry =
+      workload::WorkloadRegistry::global();
+  const auto a = registry.generate("churn", inst, ecfg);
+  const auto b = registry.generate("churn", inst, ecfg);
   ASSERT_EQ(a.size(), 300u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(static_cast<int>(a[i].type), static_cast<int>(b[i].type));

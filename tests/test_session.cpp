@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
+#include <map>
 #include <string>
 #include <type_traits>
 
@@ -18,7 +19,6 @@
 #include "engine/registry.h"
 #include "engine/scenario.h"
 #include "engine/serving.h"
-#include "gen/events.h"
 #include "gen/random_instances.h"
 #include "model/factory.h"
 #include "model/overlay.h"
@@ -46,10 +46,9 @@ Instance churn_base(std::uint64_t seed, std::size_t streams = 40,
 std::vector<InstanceEvent> churn_trace(const Instance& inst,
                                        std::size_t events,
                                        std::uint64_t seed) {
-  gen::EventTraceConfig cfg;
-  cfg.num_events = events;
-  cfg.seed = seed;
-  return gen::make_event_trace(inst, cfg);
+  return workload::WorkloadRegistry::global().generate(
+      "churn", inst,
+      {{"events", std::to_string(events)}, {"seed", std::to_string(seed)}});
 }
 
 // Pair set of an assignment as sorted (user, stream) tuples, comparable
@@ -684,42 +683,48 @@ TEST(ServeConfig, IsWhatASessionOpensOn) {
 // --- Declared event-trace params ---------------------------------------
 
 TEST(Session, EventTraceParamsRoundTrip) {
-  EXPECT_EQ(gen::event_trace_params().size(), 12u);
-  gen::EventTraceConfig cfg;
+  const workload::WorkloadRegistry& registry =
+      workload::WorkloadRegistry::global();
+  const workload::WorkloadModel& churn = registry.model("churn");
+  EXPECT_EQ(churn.info().params.size(), 12u);
   // The canonical line reproduces the defaults.
-  const std::string defaults = gen::event_trace_param_line(cfg);
-  for (const gen::EventParamSpec& spec : gen::event_trace_params())
-    EXPECT_NE(defaults.find(std::string(spec.key) + "="), std::string::npos)
-        << spec.key;
+  const std::string defaults =
+      workload::workload_param_line(churn, registry.resolve("churn", {}));
+  for (const workload::WorkloadParam& p : churn.info().params)
+    EXPECT_NE(defaults.find(std::string(p.key) + "="), std::string::npos)
+        << p.key;
 
-  gen::apply_event_trace_overrides(
-      cfg, "events=42,seed=5,w-user-leave=3,cap-scale-min=0.5");
-  EXPECT_EQ(cfg.num_events, 42u);
-  EXPECT_EQ(cfg.seed, 5u);
-  EXPECT_EQ(cfg.w_user_leave, 3.0);
-  EXPECT_EQ(cfg.cap_scale_min, 0.5);
-  const std::string line = gen::event_trace_param_line(cfg);
+  std::map<std::string, std::string> overrides;
+  workload::apply_workload_overrides(
+      overrides, "events=42,seed=5,w-user-leave=3,cap-scale-min=0.5",
+      "trace");
+  const workload::Params params = registry.resolve("churn", overrides);
+  EXPECT_EQ(params.get_count("events"), 42u);
+  EXPECT_EQ(params.get_count("seed"), 5u);
+  EXPECT_EQ(params.get_double("w-user-leave"), 3.0);
+  EXPECT_EQ(params.get_double("cap-scale-min"), 0.5);
+  const std::string line = workload::workload_param_line(churn, params);
   EXPECT_NE(line.find("events=42"), std::string::npos);
   EXPECT_NE(line.find("w-user-leave=3"), std::string::npos);
-  // Feeding the line back reproduces the config (the reproduction
-  // handle a BENCH report or plan cell carries).
-  gen::EventTraceConfig replay;
-  gen::apply_event_trace_overrides(replay, line);
-  EXPECT_EQ(gen::event_trace_param_line(replay), line);
+  // Feeding the line back (minus its family= head) reproduces the params
+  // (the reproduction handle a BENCH report or plan cell carries).
+  std::map<std::string, std::string> replay;
+  workload::apply_workload_overrides(replay, line, "trace");
+  replay.erase("family");
+  EXPECT_EQ(workload::workload_param_line(churn,
+                                          registry.resolve("churn", replay)),
+            line);
 
-  EXPECT_THROW(gen::apply_event_trace_overrides(cfg, "bogus=1"),
-               std::invalid_argument);
-  EXPECT_THROW(gen::apply_event_trace_overrides(cfg, "events=-3"),
-               std::invalid_argument);
-  EXPECT_THROW(gen::apply_event_trace_overrides(cfg, "w-utility=abc"),
-               std::invalid_argument);
-  EXPECT_THROW(gen::apply_event_trace_overrides(cfg, "events"),
-               std::invalid_argument);
-  // A failed override leaves the config unchanged enough to keep its
-  // line stable (strong guarantee not required; the line must parse).
-  gen::EventTraceConfig after;
-  gen::apply_event_trace_overrides(after, gen::event_trace_param_line(cfg));
-  SUCCEED();
+  const Instance inst = churn_base(3, 12, 5);
+  const auto generate = [&](const std::string& spec) {
+    std::map<std::string, std::string> o;
+    workload::apply_workload_overrides(o, spec, "trace");
+    return registry.generate("churn", inst, o);
+  };
+  EXPECT_THROW(generate("bogus=1"), std::invalid_argument);
+  EXPECT_THROW(generate("events=-3"), std::invalid_argument);
+  EXPECT_THROW(generate("w-utility=abc"), std::invalid_argument);
+  EXPECT_THROW(generate("events"), std::invalid_argument);
 }
 
 // --- registry integration ---------------------------------------------------

@@ -1,19 +1,21 @@
-// workload::WorkloadRegistry — the adversarial trace families of ISSUE 10:
+// workload::WorkloadRegistry — the event-trace families:
 //   * every builtin family is registered, declares events/seed, and is a
 //     deterministic function of (instance, params): same seed =>
-//     byte-identical serialized trace, different seed => different trace;
-//   * the churn family is byte-identical to gen::make_event_trace at the
-//     declared defaults (the no-regression anchor for PR <= 9 traces);
+//     byte-identical serialized trace, different seed => different trace
+//     (the bytes themselves are pinned in test_workload_reference.cpp);
+//   * params parse as whole tokens, and churn rejects knobs that would
+//     break its parity contract;
 //   * every family's trace round-trips through io/event_io.h and keeps the
 //     resolve policy's materialize parity at the end state;
-//   * the gen/events.h phase schedule composes piecewise weights without
-//     disturbing single-phase byte-identity;
+//   * the churn mix's piecewise weight schedule (the one diurnal runs on)
+//     shapes the mix without disturbing single-phase byte-identity;
 //   * the serve solver's `family` option reaches the registry and stays
 //     deterministic across BatchRunner thread counts.
 #include "workload/workload.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -25,12 +27,12 @@
 #include "engine/registry.h"
 #include "engine/scenario.h"
 #include "engine/serving.h"
-#include "gen/events.h"
 #include "gen/random_instances.h"
 #include "io/event_io.h"
 #include "model/events.h"
 #include "model/factory.h"
 #include "model/instance.h"
+#include "workload/churn.h"
 
 namespace vdist::workload {
 namespace {
@@ -105,15 +107,53 @@ TEST(WorkloadParams, TypedAccessorsValidate) {
   EXPECT_THROW(params.get("missing"), std::invalid_argument);
 }
 
+// The whole-token rule SolveOptions uses: a sign, whitespace, hex, an
+// infinity or trailing junk is an error naming the param, never a number.
+TEST(WorkloadParams, NumbersParseAsWholeTokens) {
+  Params params({{"plus", "+5"},
+                 {"space", " 0.5"},
+                 {"hex", "0x1p3"},
+                 {"inf", "inf"},
+                 {"junk", "8x"},
+                 {"huge", "99999999999999999999"},
+                 {"seed", "18446744073709551615"}});
+  EXPECT_EQ(params.get_count("seed"), 18446744073709551615ull);
+  for (const char* key : {"plus", "space", "hex", "junk", "huge"}) {
+    EXPECT_THROW(params.get_count(key), std::invalid_argument) << key;
+  }
+  for (const char* key : {"plus", "space", "hex", "inf", "junk"}) {
+    try {
+      (void)params.get_double(key);
+      ADD_FAILURE() << key << " must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("workload param ") +
+                                           key),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(WorkloadRegistry, ApplyOverridesParsesKeyValueLists) {
   std::map<std::string, std::string> overrides;
-  apply_workload_overrides(overrides, "events=50,alpha=1.1");
+  apply_workload_overrides(overrides, "events=50,alpha=1.1", "--trace");
   EXPECT_EQ(overrides.at("events"), "50");
   EXPECT_EQ(overrides.at("alpha"), "1.1");
-  apply_workload_overrides(overrides, "");  // empty = none
+  apply_workload_overrides(overrides, "", "--trace");  // empty = none
+  apply_workload_overrides(overrides, "alpha=2,,", "--trace");  // last wins
   EXPECT_EQ(overrides.size(), 2u);
-  EXPECT_THROW(apply_workload_overrides(overrides, "events"),
-               std::invalid_argument);
+  EXPECT_EQ(overrides.at("alpha"), "2");
+  for (const char* bad : {"events", "=5"}) {
+    try {
+      apply_workload_overrides(overrides, bad, "--set");
+      ADD_FAILURE() << bad << " must throw";
+    } catch (const std::invalid_argument& e) {
+      // The error names the flag or param the list came from.
+      EXPECT_EQ(std::string(e.what()),
+                std::string("--set expects key=value[,key=value...], got '") +
+                    bad + "'");
+    }
+  }
 }
 
 TEST(WorkloadRegistry, ParamLineCarriesEveryDeclaredKey) {
@@ -145,20 +185,6 @@ TEST(WorkloadRegistry, EveryFamilyDeterministicInSeed) {
         registry.generate(name, inst, {{"events", "120"}, {"seed", "6"}});
     EXPECT_NE(serialize(a), serialize(other)) << name;
   }
-}
-
-// The compatibility anchor: family "churn" at declared defaults is the
-// same trace gen::make_event_trace draws — PR <= 9 callers moved onto the
-// registry without a byte of drift.
-TEST(WorkloadRegistry, ChurnFamilyMatchesGenEventsByteForByte) {
-  const Instance inst = base_instance(3);
-  gen::EventTraceConfig cfg;
-  cfg.num_events = 90;
-  cfg.seed = 17;
-  const auto direct = gen::make_event_trace(inst, cfg);
-  const auto via_registry = WorkloadRegistry::global().generate(
-      "churn", inst, {{"events", "90"}, {"seed", "17"}});
-  EXPECT_EQ(serialize(direct), serialize(via_registry));
 }
 
 TEST(WorkloadRegistry, EveryFamilyRoundTripsThroughEventIo) {
@@ -194,6 +220,75 @@ TEST(WorkloadRegistry, EveryFamilyKeepsResolveParity) {
   }
 }
 
+// Churn's knobs are validated where they would break its contract: scale
+// factors are ordered pairs, utility scales are fractions (a scale above
+// 1 would lift a utility over its declared value and break resolve
+// parity), and the mix weights are non-negative with a positive total.
+TEST(WorkloadRegistry, ChurnParamsRejectBadWeightsAndScales) {
+  const WorkloadRegistry& registry = WorkloadRegistry::global();
+  const Instance inst = base_instance(5);
+  const auto error_of =
+      [&](const std::map<std::string, std::string>& overrides) {
+        try {
+          (void)registry.generate("churn", inst, overrides);
+        } catch (const std::invalid_argument& e) {
+          return std::string(e.what());
+        }
+        return std::string();
+      };
+  const auto names = [](const std::string& error, const std::string& key) {
+    return error.find(key) != std::string::npos;
+  };
+  EXPECT_TRUE(names(error_of({{"utility-scale-min", "2"},
+                              {"utility-scale-max", "3"}}),
+                    "utility-scale-"));
+  EXPECT_TRUE(names(error_of({{"utility-scale-max", "1.01"}}),
+                    "utility-scale-max"));
+  EXPECT_TRUE(names(error_of({{"utility-scale-min", "0.9"},
+                              {"utility-scale-max", "0.5"}}),
+                    "utility-scale-min"));
+  EXPECT_TRUE(names(error_of({{"cap-scale-min", "1.5"},
+                              {"cap-scale-max", "1.2"}}),
+                    "cap-scale-min"));
+  EXPECT_TRUE(names(error_of({{"w-capacity", "-1"}}), "w-capacity"));
+  EXPECT_TRUE(names(error_of({{"w-user-leave", "0"},
+                              {"w-user-join", "0"},
+                              {"w-stream-remove", "0"},
+                              {"w-stream-add", "0"},
+                              {"w-capacity", "0"},
+                              {"w-utility", "0"}}),
+                    "all zero"));
+  // Degenerate but legal ranges are accepted.
+  EXPECT_EQ(error_of({{"utility-scale-min", "1"},
+                      {"cap-scale-min", "1.3"},
+                      {"w-utility", "0"}}),
+            "");
+}
+
+// The most aggressive accepted churn (utilities at their declared value,
+// caps scaled toward zero and floored) keeps resolve parity after every
+// event.
+TEST(WorkloadRegistry, ChurnExtremeParamsKeepResolveParity) {
+  const Instance inst = base_instance(2, 12, 5);
+  const auto trace = WorkloadRegistry::global().generate(
+      "churn", inst,
+      {{"events", "40"},
+       {"seed", "2"},
+       {"utility-scale-min", "1"},
+       {"cap-scale-min", "0"},
+       {"cap-scale-max", "0.2"},
+       {"w-capacity", "6"}});
+  engine::ServeConfig opts;
+  opts.policy = engine::ServePolicy::kResolve;
+  engine::Session session(inst, opts);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    session.apply(trace[i]);
+    const core::SmdSolveResult fresh =
+        core::solve_unit_skew(session.overlay().materialize());
+    ASSERT_EQ(session.objective(), fresh.utility) << "event " << i;
+  }
+}
+
 TEST(WorkloadRegistry, FamiliesRejectUnchurnableInstances) {
   // One stream, one user, no interest pairs: nothing to churn.
   const Instance empty = model::build_cap_instance({1.0}, 10.0, {5.0}, {});
@@ -201,39 +296,37 @@ TEST(WorkloadRegistry, FamiliesRejectUnchurnableInstances) {
                std::invalid_argument);
 }
 
-// --- gen/events.h phase schedule -------------------------------------------
+// --- the churn mix's phase schedule ---------------------------------------
 
-TEST(EventPhases, EmptyScheduleIsByteIdenticalToSinglePhase) {
+detail::ChurnPhase phase(double until, std::array<double, 6> weights) {
+  detail::ChurnPhase p;
+  p.until = until;
+  p.weights = weights;
+  return p;
+}
+
+// A segment boundary between equal weights changes nothing: the schedule
+// only swaps the weight table, never the draws.
+TEST(EventPhases, SplitScheduleWithEqualWeightsIsByteIdentical) {
   const Instance inst = base_instance(5);
-  gen::EventTraceConfig plain;
-  plain.num_events = 100;
-  plain.seed = 9;
-  gen::EventTraceConfig one_phase = plain;
-  gen::EventPhase phase;  // defaults mirror the config weights
-  phase.until = 1.0;
-  one_phase.phases = {phase};
-  EXPECT_EQ(serialize(gen::make_event_trace(inst, plain)),
-            serialize(gen::make_event_trace(inst, one_phase)));
+  const std::array<double, 6> w = {2, 2, 1, 1, 2, 2};
+  const std::vector<detail::ChurnPhase> one = {phase(1.0, w)};
+  const std::vector<detail::ChurnPhase> three = {
+      phase(0.3, w), phase(0.7, w), phase(1.0, w)};
+  EXPECT_EQ(serialize(detail::mixed_churn(inst, 100, 9, one, {})),
+            serialize(detail::mixed_churn(inst, 100, 9, three, {})));
+  // And the single phase at churn's declared weights is the churn family.
+  EXPECT_EQ(serialize(detail::mixed_churn(inst, 100, 9, one, {})),
+            serialize(WorkloadRegistry::global().generate(
+                "churn", inst, {{"events", "100"}, {"seed", "9"}})));
 }
 
 TEST(EventPhases, PiecewiseWeightsShapeTheMix) {
   const Instance inst = base_instance(5, 40, 16);
-  gen::EventTraceConfig cfg;
-  cfg.num_events = 200;
-  cfg.seed = 4;
   // First half: joins only among user events; second half: leaves only.
-  gen::EventPhase joins;
-  joins.until = 0.5;
-  joins.w_user_leave = 0.0;
-  joins.w_user_join = 8.0;
-  joins.w_stream_remove = 0.0;
-  joins.w_stream_add = 0.0;
-  gen::EventPhase leaves = joins;
-  leaves.until = 1.0;
-  leaves.w_user_leave = 8.0;
-  leaves.w_user_join = 0.0;
-  cfg.phases = {joins, leaves};
-  const auto trace = gen::make_event_trace(inst, cfg);
+  const std::vector<detail::ChurnPhase> schedule = {
+      phase(0.5, {0, 8, 0, 0, 2, 2}), phase(1.0, {8, 0, 0, 0, 2, 2})};
+  const auto trace = detail::mixed_churn(inst, 200, 4, schedule, {});
   ASSERT_EQ(trace.size(), 200u);
   for (std::size_t i = 0; i < trace.size(); ++i) {
     if (trace[i].type == model::EventType::kUserLeave) {
@@ -243,28 +336,6 @@ TEST(EventPhases, PiecewiseWeightsShapeTheMix) {
       EXPECT_LT(i, 100u) << "join drawn in the leave-only phase";
     }
   }
-}
-
-TEST(EventPhases, ScheduleValidationRejectsMalformedPhases) {
-  const Instance inst = base_instance(5);
-  gen::EventTraceConfig cfg;
-  cfg.num_events = 50;
-  gen::EventPhase a, b;
-  a.until = 0.6;
-  b.until = 0.4;  // not strictly increasing
-  cfg.phases = {a, b};
-  EXPECT_THROW(gen::make_event_trace(inst, cfg), std::invalid_argument);
-  gen::EventPhase neg;
-  neg.until = 1.0;
-  neg.w_capacity = -1.0;
-  cfg.phases = {neg};
-  EXPECT_THROW(gen::make_event_trace(inst, cfg), std::invalid_argument);
-  gen::EventPhase zero;
-  zero.until = 1.0;
-  zero.w_user_leave = zero.w_user_join = zero.w_stream_remove =
-      zero.w_stream_add = zero.w_capacity = zero.w_utility = 0.0;
-  cfg.phases = {zero};
-  EXPECT_THROW(gen::make_event_trace(inst, cfg), std::invalid_argument);
 }
 
 // --- engine integration -----------------------------------------------------
@@ -316,7 +387,6 @@ TEST(WorkloadScenarios, AdversarialFamiliesRegisteredAsScenarios) {
   const engine::ScenarioRegistry& registry =
       engine::ScenarioRegistry::global();
   for (const std::string& name : kFamilies) {
-    if (name == "churn") continue;  // pre-existing registration
     ASSERT_TRUE(registry.contains(name)) << name;
     engine::ScenarioSpec spec;
     spec.name = name;

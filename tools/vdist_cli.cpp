@@ -34,7 +34,6 @@
 #include "engine/scenario.h"
 #include "engine/serving.h"
 #include "engine/sweep.h"
-#include "gen/events.h"
 #include "io/event_io.h"
 #include "io/instance_io.h"
 #include "model/skew.h"
@@ -114,19 +113,9 @@ int cmd_scenarios() {
   for (const std::string& name : registry.names()) {
     const engine::ScenarioInfo& info = registry.info(name);
     std::cout << name << "\n    " << info.description << "\n";
-    for (const engine::ScenarioParam& param : info.params) {
+    for (const engine::ScenarioParam& param : info.params)
       std::cout << "      --" << param.key << " (default "
                 << param.default_value << "): " << param.description << "\n";
-      // A `trace` param nests the full declared workload surface (the
-      // churn scenario forwards it to gen/events.h); surface every
-      // nested key with its default so the whole workload is visible
-      // from this one listing.
-      if (param.key == "trace" && workloads.contains(name))
-        for (const workload::WorkloadParam& wp :
-             workloads.model(name).info().params)
-          std::cout << "          trace:" << wp.key << " (default "
-                    << wp.fallback << "): " << wp.description << "\n";
-    }
   }
   std::cout << "every scenario also takes --seed (default 1)\n";
   std::cout << "\nevent-trace workload families (vdist_cli gen-events "
@@ -260,12 +249,10 @@ int cmd_sweep(const Args& args) {
       throw std::runtime_error(
           "sweep needs --plan FILE or at least --scenario NAME (see "
           "'vdist_cli help')");
-    for (const std::string& kv : split(args.options.get("set", ""), ',')) {
-      const std::size_t eq = kv.find('=');
-      if (eq == std::string::npos || eq == 0)
-        throw std::runtime_error("--set expects key=value[,key=value...]");
-      spec.params.set(kv.substr(0, eq), kv.substr(eq + 1));
-    }
+    std::map<std::string, std::string> set;
+    workload::apply_workload_overrides(set, args.options.get("set", ""),
+                                       "--set");
+    for (const auto& [key, value] : set) spec.params.set(key, value);
     plan.scenarios.push_back(std::move(spec));
     plan.scenario_axes = parse_axes(args.options.get("axis", ""), "axis");
     for (const std::string& name :
@@ -353,10 +340,10 @@ int cmd_gen_events(const Args& args) {
   const workload::WorkloadRegistry& registry =
       workload::WorkloadRegistry::global();
   const workload::WorkloadModel& wmodel = registry.model(family);
-  // Flags are the family's declared params — for churn, the same surface
-  // the churn scenario's `trace` param and the serve solver's --trace
-  // option share — plus --out/--family. A typo'd flag must be an error,
-  // not a silently different trace.
+  // Flags are the family's declared params — the same surface its
+  // scenario's flat params and the serve solver's --trace option share —
+  // plus --out/--family. A typo'd flag must be an error, not a silently
+  // different trace.
   {
     std::vector<std::string> known = {"out", "family"};
     for (const workload::WorkloadParam& param : wmodel.info().params)
@@ -571,7 +558,8 @@ int cmd_compete(const Args& args) {
     // identical trace.
     std::map<std::string, std::string> wparams;
     wparams["seed"] = std::to_string(args.options.get_int("seed", 1, 0));
-    workload::apply_workload_overrides(wparams, args.options.get("trace", ""));
+    workload::apply_workload_overrides(wparams, args.options.get("trace", ""),
+                                       "--trace");
     trace = workload::WorkloadRegistry::global().generate(family, inst,
                                                           wparams);
   }
