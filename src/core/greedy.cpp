@@ -328,7 +328,7 @@ void GreedyEngine::run_loop() {
     // streams in the pool, so the moment the cheapest of them stops
     // fitting, every remaining pop would be a considered-and-skipped
     // row. Untraced runs account for them in bulk instead of draining
-    // the heap one sift at a time.
+    // the selector one pop at a time.
     if (!record_trace_) {
       while (cost_cursor_ < ws_.cost_order.size() &&
              !selector_.contains(ws_.cost_order[cost_cursor_]))
@@ -360,15 +360,15 @@ void GreedyEngine::run_loop() {
     if (rec_ != nullptr) {
       rec_->pick.push_back(best);
       rec_->applied.push_back(fits ? 1 : 0);
-      // Tolerance-tied candidates from this pop (the delta heap leaves
+      // Tolerance-tied candidates from this pop (the selector leaves
       // them in ws_.tied). An empty range means a singleton tie set.
       rec_->tie_begin.push_back(
           static_cast<std::uint32_t>(rec_->tie_member.size()));
       if (ws_.tied.size() > 1)
-        for (const SelectHeapEntry& e : ws_.tied)
+        for (const SelectKey& e : ws_.tied)
           rec_->tie_member.push_back(e.stream);
-      // Settle the heap before propagation: the exact best effectiveness
-      // among the remaining pool at this step.
+      // Settle the selector before propagation: the exact best
+      // effectiveness among the remaining pool at this step.
       rec_->runner_up.push_back(selector_.settle_top_eff());
       rec_->pick_eff.push_back(select_effectiveness(ws_.wbar[bs], c));
       rec_->margin_clear.push_back(
@@ -492,8 +492,8 @@ void GreedyEngine::add_stream(StreamId s, double cost) {
       rec_->touch_wbar.push_back(wbar[sps]);
     }
     // A stream whose residual utility just died can never be picked
-    // (the run loop breaks on it); dropping it here keeps the heap's
-    // near-zero tie band empty instead of re-sifting dead entries.
+    // (the run loop breaks on it); dropping it here keeps the selector's
+    // near-zero tie band empty instead of refreshing dead keys.
     if (wbar[sps] <= util::kAbsEps) {
       selector_.remove(sp);
       if (rec_ != nullptr) rec_->death_stream.push_back(sp);

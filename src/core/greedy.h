@@ -44,7 +44,7 @@ namespace vdist::core {
 // whether the per-pick trace vectors are recorded (pure overhead in
 // batch sweeps and enumeration inner loops; scalar counters stay on).
 struct GreedyOptions {
-  SelectStrategy strategy = SelectStrategy::kDeltaHeap;
+  SelectStrategy strategy = SelectStrategy::kDelta;
   SolveWorkspace* workspace = nullptr;
   bool record_trace = true;
   // When false, the engine skips per-pair Assignment bookkeeping entirely
@@ -81,7 +81,7 @@ struct GreedyResult {
 };
 
 // A saved GreedyEngine state: residual caps, residual utilities, selector
-// pool/heap, spent budget and the partial assignment. Owned by the
+// pool/tree, spent budget and the partial assignment. Owned by the
 // CheckpointArena of the caller's SolveWorkspace so the §2.3 enumeration
 // reuses one frame per depth across all seed sets (no per-candidate
 // allocation after the first).
@@ -115,7 +115,7 @@ struct CheckpointArena {
 
 // A recorded greedy completion: everything a sibling leaf needs to replay
 // the run pick-for-pick in "replay space" (core/replay.cpp) instead of
-// re-running the completion heap. Recorded by GreedyEngine::run(trace)
+// re-running the completion selector. Recorded by GreedyEngine::run(trace)
 // starting from the engine's current state (a checkpoint frame plus its
 // seeds); the per-pick payloads are CSR-packed so one trace is a handful
 // of flat vectors reused across recordings.
@@ -242,10 +242,11 @@ class GreedyEngine {
   // Runs the argmax loop to completion.
   void run();
   // Runs the argmax loop to completion while recording a CompletionTrace
-  // (cleared first) for the §2.3 shared-prefix replay. Requires a heap
-  // strategy (the recorder settles the heap top for exact runner-up
-  // values) and untraced mode; behaviour and picks are identical to
-  // run(), with extra per-pick evaluations from the settles.
+  // (cleared first) for the §2.3 shared-prefix replay. Requires
+  // untraced mode; behaviour and picks are identical to run(), with
+  // extra per-pick evaluations from the settles that give each pick its
+  // exact runner-up (StreamSelector::settle_top_eff). The trace is the
+  // same under both selection strategies.
   void run(CompletionTrace& rec);
 
   // The current result; select counters are synced on access. With
@@ -314,7 +315,7 @@ class GreedyEngine {
 // Runs Algorithm 1 verbatim. The Instance overload requires
 // inst.is_smd() && inst.is_unit_skew() (throws std::invalid_argument
 // otherwise). O(|S| * n) with the naive scan as in §2.1; the default
-// delta heap is equivalent and much cheaper.
+// delta strategy is equivalent and much cheaper.
 [[nodiscard]] GreedyResult greedy_unit_skew(const model::InstanceView& view,
                                             const GreedyOptions& opts = {});
 [[nodiscard]] GreedyResult greedy_unit_skew(const model::Instance& inst,

@@ -298,11 +298,11 @@ PartialEnumResult partial_enum_unit_skew(const InstanceView& view,
   engine.save(frames[0]);
 
   // Shared-prefix replay: exact for the feasible-mode split (a per-user
-  // function of the pick sequence) and recorded through the delta heap.
-  // Other modes/strategies keep the per-leaf engine loop — which makes
-  // every naive differential run a replay-free cross-check.
+  // function of the pick sequence) and recorded through the delta
+  // selector. Other modes/strategies keep the per-leaf engine loop —
+  // which makes every naive differential run a replay-free cross-check.
   const bool replay_on = depth >= 1 && opts.mode == SmdMode::kFeasible &&
-                         opts.strategy == SelectStrategy::kDeltaHeap;
+                         opts.strategy == SelectStrategy::kDelta;
 
   // The main thread's recording buffer. For depth == 1 the root
   // completion doubles as the (only) parent trace, recorded once here on

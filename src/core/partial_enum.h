@@ -37,7 +37,7 @@
 //     once (GreedyEngine::run(CompletionTrace&)) and every child is
 //     scored by replaying the parent's pick sequence, falling back to a
 //     real engine completion only when the replay cannot prove itself
-//     exact. Enabled for kFeasible + kDeltaHeap; other modes/strategies
+//     exact. Enabled for kFeasible + kDelta; other modes/strategies
 //     keep the per-leaf engine loop, which doubles as a replay-free
 //     differential reference on every perf run.
 //   * Parallel DFS (PartialEnumOptions::threads): workers claim
@@ -61,9 +61,10 @@ struct PartialEnumOptions {
   // Safety valve: stop enumerating after this many candidate seed sets.
   std::size_t max_candidates = 5'000'000;
   // Selection strategy and reusable buffers for every greedy completion
-  // (core/select.h); the delta heap pays off most here because the inner
-  // greedy runs O(|S|^seed_size) times on checkpoint-restored state.
-  SelectStrategy strategy = SelectStrategy::kDeltaHeap;
+  // (core/select.h); the delta strategy pays off most here because the
+  // inner greedy runs O(|S|^seed_size) times on checkpoint-restored
+  // state.
+  SelectStrategy strategy = SelectStrategy::kDelta;
   SolveWorkspace* workspace = nullptr;
   // Worker threads for the seed_size-level DFS (<= 1 = sequential).
   // Bit-identical results and counters at any value; when a run would be

@@ -507,7 +507,7 @@ StreamId ReplayContext::full_scan_exact() {
     if (alive_add_[ss] != 0.0) continue;  // not pooled
     const double wb = base_[ss] + dw_[ss];
     const double v = select_effectiveness(wb, ws_->cost[ss]);
-    scan_scratch_.push_back({v, wb, static_cast<StreamId>(ss), 0});
+    scan_scratch_.push_back({v, wb, static_cast<StreamId>(ss)});
     if (v > maxv) {
       maxv = v;
       argmax = static_cast<StreamId>(ss);
@@ -516,7 +516,7 @@ StreamId ReplayContext::full_scan_exact() {
   if (argmax == model::kInvalidStream) return model::kInvalidStream;
   std::size_t near = 0;
   bool near_dirty = false;
-  for (const SelectHeapEntry& e : scan_scratch_) {
+  for (const SelectKey& e : scan_scratch_) {
     if (margin_gt(maxv, e.eff)) continue;
     ++near;
     if (stream_dirty(e.stream)) near_dirty = true;
@@ -524,7 +524,7 @@ StreamId ReplayContext::full_scan_exact() {
   if (near == 1) return argmax;  // margin-clear winner (dust-proof)
   if (near_dirty) return model::kInvalidStream;  // ambiguous: bail
   tie_scratch_.clear();
-  for (const SelectHeapEntry& e : scan_scratch_) {
+  for (const SelectKey& e : scan_scratch_) {
     if (!replay_eff_ties(e.eff, maxv)) continue;
     tie_scratch_.push_back(e);
   }
@@ -704,8 +704,7 @@ bool ReplayContext::score_child(const GreedyCheckpoint& frame,
             const auto ms = static_cast<std::size_t>(m);
             if (pool_[ms] == 0 || stream_dirty(m)) continue;
             tie_scratch_.push_back(
-                {select_effectiveness(base_[ms], ws_->cost[ms]), base_[ms], m,
-                 0});
+                {select_effectiveness(base_[ms], ws_->cost[ms]), base_[ms], m});
           }
           winner = tie_scratch_[select_break_ties(tie_scratch_)].stream;
         }

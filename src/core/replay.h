@@ -5,7 +5,7 @@
 // the registered scenarios. This module scores a child seed set
 // (parent's seeds + one extra) by *replaying* the parent's recorded
 // completion (core/greedy.h CompletionTrace) instead of re-running the
-// completion heap, bailing out to the real engine whenever it cannot
+// completion selector, bailing out to the real engine whenever it cannot
 // prove the replay exact.
 //
 // Why replay is exact: the feasible-mode objective (Theorem 2.8 split
@@ -190,8 +190,8 @@ class ReplayContext {
   std::vector<double> c_uw_;
   std::vector<double> c_ulw_;
   std::vector<double> p_rem_;
-  std::vector<SelectHeapEntry> tie_scratch_;
-  std::vector<SelectHeapEntry> scan_scratch_;
+  std::vector<SelectKey> tie_scratch_;
+  std::vector<SelectKey> scan_scratch_;
   double dirty_ub_ = 0.0;  // on-demand upper bound on dirty streams' eff
   // Settled view of the positive-dw set: pos_ub_ is a raise-on-update,
   // settle-on-demand upper bound on its effectiveness (values only

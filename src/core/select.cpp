@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #if VDIST_SIMD_AVX2
@@ -30,152 +31,40 @@ namespace {
   return util::approx_ge(stale, m);
 }
 
-// 4-ary max-heap primitives over the workspace SoA arrays. The tree is
-// half as deep as a binary heap, sift-down exits early (a refreshed
-// entry usually stays near the top), and a stale refresh is one in-place
-// sift instead of a full pop + push round-trip. With the keys split into
-// parallel arrays, the child-max probe reads one contiguous block of
-// four eff doubles; wbar/stream load only on exact eff ties and the
-// stamp only moves with its entry. The heap's internal layout never
-// affects picks — phase 1 extracts the exact lexicographic
-// (eff, wbar, lowest id) maximum and phase 2 gathers the full
-// tolerance-tied set whatever the organization.
-constexpr std::size_t kHeapArity = 4;
-
-// Borrowed view of the live heap prefix in a SolveWorkspace.
-struct SoaHeap {
-  double* eff;
-  double* wbar;
-  model::StreamId* stream;
-  std::uint32_t* stamp;
-  std::size_t size;
-};
-
-[[nodiscard]] SoaHeap heap_of(SolveWorkspace& ws, std::size_t size) noexcept {
-  return {ws.heap_eff.data(), ws.heap_wbar.data(), ws.heap_stream.data(),
-          ws.heap_stamp.data(), size};
+// The order key of an effectiveness: an integer whose signed order is
+// the double order of `eff` (-0.0 maps to +0.0's key — they compare
+// equal — and order_eff inverts it), so a tree match is one integer
+// compare and two conditional moves.
+[[nodiscard]] std::int64_t eff_order(double eff) noexcept {
+  const auto bits = std::bit_cast<std::int64_t>(eff + 0.0);
+  return bits ^ ((bits >> 63) & std::numeric_limits<std::int64_t>::max());
+}
+[[nodiscard]] double order_eff(std::int64_t order) noexcept {
+  return std::bit_cast<double>(
+      order ^ ((order >> 63) & std::numeric_limits<std::int64_t>::max()));
 }
 
-// heap[j] < (eff, wbar, stream) under the exact lexicographic max-heap
-// order (exact doubles on purpose: the heap only needs *a* total order;
-// the epsilon-aware tie handling happens on the tolerance-tied candidate
-// set after the exact maximum is known, so non-transitive fuzzy
-// comparisons never reach a heap or sort). Sift-up's test.
-[[nodiscard]] bool entry_less_value(const SoaHeap& h, std::size_t j,
-                                    double eff, double wbar,
-                                    model::StreamId stream) noexcept {
-  if (h.eff[j] != eff) return h.eff[j] < eff;
-  if (h.wbar[j] != wbar) return h.wbar[j] < wbar;
-  return h.stream[j] > stream;
-}
+// An empty winner-tree leaf: loses to every key.
+constexpr SelectNode kEmptyLeaf{std::numeric_limits<std::int64_t>::min(),
+                                model::kInvalidStream};
 
-void heap_sift_down(SoaHeap& h, std::size_t i, double eff, double wbar,
-                    model::StreamId stream, std::uint32_t stamp,
-                    SelectStats& stats) {
-  ++stats.heap_sifts;
-  const std::size_t n = h.size;
-  for (;;) {
-    const std::size_t first = kHeapArity * i + 1;
-    if (first >= n) break;
-    const std::size_t last = std::min(first + kHeapArity, n);
-    // Branch-free max probe on the contiguous eff block (lowers to
-    // maxsd/cmov — the child keys are data-dependent, so a predicted
-    // branch per child would miss constantly). Exact eff ties — rare —
-    // fall back to the full lexicographic compare below; `tie` resets
-    // whenever a strictly larger key takes over, so it is set iff some
-    // other child exactly equals the final best_eff.
-    std::size_t best = first;
-    double best_eff = h.eff[first];
-    bool tie = false;
-    for (std::size_t c = first + 1; c < last; ++c) {
-      const double ce = h.eff[c];
-      tie = tie | (ce == best_eff);
-      if (ce > best_eff) {
-        best_eff = ce;
-        best = c;
-        tie = false;
-      }
-    }
-    if (tie) {
-      // best currently holds the lowest-index max; resolve the exact
-      // ties on (wbar desc, stream asc).
-      for (std::size_t c = best + 1; c < last; ++c) {
-        if (h.eff[c] != best_eff) continue;
-        if (h.wbar[c] != h.wbar[best]) {
-          if (h.wbar[c] > h.wbar[best]) best = c;
-        } else if (h.stream[c] < h.stream[best]) {
-          best = c;
-        }
-      }
-    }
-    // Descend while the hole value is lexicographically below the best
-    // child; eff alone decides except on an exact eff tie.
-    const bool descend =
-        eff < best_eff ||
-        (eff == best_eff &&
-         (wbar < h.wbar[best] ||
-          (wbar == h.wbar[best] && stream > h.stream[best])));
-    if (!descend) break;
-    h.eff[i] = h.eff[best];
-    h.wbar[i] = h.wbar[best];
-    h.stream[i] = h.stream[best];
-    h.stamp[i] = h.stamp[best];
-    i = best;
-  }
-  h.eff[i] = eff;
-  h.wbar[i] = wbar;
-  h.stream[i] = stream;
-  h.stamp[i] = stamp;
-}
-
-void heap_sift_up(SoaHeap& h, std::size_t i, double eff, double wbar,
-                  model::StreamId stream, std::uint32_t stamp,
-                  SelectStats& stats) {
-  ++stats.heap_sifts;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kHeapArity;
-    if (!entry_less_value(h, parent, eff, wbar, stream)) break;
-    h.eff[i] = h.eff[parent];
-    h.wbar[i] = h.wbar[parent];
-    h.stream[i] = h.stream[parent];
-    h.stamp[i] = h.stamp[parent];
-    i = parent;
-  }
-  h.eff[i] = eff;
-  h.wbar[i] = wbar;
-  h.stream[i] = stream;
-  h.stamp[i] = stamp;
-}
-
-void heap_build(SoaHeap& h, SelectStats& stats) {
-  if (h.size <= 1) return;
-  for (std::size_t i = (h.size - 2) / kHeapArity + 1; i-- > 0;)
-    heap_sift_down(h, i, h.eff[i], h.wbar[i], h.stream[i], h.stamp[i],
-                   stats);
-}
-
-// Bulk effectiveness for streams [0, n) — the reset()-time evaluation.
-// The AVX2 body computes four lanes per iteration with per-lane IEEE
-// division and the same cost>0 / wbar>0 selects as the scalar helper, so
-// every lane is bit-identical to select_effectiveness; the division
-// result of a masked-out zero-cost lane is discarded before it escapes.
-void fill_effectiveness(const double* wbar, const double* cost, double* eff,
-                        std::size_t n) {
-  std::size_t s = 0;
-#if VDIST_SIMD_AVX2
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d inf = _mm256_set1_pd(util::kInf);
-  for (; s + 4 <= n; s += 4) {
-    const __m256d w = _mm256_loadu_pd(wbar + s);
-    const __m256d c = _mm256_loadu_pd(cost + s);
-    const __m256d div = _mm256_div_pd(w, c);
-    const __m256d cost_pos = _mm256_cmp_pd(c, zero, _CMP_GT_OQ);
-    const __m256d wbar_pos = _mm256_cmp_pd(w, zero, _CMP_GT_OQ);
-    const __m256d zero_cost = _mm256_and_pd(wbar_pos, inf);
-    _mm256_storeu_pd(eff + s, _mm256_blendv_pd(zero_cost, div, cost_pos));
-  }
-#endif
-  for (; s < n; ++s) eff[s] = select_effectiveness(wbar[s], cost[s]);
+// Whether node key `a` beats `b` under the exact lexicographic
+// (eff, w̄, lowest id) order (exact on purpose: the tree only needs *a*
+// total order; the epsilon-aware tie handling happens on the
+// tolerance-tied candidate set after the exact maximum is known, so
+// non-transitive fuzzy comparisons never reach the tree). w̄ is read
+// only on an exact eff tie. `a_left` says whether `a` comes from the
+// left child: every stream under a left child has a lower id than every
+// stream under its right sibling, so a full (eff, w̄) tie goes left. An
+// empty leaf loses to every key.
+[[nodiscard]] bool beats(const SelectNode& a, const SelectNode& b,
+                         bool a_left, const double* key_wbar) noexcept {
+  if (a.order != b.order) [[likely]] return a.order > b.order;
+  if (a.stream == model::kInvalidStream) return false;
+  if (b.stream == model::kInvalidStream) return true;
+  const double wa = key_wbar[a.stream];
+  const double wb = key_wbar[b.stream];
+  return wa != wb ? wa > wb : a_left;
 }
 
 // The naive rescan's bulk phase: recompute eff[s] for every pool stream,
@@ -242,10 +131,10 @@ void fill_effectiveness(const double* wbar, const double* cost, double* eff,
 // wins; w̄ ties within tolerance keep the lowest stream id. Candidates
 // are sorted by id first so the scan order (and therefore the outcome of
 // the non-transitive fuzzy comparison) is identical for all strategies.
-[[nodiscard]] std::size_t break_ties(std::vector<SelectHeapEntry>& tied) {
+[[nodiscard]] std::size_t break_ties(std::vector<SelectKey>& tied) {
   if (tied.size() == 1) return 0;  // no tolerance tie: the common case
   std::sort(tied.begin(), tied.end(),
-            [](const SelectHeapEntry& a, const SelectHeapEntry& b) {
+            [](const SelectKey& a, const SelectKey& b) {
               return a.stream < b.stream;
             });
   std::size_t best = 0;
@@ -256,19 +145,19 @@ void fill_effectiveness(const double* wbar, const double* cost, double* eff,
 
 }  // namespace
 
-std::size_t select_break_ties(std::vector<SelectHeapEntry>& tied) {
+std::size_t select_break_ties(std::vector<SelectKey>& tied) {
   return break_ties(tied);
 }
 
 SelectStrategy parse_select_strategy(const std::string& name) {
-  if (name == "delta") return SelectStrategy::kDeltaHeap;
+  if (name == "delta") return SelectStrategy::kDelta;
   if (name == "naive") return SelectStrategy::kNaiveScan;
   throw std::invalid_argument(
       "option --select expects delta|naive, got '" + name + "'");
 }
 
 const char* to_string(SelectStrategy strategy) noexcept {
-  return strategy == SelectStrategy::kDeltaHeap ? "delta" : "naive";
+  return strategy == SelectStrategy::kDelta ? "delta" : "naive";
 }
 
 void StreamSelector::reset(SolveWorkspace& ws, std::span<const double> wbar,
@@ -280,46 +169,40 @@ void StreamSelector::reset(SolveWorkspace& ws, std::span<const double> wbar,
   strategy_ = strategy;
   const std::size_t n = wbar.size();
   ws.in_pool.assign(n, 1);
+  ws.dirty.assign(n, 0);
   pool_size_ = n;
-  heap_size_ = 0;
-  readmitted_ = false;
+  leaves_ = 0;
   ++mutation_count_;
   stats_ = {};
-  ws.version.assign(n, 0);
   if (strategy_ == SelectStrategy::kNaiveScan) {
     ws.eff.assign(n, 0.0);
+    ws.key_wbar.clear();
     return;
   }
-  ws.heap_eff.resize(n);
-  ws.heap_wbar.resize(n);
-  ws.heap_stream.resize(n);
-  ws.heap_stamp.resize(n);
-  fill_effectiveness(wbar.data(), cost.data(), ws.heap_eff.data(), n);
-  std::copy(wbar.begin(), wbar.end(), ws.heap_wbar.begin());
+  leaves_ = std::bit_ceil(n);
+  ws.tree.resize(2 * leaves_);
+  ws.key_wbar.assign(wbar.begin(), wbar.end());
+  SelectNode* const tree = ws.tree.data();
   for (std::size_t s = 0; s < n; ++s)
-    ws.heap_stream[s] = static_cast<model::StreamId>(s);
-  std::fill(ws.heap_stamp.begin(), ws.heap_stamp.end(), 0u);
-  heap_size_ = n;
+    tree[leaves_ + s] = {eff_order(select_effectiveness(wbar[s], cost[s])),
+                         static_cast<model::StreamId>(s)};
+  std::fill(tree + leaves_ + n, tree + 2 * leaves_, kEmptyLeaf);
   stats_.evaluations += n;
-  SoaHeap h = heap_of(ws, heap_size_);
-  heap_build(h, stats_);
+  for (std::size_t i = leaves_; i-- > 1;) {
+    const SelectNode* const c = tree + 2 * i;
+    tree[i] = beats(c[1], c[0], false, ws.key_wbar.data()) ? c[1] : c[0];
+  }
 }
 
 void StreamSelector::save(SelectorCheckpoint& out) const {
   // Bump-then-record: the stored counter value is unique to this save, so
   // a later restore() matching it proves nothing mutated in between.
   out.mutation_count = ++mutation_count_;
-  const auto live = static_cast<std::ptrdiff_t>(heap_size_);
-  out.heap_eff.assign(ws_->heap_eff.begin(), ws_->heap_eff.begin() + live);
-  out.heap_wbar.assign(ws_->heap_wbar.begin(),
-                       ws_->heap_wbar.begin() + live);
-  out.heap_stream.assign(ws_->heap_stream.begin(),
-                         ws_->heap_stream.begin() + live);
-  out.heap_stamp.assign(ws_->heap_stamp.begin(),
-                        ws_->heap_stamp.begin() + live);
+  out.tree.assign(ws_->tree.begin(),
+                  ws_->tree.begin() + static_cast<std::ptrdiff_t>(2 * leaves_));
+  out.key_wbar.assign(ws_->key_wbar.begin(), ws_->key_wbar.end());
+  out.dirty.assign(ws_->dirty.begin(), ws_->dirty.end());
   out.in_pool.assign(ws_->in_pool.begin(), ws_->in_pool.end());
-  out.version.assign(ws_->version.begin(), ws_->version.end());
-  out.heap_size = heap_size_;
   out.pool_size = pool_size_;
 }
 
@@ -329,16 +212,10 @@ void StreamSelector::restore(const SelectorCheckpoint& in) {
   // selector *is* the checkpoint and every copy below would be a no-op.
   if (mutation_count_ == in.mutation_count) return;
   ++mutation_count_;
-  std::copy(in.heap_eff.begin(), in.heap_eff.end(), ws_->heap_eff.begin());
-  std::copy(in.heap_wbar.begin(), in.heap_wbar.end(),
-            ws_->heap_wbar.begin());
-  std::copy(in.heap_stream.begin(), in.heap_stream.end(),
-            ws_->heap_stream.begin());
-  std::copy(in.heap_stamp.begin(), in.heap_stamp.end(),
-            ws_->heap_stamp.begin());
-  ws_->in_pool.assign(in.in_pool.begin(), in.in_pool.end());
-  ws_->version.assign(in.version.begin(), in.version.end());
-  heap_size_ = in.heap_size;
+  std::copy(in.tree.begin(), in.tree.end(), ws_->tree.begin());
+  std::copy(in.key_wbar.begin(), in.key_wbar.end(), ws_->key_wbar.begin());
+  std::copy(in.dirty.begin(), in.dirty.end(), ws_->dirty.begin());
+  std::copy(in.in_pool.begin(), in.in_pool.end(), ws_->in_pool.begin());
   pool_size_ = in.pool_size;
 }
 
@@ -347,7 +224,7 @@ model::StreamId StreamSelector::pop_best() {
   ++mutation_count_;
   const model::StreamId chosen = strategy_ == SelectStrategy::kNaiveScan
                                      ? pop_best_naive()
-                                     : pop_best_heap();
+                                     : pop_best_tree();
   if (chosen == model::kInvalidStream) return chosen;
   ws_->in_pool[static_cast<std::size_t>(chosen)] = 0;
   --pool_size_;
@@ -355,114 +232,111 @@ model::StreamId StreamSelector::pop_best() {
   return chosen;
 }
 
-double StreamSelector::settle_top_eff() {
-  if (pool_size_ == 0) return -util::kInf;
-  ++mutation_count_;
-  SoaHeap h = heap_of(*ws_, heap_size_);
+void StreamSelector::set_leaf(std::size_t s, SelectNode key) {
+  SelectNode* const tree = ws_->tree.data();
+  const double* const key_wbar = ws_->key_wbar.data();
+  // The key climbs in registers: each level loads only the sibling
+  // (whose subtree did not change), so no load waits on the store below
+  // it, and off an exact tie the match is a compare and two conditional
+  // moves — the outcome is data-dependent, so a branch would mispredict.
+  std::size_t i = leaves_ + s;
+  tree[i] = key;
+  for (; i > 1; i >>= 1) {
+    const SelectNode sib = tree[i ^ 1];
+    const bool take = beats(sib, key, (i & 1) != 0, key_wbar);
+    key.order = take ? sib.order : key.order;
+    key.stream = take ? sib.stream : key.stream;
+    tree[i >> 1] = key;
+  }
+  ++stats_.heap_sifts;
+}
+
+void StreamSelector::refresh(std::size_t s) {
+  ws_->key_wbar[s] = wbar_[s];
+  ws_->dirty[s] = 0;
+  ++stats_.evaluations;
+  set_leaf(s, {eff_order(select_effectiveness(wbar_[s], cost_[s])),
+               static_cast<model::StreamId>(s)});
+}
+
+SelectNode StreamSelector::settle_root() {
   for (;;) {
-    while (h.size > 0 && entry_dead(h.stream[0], h.stamp[0])) {
-      --h.size;
-      if (h.size > 0)
-        heap_sift_down(h, 0, h.eff[h.size], h.wbar[h.size], h.stream[h.size],
-                       h.stamp[h.size], stats_);
-    }
-    if (h.size == 0) {
-      heap_size_ = 0;
-      return -util::kInf;
-    }
-    if (entry_fresh(h.stream[0], h.stamp[0])) {
-      heap_size_ = h.size;
-      return h.eff[0];
-    }
-    const auto s = static_cast<std::size_t>(h.stream[0]);
-    ++stats_.evaluations;
-    heap_sift_down(h, 0, select_effectiveness(wbar_[s], cost_[s]), wbar_[s],
-                   h.stream[0], ws_->version[s], stats_);
+    const SelectNode root = ws_->tree[1];
+    if (root.stream == model::kInvalidStream) return root;
+    const auto s = static_cast<std::size_t>(root.stream);
+    if (ws_->in_pool[s] == 0)
+      set_leaf(s, kEmptyLeaf);
+    else if (ws_->dirty[s] != 0)
+      refresh(s);
+    else
+      return root;
   }
 }
 
-model::StreamId StreamSelector::pop_best_heap() {
-  SoaHeap h = heap_of(*ws_, heap_size_);
-
-  auto refresh = [&](SelectHeapEntry& e) {
-    const auto s = static_cast<std::size_t>(e.stream);
-    e.eff = select_effectiveness(wbar_[s], cost_[s]);
-    e.wbar = wbar_[s];
-    e.stamp = ws_->version[s];
-    ++stats_.evaluations;
-  };
-  auto front_entry = [&]() {
-    return SelectHeapEntry{h.eff[0], h.wbar[0], h.stream[0], h.stamp[0]};
-  };
-  auto pop_entry = [&]() {
-    const SelectHeapEntry e = front_entry();
-    --h.size;
-    if (h.size > 0)
-      heap_sift_down(h, 0, h.eff[h.size], h.wbar[h.size], h.stream[h.size],
-                     h.stamp[h.size], stats_);
-    return e;
-  };
-  auto push_entry = [&](const SelectHeapEntry& e) {
-    const std::size_t i = h.size++;
-    heap_sift_up(h, i, e.eff, e.wbar, e.stream, e.stamp, stats_);
-  };
-  auto drop_removed = [&]() {
-    while (h.size > 0 && entry_dead(h.stream[0], h.stamp[0]))
-      (void)pop_entry();
-  };
-
-  // Phase 1: the classic lazy pop. A fresh top beats every remaining
-  // stale key, and stale keys only overestimate, so it is the exact
-  // lexicographic (eff, wbar, lowest id) maximum of the pool. Freshness
-  // is per-stream — entries whose w̄ was never update()d since their last
-  // evaluation are fresh by construction and cost nothing here. A stale
-  // top refreshes in place (one sift-down), not via a pop + push
-  // round-trip.
-  SelectHeapEntry top;
-  for (;;) {
-    drop_removed();
-    if (h.size == 0) {
-      heap_size_ = 0;
-      return model::kInvalidStream;
-    }
-    const SelectHeapEntry front = front_entry();
-    if (entry_fresh(front.stream, front.stamp)) {
-      top = pop_entry();
-      break;
-    }
-    SelectHeapEntry e = front;
-    refresh(e);
-    heap_sift_down(h, 0, e.eff, e.wbar, e.stream, e.stamp, stats_);
+double StreamSelector::settle_top_eff() {
+  if (pool_size_ == 0) return -util::kInf;
+  if (strategy_ == SelectStrategy::kNaiveScan) {
+    bool any = false;
+    const double max_eff =
+        scan_effectiveness(wbar_.data(), cost_.data(), ws_->in_pool.data(),
+                           ws_->eff.data(), wbar_.size(), stats_.evaluations,
+                           any);
+    return any ? max_eff : -util::kInf;
   }
+  ++mutation_count_;
+  const SelectNode root = settle_root();
+  return root.stream == model::kInvalidStream ? -util::kInf
+                                              : order_eff(root.order);
+}
+
+model::StreamId StreamSelector::pop_best_tree() {
+  // Phase 1: the lazy pop. A fresh root beats every remaining stale key,
+  // and stale keys only overestimate, so it is the exact lexicographic
+  // (eff, wbar, lowest id) maximum of the pool. Freshness is per-stream —
+  // keys whose w̄ was never update()d since their last evaluation are
+  // fresh by construction and cost nothing here.
+  const SelectNode first = settle_root();
+  if (first.stream == model::kInvalidStream) return model::kInvalidStream;
+  const auto first_s = static_cast<std::size_t>(first.stream);
+  const SelectKey top{order_eff(first.order), ws_->key_wbar[first_s],
+                      first.stream};
+  set_leaf(first_s, kEmptyLeaf);
 
   // Phase 2: gather every pool stream whose *fresh* effectiveness ties
   // the maximum within tolerance. Anything below the tolerance band has
-  // a stale key below it too and is never touched. A stale entry inside
-  // the band refreshes at the root in place (its new, lower key sifts
-  // down with early exit) instead of a pop + push round-trip; a fresh
-  // in-band entry is a genuine tolerance tie.
+  // a stale key below it too and is never touched. A stale root inside
+  // the band refreshes in place; a fresh in-band root is a genuine
+  // tolerance tie and leaves the tree until the tie is broken.
+  const SelectNode* const tree = ws_->tree.data();
+  const char* const in_pool = ws_->in_pool.data();
+  const char* const dirty = ws_->dirty.data();
   auto& tied = ws_->tied;
   tied.clear();
   tied.push_back(top);
   for (;;) {
-    drop_removed();
-    if (h.size == 0) break;
-    const SelectHeapEntry front = front_entry();
-    if (!could_tie(front.eff, top.eff)) break;
-    if (!entry_fresh(front.stream, front.stamp)) {
-      SelectHeapEntry e = front;
-      refresh(e);
-      heap_sift_down(h, 0, e.eff, e.wbar, e.stream, e.stamp, stats_);
+    const SelectNode root = tree[1];
+    if (root.stream == model::kInvalidStream) break;
+    const auto s = static_cast<std::size_t>(root.stream);
+    if (in_pool[s] == 0) {
+      set_leaf(s, kEmptyLeaf);
       continue;
     }
-    if (!eff_ties(front.eff, top.eff)) break;  // approx_ge yet not approx_eq
-    tied.push_back(pop_entry());
+    const double eff = order_eff(root.order);
+    if (!could_tie(eff, top.eff)) break;
+    if (dirty[s] != 0) {
+      refresh(s);
+      continue;
+    }
+    if (!eff_ties(eff, top.eff)) break;  // approx_ge yet not approx_eq
+    tied.push_back({eff, ws_->key_wbar[s], root.stream});
+    set_leaf(s, kEmptyLeaf);
   }
 
   const std::size_t best = break_ties(tied);
   for (std::size_t i = 0; i < tied.size(); ++i)
-    if (i != best) push_entry(tied[i]);
-  heap_size_ = h.size;
+    if (i != best)
+      set_leaf(static_cast<std::size_t>(tied[i].stream),
+               {eff_order(tied[i].eff), tied[i].stream});
   return tied[best].stream;
 }
 
@@ -481,7 +355,7 @@ model::StreamId StreamSelector::pop_best_naive() {
   tied.clear();
   for (std::size_t s = 0; s < n; ++s) {
     if (!in_pool[s] || !eff_ties(eff[s], max_eff)) continue;
-    tied.push_back({eff[s], wbar_[s], static_cast<model::StreamId>(s), 0});
+    tied.push_back({eff[s], wbar_[s], static_cast<model::StreamId>(s)});
   }
   return tied[break_ties(tied)].stream;
 }
@@ -493,72 +367,7 @@ void StreamSelector::readmit(model::StreamId s) {
     ws_->in_pool[ss] = 1;
     ++pool_size_;
   }
-  if (strategy_ == SelectStrategy::kNaiveScan) return;
-  if (!readmitted_) {
-    ws_->admit_floor.assign(wbar_.size(), 0);
-    readmitted_ = true;
-  }
-  // A fresh stamp no older entry of `s` can carry: the stream's next
-  // version.
-  std::uint32_t& counter = ws_->version[ss];
-  if (counter >= (1u << 31)) {
-    // Far from wrapping, but a long-lived selector must never get there:
-    // re-evaluate the live entries and restart every stamp at zero.
-    compact();
-    SoaHeap h = heap_of(*ws_, heap_size_);
-    for (std::size_t i = 0; i < h.size; ++i) {
-      const auto t = static_cast<std::size_t>(h.stream[i]);
-      h.eff[i] = select_effectiveness(wbar_[t], cost_[t]);
-      h.wbar[i] = wbar_[t];
-      h.stamp[i] = 0;
-    }
-    stats_.evaluations += h.size;
-    heap_build(h, stats_);
-    std::fill(ws_->version.begin(), ws_->version.end(), 0u);
-    std::fill(ws_->admit_floor.begin(), ws_->admit_floor.end(), 0u);
-  }
-  const std::uint32_t stamp = ++counter;
-  // Raising the floor first retires the old entry of `s` before any
-  // compaction, so a compacted heap holds at most |pool| - 1 entries and
-  // the push below fits the reset()-time capacity |S|. The capacity only
-  // doubles when compaction frees less than an eighth of it, which keeps
-  // compaction amortized O(1) per readmit when nearly every stream is in
-  // the pool.
-  ws_->admit_floor[ss] = stamp;
-  const std::size_t cap = ws_->heap_eff.size();
-  if (heap_size_ >= 2 * pool_size_ + 64 || heap_size_ == cap) {
-    compact();
-    if (8 * heap_size_ > 7 * cap) {
-      ws_->heap_eff.resize(2 * cap);
-      ws_->heap_wbar.resize(2 * cap);
-      ws_->heap_stream.resize(2 * cap);
-      ws_->heap_stamp.resize(2 * cap);
-    }
-  }
-  ++stats_.evaluations;
-  SoaHeap h = heap_of(*ws_, heap_size_ + 1);
-  heap_sift_up(h, heap_size_, select_effectiveness(wbar_[ss], cost_[ss]),
-               wbar_[ss], s, stamp, stats_);
-  heap_size_ = h.size;
-}
-
-// Drops every dead entry (left the pool, or retired by a readmit) and
-// rebuilds the heap over the survivors — exactly one entry per pool
-// stream. Keys keep their stamps: a stale key is still an overestimate.
-void StreamSelector::compact() {
-  SoaHeap h = heap_of(*ws_, heap_size_);
-  std::size_t live = 0;
-  for (std::size_t i = 0; i < h.size; ++i) {
-    if (entry_dead(h.stream[i], h.stamp[i])) continue;
-    h.eff[live] = h.eff[i];
-    h.wbar[live] = h.wbar[i];
-    h.stream[live] = h.stream[i];
-    h.stamp[live] = h.stamp[i];
-    ++live;
-  }
-  h.size = live;
-  heap_build(h, stats_);
-  heap_size_ = live;
+  if (strategy_ == SelectStrategy::kDelta) refresh(ss);
 }
 
 void StreamSelector::remove(model::StreamId s) {

@@ -6,28 +6,32 @@
 // not yet considered. Because the fractional residual utility w̄ is
 // monotone non-increasing as streams are added (the submodular structure
 // of Lemma 2.1, the same monotonicity CELF-style lazy evaluation exploits
-// in the influence/VoD literature), a stale heap entry only ever
-// *overestimates* a stream's current effectiveness — so a max-heap that
-// re-evaluates entries on demand returns exactly the stream a full
+// in the influence/VoD literature), a stale key only ever
+// *overestimates* a stream's current effectiveness — so a max-structure
+// that re-evaluates keys on demand returns exactly the stream a full
 // O(|S|) rescan would, at a fraction of the evaluations.
 //
 // Two strategies live behind one StreamSelector interface:
-//   * kDeltaHeap (default): exact delta propagation. The caller reports
+//   * kDelta (default): exact delta propagation. The caller reports
 //     every w̄ decrease through update(stream, new_wbar); only that
-//     stream's per-entry stamp goes stale, so entries of *untouched*
-//     streams stay fresh forever and are never re-evaluated.
+//     stream's key goes stale, so keys of *untouched* streams stay fresh
+//     forever and are never re-evaluated.
 //   * kNaiveScan: full O(pool) rescan per pick — the §2.1 baseline for
 //     differential testing (tests/test_select.cpp) and perf
 //     (engine/perf.h, `vdist_cli perf`).
 //
-// Data layout: the heap is stored as four parallel cache-line-aligned
-// arrays (eff / wbar / stream / stamp) in SolveWorkspace rather than an
-// array of 24-byte entry structs. A 4-ary sift-down compares almost
-// exclusively on eff, so the SoA split turns each child-block probe into
-// one contiguous 32-byte key read; wbar/stream load only on exact eff
-// ties and stamp only at the root freshness check. The heap's internal
-// layout never affects picks — the front is the unique maximum under the
-// exact lexicographic order below — so AoS→SoA is invisible to every
+// Data layout: the delta strategy keeps a winner (tournament) tree with
+// exactly one leaf per stream, at P + s with P = bit_ceil(|S|). Every
+// node holds the winning key of its subtree in 16 bytes: its
+// effectiveness, encoded as an integer with the same order, and its
+// stream id. A leaf-to-root pass carries the new key up in registers and
+// loads one sibling per level; off an exact tie each level is one
+// integer compare and two conditional moves. A key's w̄ lives in a
+// per-stream array and is read only on exact effectiveness ties;
+// staleness is one dirty byte per stream, set by update() and cleared
+// when the key is re-evaluated. The root is the exact lexicographic
+// maximum, under the order below, of the keys of every occupied leaf,
+// whatever the tree's shape — so the tree is invisible to every
 // differential test, objective and evaluation count.
 //
 // Tie-break contract, shared verbatim by both strategies so they are
@@ -52,7 +56,7 @@
 namespace vdist::core {
 
 enum class SelectStrategy {
-  kDeltaHeap,  // exact per-stream delta propagation (default)
+  kDelta,      // exact per-stream delta propagation (default)
   kNaiveScan,  // full O(pool) rescan per pick (differential baseline)
 };
 
@@ -66,10 +70,12 @@ enum class SelectStrategy {
 // the selection work itself; the phase counters below attribute the rest
 // of the hot path: rows_walked/pairs_touched are the w̄ propagation's
 // volume (user rows entered, per-pair residual deltas applied — reported
-// by the greedy through note_propagation()), heap_sifts counts sift
-// operations (down or up) on the selection heap. All of them are
-// deterministic functions of the pick sequence, so like evaluations they
-// are machine-independent and diffable across BENCH baselines.
+// by the greedy through note_propagation()), heap_sifts counts
+// selection-tree leaf-to-root passes (a key refresh, a pop, a readmit,
+// a tolerance-tied loser's return; the name predates the tree). All of
+// them are deterministic functions of the pick sequence, so like
+// evaluations they are machine-independent and diffable across BENCH
+// baselines.
 // rows_sorted is the greedy engine's prep: the user rows its constructor
 // re-sorted (|U| on a cold workspace, only the rows whose utilities
 // changed on a warm one; see SolveWorkspace's row cache) — deterministic
@@ -79,7 +85,7 @@ struct SelectStats {
   std::size_t evaluations = 0;   // effectiveness (re-)computations
   std::size_t pairs_touched = 0;  // w̄ propagation: per-pair deltas applied
   std::size_t rows_walked = 0;    // w̄ propagation: user rows entered
-  std::size_t heap_sifts = 0;     // heap sift-down/up operations
+  std::size_t heap_sifts = 0;     // selection-tree leaf-to-root passes
   std::size_t rows_sorted = 0;    // engine prep: user rows re-sorted
   void merge(const SelectStats& other) noexcept {
     picks += other.picks;
@@ -91,32 +97,34 @@ struct SelectStats {
   }
 };
 
-// One materialized heap entry: the stream's effectiveness and residual
-// utility as of `stamp`, the stream's own version counter at evaluation
-// time. A stale entry (stamp behind the version) is an upper bound and
-// gets refreshed on demand. The live heap stores these fields as the SoA
-// arrays in SolveWorkspace; this struct remains the currency of the
-// small tolerance-tied candidate set and the naive scan.
-struct SelectHeapEntry {
+// One stream's selection key: its effectiveness and residual utility
+// as of its last evaluation. The currency of the small tolerance-tied
+// candidate set, the naive scan and the §2.3 replay's tie-breaks.
+struct SelectKey {
   double eff = 0.0;
   double wbar = 0.0;
   model::StreamId stream = model::kInvalidStream;
-  std::uint32_t stamp = 0;
 };
 
-// A saved selector state (pool membership, the SoA heap prefix, per-
-// stream versions). Part of core::GreedyCheckpoint (core/greedy.h);
-// SelectStats counters are deliberately NOT checkpointed — they keep
-// counting monotonically across restores so a checkpointed enumeration
-// reports its true total work.
+// One winner-tree node (SolveWorkspace::tree): the winning key of its
+// subtree — its effectiveness, encoded as an integer with the same order
+// (select.cpp's eff_order), and its stream. An empty leaf (a stream
+// popped out of the pool) holds the minimum order and kInvalidStream.
+struct SelectNode {
+  std::int64_t order;
+  model::StreamId stream;
+};
+
+// A saved selector state (the winner tree, the per-stream key w̄ and
+// dirty bytes, pool membership). Part of core::GreedyCheckpoint
+// (core/greedy.h); SelectStats counters are deliberately NOT
+// checkpointed — they keep counting monotonically across restores so a
+// checkpointed enumeration reports its true total work.
 struct SelectorCheckpoint {
-  std::vector<double> heap_eff;
-  std::vector<double> heap_wbar;
-  std::vector<model::StreamId> heap_stream;
-  std::vector<std::uint32_t> heap_stamp;
+  std::vector<SelectNode> tree;
+  std::vector<double> key_wbar;
+  std::vector<char> dirty;
   std::vector<char> in_pool;
-  std::vector<std::uint32_t> version;
-  std::size_t heap_size = 0;
   std::size_t pool_size = 0;
   // The selector's mutation counter at save() time. restore() compares it
   // against the live counter and returns without touching a byte when the
@@ -141,28 +149,23 @@ struct AssignedPair {
 
 // Reusable per-thread scratch for the solver stack. One workspace per
 // thread amortizes every per-solve allocation (residual caps, w̄, costs,
-// the selection heap, band-view surrogates, enumeration checkpoints)
+// the selection tree, band-view surrogates, enumeration checkpoints)
 // across the thousands of cells a BatchRunner or SweepPlan executes;
 // SolveRequest::workspace threads it through the registry. A workspace
 // may be reused freely across sequential solves of different instances
 // and algorithms, but must never be shared by two concurrent solves.
 struct SolveWorkspace {
-  // Selection kernel (StreamSelector): the SoA heap — four parallel
-  // cache-line-aligned arrays, entry i of the 4-ary max-heap at index i
-  // of each. Sized to the stream count at reset(); the live prefix
-  // length is the selector's heap size.
-  util::AlignedVector<double> heap_eff;
-  util::AlignedVector<double> heap_wbar;
-  util::AlignedVector<model::StreamId> heap_stream;
-  util::AlignedVector<std::uint32_t> heap_stamp;
+  // Selection kernel (StreamSelector). The delta strategy's winner
+  // tree: 2P cache-line-aligned nodes, the root at 1 and stream s's leaf
+  // at P + s (P = bit_ceil(|S|); node 0 unused). key_wbar[s] is the w̄
+  // of s's leaf key, dirty[s] marks a key update() made stale. All three
+  // are sized at reset(); the naive strategy sizes only dirty.
+  util::AlignedVector<SelectNode> tree;
+  std::vector<double> key_wbar;
+  std::vector<char> dirty;
   std::vector<char> in_pool;
-  std::vector<std::uint32_t> version;   // per-stream heap-entry stamps
-  // Per-stream admission floor (StreamSelector::readmit): a heap entry
-  // stamped below its stream's floor predates the stream's latest
-  // readmission and is retired. Sized on the first readmit after reset().
-  std::vector<std::uint32_t> admit_floor;
   util::AlignedVector<double> eff;      // naive-scan per-stream cache
-  std::vector<SelectHeapEntry> tied;    // tolerance-tied candidates
+  std::vector<SelectKey> tied;          // tolerance-tied candidates
   // Greedy engine (core/greedy.cpp, core/partial_enum.cpp).
   std::vector<double> rem;
   std::vector<double> wbar;
@@ -247,7 +250,7 @@ struct SolveWorkspace {
 // Pops the most effective stream from a shrinking pool. Usage:
 //
 //   StreamSelector sel;
-//   sel.reset(ws, ws.wbar, ws.cost, SelectStrategy::kDeltaHeap);
+//   sel.reset(ws, ws.wbar, ws.cost, SelectStrategy::kDelta);
 //   while ((s = sel.pop_best()) != model::kInvalidStream) {
 //     ...                      // maybe assign s, decreasing ws.wbar[t]
 //     sel.update(t, ws.wbar[t]);  // after EACH w̄ decrease
@@ -255,8 +258,8 @@ struct SolveWorkspace {
 //
 // The selector borrows the caller's live w̄/cost arrays; the caller may
 // decrease w̄ entries between pops — reporting each change through
-// update(). An increase would break the stale-entries-overestimate
-// invariant the heap relies on, so it goes through readmit(), which
+// update(). An increase would break the stale-keys-overestimate
+// invariant the tree relies on, so it goes through readmit(), which
 // also puts a popped or removed stream back into the pool. A
 // selector kept alive across many rounds of such changes (the serving
 // engine's repair completion, engine/repair_core.h) never needs another
@@ -275,13 +278,13 @@ class StreamSelector {
   // is empty.
   [[nodiscard]] model::StreamId pop_best();
 
-  // kDeltaHeap only: refreshes the heap front until it is fresh and
-  // returns its effectiveness — the *exact* maximum effectiveness over the
-  // current pool, without popping anything (the settle is the next pop's
-  // phase 1 done early; refreshed entries stay refreshed). Returns -inf on
-  // an empty pool. The §2.3 trace recorder calls this right after each
-  // pop, before propagation, so every recorded pick carries the exact
-  // runner-up value a replayed sibling must beat to diverge.
+  // The *exact* maximum effectiveness over the current pool, without
+  // popping anything; -inf on an empty pool. Under kDelta it refreshes
+  // the root until it is fresh (the next pop's phase 1 done early;
+  // refreshed keys stay refreshed); under kNaiveScan it is one pool scan.
+  // The §2.3 trace recorder calls this right after each pop, before
+  // propagation, so every recorded pick carries the exact runner-up
+  // value a replayed sibling must beat to diverge.
   [[nodiscard]] double settle_top_eff();
 
   // Removes a stream from the pool without selecting it (seed pre-passes
@@ -290,25 +293,21 @@ class StreamSelector {
 
   // Puts `s` back into the pool with a fresh key for its current w̄ —
   // after a w̄ increase, or to return a popped or removed stream. Under
-  // kDeltaHeap it pushes a fresh entry and raises the stream's admission
-  // floor, so any older entry of `s` is retired when it surfaces (where
-  // removed streams' entries are already dropped); the heap is compacted
-  // to its live entries once it outgrows about twice the pool. Not
-  // combinable with save()/restore() (the floors are not
-  // checkpointed); the §2.3 enumeration never readmits.
+  // kDelta it overwrites s's leaf (one evaluation, one leaf-to-root
+  // pass), whatever key the leaf held.
   void readmit(model::StreamId s);
 
   // Tells the selector that ws.wbar[s] just decreased to `new_wbar`:
-  // bumps only stream s's version — the exact delta path; every other
-  // cached effectiveness stays fresh. (kNaiveScan keeps the versions too
-  // but never reads them: its rescan reads live values anyway.)
-  // Inline: this sits in the greedy's w̄-propagation batch pass. Calling
-  // it once per touched stream at the end of a pick is equivalent to
-  // once per touched pair inside it — staleness is binary, so any bump
-  // between two pops invalidates exactly the same entries.
+  // marks only stream s's key stale — the exact delta path; every other
+  // key stays fresh, and the tree itself is not touched until the stale
+  // key surfaces at the root. (kNaiveScan keeps the marks too but never
+  // reads them: its rescan reads live values anyway.) Inline: this sits
+  // in the greedy's w̄-propagation batch pass. Calling it once per
+  // touched stream at the end of a pick is equivalent to once per
+  // touched pair inside it — staleness is binary.
   void update(model::StreamId s, double /*new_wbar*/) noexcept {
     ++mutation_count_;
-    ++ws_->version[static_cast<std::size_t>(s)];
+    ws_->dirty[static_cast<std::size_t>(s)] = 1;
   }
 
   // Phase accounting hook for the propagation loops (GreedyEngine::
@@ -319,7 +318,7 @@ class StreamSelector {
     stats_.pairs_touched += pairs;
   }
 
-  // Copies the selector's pool/heap/version state out (in); the stats
+  // Copies the selector's tree/key/pool state out (in); the stats
   // counters keep running monotonically across restores. The checkpoint
   // must come from a save() on this selector since its last reset().
   void save(SelectorCheckpoint& out) const;
@@ -332,31 +331,25 @@ class StreamSelector {
   [[nodiscard]] const SelectStats& stats() const noexcept { return stats_; }
 
  private:
-  [[nodiscard]] model::StreamId pop_best_heap();
+  [[nodiscard]] model::StreamId pop_best_tree();
   [[nodiscard]] model::StreamId pop_best_naive();
-  // Whether a heap entry's key is current: no update() or readmit() of
-  // its stream since the entry was evaluated.
-  [[nodiscard]] bool entry_fresh(model::StreamId stream,
-                                 std::uint32_t stamp) const noexcept {
-    return stamp == ws_->version[static_cast<std::size_t>(stream)];
-  }
-  // Whether a heap entry is garbage: its stream left the pool, or the
-  // entry predates the stream's latest readmit().
-  [[nodiscard]] bool entry_dead(model::StreamId stream,
-                                std::uint32_t stamp) const noexcept {
-    const auto s = static_cast<std::size_t>(stream);
-    return ws_->in_pool[s] == 0 ||
-           (readmitted_ && stamp < ws_->admit_floor[s]);
-  }
-  void compact();
+  // Brings a fresh key of a pool stream to the root — emptying the
+  // leaves of streams that left the pool and refreshing stale keys as
+  // they surface — and returns the root (kInvalidStream: empty tree).
+  [[nodiscard]] SelectNode settle_root();
+  // Re-evaluates stream s's key from the live w̄ and writes it to s's
+  // leaf.
+  void refresh(std::size_t s);
+  // Writes `key` (stream s's, or the empty leaf) to stream s's leaf and
+  // recomputes its ancestors: one leaf-to-root pass.
+  void set_leaf(std::size_t s, SelectNode key);
 
   SolveWorkspace* ws_ = nullptr;
   std::span<const double> wbar_;
   std::span<const double> cost_;
-  SelectStrategy strategy_ = SelectStrategy::kDeltaHeap;
+  SelectStrategy strategy_ = SelectStrategy::kDelta;
   std::size_t pool_size_ = 0;
-  std::size_t heap_size_ = 0;  // live prefix of the workspace SoA arrays
-  bool readmitted_ = false;  // any readmit() since reset(): floors live
+  std::size_t leaves_ = 0;  // P, the leaf count; 0 under kNaiveScan
   // Monotone count of state mutations (pops, removes, updates,
   // readmits) since reset(). save() bumps then records it (mutable:
   // the bump-then-record scheme makes each saved value unique without
@@ -374,6 +367,6 @@ class StreamSelector {
 // the §2.3 replay fast path (core/replay.cpp) resolves a recorded tie
 // set with bit-identical logic to the live selector. Returns the index
 // of the winner in `tied` (which is reordered).
-[[nodiscard]] std::size_t select_break_ties(std::vector<SelectHeapEntry>& tied);
+[[nodiscard]] std::size_t select_break_ties(std::vector<SelectKey>& tied);
 
 }  // namespace vdist::core

@@ -33,7 +33,7 @@ struct SkewBandsOptions {
   // (core/select.h). Bands are solved through copy-free InstanceViews
   // over the parent CSR (model/view.h) — no per-band instance is built,
   // and the per-band surrogate/cap arrays live in the workspace.
-  SelectStrategy strategy = SelectStrategy::kDeltaHeap;
+  SelectStrategy strategy = SelectStrategy::kDelta;
   SolveWorkspace* workspace = nullptr;
 };
 

@@ -263,7 +263,7 @@ PerfReport run_perf(const PerfOptions& opts) {
     result.edges = inst.num_edges();
     result.threads =
         static_cast<unsigned>(spec.options.get_int("threads", 1));
-    result.delta = measure(inst, spec, core::SelectStrategy::kDeltaHeap,
+    result.delta = measure(inst, spec, core::SelectStrategy::kDelta,
                            report.repetitions, opts.seed, ws);
     result.naive = measure(inst, spec, core::SelectStrategy::kNaiveScan,
                            report.repetitions, opts.seed, ws);

@@ -38,7 +38,7 @@
 //       "delta": {"wall_ms": x, "objective": x, "picks": n, "evals": n,
 //                 "pairs_touched": n,  // w-bar propagation deltas applied
 //                 "rows_walked": n,    // user adjacency rows entered
-//                 "heap_sifts": n,     // heap sift passes (build + repair)
+//                 "heap_sifts": n,     // selection-tree leaf-to-root passes
 //                 "frames_reused": n,  // enum cases: leaves scored off a
 //                                      // recorded parent frame + trace
 //                 "completions_replayed": n,  // ... of those, scored
@@ -114,7 +114,8 @@ struct PerfMeasurement {
   double picks = 0.0;  // selection-kernel pop_best() count
   double evals = 0.0;  // effectiveness (re-)evaluations
   // Per-phase hot-path counters (SelectStats): w-bar deltas applied,
-  // user adjacency rows entered, and heap sift passes. Deterministic
+  // user adjacency rows entered, and selection-tree leaf-to-root
+  // passes (the field keeps its old name). Deterministic
   // like evals, so a wall regression can be attributed to a phase.
   double pairs_touched = 0.0;
   double rows_walked = 0.0;

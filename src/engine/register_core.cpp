@@ -59,7 +59,8 @@ void report_select(SolveOutcome& out, const core::SelectStats& select) {
   out.stats["select_picks"] = static_cast<double>(select.picks);
   out.stats["select_evals"] = static_cast<double>(select.evaluations);
   // Per-phase hot-path counters: w-bar propagation deltas applied,
-  // adjacency rows entered, heap sift passes. Deterministic, so the
+  // adjacency rows entered, selection-tree leaf-to-root passes
+  // (select_heap_sifts keeps its old name). Deterministic, so the
   // perf suite can attribute a wall change to a phase.
   out.stats["select_pairs_touched"] =
       static_cast<double>(select.pairs_touched);

@@ -88,7 +88,7 @@ class RepairCore {
   // Per-call solve context (the owner's knobs; never stored).
   struct Context {
     core::SolveWorkspace* workspace = nullptr;
-    core::SelectStrategy strategy = core::SelectStrategy::kDeltaHeap;
+    core::SelectStrategy strategy = core::SelectStrategy::kDelta;
     core::SmdMode mode = core::SmdMode::kFeasible;
   };
 
@@ -211,7 +211,7 @@ class RepairCore {
   // fresh solves run a GreedyEngine on the caller's and would clobber it.
   core::SolveWorkspace select_ws_;
   core::StreamSelector selector_;
-  core::SelectStrategy strategy_ = core::SelectStrategy::kDeltaHeap;
+  core::SelectStrategy strategy_ = core::SelectStrategy::kDelta;
   core::SelectStats flushed_;           // selector work already merged
   std::vector<model::StreamId> skipped_;  // over budget this completion
 

@@ -100,7 +100,7 @@ struct ServeConfig {
   // Which §2.2 winner the session maintains: kFeasible races A1/A2/Amax,
   // kAugmented races the semi-feasible greedy against Amax.
   core::SmdMode mode = core::SmdMode::kFeasible;
-  core::SelectStrategy strategy = core::SelectStrategy::kDeltaHeap;
+  core::SelectStrategy strategy = core::SelectStrategy::kDelta;
   double mu = 0.0;   // kOnline learning rate (0 derives the paper's)
   bool guard = true;  // kOnline feasibility guard
   // Registry-adapter knobs (`serve` derives an event trace per request;

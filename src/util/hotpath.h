@@ -1,6 +1,6 @@
 // Data-layout helpers for the selection/propagation hot path
 // (core/select.cpp, core/greedy.cpp): a cache-line-aligned allocator for
-// the SoA heap arrays, a software-prefetch wrapper for the
+// the selection tree, a software-prefetch wrapper for the
 // sorted-adjacency walk, and the one SIMD feature gate the vectorized
 // kernels compile under.
 //
@@ -24,10 +24,9 @@ namespace vdist::util {
 // anything else this is still a harmless over-alignment.
 inline constexpr std::size_t kCacheLine = 64;
 
-// Minimal aligned allocator: the SoA heap keys live in vectors whose
-// data() is cache-line aligned, so a 4-ary sift-down's child block of
-// keys spans at most one line boundary instead of straddling struct
-// padding.
+// Minimal aligned allocator: the selection tree's nodes live in a vector
+// whose data() is cache-line aligned, so each 32-byte sibling pair a
+// leaf-to-root pass compares sits in one cache line.
 template <typename T, std::size_t Align = kCacheLine>
 struct AlignedAlloc {
   using value_type = T;

@@ -48,7 +48,7 @@ TEST(GreedyCheckpoint, RestoreThenSeedEqualsFreshSeededSolve) {
   const Instance inst = cap_scenario(7, 50, 15, 0.4);
   const InstanceView view = InstanceView::cap_form(inst);
   SolveWorkspace ws;
-  GreedyEngine engine(view, ws, {SelectStrategy::kDeltaHeap, &ws});
+  GreedyEngine engine(view, ws, {SelectStrategy::kDelta, &ws});
   GreedyCheckpoint frame;
   engine.save(frame);
 
@@ -81,7 +81,7 @@ TEST(GreedyCheckpoint, MidRunFrameSharesThePrefix) {
   const Instance inst = cap_scenario(9, 40, 12, 0.5);
   const InstanceView view = InstanceView::cap_form(inst);
   SolveWorkspace ws;
-  GreedyEngine engine(view, ws, {SelectStrategy::kDeltaHeap, &ws});
+  GreedyEngine engine(view, ws, {SelectStrategy::kDelta, &ws});
   engine.add_seed(2);
   GreedyCheckpoint after_first;
   engine.save(after_first);
@@ -110,8 +110,7 @@ TEST(GreedyCheckpoint, ScoringModeMatchesMaterializingMode) {
     const Instance inst = cap_scenario(seed, 45, 14, 0.35);
     const InstanceView view = InstanceView::cap_form(inst);
     SolveWorkspace ws;
-    GreedyOptions scoring{SelectStrategy::kDeltaHeap, &ws,
-                          /*record_trace=*/false,
+    GreedyOptions scoring{SelectStrategy::kDelta, &ws, /*record_trace=*/false,
                           /*build_assignment=*/false};
     GreedyEngine engine(view, ws, scoring);
     engine.run();
@@ -284,7 +283,7 @@ TEST(PartialEnumCheckpointed, StrategiesAgree) {
   opts.seed_size = 2;
   opts.strategy = SelectStrategy::kNaiveScan;
   const PartialEnumResult naive = partial_enum_unit_skew(inst, opts);
-  opts.strategy = SelectStrategy::kDeltaHeap;
+  opts.strategy = SelectStrategy::kDelta;
   const PartialEnumResult delta = partial_enum_unit_skew(inst, opts);
   EXPECT_EQ(delta.best.utility, naive.best.utility);
   EXPECT_EQ(delta.best.variant, naive.best.variant);

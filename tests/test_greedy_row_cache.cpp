@@ -78,7 +78,7 @@ struct Fresh {
 
 Fresh fresh(const WorldRef& w, SolveWorkspace& ws, core::SmdMode mode) {
   core::SelectStats select;
-  const RepairCore::Context ctx{&ws, core::SelectStrategy::kDeltaHeap, mode};
+  const RepairCore::Context ctx{&ws, core::SelectStrategy::kDelta, mode};
   const double value = engine::fresh_winner_objective(w, ctx, select);
   return {std::bit_cast<std::uint64_t>(value), select.rows_sorted};
 }

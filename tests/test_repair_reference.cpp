@@ -184,8 +184,7 @@ TEST(RepairReference, AllStrategiesMatchCommittedPicks) {
       // Both strategies are asserted against the one committed row:
       // pick-for-pick identity to the past AND to each other.
       for (const core::SelectStrategy strategy :
-           {core::SelectStrategy::kDeltaHeap,
-            core::SelectStrategy::kNaiveScan}) {
+           {core::SelectStrategy::kDelta, core::SelectStrategy::kNaiveScan}) {
         const char* name = core::to_string(strategy);
         const ReferenceRow row = replay(inst, trace, mode, strategy);
         if (update) {

@@ -1,5 +1,5 @@
 // The selection kernel (core/select.h): differential equivalence of the
-// delta-heap and naive-scan strategies, the deterministic
+// delta (winner-tree) and naive-scan strategies, the deterministic
 // tie-break contract, exact delta propagation via update(), and
 // SolveWorkspace reuse.
 #include "core/select.h"
@@ -18,6 +18,7 @@
 #include "engine/scenario.h"
 #include "model/factory.h"
 #include "model/instance.h"
+#include "model/view.h"
 #include "util/rng.h"
 
 namespace vdist::core {
@@ -80,7 +81,7 @@ TEST(SelectKernel, AllStrategiesMatchOnEveryRegisteredScenario) {
         EXPECT_EQ(delta.variant, naive.variant)
             << name << "/" << algo << " seed " << seed;
         // Work counters match across strategies except under "enum",
-        // where the shared-prefix replay (delta-heap only) scores most
+        // where the shared-prefix replay (delta only) scores most
         // leaves without touching the kernel — fewer picks, same bits.
         if (algo != "enum") {
           EXPECT_EQ(delta.stat("select_picks"), naive.stat("select_picks"))
@@ -105,7 +106,7 @@ TEST(SelectKernel, GreedyTracesIdenticalAcrossStrategies) {
       const GreedyResult naive =
           greedy_unit_skew(inst, {SelectStrategy::kNaiveScan, nullptr});
       const GreedyResult delta =
-          greedy_unit_skew(inst, {SelectStrategy::kDeltaHeap, nullptr});
+          greedy_unit_skew(inst, {SelectStrategy::kDelta, nullptr});
       EXPECT_EQ(delta.trace.considered, naive.trace.considered)
           << scenario << " seed " << seed;
       EXPECT_EQ(delta.trace.added, naive.trace.added)
@@ -117,7 +118,7 @@ TEST(SelectKernel, GreedyTracesIdenticalAcrossStrategies) {
   }
 }
 
-// The heap strategy must be equivalent *and* cheaper: far fewer
+// The delta strategy must be equivalent *and* cheaper: far fewer
 // effectiveness evaluations than the rescan.
 TEST(SelectKernel, DeltaEvaluatesFarLessThanNaive) {
   ScenarioSpec spec;
@@ -126,7 +127,7 @@ TEST(SelectKernel, DeltaEvaluatesFarLessThanNaive) {
   spec.seed = 7;
   const Instance inst = engine::build_scenario(spec);
   const GreedyResult delta =
-      greedy_unit_skew(inst, {SelectStrategy::kDeltaHeap, nullptr});
+      greedy_unit_skew(inst, {SelectStrategy::kDelta, nullptr});
   const GreedyResult naive =
       greedy_unit_skew(inst, {SelectStrategy::kNaiveScan, nullptr});
   EXPECT_EQ(delta.capped_utility, naive.capped_utility);
@@ -140,7 +141,7 @@ TEST(SelectKernel, TieBreakPrefersLargerResidual) {
       {2.0, 3.0, 1.0}, 100.0, {100.0},
       {{0, 0, 4.0}, {0, 1, 6.0}, {0, 2, 1.0}});
   for (const SelectStrategy strategy :
-       {SelectStrategy::kDeltaHeap, SelectStrategy::kNaiveScan}) {
+       {SelectStrategy::kDelta, SelectStrategy::kNaiveScan}) {
     const GreedyResult g = greedy_unit_skew(inst, {strategy, nullptr});
     ASSERT_GE(g.trace.considered.size(), 2u) << to_string(strategy);
     EXPECT_EQ(g.trace.considered[0], 1) << to_string(strategy);
@@ -158,7 +159,7 @@ TEST(SelectKernel, NearTieFallsBackToLowestStreamId) {
   const Instance inst = model::build_cap_instance(
       {1.0, 1.0}, 100.0, {100.0}, {{0, 0, w0}, {0, 1, w1}});
   for (const SelectStrategy strategy :
-       {SelectStrategy::kDeltaHeap, SelectStrategy::kNaiveScan}) {
+       {SelectStrategy::kDelta, SelectStrategy::kNaiveScan}) {
     const GreedyResult g = greedy_unit_skew(inst, {strategy, nullptr});
     ASSERT_FALSE(g.trace.considered.empty());
     EXPECT_EQ(g.trace.considered[0], 0) << to_string(strategy);
@@ -172,7 +173,7 @@ TEST(SelectKernel, ZeroCostStreamsRankFirstUnderBothStrategies) {
       {0.0, 0.0, 1.0}, 1.0, {100.0},
       {{0, 0, 0.5}, {0, 1, 2.0}, {0, 2, 50.0}});
   for (const SelectStrategy strategy :
-       {SelectStrategy::kDeltaHeap, SelectStrategy::kNaiveScan}) {
+       {SelectStrategy::kDelta, SelectStrategy::kNaiveScan}) {
     const GreedyResult g = greedy_unit_skew(inst, {strategy, nullptr});
     ASSERT_GE(g.trace.considered.size(), 3u);
     EXPECT_EQ(g.trace.considered[0], 1) << "larger w̄ among the two infs";
@@ -188,7 +189,7 @@ TEST(StreamSelector, PopsInEffectivenessOrderAndHonorsRemove) {
   ws.wbar = {10.0, 30.0, 20.0, 5.0};
   ws.cost = {1.0, 1.0, 1.0, 1.0};
   for (const SelectStrategy strategy :
-       {SelectStrategy::kDeltaHeap, SelectStrategy::kNaiveScan}) {
+       {SelectStrategy::kDelta, SelectStrategy::kNaiveScan}) {
     StreamSelector sel;
     sel.reset(ws, ws.wbar, ws.cost, strategy);
     EXPECT_EQ(sel.pool_size(), 4u);
@@ -209,7 +210,7 @@ TEST(StreamSelector, DeltaUpdateDemotesExactlyLikeARescan) {
   ws.wbar = {8.0, 10.0, 6.0, 7.0};
   ws.cost = {1.0, 1.0, 1.0, 1.0};
   StreamSelector sel;
-  sel.reset(ws, ws.wbar, ws.cost, SelectStrategy::kDeltaHeap);
+  sel.reset(ws, ws.wbar, ws.cost, SelectStrategy::kDelta);
   const std::size_t evals_after_reset = sel.stats().evaluations;
   EXPECT_EQ(sel.pop_best(), 1);
   // Demote stream 0 below everything; streams 2 and 3 stay fresh.
@@ -226,14 +227,15 @@ TEST(StreamSelector, DeltaUpdateDemotesExactlyLikeARescan) {
 // A selector kept alive across many rounds (the serving engine's repair
 // completion) sees pops, removes, w̄ decreases, w̄ increases with
 // readmission, and over-budget skips that rejoin at the end of their
-// completion. After every operation it must pop exactly what a selector
-// reset() from scratch on the same pool pops, under both strategies. The
-// coarse value grids make exact and tolerance ties common; the probe pop
-// is readmitted at once, so it also drives the heap through compaction.
+// completion — interleaved with save()/restore() of the whole state,
+// w̄ included, as the §2.3 enumeration's frames do. After every operation
+// it must pop exactly what a selector reset() from scratch on the same
+// pool pops, under both strategies. The coarse value grids make exact
+// and tolerance ties common; the probe pop is readmitted at once.
 TEST(StreamSelector, PersistentSelectorMatchesAFreshResetAfterEveryOp) {
   constexpr std::size_t n = 48;
   for (const SelectStrategy strategy :
-       {SelectStrategy::kDeltaHeap, SelectStrategy::kNaiveScan}) {
+       {SelectStrategy::kDelta, SelectStrategy::kNaiveScan}) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       util::Rng rng(seed);
       std::vector<double> wbar(n);
@@ -248,6 +250,13 @@ TEST(StreamSelector, PersistentSelectorMatchesAFreshResetAfterEveryOp) {
       sel.reset(ws, wbar, cost, strategy);
       std::vector<char> member(n, 1);
       std::vector<StreamId> skipped;
+      // The last save(): the selector's checkpoint plus the model state
+      // it was taken with.
+      SelectorCheckpoint cp;
+      bool saved = false;
+      std::vector<double> saved_wbar;
+      std::vector<char> saved_member;
+      std::vector<StreamId> saved_skipped;
 
       const auto probe = [&](int step) {
         StreamSelector fresh;
@@ -270,7 +279,7 @@ TEST(StreamSelector, PersistentSelectorMatchesAFreshResetAfterEveryOp) {
         const auto t = static_cast<StreamId>(
             rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
         const auto tt = static_cast<std::size_t>(t);
-        switch (rng.uniform_int(0, 5)) {
+        switch (rng.uniform_int(0, 7)) {
           case 0: {  // pop: the stream is taken and leaves the pool
             const StreamId s = sel.pop_best();
             if (s != model::kInvalidStream)
@@ -298,13 +307,28 @@ TEST(StreamSelector, PersistentSelectorMatchesAFreshResetAfterEveryOp) {
             }
             break;
           }
-          default:  // the completion ends: skipped streams rejoin
+          case 5:  // the completion ends: skipped streams rejoin
             for (const StreamId s : skipped) {
               if (member[static_cast<std::size_t>(s)] != 0) continue;
               sel.readmit(s);
               member[static_cast<std::size_t>(s)] = 1;
             }
             skipped.clear();
+            break;
+          case 6:  // save a frame
+            sel.save(cp);
+            saved = true;
+            saved_wbar = wbar;
+            saved_member = member;
+            saved_skipped = skipped;
+            break;
+          default:  // rewind to the last frame
+            if (!saved) break;
+            // w̄ is restored in place: the selector borrows the array.
+            sel.restore(cp);
+            std::copy(saved_wbar.begin(), saved_wbar.end(), wbar.begin());
+            member = saved_member;
+            skipped = saved_skipped;
             break;
         }
         probe(step);
@@ -314,14 +338,14 @@ TEST(StreamSelector, PersistentSelectorMatchesAFreshResetAfterEveryOp) {
   }
 }
 
-// Selector checkpointing: save/restore rewinds the pool and heap so the
+// Selector checkpointing: save/restore rewinds the pool and tree so the
 // same pops replay identically; the stats keep counting monotonically.
 TEST(StreamSelector, SaveRestoreReplaysPops) {
   SolveWorkspace ws;
   ws.wbar = {8.0, 10.0, 6.0};
   ws.cost = {1.0, 1.0, 1.0};
   StreamSelector sel;
-  sel.reset(ws, ws.wbar, ws.cost, SelectStrategy::kDeltaHeap);
+  sel.reset(ws, ws.wbar, ws.cost, SelectStrategy::kDelta);
   SelectorCheckpoint cp;
   sel.save(cp);
   EXPECT_EQ(sel.pop_best(), 1);
@@ -335,18 +359,18 @@ TEST(StreamSelector, SaveRestoreReplaysPops) {
   EXPECT_EQ(sel.stats().picks, picks_before + 3);
 }
 
-// A checkpoint taken AFTER updates must carry the SoA heap verbatim —
-// including the stale entry left by update() (the delta strategy defers
-// the re-evaluation to pop time, so the saved eff[]/stamp[] prefix holds
-// a lazy entry whose refresh must replay identically after restore).
+// A checkpoint taken AFTER updates must carry the tree verbatim —
+// including the stale key left by update() (the delta strategy defers
+// the re-evaluation to pop time, so the saved tree and dirty bytes hold
+// a lazy key whose refresh must replay identically after restore).
 TEST(StreamSelector, SaveAfterUpdatesRestoresStaleState) {
   SolveWorkspace ws;
   ws.wbar = {8.0, 10.0, 6.0, 4.0};
   ws.cost = {1.0, 1.0, 1.0, 1.0};
   StreamSelector sel;
-  sel.reset(ws, ws.wbar, ws.cost, SelectStrategy::kDeltaHeap);
+  sel.reset(ws, ws.wbar, ws.cost, SelectStrategy::kDelta);
   EXPECT_EQ(sel.pop_best(), 1);
-  // Demote stream 0 below 2 and 3 without touching the heap: the stale
+  // Demote stream 0 below 2 and 3 without touching the tree: the stale
   // key 8.0 still sits at the top until a pop refreshes it.
   ws.wbar[0] = 0.5;
   sel.update(0, ws.wbar[0]);
@@ -389,6 +413,158 @@ TEST(StreamSelector, NaiveSaveRestoreReplaysScans) {
   EXPECT_EQ(sel.stats().evaluations, evals_before + 3);
 }
 
+// Drains a delta and a naive selector side by side, checking every pop
+// and, before it, the exact top effectiveness (settle_top_eff) for
+// identity; returns the pop order.
+std::vector<StreamId> drain_in_lockstep(StreamSelector& delta,
+                                        StreamSelector& naive) {
+  std::vector<StreamId> order;
+  for (;;) {
+    EXPECT_EQ(delta.pool_size(), naive.pool_size());
+    EXPECT_EQ(delta.settle_top_eff(), naive.settle_top_eff());
+    const StreamId d = delta.pop_best();
+    const StreamId n = naive.pop_best();
+    EXPECT_EQ(d, n) << "pop " << order.size();
+    if (d == model::kInvalidStream || d != n) return order;
+    order.push_back(d);
+  }
+}
+
+std::vector<StreamId> drain_both(std::vector<double> wbar,
+                                 std::vector<double> cost) {
+  SolveWorkspace dws;
+  SolveWorkspace nws;
+  StreamSelector delta;
+  StreamSelector naive;
+  delta.reset(dws, wbar, cost, SelectStrategy::kDelta);
+  naive.reset(nws, wbar, cost, SelectStrategy::kNaiveScan);
+  return drain_in_lockstep(delta, naive);
+}
+
+// Kernel edge cases, each popped in lockstep with the naive scan: pool
+// sizes at and around powers of two (the tree pads its leaf row to one),
+// all-equal keys (the lowest id wins), equal effectiveness with
+// different w̄ (the larger residual wins), and zero-cost streams (a
+// positive residual keys +inf, infinities tie with each other and then
+// w̄ decides; a dead one keys 0).
+TEST(StreamSelector, EdgeCasesMatchTheNaiveScanPopForPop) {
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 5u, 8u, 9u}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      util::Rng rng(seed);
+      std::vector<double> wbar(n);
+      std::vector<double> cost(n);
+      for (std::size_t s = 0; s < n; ++s) {
+        wbar[s] = 0.5 * static_cast<double>(rng.uniform_int(0, 6));
+        cost[s] = static_cast<double>(rng.uniform_int(0, 3));
+      }
+      EXPECT_EQ(drain_both(wbar, cost).size(), n)
+          << "n " << n << " seed " << seed;
+    }
+  }
+  struct Case {
+    std::vector<double> wbar;
+    std::vector<double> cost;
+    std::vector<StreamId> order;
+  };
+  const Case cases[] = {
+      {std::vector<double>(9, 3.0), std::vector<double>(9, 1.0),
+       {0, 1, 2, 3, 4, 5, 6, 7, 8}},
+      {{2.0, 4.0, 6.0, 1.0}, {1.0, 2.0, 3.0, 0.5}, {2, 1, 0, 3}},
+      {{1.0, 5.0, 0.0, 5.0, 2.0}, {0.0, 0.0, 0.0, 1.0, 1.0}, {1, 0, 3, 4, 2}},
+  };
+  for (const Case& c : cases) EXPECT_EQ(drain_both(c.wbar, c.cost), c.order);
+}
+
+// readmit() of a stream that left the pool while its leaf still held a
+// stale key (update() then remove(), never surfaced) replaces that key —
+// upward and downward — and so does readmit() of a popped stream.
+TEST(StreamSelector, ReadmitReplacesAStaleLeafOfARemovedStream) {
+  for (const double back : {7.0, 5.0, 11.0}) {
+    std::vector<double> wbar = {8.0, 10.0, 6.0, 4.0};
+    const std::vector<double> cost(4, 1.0);
+    SolveWorkspace dws;
+    SolveWorkspace nws;
+    StreamSelector delta;
+    StreamSelector naive;
+    delta.reset(dws, wbar, cost, SelectStrategy::kDelta);
+    naive.reset(nws, wbar, cost, SelectStrategy::kNaiveScan);
+    wbar[1] = 1.0;  // stream 1's key 10 goes stale at the root
+    for (StreamSelector* sel : {&delta, &naive}) {
+      sel->update(1, wbar[1]);
+      sel->remove(1);
+    }
+    wbar[1] = back;
+    for (StreamSelector* sel : {&delta, &naive}) sel->readmit(1);
+    // Pop the best, then readmit it with a smaller residual.
+    const StreamId first = delta.pop_best();
+    EXPECT_EQ(naive.pop_best(), first) << "back " << back;
+    wbar[static_cast<std::size_t>(first)] = 4.5;
+    for (StreamSelector* sel : {&delta, &naive}) sel->readmit(first);
+    EXPECT_EQ(drain_in_lockstep(delta, naive).size(), 4u) << "back " << back;
+  }
+}
+
+// The §2.3 recorder's CompletionTrace is the same under both strategies,
+// field for field — including each pick's settled runner-up, which the
+// naive strategy computes with a pool scan.
+TEST(SelectKernel, CompletionTracesIdenticalAcrossStrategies) {
+  const ScenarioRegistry& registry = ScenarioRegistry::global();
+  std::size_t recorded = 0;
+  for (const std::string& name : registry.names()) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      ScenarioSpec spec;
+      spec.name = name;
+      spec.seed = seed;
+      const Instance inst = engine::build_scenario(spec);
+      if (!inst.is_smd() || !inst.is_unit_skew()) continue;
+      const model::InstanceView view = model::InstanceView::cap_form(inst);
+      CompletionTrace trace[2];
+      const SelectStrategy strategies[2] = {SelectStrategy::kDelta,
+                                            SelectStrategy::kNaiveScan};
+      for (int k = 0; k < 2; ++k) {
+        SolveWorkspace ws;
+        GreedyOptions opts;
+        opts.strategy = strategies[k];
+        opts.workspace = &ws;
+        opts.record_trace = false;
+        opts.build_assignment = false;
+        GreedyEngine engine(view, ws, opts);
+        engine.run(trace[k]);
+      }
+      const CompletionTrace& d = trace[0];
+      const CompletionTrace& n = trace[1];
+      const std::string what = name + " seed " + std::to_string(seed);
+      EXPECT_EQ(d.pick, n.pick) << what;
+      EXPECT_EQ(d.applied, n.applied) << what;
+      EXPECT_EQ(d.runner_up, n.runner_up) << what;
+      EXPECT_EQ(d.pick_eff, n.pick_eff) << what;
+      EXPECT_EQ(d.margin_clear, n.margin_clear) << what;
+      EXPECT_EQ(d.tie_begin, n.tie_begin) << what;
+      EXPECT_EQ(d.tie_member, n.tie_member) << what;
+      EXPECT_EQ(d.assign_begin, n.assign_begin) << what;
+      EXPECT_EQ(d.assign_user, n.assign_user) << what;
+      EXPECT_EQ(d.assign_w, n.assign_w) << what;
+      EXPECT_EQ(d.assign_umask, n.assign_umask) << what;
+      EXPECT_EQ(d.touch_begin, n.touch_begin) << what;
+      EXPECT_EQ(d.touch_stream, n.touch_stream) << what;
+      EXPECT_EQ(d.touch_wbar, n.touch_wbar) << what;
+      EXPECT_EQ(d.death_begin, n.death_begin) << what;
+      EXPECT_EQ(d.death_stream, n.death_stream) << what;
+      EXPECT_EQ(d.ended_on_budget, n.ended_on_budget) << what;
+      EXPECT_EQ(d.end_used, n.end_used) << what;
+      EXPECT_EQ(d.final_user_w, n.final_user_w) << what;
+      EXPECT_EQ(d.final_user_last_w, n.final_user_last_w) << what;
+      EXPECT_EQ(d.final_w1_add, n.final_w1_add) << what;
+      EXPECT_EQ(d.final_w2_add, n.final_w2_add) << what;
+      EXPECT_EQ(d.user_tl_begin, n.user_tl_begin) << what;
+      EXPECT_EQ(d.tl_pick, n.tl_pick) << what;
+      EXPECT_EQ(d.tl_w, n.tl_w) << what;
+      ++recorded;
+    }
+  }
+  EXPECT_GT(recorded, 0u);
+}
+
 // Two sequential solves on one workspace must equal two fresh solves —
 // across different instances, sizes, and algorithms.
 TEST(SolveWorkspace, SequentialSolvesMatchFreshSolves) {
@@ -406,9 +582,9 @@ TEST(SolveWorkspace, SequentialSolvesMatchFreshSolves) {
   SolveWorkspace ws;
   // Big then small: shrinking buffers must not leak state.
   const GreedyResult reused_big =
-      greedy_unit_skew(inst_big, {SelectStrategy::kDeltaHeap, &ws});
+      greedy_unit_skew(inst_big, {SelectStrategy::kDelta, &ws});
   const GreedyResult reused_small =
-      greedy_unit_skew(inst_small, {SelectStrategy::kDeltaHeap, &ws});
+      greedy_unit_skew(inst_small, {SelectStrategy::kDelta, &ws});
   const GreedyResult fresh_big = greedy_unit_skew(inst_big);
   const GreedyResult fresh_small = greedy_unit_skew(inst_small);
 
@@ -466,7 +642,7 @@ TEST(SelectKernel, SelectOptionIsDeclaredAndValidated) {
     EXPECT_NE(bad.error.find("select"), std::string::npos) << bad.error;
   }
   EXPECT_THROW(parse_select_strategy("fastest"), std::invalid_argument);
-  EXPECT_EQ(parse_select_strategy("delta"), SelectStrategy::kDeltaHeap);
+  EXPECT_EQ(parse_select_strategy("delta"), SelectStrategy::kDelta);
   EXPECT_EQ(parse_select_strategy("naive"), SelectStrategy::kNaiveScan);
   // The vocabulary is exactly delta|naive; any other name is refused
   // with that list.
@@ -490,7 +666,7 @@ TEST(SelectKernel, SeededGreedyIdenticalAcrossStrategies) {
   const GreedyResult naive = greedy_unit_skew_seeded(
       inst, seeds, {SelectStrategy::kNaiveScan, nullptr});
   const GreedyResult delta = greedy_unit_skew_seeded(
-      inst, seeds, {SelectStrategy::kDeltaHeap, nullptr});
+      inst, seeds, {SelectStrategy::kDelta, nullptr});
   EXPECT_EQ(delta.trace.considered, naive.trace.considered);
   EXPECT_EQ(delta.capped_utility, naive.capped_utility);
   ASSERT_GE(naive.trace.considered.size(), 2u);

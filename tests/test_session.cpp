@@ -541,7 +541,7 @@ TEST(Session, EverySelectStrategyResolvesBitIdentically) {
   const auto trace = churn_trace(inst, 40, 21);
   ServeConfig opts;
   opts.policy = ServePolicy::kResolve;
-  opts.strategy = core::SelectStrategy::kDeltaHeap;
+  opts.strategy = core::SelectStrategy::kDelta;
   Session delta(inst, opts);
   opts.strategy = core::SelectStrategy::kNaiveScan;
   Session naive(inst, opts);
@@ -883,8 +883,7 @@ TEST(RepairCore, MaintainedRaceTermsMatchAFullPassAtEveryEvent) {
       core::SolveWorkspace ws;
       core::SelectStats select;
       RepairCore repair;
-      const RepairCore::Context ctx{&ws, core::SelectStrategy::kDeltaHeap,
-                                    mode};
+      const RepairCore::Context ctx{&ws, core::SelectStrategy::kDelta, mode};
       repair.resolve(world(), ctx, select);
       std::size_t added = 0;
       for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -937,7 +936,7 @@ TEST(RepairCore, MaintainedAmaxBreaksExactTiesByLowestId) {
   core::SolveWorkspace ws;
   core::SelectStats select;
   RepairCore repair;
-  const RepairCore::Context ctx{&ws, core::SelectStrategy::kDeltaHeap,
+  const RepairCore::Context ctx{&ws, core::SelectStrategy::kDelta,
                                 core::SmdMode::kFeasible};
   repair.resolve(world(), ctx, select);
   EXPECT_EQ(repair.race_terms().amax.best, 0);
