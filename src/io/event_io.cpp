@@ -1,12 +1,12 @@
 #include "io/event_io.h"
 
+#include <cstdint>
 #include <fstream>
-#include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
-#include "util/float_cmp.h"
+#include "io/text.h"
 
 namespace vdist::io {
 
@@ -16,60 +16,35 @@ using model::InterestSpec;
 
 namespace {
 
-void write_number(std::ostream& os, double value) {
-  if (util::is_unbounded(value)) {
-    os << "inf";
-    return;
-  }
-  std::ostringstream ss;
-  ss.precision(std::numeric_limits<double>::max_digits10);
-  ss << value;
-  os << ss.str();
-}
-
-[[noreturn]] void parse_error(int line, const std::string& message) {
+[[noreturn]] void parse_error(std::size_t line, const std::string& message) {
   throw std::runtime_error("events line " + std::to_string(line) + ": " +
                            message);
 }
 
-double parse_number(const std::string& token, int line) {
-  if (token == "inf") return model::kUnbounded;
-  try {
-    std::size_t pos = 0;
-    const double value = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return value;
-  } catch (const std::exception&) {
-    parse_error(line, "expected a number, got '" + token + "'");
-  }
+double number_at(std::string_view token, std::size_t line) {
+  if (const auto value = parse_number(token)) return *value;
+  parse_error(line, "expected a number, got " + quoted(token));
 }
 
-std::int32_t parse_id(const std::string& token, int line) {
-  try {
-    std::size_t pos = 0;
-    const long value = std::stol(token, &pos);
-    if (pos != token.size() || value < 0 ||
-        value > std::numeric_limits<std::int32_t>::max())
-      throw std::invalid_argument(token);
-    return static_cast<std::int32_t>(value);
-  } catch (const std::exception&) {
-    parse_error(line, "expected a non-negative id, got '" + token + "'");
-  }
+std::int32_t id_at(std::string_view token, std::size_t line) {
+  if (const auto value = parse_id(token)) return *value;
+  parse_error(line, "expected a non-negative id, got " + quoted(token));
 }
 
 // "<id>:<w>" interest tail entries of append events.
-InterestSpec parse_interest(const std::string& token, bool user_side,
-                            int line) {
+InterestSpec parse_interest(std::string_view token, bool user_side,
+                            std::size_t line) {
   const std::size_t colon = token.find(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == token.size())
-    parse_error(line, "expected <id>:<utility>, got '" + token + "'");
+  if (colon == std::string_view::npos || colon == 0 ||
+      colon + 1 == token.size())
+    parse_error(line, "expected <id>:<utility>, got " + quoted(token));
   InterestSpec spec;
-  const std::int32_t id = parse_id(token.substr(0, colon), line);
+  const std::int32_t id = id_at(token.substr(0, colon), line);
   if (user_side)
     spec.stream = id;  // a joining user's interests name streams
   else
     spec.user = id;  // an added stream's interests name users
-  spec.utility = parse_number(token.substr(colon + 1), line);
+  spec.utility = number_at(token.substr(colon + 1), line);
   return spec;
 }
 
@@ -125,18 +100,14 @@ void save_events(std::ostream& os,
 
 std::vector<InstanceEvent> load_events(std::istream& is) {
   std::vector<InstanceEvent> events;
-  std::string line;
-  int line_number = 0;
+  LineReader reader(is);
+  std::vector<std::string_view> tokens;
   bool saw_header = false;
-  while (std::getline(is, line)) {
-    ++line_number;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream ls(line);
-    std::vector<std::string> tokens;
-    std::string token;
-    while (ls >> token) tokens.push_back(std::move(token));
+  for (std::string_view line; reader.next(line);) {
+    // '#' starts a comment anywhere on the line.
+    split_tokens(line.substr(0, line.find('#')), tokens);
     if (tokens.empty()) continue;
+    const std::size_t line_number = reader.line_number();
     if (!saw_header) {
       if (tokens.size() != 2 || tokens[0] != "vdist-events" ||
           tokens[1] != "1")
@@ -146,21 +117,21 @@ std::vector<InstanceEvent> load_events(std::istream& is) {
     }
 
     InstanceEvent ev;
-    const std::string& kind = tokens[0];
+    const std::string_view kind = tokens[0];
     if (kind == "leave") {
       if (tokens.size() != 2) parse_error(line_number, "leave <user>");
       ev.type = EventType::kUserLeave;
-      ev.user = parse_id(tokens[1], line_number);
+      ev.user = id_at(tokens[1], line_number);
     } else if (kind == "join" || kind == "stream-add") {
       const bool user_side = kind == "join";
       if (tokens.size() < 2)
-        parse_error(line_number, kind + " needs an id");
+        parse_error(line_number, std::string(kind) + " needs an id");
       ev.type = user_side ? EventType::kUserJoin : EventType::kStreamAdd;
       if (user_side)
-        ev.user = parse_id(tokens[1], line_number);
+        ev.user = id_at(tokens[1], line_number);
       else
-        ev.stream = parse_id(tokens[1], line_number);
-      if (tokens.size() >= 3) ev.value = parse_number(tokens[2], line_number);
+        ev.stream = id_at(tokens[1], line_number);
+      if (tokens.size() >= 3) ev.value = number_at(tokens[2], line_number);
       for (std::size_t i = 3; i < tokens.size(); ++i)
         ev.interests.push_back(
             parse_interest(tokens[i], user_side, line_number));
@@ -168,30 +139,30 @@ std::vector<InstanceEvent> load_events(std::istream& is) {
       if (tokens.size() != 2)
         parse_error(line_number, "stream-remove <stream>");
       ev.type = EventType::kStreamRemove;
-      ev.stream = parse_id(tokens[1], line_number);
+      ev.stream = id_at(tokens[1], line_number);
     } else if (kind == "capacity") {
       if (tokens.size() != 3)
         parse_error(line_number, "capacity <user> <value>");
       ev.type = EventType::kCapacityChange;
-      ev.user = parse_id(tokens[1], line_number);
-      ev.value = parse_number(tokens[2], line_number);
+      ev.user = id_at(tokens[1], line_number);
+      ev.value = number_at(tokens[2], line_number);
     } else if (kind == "utility") {
       if (tokens.size() != 4)
         parse_error(line_number, "utility <user> <stream> <value>");
       ev.type = EventType::kUtilityChange;
-      ev.user = parse_id(tokens[1], line_number);
-      ev.stream = parse_id(tokens[2], line_number);
-      ev.value = parse_number(tokens[3], line_number);
+      ev.user = id_at(tokens[1], line_number);
+      ev.stream = id_at(tokens[2], line_number);
+      ev.value = number_at(tokens[3], line_number);
     } else {
       parse_error(line_number,
-                  "unknown event '" + kind +
-                      "' (known: leave, join, stream-remove, stream-add, "
+                  "unknown event " + quoted(kind) +
+                      " (known: leave, join, stream-remove, stream-add, "
                       "capacity, utility)");
     }
     events.push_back(std::move(ev));
   }
   if (!saw_header)
-    throw std::runtime_error("events: missing 'vdist-events 1' header");
+    parse_error(reader.line_number(), "missing 'vdist-events 1' header");
   return events;
 }
 

@@ -11,8 +11,10 @@
 //
 // `join` / `stream-add` with an id equal to the instance's current entity
 // count append a brand-new entity; the bracketed tail then carries its
-// cap/cost and interest pairs. Comments start with '#'; blank lines are
-// ignored. Doubles round-trip exactly.
+// cap/cost and interest pairs. A '#' anywhere starts a comment; lines
+// with no token are ignored, and '\r' is a space (CRLF loads as LF).
+// Numbers and ids follow io/text.h's whole-token rules; numbers
+// round-trip bit for bit.
 #pragma once
 
 #include <iosfwd>

@@ -1,15 +1,14 @@
 #include "io/instance_io.h"
 
-#include <cstdint>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <ostream>
 #include <span>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
+#include "io/text.h"
 #include "util/float_cmp.h"
 
 namespace vdist::io {
@@ -21,56 +20,28 @@ using model::UserId;
 
 namespace {
 
-constexpr const char* kMagic = "vdist-instance";
+constexpr std::string_view kMagic = "vdist-instance";
 constexpr int kVersion = 1;
 
-void write_value(std::ostream& os, double v) {
-  if (util::is_unbounded(v)) {
-    os << "inf";
-    return;
-  }
-  // max_digits10 guarantees exact round-trip through decimal.
-  std::ostringstream ss;
-  ss.precision(std::numeric_limits<double>::max_digits10);
-  ss << v;
-  os << ss.str();
-}
-
-double parse_value(const std::string& token, std::size_t line) {
-  if (token == "inf") return model::kUnbounded;
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return v;
-  } catch (const std::exception&) {
-    throw std::runtime_error("instance_io: bad number '" + token +
-                             "' at line " + std::to_string(line));
-  }
-}
-
-// Ids, indices and dimensions: the whole token must be a decimal integer
-// in [0, INT32_MAX] (the rule of event_io's ids).
-std::int32_t parse_int(const std::string& token, std::size_t line) {
-  try {
-    std::size_t pos = 0;
-    const long value = std::stol(token, &pos);
-    if (pos != token.size() || value < 0 ||
-        value > std::numeric_limits<std::int32_t>::max())
-      throw std::invalid_argument(token);
-    return static_cast<std::int32_t>(value);
-  } catch (const std::exception&) {
-    throw std::runtime_error("instance_io: expected a non-negative integer, "
-                             "got '" + token + "' at line " +
-                             std::to_string(line));
-  }
-}
-
+// Names are single tokens: every space character, and '#', becomes '_'.
 std::string escape_name(const std::string& name) {
   if (name.empty()) return "-";
-  std::string out;
-  for (char c : name) out += (c == ' ' || c == '\t' || c == '#') ? '_' : c;
+  std::string out = name;
+  for (char& c : out)
+    if (is_space(c) || c == '#') c = '_';
   return out;
+}
+
+// Reads the records of a format whose comments are lines starting with
+// '#' (instances, assignments): the next record's tokens, skipping
+// comments and lines with no token.
+bool next_record(LineReader& reader, std::vector<std::string_view>& tokens) {
+  for (std::string_view line; reader.next(line);) {
+    if (!line.empty() && line[0] == '#') continue;
+    split_tokens(line, tokens);
+    if (!tokens.empty()) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -82,7 +53,7 @@ void save_instance(std::ostream& os, const Instance& inst) {
   os << "dims " << m << ' ' << mc << "\n";
   for (int i = 0; i < m; ++i) {
     os << "budget " << i << ' ';
-    write_value(os, inst.budget(i));
+    write_number(os, inst.budget(i));
     os << "\n";
   }
   for (std::size_t s = 0; s < inst.num_streams(); ++s) {
@@ -90,7 +61,7 @@ void save_instance(std::ostream& os, const Instance& inst) {
     os << "stream " << s << ' ' << escape_name(inst.stream_name(sid));
     for (int i = 0; i < m; ++i) {
       os << ' ';
-      write_value(os, inst.cost(sid, i));
+      write_number(os, inst.cost(sid, i));
     }
     os << "\n";
   }
@@ -99,7 +70,7 @@ void save_instance(std::ostream& os, const Instance& inst) {
     os << "user " << u << ' ' << escape_name(inst.user_name(uid));
     for (int j = 0; j < mc; ++j) {
       os << ' ';
-      write_value(os, inst.capacity(uid, j));
+      write_number(os, inst.capacity(uid, j));
     }
     os << "\n";
   }
@@ -108,10 +79,10 @@ void save_instance(std::ostream& os, const Instance& inst) {
     for (model::EdgeId e = inst.first_edge(sid); e < inst.last_edge(sid);
          ++e) {
       os << "interest " << inst.edge_user(e) << ' ' << s << ' ';
-      write_value(os, inst.edge_utility(e));
+      write_number(os, inst.edge_utility(e));
       for (int j = 0; j < mc; ++j) {
         os << ' ';
-        write_value(os, inst.edge_load(e, j));
+        write_number(os, inst.edge_load(e, j));
       }
       os << "\n";
     }
@@ -119,26 +90,28 @@ void save_instance(std::ostream& os, const Instance& inst) {
 }
 
 Instance load_instance(std::istream& is) {
-  std::string line;
-  std::size_t line_no = 0;
+  LineReader reader(is);
+  std::vector<std::string_view> tokens;
 
   auto fail = [&](const std::string& msg) -> std::runtime_error {
     return std::runtime_error("instance_io: " + msg + " at line " +
-                              std::to_string(line_no));
+                              std::to_string(reader.line_number()));
+  };
+  auto number = [&](std::string_view token) {
+    if (const auto value = parse_number(token)) return *value;
+    throw fail("bad number " + quoted(token));
+  };
+  // Ids, indices and dimensions.
+  auto integer = [&](std::string_view token) {
+    if (const auto value = parse_id(token)) return *value;
+    throw fail("expected a non-negative integer, got " + quoted(token));
   };
 
-  // Header.
-  std::string magic;
-  int version = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ss(line);
-    ss >> magic >> version;
-    break;
-  }
-  if (magic != kMagic) throw fail("missing 'vdist-instance' header");
-  if (version != kVersion)
+  // Header: exactly "vdist-instance <version>".
+  if (!next_record(reader, tokens) || tokens[0] != kMagic)
+    throw fail("missing 'vdist-instance' header");
+  if (tokens.size() != 2) throw fail("header needs exactly one version");
+  if (const int version = integer(tokens[1]); version != kVersion)
     throw fail("unsupported version " + std::to_string(version));
 
   int m = -1;
@@ -149,23 +122,27 @@ Instance load_instance(std::istream& is) {
   // The numeric tail of a record (costs, capacities or loads), parsed
   // into one reused buffer.
   std::vector<double> values;
-  auto values_from = [&](const std::vector<std::string>& tokens,
-                         std::size_t first) -> std::span<const double> {
+  auto values_from = [&](std::size_t first) -> std::span<const double> {
     values.clear();
     for (std::size_t k = first; k < tokens.size(); ++k)
-      values.push_back(parse_value(tokens[k], line_no));
+      values.push_back(number(tokens[k]));
     return values;
   };
+  auto name_at = [&](std::size_t k) {
+    return tokens[k] == "-" ? std::string{} : std::string(tokens[k]);
+  };
 
-  // One record; the builder's own rejections (std::invalid_argument) are
-  // rethrown below with the line number.
-  auto parse_record = [&](const std::string& kind,
-                          const std::vector<std::string>& tokens) {
+  // One record: tokens[0] is its kind, the fields follow. The builder's
+  // own rejections (std::invalid_argument) are rethrown below with the
+  // line number.
+  auto parse_record = [&] {
+    const std::string_view kind = tokens[0];
+    const std::size_t fields = tokens.size() - 1;
     if (kind == "dims") {
       if (builder) throw fail("duplicate dims");
-      if (tokens.size() != 2) throw fail("dims needs m and mc");
-      m = parse_int(tokens[0], line_no);
-      mc = parse_int(tokens[1], line_no);
+      if (fields != 2) throw fail("dims needs m and mc");
+      m = integer(tokens[1]);
+      mc = integer(tokens[2]);
       if (m > kMaxMeasures || mc > kMaxMeasures)
         throw fail("dims allows at most " + std::to_string(kMaxMeasures) +
                    " measures, got m = " + std::to_string(m) +
@@ -176,49 +153,37 @@ Instance load_instance(std::istream& is) {
     if (!builder) throw fail("dims must come first");
 
     if (kind == "budget") {
-      if (tokens.size() != 2) throw fail("budget needs index and value");
-      builder->set_budget(parse_int(tokens[0], line_no),
-                          parse_value(tokens[1], line_no));
+      if (fields != 2) throw fail("budget needs index and value");
+      builder->set_budget(integer(tokens[1]), number(tokens[2]));
     } else if (kind == "stream") {
-      if (tokens.size() != 2 + static_cast<std::size_t>(m))
+      if (fields != 2 + static_cast<std::size_t>(m))
         throw fail("stream needs id, name and m costs");
-      if (static_cast<std::size_t>(parse_int(tokens[0], line_no)) !=
-          next_stream)
+      if (static_cast<std::size_t>(integer(tokens[1])) != next_stream)
         throw fail("stream ids must be dense and ordered");
       ++next_stream;
-      builder->add_stream(values_from(tokens, 2),
-                          tokens[1] == "-" ? std::string{} : tokens[1]);
+      builder->add_stream(values_from(3), name_at(2));
     } else if (kind == "user") {
-      if (tokens.size() != 2 + static_cast<std::size_t>(mc))
+      if (fields != 2 + static_cast<std::size_t>(mc))
         throw fail("user needs id, name and mc capacities");
-      if (static_cast<std::size_t>(parse_int(tokens[0], line_no)) !=
-          next_user)
+      if (static_cast<std::size_t>(integer(tokens[1])) != next_user)
         throw fail("user ids must be dense and ordered");
       ++next_user;
-      builder->add_user(values_from(tokens, 2),
-                        tokens[1] == "-" ? std::string{} : tokens[1]);
+      builder->add_user(values_from(3), name_at(2));
     } else if (kind == "interest") {
-      if (tokens.size() != 3 + static_cast<std::size_t>(mc))
+      if (fields != 3 + static_cast<std::size_t>(mc))
         throw fail("interest needs user, stream, utility and mc loads");
-      const UserId u = parse_int(tokens[0], line_no);
-      const StreamId s = parse_int(tokens[1], line_no);
-      const double w = parse_value(tokens[2], line_no);
-      builder->add_interest(u, s, w, values_from(tokens, 3));
+      const UserId u = integer(tokens[1]);
+      const StreamId s = integer(tokens[2]);
+      const double w = number(tokens[3]);
+      builder->add_interest(u, s, w, values_from(4));
     } else {
-      throw fail("unknown record '" + kind + "'");
+      throw fail("unknown record " + quoted(kind));
     }
   };
 
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ss(line);
-    std::string kind;
-    ss >> kind;
-    std::vector<std::string> tokens;
-    for (std::string t; ss >> t;) tokens.push_back(t);
+  while (next_record(reader, tokens)) {
     try {
-      parse_record(kind, tokens);
+      parse_record();
     } catch (const std::invalid_argument& e) {
       throw fail(e.what());
     }
@@ -252,49 +217,49 @@ void save_assignment(std::ostream& os, const model::Assignment& a) {
     for (StreamId s : a.streams_of(static_cast<UserId>(u)))
       os << "assign " << u << ' ' << s << "\n";
   os << "utility ";
-  std::ostringstream ss;
-  ss.precision(std::numeric_limits<double>::max_digits10);
-  ss << a.utility();
-  os << ss.str() << "\n";
+  write_number(os, a.utility());
+  os << "\n";
 }
 
 model::Assignment load_assignment(std::istream& is, const Instance& inst) {
   model::Assignment a(inst);
-  std::string line;
-  std::size_t line_no = 0;
-  bool saw_utility = false;
+  LineReader reader(is);
+  std::vector<std::string_view> tokens;
+  auto fail = [&](const std::string& msg) -> std::runtime_error {
+    return std::runtime_error("load_assignment: " + msg + " at line " +
+                              std::to_string(reader.line_number()));
+  };
+  // An id below `count`, or the line's error.
+  auto id_below = [&](std::string_view token, std::size_t count) {
+    const auto value = parse_id(token);
+    if (!value || static_cast<std::size_t>(*value) >= count)
+      throw fail("bad pair id " + quoted(token));
+    return *value;
+  };
+  std::size_t utility_line = 0;  // 0: no utility line
   double claimed_utility = 0.0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ss(line);
-    std::string kind;
-    ss >> kind;
+  while (next_record(reader, tokens)) {
+    const std::string_view kind = tokens[0];
     if (kind == "assign") {
-      long long u = -1;
-      long long s = -1;
-      ss >> u >> s;
-      if (ss.fail() || u < 0 ||
-          static_cast<std::size_t>(u) >= inst.num_users() || s < 0 ||
-          static_cast<std::size_t>(s) >= inst.num_streams())
-        throw std::runtime_error("load_assignment: bad pair at line " +
-                                 std::to_string(line_no));
-      a.assign(static_cast<UserId>(u), static_cast<StreamId>(s));
+      if (tokens.size() != 3) throw fail("assign needs a user and a stream");
+      const UserId u = id_below(tokens[1], inst.num_users());
+      const StreamId s = id_below(tokens[2], inst.num_streams());
+      a.assign(u, s);
     } else if (kind == "utility") {
-      std::string token;
-      ss >> token;
-      claimed_utility = parse_value(token, line_no);
-      saw_utility = true;
+      if (tokens.size() != 2) throw fail("utility needs exactly one value");
+      const auto value = parse_number(tokens[1]);
+      if (!value) throw fail("bad number " + quoted(tokens[1]));
+      claimed_utility = *value;
+      utility_line = reader.line_number();
     } else {
-      throw std::runtime_error("load_assignment: unknown record '" + kind +
-                               "' at line " + std::to_string(line_no));
+      throw fail("unknown record " + quoted(kind));
     }
   }
-  if (saw_utility &&
+  if (utility_line != 0 &&
       !util::approx_eq(claimed_utility, a.utility(), 1e-9, 1e-9))
     throw std::runtime_error(
-        "load_assignment: utility line does not match the rebuilt "
-        "assignment (wrong instance?)");
+        "load_assignment: utility does not match the rebuilt assignment "
+        "(wrong instance?) at line " + std::to_string(utility_line));
   return a;
 }
 

@@ -10,10 +10,12 @@
 //   user <id> <name|-> <K_0|inf> ... <K_{mc-1}|inf>
 //   interest <user> <stream> <utility> <k_0> ... <k_{mc-1}>
 //
-// Comments start with '#'; blank lines are ignored. Ids must be dense and
-// in order (the loader validates). Ids, indices and dimensions are whole
-// decimal tokens in [0, INT32_MAX]; m and mc are at most kMaxMeasures.
-// Doubles are written with enough digits to round-trip exactly.
+// Comments are lines starting with '#'; lines with no token are ignored,
+// and '\r' is a space, so CRLF files load as their LF form. Ids must be
+// dense and in order (the loader validates). Ids, indices and dimensions
+// are whole decimal tokens in [0, INT32_MAX]; m and mc are at most
+// kMaxMeasures. Numbers follow io/text.h's whole-token rule and are
+// written with 17 significant digits, so they round-trip bit for bit.
 #pragma once
 
 #include <iosfwd>
@@ -42,12 +44,14 @@ void save_instance_file(const std::string& path, const model::Instance& inst);
 [[nodiscard]] model::Instance load_instance_file(const std::string& path);
 
 // Assignment export: one "assign <user> <stream>" line per pair, with a
-// trailing "utility <value>" summary line.
+// trailing "utility <value>" summary line. Comments and blank lines follow
+// the instance format's rules.
 void save_assignment(std::ostream& os, const model::Assignment& a);
 
-// Parses the save_assignment format against an instance (ids validated;
-// the trailing utility line, if present, is checked against the rebuilt
-// assignment). Throws std::runtime_error on malformed input or mismatch.
+// Parses the save_assignment format against an instance (whole-token ids
+// in range, exact arity; the utility line, if present, is checked against
+// the rebuilt assignment). Throws std::runtime_error naming the line on
+// malformed input or mismatch.
 [[nodiscard]] model::Assignment load_assignment(std::istream& is,
                                                 const model::Instance& inst);
 
