@@ -4,11 +4,13 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
+#include "core/propagate.h"
 #include "util/float_cmp.h"
-#include "util/hotpath.h"
 #include "util/radix.h"
 
 namespace vdist::core {
@@ -27,13 +29,9 @@ namespace {
 // split paths: how many leading streams stay in A1.
 [[nodiscard]] std::size_t a1_keep_count(const InstanceView& view, UserId u,
                                         std::span<const StreamId> streams) {
-  // Only users the greedy saturated past W_u need the last stream peeled
-  // (the paper peels unconditionally; keeping the full assignment when
-  // it already fits is a strict improvement with the same guarantee).
   double w = 0.0;
   for (StreamId s : streams) w += view.pair_utility(u, s);
-  const bool over_cap = !approx_le(w, view.capacity(u));
-  return streams.size() - (over_cap ? 1 : 0);
+  return streams.size() - (split_peels_last(w, view.capacity(u)) ? 1 : 0);
 }
 
 // The one Theorem 2.8 peel loop both materializing paths share; only the
@@ -58,24 +56,65 @@ template <typename OverCapFn>
   return out;
 }
 
-// Brings the workspace's row cache up to date for `view` and returns the
-// number of user rows it sorted. The rows are a user-major copy of the
-// (surrogate) utilities, each user's adjacency sorted by DESCENDING
-// utility with the stream ids in parallel. The w̄ propagation of
-// add_stream only has to touch pairs whose fractional contribution
-// min(w, rem) actually changed — with the row sorted, the first pair
-// with w <= rem ends the scan (everything after it is unchanged too).
-// Reordering is exact: each pair's delta lands in its own stream
-// accumulator, so per-user visit order never affects a single
-// floating-point sum.
-//
-// The one prep path: a user's row is dirty when the cache is keyed to
-// another instance (then every row is, and cost_order is rebuilt too) or
-// when one of its edge utilities differs in bits from the ones the row
-// was sorted from — bits, not ==, so a 0.0/-0.0 flip is a change and an
-// unchanged NaN is not. Only dirty rows are re-sorted. A row is a pure
-// function of its CSR row and utilities under the unique total order
-// (w desc, stream asc), so a kept row is bit-identical to a re-sorted one.
+// Sorts user u's row in place from the view's utilities. The order (w
+// desc, stream asc on ties) is a unique total order per row
+// (within-user CSR streams are strictly ascending), so a row is a pure
+// function of its CSR row and utilities: the insertion sort and the
+// big-row std::sort spill produce the bit-identical arrays.
+void sort_row_in_place(const InstanceView& view, SolveWorkspace& ws,
+                       UserId u) {
+  // Rows are short on every registered scenario: an in-tandem insertion
+  // sort in the destination arrays skips the build-pairs / sort /
+  // copy-back round trip and halves the prep's cost.
+  constexpr std::size_t kInsertionSortMaxDeg = 48;
+  const auto edges_of_u = view.edges_of(u);
+  const auto streams_of_u = view.streams_of(u);
+  const std::size_t deg = edges_of_u.size();
+  const std::size_t begin = view.user_edge_begin(u);
+  double* const w_row = ws.user_edge_w.data() + begin;
+  StreamId* const s_row = ws.user_edge_s.data() + begin;
+  if (deg <= kInsertionSortMaxDeg) {
+    // Gather first — the utility reads are a random-index gather over
+    // the per-edge span, kept out of the shift loop — then
+    // stable-insertion-sort the row in place. Stability makes the
+    // stream tie-break free: equal-w pairs keep their input order,
+    // which is ascending stream (within-user CSR order).
+    for (std::size_t t = 0; t < deg; ++t)
+      w_row[t] = view.edge_utility(edges_of_u[t]);
+    std::copy(streams_of_u.begin(), streams_of_u.end(), s_row);
+    for (std::size_t t = 1; t < deg; ++t) {
+      const double w = w_row[t];
+      const StreamId sp = s_row[t];
+      std::size_t j = t;
+      while (j > 0 && w_row[j - 1] < w) {
+        w_row[j] = w_row[j - 1];
+        s_row[j] = s_row[j - 1];
+        --j;
+      }
+      w_row[j] = w;
+      s_row[j] = sp;
+    }
+  } else {
+    std::vector<std::pair<double, StreamId>> spill;
+    spill.reserve(deg);
+    for (std::size_t t = 0; t < deg; ++t)
+      spill.emplace_back(view.edge_utility(edges_of_u[t]), streams_of_u[t]);
+    std::sort(spill.begin(), spill.end(), [](const auto& a, const auto& b) {
+      if (a.first != b.first) return a.first > b.first;
+      return a.second < b.second;  // deterministic on w ties
+    });
+    for (std::size_t t = 0; t < deg; ++t) {
+      w_row[t] = spill[t].first;
+      s_row[t] = spill[t].second;
+    }
+  }
+}
+
+}  // namespace
+
+// A warm row is dirty when one of its utilities differs in bits from the
+// ones it was sorted from: a 0.0/-0.0 flip is a change, an unchanged NaN
+// is not.
 std::size_t prepare_rows(const InstanceView& view, SolveWorkspace& ws) {
   const std::size_t users = view.num_users();
   const std::size_t streams = view.num_streams();
@@ -118,64 +157,21 @@ std::size_t prepare_rows(const InstanceView& view, SolveWorkspace& ws) {
     util::radix_sort_pairs(ws.radix_keys, ws.cost_order,
                            ws.radix_key_scratch, ws.radix_val_scratch);
   }
-  // Each row is sorted in place in the destination arrays by an in-tandem
-  // insertion sort — rows are short on every registered scenario, and
-  // skipping the build-pairs / sort / copy-back round trip halves this
-  // loop's cost. The order (w desc, stream asc on ties) is a unique total
-  // order per row (within-user CSR streams are strictly ascending), so
-  // the big-row std::sort spill below produces the bit-identical arrays.
-  constexpr std::size_t kInsertionSortMaxDeg = 48;
-  std::vector<std::pair<double, StreamId>> spill;
   std::size_t sorted = 0;
   for (std::size_t u = 0; u < users; ++u) {
     if (ws.row_dirty[u] == 0) continue;
     ++sorted;
-    const auto edges_of_u = view.edges_of(static_cast<UserId>(u));
-    const auto streams_of_u = view.streams_of(static_cast<UserId>(u));
-    const std::size_t deg = edges_of_u.size();
-    const std::size_t begin = view.user_edge_begin(static_cast<UserId>(u));
-    double* const w_row = ws.user_edge_w.data() + begin;
-    StreamId* const s_row = ws.user_edge_s.data() + begin;
-    if (deg <= kInsertionSortMaxDeg) {
-      // Gather first — the utility reads are a random-index gather over
-      // the per-edge span, kept out of the shift loop — then
-      // stable-insertion-sort the row in place. Stability makes the
-      // stream tie-break free: equal-w pairs keep their input order,
-      // which is ascending stream (within-user CSR order).
-      for (std::size_t t = 0; t < deg; ++t)
-        w_row[t] = view.edge_utility(edges_of_u[t]);
-      std::copy(streams_of_u.begin(), streams_of_u.end(), s_row);
-      for (std::size_t t = 1; t < deg; ++t) {
-        const double w = w_row[t];
-        const StreamId sp = s_row[t];
-        std::size_t j = t;
-        while (j > 0 && w_row[j - 1] < w) {
-          w_row[j] = w_row[j - 1];
-          s_row[j] = s_row[j - 1];
-          --j;
-        }
-        w_row[j] = w;
-        s_row[j] = sp;
-      }
-    } else {
-      spill.clear();
-      for (std::size_t t = 0; t < deg; ++t)
-        spill.emplace_back(view.edge_utility(edges_of_u[t]), streams_of_u[t]);
-      std::sort(spill.begin(), spill.end(), [](const auto& a, const auto& b) {
-        if (a.first != b.first) return a.first > b.first;
-        return a.second < b.second;  // deterministic on w ties
-      });
-      for (std::size_t t = 0; t < deg; ++t) {
-        w_row[t] = spill[t].first;
-        s_row[t] = spill[t].second;
-      }
-    }
+    sort_row_in_place(view, ws, static_cast<UserId>(u));
   }
   ws.row_key = key;
   return sorted;
 }
 
-}  // namespace
+void sort_row(const InstanceView& view, SolveWorkspace& ws, UserId u) {
+  for (const EdgeId e : view.edges_of(u))
+    ws.row_edge_w[static_cast<std::size_t>(e)] = view.edge_utility(e);
+  sort_row_in_place(view, ws, u);
+}
 
 void CompletionTrace::clear() {
   ++revision;
@@ -223,13 +219,13 @@ void CompletionTrace::finalize(const model::InstanceView& view,
   final_w1_add.assign(num_users, 0.0);
   final_w2_add.assign(num_users, 0.0);
   for (std::size_t uu = 0; uu < num_users; ++uu) {
-    const double w = final_user_w[uu];
     const double last = final_user_last_w[uu];
     if (last <= 0.0) continue;
-    final_w2_add[uu] = last;
-    const bool over_cap =
-        !util::approx_le(w, view.capacity(static_cast<model::UserId>(uu)));
-    final_w1_add[uu] = over_cap ? w - last : w;
+    const SplitValues term =
+        split_term(final_user_w[uu], last,
+                   view.capacity(static_cast<model::UserId>(uu)));
+    final_w1_add[uu] = term.w1;
+    final_w2_add[uu] = term.w2;
   }
   // Invert the per-pick assign CSR into per-user timelines (pick order is
   // preserved within each user: picks are scanned in order).
@@ -276,7 +272,7 @@ GreedyEngine::GreedyEngine(InstanceView view, SolveWorkspace& ws,
   }
   rows_sorted_ = prepare_rows(view_, ws_);
   // Propagation-batching scratch: the mark array stays all-zero between
-  // picks (add_stream clears the marks it set).
+  // picks (the propagation kernel clears the marks it set).
   ws_.touched.clear();
   ws_.touch_mark.assign(streams, 0);
   ws_.pair_log.clear();
@@ -397,110 +393,42 @@ void GreedyEngine::run_loop() {
   }
 }
 
-// Assigns `s` to every user with positive residual, charging its cost
-// and propagating each exact residual change into w̄ of the remaining
-// streams. Selector bookkeeping is batched: the edge loop only gathers
-// the set of touched streams (deduplicated through the mark array) while
-// applying each exact per-pair w̄ delta, and one pass afterwards pushes
-// remove/update per touched stream. Equivalent pick-for-pick: staleness
-// is binary (any bump between two pops invalidates the same entries), a
-// dead stream never rejoins the pool, and an out-of-pool stream's w̄ —
-// which the old per-pair in_pool check froze — is never read again, so
-// every live stream sees the identical delta sequence.
+// Charges `s` and runs the shared pick propagation (core/propagate.h);
+// the hooks add this engine's extras: the pair log, the capped utility,
+// and the recording run's per-pick payloads.
 void GreedyEngine::add_stream(StreamId s, double cost) {
   used_ += cost;
   added_streams_.push_back(s);
-  double* const rem = ws_.rem.data();
-  double* const wbar = ws_.wbar.data();
-  const char* const in_pool = ws_.in_pool.data();
-  const double* const user_edge_w = ws_.user_edge_w.data();
-  const StreamId* const user_edge_s = ws_.user_edge_s.data();
-  char* const touch_mark = ws_.touch_mark.data();
-  auto& touched = ws_.touched;
-  touched.clear();
-  std::size_t rows = 0;
-  std::size_t pairs = 0;
-  const EdgeId lo = view_.first_edge(s);
-  const EdgeId hi = view_.last_edge(s);
-  for (EdgeId e = lo; e < hi; ++e) {
-    const UserId u = view_.edge_user(e);
-    const auto uu = static_cast<std::size_t>(u);
-    if (e + 1 < hi) {
-      // The stream's user list is sparse and effectively random in user
-      // space: pull the next user's residual and the head of its sorted
-      // row while this row is being walked.
-      const UserId un = view_.edge_user(e + 1);
-      VDIST_PREFETCH(rem + static_cast<std::size_t>(un));
-      VDIST_PREFETCH(user_edge_w + view_.user_edge_begin(un));
-    }
-    const double w = view_.edge_utility(e);
-    if (rem[uu] <= util::kAbsEps || w <= 0.0) continue;
-    if (build_assignment_) {
-      ws_.pair_log.push_back({u, s, e});
-      assignment_dirty_ = true;
-    }
-    if (rec_ != nullptr) {
-      rec_->assign_user.push_back(u);
-      rec_->assign_w.push_back(w);
-    }
-    ws_.user_w[uu] += w;
-    ws_.user_last_w[uu] = w;
-    const double rem_old = rem[uu];
-    result_.capped_utility += std::min(w, rem_old);
-    rem[uu] -= w;
-    const double rem_new = rem[uu];
-    // rem_old > 0 here, so the old contribution min(we, max(rem_old, 0))
-    // is min(we, rem_old); the clamped new residual covers the rest.
-    const double rem_new_clamped = rem_new > 0.0 ? rem_new : 0.0;
-    const std::size_t row_begin = view_.user_edge_begin(u);
-    const double* const we_row = user_edge_w + row_begin;
-    const StreamId* const sp_row = user_edge_s + row_begin;
-    const std::size_t deg = view_.streams_of(u).size();
-    ++rows;
-    for (std::size_t t = 0; t < deg; ++t) {
-      const double we = we_row[t];
-      // Rows are sorted by descending w: the first pair whose
-      // contribution min(w, rem) is unchanged (w <= clamped residual,
-      // including every zero-surrogate pair) ends the scan.
-      if (we <= rem_new_clamped) break;
-      const StreamId sp = sp_row[t];
-      if (sp == s) continue;
-      // w > clamped residual and rem_old > clamped residual, so the
-      // contribution dropped from min(we, rem_old) to the clamp: always
-      // a real delta.
-      const double before = we < rem_old ? we : rem_old;
-      const auto sps = static_cast<std::size_t>(sp);
-      wbar[sps] += rem_new_clamped - before;
-      ++pairs;
-      if (touch_mark[sps] == 0) {
-        touch_mark[sps] = 1;
-        touched.push_back(sp);
+  struct Hooks {
+    GreedyEngine& g;
+    StreamId s;
+    void assign(UserId u, EdgeId e, double w, double rem_old) {
+      if (g.build_assignment_) {
+        g.ws_.pair_log.push_back({u, s, e});
+        g.assignment_dirty_ = true;
       }
+      if (g.rec_ != nullptr) {
+        g.rec_->assign_user.push_back(u);
+        g.rec_->assign_w.push_back(w);
+      }
+      g.result_.capped_utility += std::min(w, rem_old);
     }
-  }
-  for (const StreamId sp : touched) {
-    const auto sps = static_cast<std::size_t>(sp);
-    touch_mark[sps] = 0;
-    if (!in_pool[sps]) continue;  // left the pool before this pick
-    // Record pool members only (pre-removal, so a stream dying at this
-    // pick still gets its final value): a replay keeps no stream alive
+    [[nodiscard]] bool skip(StreamId sp) const { return sp == s; }
+    // Pool members only, recorded before a death's removal so a dying
+    // stream still gets its final value: a replay keeps no stream alive
     // past its parent's death — clean copies die with the parent's
     // recorded decision, dirty survivors bail — so out-of-pool streams'
     // w̄, which the engine itself never reads again, need no image.
-    if (rec_ != nullptr) {
-      rec_->touch_stream.push_back(sp);
-      rec_->touch_wbar.push_back(wbar[sps]);
+    void touched(StreamId sp) {
+      if (g.rec_ == nullptr) return;
+      g.rec_->touch_stream.push_back(sp);
+      g.rec_->touch_wbar.push_back(g.ws_.wbar[static_cast<std::size_t>(sp)]);
     }
-    // A stream whose residual utility just died can never be picked
-    // (the run loop breaks on it); dropping it here keeps the selector's
-    // near-zero tie band empty instead of refreshing dead keys.
-    if (wbar[sps] <= util::kAbsEps) {
-      selector_.remove(sp);
-      if (rec_ != nullptr) rec_->death_stream.push_back(sp);
-    } else
-      selector_.update(sp, wbar[sps]);
-  }
-  selector_.note_propagation(rows, pairs);
+    void died(StreamId sp) {
+      if (g.rec_ != nullptr) g.rec_->death_stream.push_back(sp);
+    }
+  } hooks{*this, s};
+  propagate_pick(view_, ws_, selector_, s, hooks);
 }
 
 void GreedyEngine::sync_assignment() {
@@ -588,11 +516,8 @@ SplitValues GreedyEngine::split_values() const {
   for (std::size_t u = 0; u < users; ++u) {
     const double last = ws_.user_last_w[u];
     if (last <= 0.0) continue;  // never assigned (the engine skips w <= 0)
-    const double w = ws_.user_w[u];
-    out.w2 += last;
-    const bool over_cap =
-        !approx_le(w, view_.capacity(static_cast<UserId>(u)));
-    out.w1 += over_cap ? w - last : w;
+    out += split_term(ws_.user_w[u], last,
+                      view_.capacity(static_cast<UserId>(u)));
   }
   return out;
 }
@@ -624,8 +549,9 @@ Assignment GreedyEngine::materialize_split(bool keep_rest) const {
   // The same over-cap decision split_values() scored with.
   return peel_split(view_, semi, keep_rest,
                     [&](UserId u, std::span<const StreamId>) {
-                      return !approx_le(ws_.user_w[static_cast<std::size_t>(u)],
-                                        view_.capacity(u));
+                      return split_peels_last(
+                          ws_.user_w[static_cast<std::size_t>(u)],
+                          view_.capacity(u));
                     });
 }
 
@@ -743,30 +669,22 @@ Assignment materialize_split(const InstanceView& view, const Assignment& semi,
 SmdSolveResult solve_unit_skew(const InstanceView& view, SmdMode mode,
                                const GreedyOptions& opts) {
   GreedyResult g = greedy_unit_skew(view, opts);
-  const SelectStats select = g.select;
   Assignment amax = best_single_stream(view);
   const double w_amax = view_capped_utility(view, amax);
-
-  auto finish = [&select](SmdSolveResult r) {
-    r.select = select;
-    return r;
-  };
-
-  if (mode == SmdMode::kAugmented) {
-    // Corollary 2.7: the semi-feasible greedy vs. the single best stream,
-    // compared by capped utility.
-    if (g.capped_utility >= w_amax)
-      return finish({std::move(g.assignment), g.capped_utility, "greedy", {}});
-    return finish({std::move(amax), w_amax, "Amax", {}});
-  }
-
-  // Theorem 2.8: peel the last stream assigned to each user.
-  FeasibleSplit split = split_last_stream(view, g.assignment);
-  if (split.w1 >= split.w2 && split.w1 >= w_amax)
-    return finish({std::move(split.a1), split.w1, "A1", {}});
-  if (split.w2 >= w_amax)
-    return finish({std::move(split.a2), split.w2, "A2", {}});
-  return finish({std::move(amax), w_amax, "Amax", {}});
+  // Theorem 2.8 races the split's sides (the last stream assigned to each
+  // user peeled); Corollary 2.7 races the semi-feasible greedy itself.
+  std::optional<FeasibleSplit> split;
+  if (mode == SmdMode::kFeasible) split = split_last_stream(view, g.assignment);
+  const RaceOutcome won =
+      race_winner(mode, g.capped_utility,
+                  split ? SplitValues{split->w1, split->w2} : SplitValues{},
+                  w_amax);
+  const std::string_view v = won.variant;
+  Assignment winner = v == "greedy" ? std::move(g.assignment)
+                      : v == "A1"   ? std::move(split->a1)
+                      : v == "A2"   ? std::move(split->a2)
+                                    : std::move(amax);
+  return {std::move(winner), won.value, won.variant, g.select};
 }
 
 SmdSolveResult solve_unit_skew(const Instance& inst, SmdMode mode,

@@ -204,6 +204,27 @@ struct SplitValues {
   double w1 = 0.0;
   double w2 = 0.0;
 };
+inline SplitValues& operator+=(SplitValues& acc,
+                               const SplitValues& term) noexcept {
+  acc.w1 += term.w1;
+  acc.w2 += term.w2;
+  return acc;
+}
+
+// The split's per-user peel: only a user saturated past its cap gives up
+// its last stream in A1 (a strict improvement on the paper's peel-always,
+// with the same guarantee).
+[[nodiscard]] inline bool split_peels_last(double w, double cap) noexcept {
+  return !util::approx_le(w, cap);
+}
+
+// One user's split terms for assigned utility w with last pair `last`.
+// Every split sum adds these per user in user order, so all of them (the
+// engine's, the trace's, the replay's, the repair's) agree bit for bit.
+[[nodiscard]] inline SplitValues split_term(double w, double last,
+                                            double cap) noexcept {
+  return {split_peels_last(w, cap) ? w - last : w, last};
+}
 
 // The engine behind the plain and seeded greedy (public since PR 4 so the
 // §2.3 partial enumeration can snapshot/restore it instead of re-solving
@@ -213,15 +234,11 @@ struct SplitValues {
 // kernel (core/select.h) — and extracts each pick through the kernel. All
 // per-solve buffers live in the caller's SolveWorkspace.
 //
-// Row cache contract: the constructor's prep — each user's utilities
-// sorted by descending w, and the streams by ascending cost — lives in
-// the workspace (SolveWorkspace::user_edge_w/_s, cost_order) and
-// outlives the engine. The next engine on the same base instance
-// (model::Instance::uid()) re-sorts only the rows of users whose edge
-// utilities changed bit for bit since; any other base rebuilds all of
-// it. The prepared arrays are bit-identical either way, so picks,
-// evaluations and objectives never depend on what the workspace solved
-// before. SelectStats::rows_sorted reports the rows this prep re-sorted.
+// Row cache contract: the constructor's prep (prepare_rows below) lives
+// in the workspace and outlives the engine. The prepared arrays are
+// bit-identical however warm the cache was, so picks, evaluations and
+// objectives never depend on what the workspace solved before.
+// SelectStats::rows_sorted reports the rows this prep re-sorted.
 //
 // Checkpoint contract: save() copies the full solve state into a frame;
 // restore() rewinds to it. Restores must target a frame saved by *this*
@@ -312,6 +329,20 @@ class GreedyEngine {
   bool assignment_dirty_ = false;
 };
 
+// Brings ws's prepared rows up to date for `view` and returns the number
+// of user rows it sorted: each user's utilities sorted by descending w,
+// streams in parallel (user_edge_w/_s, at the view's user_edge_begin),
+// and all streams by ascending cost (cost_order). On the base the cache
+// is keyed to (Instance::uid()) an O(nnz) diff re-sorts only the rows
+// whose utilities changed in bits; any other base rebuilds all of it.
+std::size_t prepare_rows(const model::InstanceView& view, SolveWorkspace& ws);
+// prepare_rows for one row, for a caller that knows which rows an edit
+// moved: re-sorts u's row from the view's utilities and records them in
+// row_edge_w, so a later warm prepare_rows keeps it. The cache must
+// already be keyed to the view's base.
+void sort_row(const model::InstanceView& view, SolveWorkspace& ws,
+              model::UserId u);
+
 // Runs Algorithm 1 verbatim. The Instance overload requires
 // inst.is_smd() && inst.is_unit_skew() (throws std::invalid_argument
 // otherwise). O(|S| * n) with the naive scan as in §2.1; the default
@@ -375,6 +406,24 @@ enum class SmdMode {
   kFeasible,   // Theorem 2.8: feasible output, ratio 3e/(e-1)
   kAugmented,  // Corollary 2.7: semi-feasible output, ratio 2e/(e-1)
 };
+
+// The §2.2 race, valued: under kAugmented the semi-feasible greedy's
+// capped utility against Amax's, under kFeasible the split's A1 and A2
+// against Amax's. A tie goes to the earlier candidate.
+struct RaceOutcome {
+  double value = 0.0;
+  const char* variant = "";  // "greedy", "A1", "A2" or "Amax"
+};
+[[nodiscard]] inline RaceOutcome race_winner(SmdMode mode, double capped,
+                                             const SplitValues& split,
+                                             double w_amax) noexcept {
+  if (mode == SmdMode::kAugmented)
+    return capped >= w_amax ? RaceOutcome{capped, "greedy"}
+                            : RaceOutcome{w_amax, "Amax"};
+  if (split.w1 >= split.w2 && split.w1 >= w_amax) return {split.w1, "A1"};
+  if (split.w2 >= w_amax) return {split.w2, "A2"};
+  return {w_amax, "Amax"};
+}
 
 struct SmdSolveResult {
   model::Assignment assignment;

@@ -119,8 +119,11 @@ double ReplayContext::peek_clean_rem(UserId u, std::size_t cut) const {
 
 template <bool DoChild, bool DoParent>
 bool ReplayContext::apply_pair(UserId u, double w, StreamId picked) {
-  // GreedyEngine::add_stream's per-pair accounting for one (pick, user)
-  // assignment, on the child-side and/or parent-side accumulators. The
+  // The propagation kernel's per-pair accounting (core/propagate.h) for
+  // one (pick, user) assignment, on the child-side and/or parent-side
+  // accumulators. It stays apart from the kernel: the fused two-sided
+  // walk and its inline death tests would make the kernel branch on its
+  // caller. The
   // parent's deltas are *subtracted* from dw (the image absorbs them via
   // the touch list; the child must not see them), the child's added —
   // identical formulas per side, fused into one walk of the user's
@@ -787,13 +790,10 @@ bool ReplayContext::score_child(const GreedyCheckpoint& frame,
     const double* const w2a = trace.final_w2_add.data();
     for (std::size_t uu = 0; uu < U_; ++uu) {
       if (u_stamp_[uu] == epoch_) {
-        const double w = c_uw_[uu];
         const double last = c_ulw_[uu];
         if (last <= 0.0) continue;  // never assigned
-        v.w2 += last;
-        const bool over_cap =
-            !approx_le(w, view_->capacity(static_cast<UserId>(uu)));
-        v.w1 += over_cap ? w - last : w;
+        v += split_term(c_uw_[uu], last,
+                        view_->capacity(static_cast<UserId>(uu)));
       } else {
         // Recorded contributions are the identical two adds the per-user
         // recomputation would perform (+0.0 for never-assigned users,
@@ -823,10 +823,7 @@ bool ReplayContext::score_child(const GreedyCheckpoint& frame,
         }
       }
       if (last <= 0.0) continue;  // never assigned
-      v.w2 += last;
-      const bool over_cap =
-          !approx_le(w, view_->capacity(static_cast<UserId>(uu)));
-      v.w1 += over_cap ? w - last : w;
+      v += split_term(w, last, view_->capacity(static_cast<UserId>(uu)));
     }
   }
   *out = v;

@@ -176,15 +176,15 @@ struct SolveWorkspace {
   // The greedy's prepared rows, a cache that outlives the engine: each
   // user's utilities sorted desc (user-major, at the view's
   // user_edge_begin), the streams parallel to them, and all streams by
-  // ascending cost. GreedyEngine's constructor is their only writer
-  // (core/replay.cpp reads them). They hold for the instance named by
-  // row_key and the edge utilities in row_edge_w (base edge order, as
-  // the rows were last sorted from): a row is a pure function of its CSR
-  // row and those utilities, and cost_order of the base's costs. The
-  // next engine on the same base re-sorts only the rows of users with an
-  // edge whose utility differs bit for bit from row_edge_w; any other
-  // key rebuilds everything. Footprint: one double per edge and one byte
-  // per user.
+  // ascending cost. prepare_rows (core/greedy.h) writes them for every
+  // GreedyEngine and for the serving repair at resolve and appends;
+  // sort_row re-sorts the repair's rows one at a time between events; the
+  // propagation kernel (core/propagate.h) and core/replay.cpp read them.
+  // They hold for the instance named by row_key and the edge utilities
+  // in row_edge_w (base edge order, as the rows were last sorted from): a
+  // row is a pure function of its CSR row and those utilities, and
+  // cost_order of the base's costs. Footprint of the cache key: one
+  // double per edge and one byte per user.
   struct RowKey {
     std::uint64_t uid = 0;  // model::Instance::uid() of the view's base
     std::size_t streams = 0;
@@ -198,7 +198,7 @@ struct SolveWorkspace {
   RowKey row_key;                  // uid 0: nothing cached
   std::vector<double> row_edge_w;  // utilities the rows were sorted from
   std::vector<char> row_dirty;     // per user: re-sort at this prep
-  // w̄ propagation batching (GreedyEngine::add_stream): the streams whose
+  // w̄ propagation batching (core/propagate.h): the streams whose
   // residual utility changed during the current pick, deduplicated via
   // the parallel mark array (all-zero between picks), so the selector
   // bookkeeping runs once per touched stream in one pass after the edge
@@ -310,9 +310,9 @@ class StreamSelector {
     ws_->dirty[static_cast<std::size_t>(s)] = 1;
   }
 
-  // Phase accounting hook for the propagation loops (GreedyEngine::
-  // add_stream, engine/repair_core.cpp): credits this selector's stats
-  // with the rows walked and per-pair deltas applied for one pick.
+  // Phase accounting hook for the propagation kernel (core/propagate.h):
+  // credits this selector's stats with the rows walked and per-pair
+  // deltas applied for one pick.
   void note_propagation(std::size_t rows, std::size_t pairs) noexcept {
     stats_.rows_walked += rows;
     stats_.pairs_touched += pairs;

@@ -12,10 +12,11 @@
 // The differential contract: with the default offline reference (the
 // §2.2 greedy in the backend's own mode) the resolve policy's ratio is
 // 1.0 bit-exactly at every checkpoint — resolve maintains exactly the
-// from-scratch solve of the overlay view, and the workload generators'
-// parity-safety guarantee (workload/trace_state.h) makes the materialized
-// snapshot bit-compatible with that view. Repair stays within its declared drift bound at every
-// aligned checkpoint; online has no per-prefix guarantee (that is the
+// from-scratch solve of the overlay view, and the overlay applies the
+// builder's cap rule itself (model/overlay.h), so the materialized
+// snapshot is bit-compatible with that view after any accepted trace.
+// Repair stays within its declared drift bound at every aligned
+// checkpoint; online has no per-prefix guarantee (that is the
 // point of measuring it).
 #pragma once
 

@@ -5,8 +5,8 @@
 #include <cmath>
 #include <string>
 
+#include "core/propagate.h"
 #include "util/float_cmp.h"
-#include "util/hotpath.h"
 
 namespace vdist::engine {
 
@@ -34,41 +34,42 @@ double WorldRef::pair_utility(UserId u, StreamId s) const noexcept {
   return e ? edge_utility[static_cast<std::size_t>(*e)] : 0.0;
 }
 
-void RepairCore::refresh_cost_arrays(const WorldRef& w) {
+void RepairCore::prepare(const WorldRef& w) {
+  const auto costs = w.base->costs_of_measure(0);
+  ws_.cost.assign(costs.begin(), costs.end());
+  (void)core::prepare_rows(w.view(), ws_);
+  row_stale_.assign(w.num_users(), 0);
+  ws_.touch_mark.assign(w.num_streams(), 0);
+}
+
+double RepairCore::residual_wbar(const WorldRef& w, StreamId s) const noexcept {
   const model::Instance& inst = *w.base;
-  const std::size_t S = w.num_streams();
-  cost_.resize(S);
-  for (std::size_t s = 0; s < S; ++s)
-    cost_[s] = inst.cost(static_cast<StreamId>(s), 0);
-  cost_order_.resize(S);
-  for (std::size_t s = 0; s < S; ++s)
-    cost_order_[s] = static_cast<StreamId>(s);
-  std::sort(cost_order_.begin(), cost_order_.end(),
-            [&](StreamId a, StreamId b) {
-              const double ca = cost_[static_cast<std::size_t>(a)];
-              const double cb = cost_[static_cast<std::size_t>(b)];
-              if (ca != cb) return ca < cb;
-              return a < b;
-            });
+  double total = 0.0;
+  for (model::EdgeId e = inst.first_edge(s); e < inst.last_edge(s); ++e) {
+    const double wv = w.edge_utility[static_cast<std::size_t>(e)];
+    if (wv <= 0.0) continue;
+    const double c =
+        clamp0(ws_.rem[static_cast<std::size_t>(inst.edge_user(e))]);
+    total += wv < c ? wv : c;
+  }
+  return total;
 }
 
 void RepairCore::reset(const WorldRef& w) {
   const std::size_t U = w.num_users();
   const std::size_t S = w.num_streams();
-  rem_.resize(U);
-  for (std::size_t u = 0; u < U; ++u) rem_[u] = w.capacity[u];
-  user_w_.assign(U, 0.0);
-  user_last_w_.assign(U, 0.0);
+  ws_.rem.assign(w.capacity.begin(), w.capacity.end());
+  ws_.user_w.assign(U, 0.0);
+  ws_.user_last_w.assign(U, 0.0);
   assigned_.resize(U);
   for (auto& list : assigned_) list.clear();
   // Engine-identical init: a pool stream's residual utility starts at its
   // (effective) total — tombstoned streams start dead at 0.
-  wbar_.resize(S);
-  for (std::size_t s = 0; s < S; ++s) wbar_[s] = w.total_utility[s];
-  refresh_cost_arrays(w);
+  ws_.wbar.assign(w.total_utility.begin(), w.total_utility.end());
   added_seq_.assign(S, -1);
   next_seq_ = 0;
   used_ = 0.0;
+  prepare(w);
   race_stale_ = true;
 }
 
@@ -83,17 +84,17 @@ void RepairCore::resolve(const WorldRef& w, const Context& ctx,
 
 void RepairCore::reset_selector(core::SelectStrategy strategy) {
   strategy_ = strategy;
-  selector_.reset(select_ws_, wbar_, cost_, strategy);
+  selector_.reset(ws_, ws_.wbar, ws_.cost, strategy);
   flushed_ = {};
-  const std::size_t S = wbar_.size();
+  const std::size_t S = ws_.wbar.size();
   for (std::size_t s = 0; s < S; ++s)
-    if (added_seq_[s] >= 0 || wbar_[s] <= kAbsEps)
+    if (added_seq_[s] >= 0 || ws_.wbar[s] <= kAbsEps)
       selector_.remove(static_cast<StreamId>(s));
 }
 
 void RepairCore::pool_track(StreamId s, double before) {
   const auto ss = static_cast<std::size_t>(s);
-  const double now = wbar_[ss];
+  const double now = ws_.wbar[ss];
   if (added_seq_[ss] >= 0 || now <= kAbsEps)
     selector_.remove(s);
   else if (!selector_.contains(s) || now > before)
@@ -113,46 +114,34 @@ void RepairCore::flush_select(core::SelectStats& select) {
 }
 
 // Re-derives every per-entity array after an overlay rebuild (append).
-// Entity ids are stable, so the assigned lists survive; the accounting
-// and the pool residuals are recomputed against the new edge-id space.
+// Entity ids are stable, so the assigned lists survive; the accounting,
+// the pool residuals and the rows are recomputed against the new edge-id
+// space.
 void RepairCore::rebind(const WorldRef& w) {
-  const model::Instance& inst = *w.base;
   const std::size_t U = w.num_users();
   const std::size_t S = w.num_streams();
-  rem_.resize(U);
-  user_w_.resize(U);
-  user_last_w_.resize(U);
   assigned_.resize(U);
-  const std::size_t old_S = added_seq_.size();
-  added_seq_.resize(S);
-  for (std::size_t s = old_S; s < S; ++s) added_seq_[s] = -1;
-  refresh_cost_arrays(w);
+  added_seq_.resize(S, -1);
+  ws_.rem.resize(U);
+  ws_.user_w.resize(U);
+  ws_.user_last_w.resize(U);
   for (std::size_t uu = 0; uu < U; ++uu) {
     const auto u = static_cast<UserId>(uu);
-    rem_[uu] = w.capacity[uu];
-    user_w_[uu] = 0.0;
-    user_last_w_[uu] = 0.0;
+    ws_.rem[uu] = w.capacity[uu];
+    ws_.user_w[uu] = 0.0;
+    ws_.user_last_w[uu] = 0.0;
     for (const StreamId s : assigned_[uu]) {
       const double wv = w.pair_utility(u, s);
-      user_w_[uu] += wv;
-      user_last_w_[uu] = wv;
-      rem_[uu] -= wv;
+      ws_.user_w[uu] += wv;
+      ws_.user_last_w[uu] = wv;
+      ws_.rem[uu] -= wv;
     }
   }
-  wbar_.assign(S, 0.0);
-  for (std::size_t ss = 0; ss < S; ++ss) {
-    const auto s = static_cast<StreamId>(ss);
-    if (added_seq_[ss] >= 0) continue;
-    double total = 0.0;
-    for (model::EdgeId e = inst.first_edge(s); e < inst.last_edge(s); ++e) {
-      const double wv = w.edge_utility[static_cast<std::size_t>(e)];
-      if (wv <= 0.0) continue;
-      const double c =
-          clamp0(rem_[static_cast<std::size_t>(inst.edge_user(e))]);
-      total += wv < c ? wv : c;
-    }
-    wbar_[ss] = total;
-  }
+  ws_.wbar.resize(S);
+  for (std::size_t ss = 0; ss < S; ++ss)
+    ws_.wbar[ss] =
+        added_seq_[ss] >= 0 ? 0.0 : residual_wbar(w, static_cast<StreamId>(ss));
+  prepare(w);
   race_stale_ = true;
   reset_selector(strategy_);
 }
@@ -165,10 +154,13 @@ void RepairCore::refresh_user(const WorldRef& w, UserId u, double old_clamp,
   const auto streams = inst.streams_of(u);
 
   // Release and replay the added sequence for this user alone.
+  double& rem = ws_.rem[uu];
+  double& user_w = ws_.user_w[uu];
+  double& user_last_w = ws_.user_last_w[uu];
   assigned_[uu].clear();
-  user_w_[uu] = 0.0;
-  user_last_w_[uu] = 0.0;
-  rem_[uu] = w.capacity[uu];
+  user_w = 0.0;
+  user_last_w = 0.0;
+  rem = w.capacity[uu];
   mark_user(uu);
   replay_.clear();
   for (std::size_t t = 0; t < edges.size(); ++t) {
@@ -179,18 +171,18 @@ void RepairCore::refresh_user(const WorldRef& w, UserId u, double old_clamp,
   }
   std::sort(replay_.begin(), replay_.end());
   for (const auto& [seq, t] : replay_) {
-    if (rem_[uu] <= kAbsEps) break;
+    if (rem <= kAbsEps) break;
     const double wv = w.edge_utility[static_cast<std::size_t>(
         edges[static_cast<std::size_t>(t)])];
     assigned_[uu].push_back(streams[static_cast<std::size_t>(t)]);
-    user_w_[uu] += wv;
-    user_last_w_[uu] = wv;
-    rem_[uu] -= wv;
+    user_w += wv;
+    user_last_w = wv;
+    rem -= wv;
   }
 
   // Exact w̄ deltas for the user's pool streams: contribution moved from
   // min(w_old, old_clamp) to min(w_new, new_clamp).
-  const double new_clamp = clamp0(rem_[uu]);
+  const double new_clamp = clamp0(rem);
   for (std::size_t t = 0; t < edges.size(); ++t) {
     const auto ss = static_cast<std::size_t>(streams[t]);
     if (added_seq_[ss] >= 0 || !w.alive(streams[t])) continue;
@@ -200,71 +192,45 @@ void RepairCore::refresh_user(const WorldRef& w, UserId u, double old_clamp,
     const double contrib_old = w_old > 0.0 ? std::min(w_old, old_clamp) : 0.0;
     const double delta = contrib_new - contrib_old;
     if (delta == 0.0) continue;
-    const double before = wbar_[ss];
-    wbar_[ss] += delta;
+    const double before = ws_.wbar[ss];
+    ws_.wbar[ss] += delta;
     pool_track(streams[t], before);
   }
 }
 
-void RepairCore::add_stream_state(const WorldRef& w, StreamId s,
+// GreedyEngine's pick, through the same kernel; the hooks keep the
+// assigned lists and the race blocks, bring a stale row up to date before
+// the kernel walks it, and leave added streams' w̄ alone.
+void RepairCore::add_stream_state(const model::InstanceView& view, StreamId s,
                                   double cost) {
-  const model::Instance& inst = *w.base;
   used_ += cost;
   added_seq_[static_cast<std::size_t>(s)] = next_seq_++;
-  std::size_t rows = 0;
-  std::size_t pairs = 0;
-  const model::EdgeId lo = inst.first_edge(s);
-  const model::EdgeId hi = inst.last_edge(s);
-  for (model::EdgeId e = lo; e < hi; ++e) {
-    const UserId u = inst.edge_user(e);
-    const auto uu = static_cast<std::size_t>(u);
-    if (e + 1 < hi) {
-      // As in GreedyEngine::add_stream: the stream's users are sparse in
-      // user space, so pull the next residual and adjacency row early.
-      const UserId un = inst.edge_user(e + 1);
-      VDIST_PREFETCH(rem_.data() + static_cast<std::size_t>(un));
-      VDIST_PREFETCH(inst.edges_of(un).data());
-    }
-    const double wv = w.edge_utility[static_cast<std::size_t>(e)];
-    if (rem_[uu] <= kAbsEps || wv <= 0.0) continue;
-    mark_user(uu);
-    assigned_[uu].push_back(s);
-    user_w_[uu] += wv;
-    user_last_w_[uu] = wv;
-    const double rem_old = rem_[uu];
-    rem_[uu] -= wv;
-    const double rem_new_clamped = clamp0(rem_[uu]);
-    // The same per-pair delta arithmetic as GreedyEngine::add_stream —
-    // only pairs whose contribution actually changed are touched. (The
-    // instance CSR is unsorted here, so the scan can't early-break like
-    // the greedy's descending-w rows; it still skips unchanged pairs.)
-    const auto adj_edges = inst.edges_of(u);
-    const auto adj_streams = inst.streams_of(u);
-    ++rows;
-    for (std::size_t t = 0; t < adj_edges.size(); ++t) {
-      const StreamId sp = adj_streams[t];
-      const auto sps = static_cast<std::size_t>(sp);
-      if (sp == s || added_seq_[sps] >= 0) continue;
-      const double we =
-          w.edge_utility[static_cast<std::size_t>(adj_edges[t])];
-      if (we <= rem_new_clamped) continue;  // contribution unchanged
-      const double before = we < rem_old ? we : rem_old;
-      wbar_[sps] += rem_new_clamped - before;
-      ++pairs;
-      // Skipped streams are out of the pool and rejoin with a fresh key.
-      if (selector_.contains(sp)) {
-        if (wbar_[sps] <= kAbsEps)
-          selector_.remove(sp);
-        else
-          selector_.update(sp, wbar_[sps]);
+  struct Hooks {
+    RepairCore& r;
+    const model::InstanceView& view;
+    StreamId s;
+    void assign(UserId u, model::EdgeId, double, double) {
+      const auto uu = static_cast<std::size_t>(u);
+      r.mark_user(uu);
+      r.assigned_[uu].push_back(s);
+      if (r.row_stale_[uu] != 0) {
+        core::sort_row(view, r.ws_, u);
+        r.row_stale_[uu] = 0;
       }
     }
-  }
-  wbar_[static_cast<std::size_t>(s)] = 0.0;
-  selector_.note_propagation(rows, pairs);
+    [[nodiscard]] bool skip(StreamId sp) const {
+      return r.added_seq_[static_cast<std::size_t>(sp)] >= 0;  // s included
+    }
+    void touched(StreamId) {}
+    void died(StreamId) {}
+  } hooks{*this, view, s};
+  core::propagate_pick(view, ws_, selector_, s, hooks);
+  ws_.wbar[static_cast<std::size_t>(s)] = 0.0;
 }
 
 std::size_t RepairCore::run_completion(const WorldRef& w) {
+  const model::InstanceView view = w.view();
+  const auto& cost_order = ws_.cost_order;
   const double B = w.budget();
   std::size_t added = 0;
   std::size_t cursor = 0;
@@ -272,25 +238,26 @@ std::size_t RepairCore::run_completion(const WorldRef& w) {
   for (;;) {
     // Bulk budget cutoff, as in the untraced GreedyEngine::run(): once
     // the cheapest pool stream no longer fits, nothing ever will.
-    while (cursor < cost_order_.size() &&
-           !selector_.contains(cost_order_[cursor]))
+    while (cursor < cost_order.size() &&
+           !selector_.contains(cost_order[cursor]))
       ++cursor;
-    if (cursor >= cost_order_.size()) break;
+    if (cursor >= cost_order.size()) break;
     if (!approx_le(
-            used_ + cost_[static_cast<std::size_t>(cost_order_[cursor])], B))
+            used_ + ws_.cost[static_cast<std::size_t>(cost_order[cursor])], B))
       break;
     const StreamId best = selector_.pop_best();
     if (best == model::kInvalidStream) break;
-    if (wbar_[static_cast<std::size_t>(best)] <= kAbsEps) break;
-    if (!approx_le(used_ + cost_[static_cast<std::size_t>(best)], B)) {
+    const auto bs = static_cast<std::size_t>(best);
+    if (ws_.wbar[bs] <= kAbsEps) break;
+    if (!approx_le(used_ + ws_.cost[bs], B)) {
       skipped_.push_back(best);  // out for this completion only
       continue;
     }
-    add_stream_state(w, best, cost_[static_cast<std::size_t>(best)]);
+    add_stream_state(view, best, ws_.cost[bs]);
     ++added;
   }
   for (const StreamId s : skipped_)
-    if (wbar_[static_cast<std::size_t>(s)] > kAbsEps) selector_.readmit(s);
+    if (ws_.wbar[static_cast<std::size_t>(s)] > kAbsEps) selector_.readmit(s);
   return added;
 }
 
@@ -298,14 +265,13 @@ RepairCore::WinnerPartial RepairCore::winner_partial(
     const WorldRef& w, std::size_t u_begin, std::size_t u_end) const noexcept {
   WinnerPartial acc;
   for (std::size_t uu = u_begin; uu < u_end; ++uu) {
-    const double wv = user_w_[uu];
+    const double wv = ws_.user_w[uu];
     if (wv <= 0.0) continue;
     const double cap = w.capacity[uu];
     acc.capped += std::min(cap, wv);
-    const double last = user_last_w_[uu];
+    const double last = ws_.user_last_w[uu];
     if (last <= 0.0) continue;
-    acc.split.w2 += last;
-    acc.split.w1 += !approx_le(wv, cap) ? wv - last : wv;
+    acc.split += core::split_term(wv, last, cap);
   }
   return acc;
 }
@@ -337,28 +303,6 @@ double RepairCore::amax_value(const WorldRef& w,
             w.capacity[static_cast<std::size_t>(inst.edge_user(e))], wv);
     }
   }
-  return w_amax;
-}
-
-double RepairCore::race(const WinnerPartial& acc, double w_amax,
-                        core::SmdMode mode, const char** variant) noexcept {
-  if (mode == core::SmdMode::kAugmented) {
-    if (acc.capped >= w_amax) {
-      *variant = "greedy";
-      return acc.capped;
-    }
-    *variant = "Amax";
-    return w_amax;
-  }
-  if (acc.split.w1 >= acc.split.w2 && acc.split.w1 >= w_amax) {
-    *variant = "A1";
-    return acc.split.w1;
-  }
-  if (acc.split.w2 >= w_amax) {
-    *variant = "A2";
-    return acc.split.w2;
-  }
-  *variant = "Amax";
   return w_amax;
 }
 
@@ -405,8 +349,7 @@ void RepairCore::update_race(const WorldRef& w,
   race_.winner = {};
   for (const WinnerPartial& p : race_block_) {
     race_.winner.capped += p.capped;
-    race_.winner.split.w1 += p.split.w1;
-    race_.winner.split.w2 += p.split.w2;
+    race_.winner.split += p.split;
   }
 }
 
@@ -420,7 +363,20 @@ double RepairCore::winner_objective(const WorldRef& w, core::SmdMode mode,
   assert(rel_close(acc.split.w1, race_.winner.split.w1));
   assert(rel_close(acc.split.w2, race_.winner.split.w2));
 #endif
-  return race(race_.winner, amax_value(w, race_.amax), mode, variant);
+  const core::RaceOutcome won = core::race_winner(
+      mode, race_.winner.capped, race_.winner.split,
+      amax_value(w, race_.amax));
+  *variant = won.variant;
+  return won.value;
+}
+
+const core::SolveWorkspace& RepairCore::current_rows(const WorldRef& w) {
+  for (std::size_t uu = 0; uu < row_stale_.size(); ++uu)
+    if (row_stale_[uu] != 0) {
+      core::sort_row(w.view(), ws_, static_cast<UserId>(uu));
+      row_stale_[uu] = 0;
+    }
+  return ws_;
 }
 
 model::Assignment RepairCore::build_semi(const WorldRef& w) const {
@@ -433,28 +389,21 @@ model::Assignment RepairCore::build_semi(const WorldRef& w) const {
 
 RepairCore::PreEvent RepairCore::pre_event(const WorldRef& w,
                                            const InstanceEvent& event) {
-  const EventType type = event.type;
   PreEvent pre;
-  pre.user_event =
-      type == EventType::kUserJoin || type == EventType::kUserLeave ||
-      type == EventType::kCapacityChange || type == EventType::kUtilityChange;
-  pre.appends_user = type == EventType::kUserJoin && event.user >= 0 &&
-                     static_cast<std::size_t>(event.user) == w.num_users();
-  pre.appends_stream =
-      type == EventType::kStreamAdd && event.stream >= 0 &&
-      static_cast<std::size_t>(event.stream) == w.num_streams();
+  static_cast<model::EventScope&>(pre) =
+      model::classify_event(event, w.num_users(), w.num_streams());
   pre.old_num_users = w.num_users();
-  if (pre.appends_user || pre.appends_stream) return pre;
+  if (!pre.ids_known || pre.appends_user || pre.appends_stream) return pre;
   if (pre.user_event) {
     // Pre-event snapshot: clamped residual and per-adjacency utilities.
     const auto uu = static_cast<std::size_t>(event.user);
-    pre.old_clamp = clamp0(rem_[uu]);
+    pre.old_clamp = clamp0(ws_.rem[uu]);
     pre.old_cap = w.capacity[uu];
     const auto edges = w.base->edges_of(event.user);
     snap_w_.resize(edges.size());
     for (std::size_t t = 0; t < edges.size(); ++t)
       snap_w_[t] = w.edge_utility[static_cast<std::size_t>(edges[t])];
-    if (type == EventType::kUtilityChange)
+    if (event.type == EventType::kUtilityChange)
       pre.old_pair_w = w.pair_utility(event.user, event.stream);
   }
   return pre;
@@ -473,78 +422,65 @@ void RepairCore::post_event(const WorldRef& w, const InstanceEvent& event,
     rebind(w);
     if (pre.appends_user) {
       const auto u = static_cast<UserId>(pre.old_num_users);
-      refresh_user(w, u, clamp0(rem_[pre.old_num_users]), nullptr);
+      refresh_user(w, u, clamp0(ws_.rem[pre.old_num_users]), nullptr);
       stats.users_refreshed = 1;
     }
     needs_completion = true;
   } else if (pre.user_event) {
     const auto u = event.user;
+    const auto uu = static_cast<std::size_t>(u);
+    row_stale_[uu] = 1;
     refresh_user(w, u, pre.old_clamp, snap_w_.data());
     stats.users_refreshed = 1;
-    switch (type) {
-      case EventType::kUserJoin:
-        needs_completion = true;
-        break;
-      case EventType::kUserLeave:
-        needs_completion = false;  // w̄ only decreased, budget unchanged
-        break;
-      case EventType::kCapacityChange:
-        needs_completion =
-            w.capacity[static_cast<std::size_t>(u)] > pre.old_cap;
-        break;
-      case EventType::kUtilityChange: {
-        const double new_w = event.value;
-        const bool on_added =
-            added_seq_[static_cast<std::size_t>(event.stream)] >= 0;
-        // More room appears when an assigned pair shrinks (capacity is
-        // freed) or a pool pair grows (the pool stream got stronger).
-        needs_completion =
-            on_added ? new_w < pre.old_pair_w : new_w > pre.old_pair_w;
-        break;
-      }
-      default:
-        break;
+    // Room opens on a join; on a larger cap, or a smaller one that
+    // clipped an assigned pair and so left the user more room; when an
+    // assigned pair shrinks or a pool pair grows. A leave only lowers w̄.
+    if (type == EventType::kUserJoin) {
+      needs_completion = true;
+    } else if (type == EventType::kCapacityChange) {
+      needs_completion = w.capacity[uu] > pre.old_cap ||
+                         clamp0(ws_.rem[uu]) > pre.old_clamp;
+    } else if (type == EventType::kUtilityChange) {
+      const double new_w = w.pair_utility(u, event.stream);
+      needs_completion =
+          added_seq_[static_cast<std::size_t>(event.stream)] >= 0
+              ? new_w < pre.old_pair_w
+              : new_w > pre.old_pair_w;
     }
-  } else if (type == EventType::kStreamRemove) {
+  } else {
     const StreamId s = event.stream;
     const auto ss = static_cast<std::size_t>(s);
-    if (added_seq_[ss] >= 0) {
-      // Release: give the stream back, refresh every user it served.
-      // Pool deltas only depend on each user's residual change (the
-      // other pairs' utilities are untouched), so no utility snapshot.
-      added_seq_[ss] = -1;
-      used_ -= cost_[ss];
-      stats.streams_released = 1;
-      for (model::EdgeId e = inst.first_edge(s); e < inst.last_edge(s); ++e) {
-        const UserId u = inst.edge_user(e);
-        const auto uu = static_cast<std::size_t>(u);
-        const auto& list = assigned_[uu];
-        if (std::find(list.begin(), list.end(), s) == list.end()) continue;
-        refresh_user(w, u, clamp0(rem_[uu]), nullptr);
-        ++stats.users_refreshed;
+    // A pull or a restore moves one pair in each of its users' rows.
+    for (model::EdgeId e = inst.first_edge(s); e < inst.last_edge(s); ++e)
+      row_stale_[static_cast<std::size_t>(inst.edge_user(e))] = 1;
+    const double before = ws_.wbar[ss];
+    if (type == EventType::kStreamRemove) {
+      if (added_seq_[ss] >= 0) {
+        // Release: give the stream back, refresh every user it served.
+        // Pool deltas only depend on each user's residual change (the
+        // other pairs' utilities are untouched), so no utility snapshot.
+        added_seq_[ss] = -1;
+        used_ -= ws_.cost[ss];
+        stats.streams_released = 1;
+        for (model::EdgeId e = inst.first_edge(s); e < inst.last_edge(s);
+             ++e) {
+          const UserId u = inst.edge_user(e);
+          const auto uu = static_cast<std::size_t>(u);
+          const auto& list = assigned_[uu];
+          if (std::find(list.begin(), list.end(), s) == list.end()) continue;
+          refresh_user(w, u, clamp0(ws_.rem[uu]), nullptr);
+          ++stats.users_refreshed;
+        }
+        needs_completion = true;  // budget and capacity were freed
       }
-      needs_completion = true;  // budget and capacity were freed
+      ws_.wbar[ss] = 0.0;
+    } else {
+      // The restored stream re-enters the pool mid-solve: its residual is
+      // what the current residual caps leave it.
+      ws_.wbar[ss] = residual_wbar(w, s);
+      needs_completion = true;
     }
-    const double before = wbar_[ss];
-    wbar_[ss] = 0.0;
     pool_track(s, before);
-  } else {  // kStreamAdd restore
-    const StreamId s = event.stream;
-    const auto ss = static_cast<std::size_t>(s);
-    // The restored stream re-enters the pool mid-solve: its residual is
-    // what the current residual caps leave it.
-    double total = 0.0;
-    for (model::EdgeId e = inst.first_edge(s); e < inst.last_edge(s); ++e) {
-      const double wv = w.edge_utility[static_cast<std::size_t>(e)];
-      if (wv <= 0.0) continue;
-      const double c =
-          clamp0(rem_[static_cast<std::size_t>(inst.edge_user(e))]);
-      total += wv < c ? wv : c;
-    }
-    const double before = wbar_[ss];
-    wbar_[ss] = total;
-    pool_track(s, before);
-    needs_completion = true;
   }
 
   if (needs_completion) stats.streams_added = run_completion(w);
@@ -568,12 +504,13 @@ double fresh_winner_objective(const WorldRef& w, const RepairCore::Context& ctx,
   core::GreedyEngine engine(view, *ctx.workspace, gopts);
   engine.run();
   select.merge(engine.result().select);
-  const core::SplitValues split = engine.split_values();
   const double w_amax = RepairCore::amax_value(
       w, RepairCore::amax_partial(w, 0, w.num_streams()));
-  if (ctx.mode == core::SmdMode::kAugmented)
-    return std::max(engine.capped_utility(), w_amax);
-  return std::max({split.w1, split.w2, w_amax});
+  const core::SplitValues split = ctx.mode == core::SmdMode::kFeasible
+                                      ? engine.split_values()
+                                      : core::SplitValues{};
+  return core::race_winner(ctx.mode, engine.capped_utility(), split, w_amax)
+      .value;
 }
 
 model::Assignment materialize_winner(const model::InstanceView& view,

@@ -4,9 +4,18 @@
 // WorldRef is the read-only binding of the serving world — the
 // structural base plus the four effective arrays an InstanceOverlay
 // maintains. RepairCore holds everything the incremental repair needs
-// between events (per-user residuals, the added sequence, pool residual
-// utilities w̄, budget accounting) and exposes the event lifecycle as
-// pre_event / post_event around the caller's world mutation.
+// between events and exposes the event lifecycle as pre_event /
+// post_event around the caller's world mutation.
+//
+// The repair is the §2.1 greedy kept alive: its state lives in a
+// SolveWorkspace in GreedyEngine's layout, and each completion pick runs
+// the greedy's propagation kernel (core/propagate.h) over rows sorted by
+// descending w. resolve() and appends prepare the rows; any other event
+// marks stale the rows of the users whose utilities it changed (the user
+// of a user event, the users of a pulled or restored stream), and a pick
+// re-sorts a stale row before it walks it. On top of the greedy it keeps
+// the per-user assigned lists and the add order, so an event can release
+// and replay the users it touches.
 //
 // An event costs what it touches. The completion's StreamSelector lives
 // across events over RepairCore's own storage, and between events its
@@ -92,12 +101,10 @@ class RepairCore {
     core::SmdMode mode = core::SmdMode::kFeasible;
   };
 
-  // Pre-mutation snapshot for one event. The caller must have validated
-  // the event's ids against the world first; pre_event() reads them.
-  struct PreEvent {
-    bool user_event = false;
-    bool appends_user = false;
-    bool appends_stream = false;
+  // Pre-mutation snapshot for one event, with its scope against the
+  // pre-event world. pre_event() reads the event's ids only when
+  // ids_known; the caller rejects the event otherwise.
+  struct PreEvent : model::EventScope {
     std::size_t old_num_users = 0;
     double old_clamp = 0.0;   // touched user's clamped residual
     double old_cap = 0.0;     // touched user's effective cap
@@ -157,24 +164,32 @@ class RepairCore {
   // stream's live pairs.
   [[nodiscard]] static double amax_value(const WorldRef& w,
                                          const AmaxPartial& best) noexcept;
-  [[nodiscard]] static double race(const WinnerPartial& acc, double w_amax,
-                                   core::SmdMode mode,
-                                   const char** variant) noexcept;
 
   // The maintained semi-feasible assignment (the race's greedy input).
   [[nodiscard]] model::Assignment build_semi(const WorldRef& w) const;
+
+  // The state the completion walks (user_edge_w/_s, cost_order), stale
+  // rows re-sorted first: for checks against a cold core::prepare_rows.
+  [[nodiscard]] const core::SolveWorkspace& current_rows(const WorldRef& w);
 
  private:
   [[nodiscard]] std::size_t run_completion(const WorldRef& w);
   void reset(const WorldRef& w);
   void rebind(const WorldRef& w);
-  void refresh_cost_arrays(const WorldRef& w);
+  // Costs, prepared rows and propagation marks for the world's current
+  // base (resolve and appends).
+  void prepare(const WorldRef& w);
+  // w̄ of pool stream s under the current residuals:
+  // sum over its live pairs of min(w, max(rem, 0)).
+  [[nodiscard]] double residual_wbar(const WorldRef& w,
+                                     model::StreamId s) const noexcept;
   void refresh_user(const WorldRef& w, model::UserId u, double old_clamp,
                     const double* old_w);
-  void add_stream_state(const WorldRef& w, model::StreamId s, double cost);
+  void add_stream_state(const model::InstanceView& view, model::StreamId s,
+                        double cost);
   // Rebuilds the selector's pool from scratch (resolve and appends only).
   void reset_selector(core::SelectStrategy strategy);
-  // Restores the pool invariant after wbar_[s] moved from `before`.
+  // Restores the pool invariant after w̄(s) moved from `before`.
   void pool_track(model::StreamId s, double before);
   // Merges the selector's work since the last flush into `select`.
   void flush_select(core::SelectStats& select);
@@ -190,16 +205,14 @@ class RepairCore {
   void update_race(const WorldRef& w,
                    std::span<const model::StreamId> changed);
 
-  // Mirrors GreedyEngine's invariants, owner-held so fresh scoring solves
-  // can share the workspace without clobbering it.
-  std::vector<double> rem_;          // per user: cap - assigned w
-  std::vector<double> user_w_;       // per user: assigned (current) w
-  std::vector<double> user_last_w_;  // per user: last assigned pair's w
+  // The greedy's state (rem, wbar, cost, user_w, user_last_w, the
+  // prepared rows and cost_order) and the completion selector's tree.
+  // Owner-held: the drift check's fresh solves run a GreedyEngine on the
+  // caller's workspace and would clobber it.
+  core::SolveWorkspace ws_;
   std::vector<std::vector<model::StreamId>> assigned_;  // per user, in order
-  std::vector<double> wbar_;                 // per stream (pool streams live)
-  std::vector<double> cost_;                 // per stream
-  std::vector<model::StreamId> cost_order_;  // ascending cost
-  std::vector<std::int32_t> added_seq_;      // per stream: add order, -1 = pool
+  std::vector<std::int32_t> added_seq_;  // per stream: add order, -1 = pool
+  std::vector<char> row_stale_;  // per user: the row lags the world
   std::int32_t next_seq_ = 0;
   double used_ = 0.0;
   // Per-event scratch: the touched user's pre-event pair utilities and
@@ -207,10 +220,7 @@ class RepairCore {
   std::vector<double> snap_w_;
   std::vector<std::pair<std::int32_t, std::int32_t>> replay_;
 
-  // The completion's selector, over its own workspace: the drift check's
-  // fresh solves run a GreedyEngine on the caller's and would clobber it.
-  core::SolveWorkspace select_ws_;
-  core::StreamSelector selector_;
+  core::StreamSelector selector_;  // over ws_.wbar / ws_.cost
   core::SelectStrategy strategy_ = core::SelectStrategy::kDelta;
   core::SelectStats flushed_;           // selector work already merged
   std::vector<model::StreamId> skipped_;  // over budget this completion

@@ -7,18 +7,17 @@
 // assignment plus per-event RepairStats. Three repair policies:
 //
 //   * kRepair (default) — incremental repair. The session keeps the §2
-//     greedy's live state (per-user residual caps, per-stream residual
-//     utility w̄, the added-stream sequence — engine/repair_core.h) and
-//     reacts to an event by releasing only the touched users/streams: the
-//     affected user's pairs are replayed against the unchanged added
-//     sequence (O(deg)), each w̄ delta is propagated exactly (the same
-//     arithmetic as GreedyEngine::add_stream, reported through
-//     StreamSelector::update), and a greedy *completion* reconsiders the
-//     pool only when the event could have opened room (joins, restores,
-//     freed budget/capacity). Every `refresh` events the session
-//     scores a from-scratch greedy (scoring mode, no assignment build);
-//     relative drift beyond `bound` triggers a full resolve that
-//     rebuilds the state.
+//     greedy alive between events (engine/repair_core.h): its state in
+//     GreedyEngine's layout, its rows sorted and kept current per event.
+//     An event releases only the touched users/streams: the affected
+//     user's pairs are replayed against the unchanged added sequence
+//     (O(deg)) with each w̄ delta applied exactly, and a greedy
+//     *completion* reconsiders the pool only when the event could have
+//     opened room (joins, restores, freed budget/capacity). Its picks run
+//     the greedy's own propagation kernel (core/propagate.h). Every
+//     `refresh` events the session scores a from-scratch greedy (scoring
+//     mode, no assignment build); relative drift beyond `bound` triggers
+//     a full resolve that rebuilds the state.
 //   * kResolve — per-event from-scratch solve_unit_skew on the overlay
 //     view: bit-identical to a one-shot `greedy` solve of the overlay's
 //     materialized instance after every event (the differential anchor,
@@ -194,9 +193,9 @@ class Session {
   [[nodiscard]] double fresh_objective();
 
   // Bakes the current world into a standalone Instance (the validation /
-  // parity snapshot; bit-compatible with the live view while no live
-  // pair exceeds its cap — the parity-safety contract of
-  // workload/trace_state.h).
+  // parity snapshot; bit-compatible with the live view after any
+  // accepted event sequence — the overlay applies the builder's cap rule
+  // itself, model/overlay.h).
   [[nodiscard]] model::Instance snapshot() const {
     return overlay_.materialize();
   }

@@ -48,6 +48,14 @@ RepairStats Session::apply(const InstanceEvent& event) {
   RepairStats stats;
   ++counters_.events;
   try {
+    // An unknown id: the overlay raises its canonical error before any
+    // session state (or pre-event snapshot read) touches it.
+    if (!model::classify_event(event, overlay_.num_users(),
+                               overlay_.num_streams())
+             .ids_known) {
+      overlay_.apply(event);
+      throw std::logic_error("Session: overlay accepted an out-of-range id");
+    }
     switch (opts_.policy) {
       case ServePolicy::kRepair:
         repair_apply(event, stats);
@@ -128,35 +136,6 @@ double Session::fresh_objective() {
 }
 
 void Session::repair_apply(const InstanceEvent& event, RepairStats& stats) {
-  const std::size_t U = overlay_.num_users();
-  const std::size_t S = overlay_.num_streams();
-  const EventType type = event.type;
-
-  const bool user_event =
-      type == EventType::kUserJoin || type == EventType::kUserLeave ||
-      type == EventType::kCapacityChange || type == EventType::kUtilityChange;
-  const bool appends_user =
-      type == EventType::kUserJoin && event.user >= 0 &&
-      static_cast<std::size_t>(event.user) == U;
-  const bool appends_stream =
-      type == EventType::kStreamAdd && event.stream >= 0 &&
-      static_cast<std::size_t>(event.stream) == S;
-  // Out-of-range ids: let the overlay raise its canonical error before
-  // any session state (or pre-event snapshot read) touches them. A
-  // kUtilityChange names both a user and a stream — both must be valid
-  // before the snapshot reads the pair.
-  const bool bad_user =
-      user_event && !appends_user &&
-      (event.user < 0 || static_cast<std::size_t>(event.user) >= U);
-  const bool bad_stream =
-      ((!user_event && !appends_stream) ||
-       type == EventType::kUtilityChange) &&
-      (event.stream < 0 || static_cast<std::size_t>(event.stream) >= S);
-  if (bad_user || bad_stream) {
-    overlay_.apply(event);
-    throw std::logic_error("Session: overlay accepted an out-of-range id");
-  }
-
   const RepairCore::PreEvent pre = repair_.pre_event(world(), event);
   overlay_.apply(event);
   repair_.post_event(world(), event, pre, repair_context(), select_, stats);
@@ -211,18 +190,12 @@ void Session::online_offer(StreamId s, RepairStats& stats) {
 
 void Session::online_apply(const InstanceEvent& event, RepairStats& stats) {
   stats.action = RepairAction::kOnlineStep;
-  const std::size_t U = overlay_.num_users();
-  const std::size_t S = overlay_.num_streams();
+  const model::EventScope scope = model::classify_event(
+      event, overlay_.num_users(), overlay_.num_streams());
   switch (event.type) {
     case EventType::kStreamAdd: {
-      const bool append = event.stream >= 0 &&
-                          static_cast<std::size_t>(event.stream) == S;
-      if (!append &&
-          (event.stream < 0 || static_cast<std::size_t>(event.stream) >= S)) {
-        overlay_.apply(event);  // raises the canonical range error
-        throw std::logic_error("Session: overlay accepted a bad stream id");
-      }
-      const bool was_alive = !append && overlay_.stream_alive(event.stream);
+      const bool was_alive =
+          !scope.appends_stream && overlay_.stream_alive(event.stream);
       overlay_.apply(event);
       accepted_.resize(overlay_.num_streams());
       if (!was_alive) online_offer(event.stream, stats);
@@ -242,10 +215,8 @@ void Session::online_apply(const InstanceEvent& event, RepairStats& stats) {
       break;
     }
     case EventType::kUserJoin: {
-      const bool append =
-          event.user >= 0 && static_cast<std::size_t>(event.user) == U;
       overlay_.apply(event);
-      if (append) {
+      if (scope.appends_user) {
         // The eq.-(1) per-user scale of the cap form is exactly 1/D for
         // every user with interests (each pair has load == utility, so
         // min w/(D*k) is 1/D): register the appended user on the same

@@ -11,6 +11,8 @@
 // restore / append) and the repair policies in engine::Session.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "model/types.h"
@@ -46,5 +48,44 @@ struct InstanceEvent {
   // Interest edges of an appended entity (ignored for non-append events).
   std::vector<InterestSpec> interests;
 };
+
+// What an event names, against the current entity counts: the serving
+// layer's one rule for telling an append from a restore, and a known id
+// from one the overlay must reject.
+struct EventScope {
+  bool user_event = false;      // join / leave / capacity / utility
+  bool appends_user = false;    // kUserJoin with user == num_users
+  bool appends_stream = false;  // kStreamAdd with stream == num_streams
+  bool ids_known = true;        // every id it names exists or is appended
+};
+
+[[nodiscard]] inline EventScope classify_event(
+    const InstanceEvent& event, std::size_t num_users,
+    std::size_t num_streams) noexcept {
+  const auto is = [](std::int32_t id, std::size_t count) {
+    return id >= 0 && static_cast<std::size_t>(id) == count;
+  };
+  const auto known = [](std::int32_t id, std::size_t count) {
+    return id >= 0 && static_cast<std::size_t>(id) < count;
+  };
+  const EventType type = event.type;
+  EventScope out;
+  out.user_event = type == EventType::kUserJoin ||
+                   type == EventType::kUserLeave ||
+                   type == EventType::kCapacityChange ||
+                   type == EventType::kUtilityChange;
+  out.appends_user =
+      type == EventType::kUserJoin && is(event.user, num_users);
+  out.appends_stream =
+      type == EventType::kStreamAdd && is(event.stream, num_streams);
+  // A kUtilityChange names both a user and a stream.
+  const bool user_ok =
+      !out.user_event || out.appends_user || known(event.user, num_users);
+  const bool stream_ok =
+      (out.user_event && type != EventType::kUtilityChange) ||
+      out.appends_stream || known(event.stream, num_streams);
+  out.ids_known = user_ok && stream_ok;
+  return out;
+}
 
 }  // namespace vdist::model

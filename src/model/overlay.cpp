@@ -1,6 +1,8 @@
 #include "model/overlay.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -65,6 +67,12 @@ InstanceOverlay::InstanceOverlay(const Instance& parent) : parent_(&parent) {
   for (std::size_t u = 0; u < capacity_.size(); ++u)
     capacity_[u] = parent.capacity(static_cast<UserId>(u), 0);
   declared_cap_ = capacity_;
+  max_declared_.assign(parent.num_users(), 0.0);
+  for (std::size_t e = 0; e < parent.num_edges(); ++e) {
+    double& top = max_declared_[static_cast<std::size_t>(
+        parent.edge_user(static_cast<EdgeId>(e)))];
+    top = std::max(top, parent.edge_utilities()[e]);
+  }
   user_alive_.assign(parent.num_users(), 1);
   stream_alive_.assign(parent.num_streams(), 1);
 }
@@ -82,6 +90,14 @@ double InstanceOverlay::declared_utility(EdgeId e, UserId u,
              : base().edge_utility(e);
 }
 
+double InstanceOverlay::effective_utility(EdgeId e, UserId u,
+                                          StreamId s) const noexcept {
+  if (!user_alive(u) || !stream_alive(s)) return 0.0;
+  const double w = declared_utility(e, u, s);
+  return util::approx_le(w, declared_cap_[static_cast<std::size_t>(u)]) ? w
+                                                                        : 0.0;
+}
+
 void InstanceOverlay::resum_total(StreamId s) {
   const Instance& inst = base();
   double total = 0.0;
@@ -92,28 +108,31 @@ void InstanceOverlay::resum_total(StreamId s) {
 
 void InstanceOverlay::refresh_user_edges(UserId u) {
   const Instance& inst = base();
-  const bool u_alive = user_alive(u);
   const auto edges = inst.edges_of(u);
   const auto streams = inst.streams_of(u);
+  const bool alive = user_alive(u);
+  const double cap = declared_cap_[static_cast<std::size_t>(u)];
+  // streams_of(u) is sorted and duplicate-free, so each stream whose
+  // pair moved is resummed exactly once.
   for (std::size_t t = 0; t < edges.size(); ++t) {
-    const StreamId s = streams[t];
-    const auto e = edges[t];
-    edge_utility_[static_cast<std::size_t>(e)] =
-        u_alive && stream_alive(s) ? declared_utility(e, u, s) : 0.0;
+    double& slot = edge_utility_[static_cast<std::size_t>(edges[t])];
+    // A nonzero pair of a live user carries its declared value, so only a
+    // cap crossing can move it; the zero ones need the declared lookup.
+    const double w = alive && slot > 0.0
+                         ? (util::approx_le(slot, cap) ? slot : 0.0)
+                         : effective_utility(edges[t], u, streams[t]);
+    if (std::bit_cast<std::uint64_t>(w) == std::bit_cast<std::uint64_t>(slot))
+      continue;
+    slot = w;
+    resum_total(streams[t]);
   }
-  // streams_of(u) is sorted and duplicate-free, so each affected stream
-  // is resummed exactly once.
-  for (const StreamId s : streams) resum_total(s);
 }
 
 void InstanceOverlay::refresh_stream_edges(StreamId s) {
   const Instance& inst = base();
-  const bool s_alive = stream_alive(s);
-  for (EdgeId e = inst.first_edge(s); e < inst.last_edge(s); ++e) {
-    const UserId u = inst.edge_user(e);
+  for (EdgeId e = inst.first_edge(s); e < inst.last_edge(s); ++e)
     edge_utility_[static_cast<std::size_t>(e)] =
-        s_alive && user_alive(u) ? declared_utility(e, u, s) : 0.0;
-  }
+        effective_utility(e, inst.edge_user(e), s);
   resum_total(s);
 }
 
@@ -157,8 +176,15 @@ void InstanceOverlay::set_capacity(UserId u, double cap) {
   check_user("set_capacity", u, num_users());
   if (!(util::is_finite_nonneg(cap) || is_unbounded(cap)))
     throw std::invalid_argument("set_capacity: cap must be >= 0 or inf");
-  declared_cap_[static_cast<std::size_t>(u)] = cap;
-  if (user_alive(u)) capacity_[static_cast<std::size_t>(u)] = cap;
+  const auto uu = static_cast<std::size_t>(u);
+  const double old = declared_cap_[uu];
+  declared_cap_[uu] = cap;
+  if (!user_alive(u)) return;
+  capacity_[uu] = cap;
+  // A pair moves only across the cap, and none can while both caps are
+  // at or above every declared utility of the user.
+  if (old >= max_declared_[uu] && cap >= max_declared_[uu]) return;
+  refresh_user_edges(u);
 }
 
 void InstanceOverlay::set_utility(UserId u, StreamId s, double utility) {
@@ -173,8 +199,10 @@ void InstanceOverlay::set_utility(UserId u, StreamId s, double utility) {
                                 std::to_string(s) +
                                 ") is not in the interest graph");
   utility_override_[pair_key(u, s)] = utility;
+  double& top = max_declared_[static_cast<std::size_t>(u)];
+  top = std::max(top, utility);
   if (user_alive(u) && stream_alive(s)) {
-    edge_utility_[static_cast<std::size_t>(*e)] = utility;
+    edge_utility_[static_cast<std::size_t>(*e)] = effective_utility(*e, u, s);
     resum_total(s);
   }
 }
@@ -283,6 +311,9 @@ void InstanceOverlay::rebuild() {
 
   auto rebuilt = std::make_unique<Instance>(std::move(b).build());
 
+  max_declared_.resize(max_w.size(), 0.0);
+  for (std::size_t u = 0; u < max_w.size(); ++u)
+    max_declared_[u] = std::max(max_declared_[u], max_w[u]);
   for (const PendingUser& pu : pending_users_) {
     declared_cap_.push_back(pu.cap);
     capacity_.push_back(pu.cap);
@@ -299,19 +330,9 @@ void InstanceOverlay::rebuild() {
 
   // Re-derive effective utilities against the new edge-id space.
   const Instance& inst = *owned_;
-  edge_utility_.assign(inst.num_edges(), 0.0);
-  for (std::size_t ss = 0; ss < inst.num_streams(); ++ss) {
-    const auto s = static_cast<StreamId>(ss);
-    if (stream_alive(s)) {
-      for (EdgeId e = inst.first_edge(s); e < inst.last_edge(s); ++e) {
-        const UserId u = inst.edge_user(e);
-        if (user_alive(u))
-          edge_utility_[static_cast<std::size_t>(e)] =
-              declared_utility(e, u, s);
-      }
-    }
-    resum_total(s);
-  }
+  edge_utility_.resize(inst.num_edges());
+  for (std::size_t ss = 0; ss < inst.num_streams(); ++ss)
+    refresh_stream_edges(static_cast<StreamId>(ss));
   for (std::size_t u = 0; u < capacity_.size(); ++u)
     capacity_[u] =
         user_alive_[u] != 0 ? declared_cap_[u] : 0.0;

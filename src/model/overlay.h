@@ -18,12 +18,19 @@
 //     base CSR is rebuilt (O(nnz)) and generation() is bumped — edge ids
 //     are NOT stable across a rebuild, entity ids are.
 //
+// One meaning per event: a pair's effective utility is its declared
+// value while both ends are alive and the value is approx_le the user's
+// cap, and 0 otherwise — the builder's rule that w_u(S) = 0 when the
+// stream alone exceeds the user's capacity. Capacity, utility and join
+// events re-derive it, so a pair that crosses its cap leaves the world
+// and comes back when the cap (or the value) lets it.
+//
 // view() exposes the current state as a model::InstanceView over the
 // current base, so the whole §2 solver family (and engine::Session's
 // repair policies) runs on overlay state with zero copies per solve.
-// materialize() bakes the current state into a standalone Instance under
-// the paper's standing conventions (dead pairs dropped, w zeroed above
-// the cap) — the ground truth the session parity tests solve from scratch.
+// materialize() bakes the current state into a standalone Instance — the
+// ground truth the session parity tests solve from scratch. Both read the
+// same effective arrays, so they agree on every accepted event sequence.
 //
 // Not thread-safe; one overlay per session, like a SolveWorkspace.
 #pragma once
@@ -148,7 +155,8 @@ class InstanceOverlay {
   // Set user u's declared cap (effective immediately when alive). The cap
   // must be finite and >= 0, or kUnbounded.
   void set_capacity(UserId u, double cap);
-  // Set w_u(S) of an existing interest pair (>= 0; 0 disables the pair).
+  // Set w_u(S) of an existing interest pair (>= 0; 0 disables the pair,
+  // and so does a value above the user's cap until the cap admits it).
   // The override outlives tombstone/restore cycles and rebuilds. Throws
   // std::invalid_argument when the pair is not in the interest graph.
   void set_utility(UserId u, StreamId s, double utility);
@@ -166,9 +174,9 @@ class InstanceOverlay {
 
   // Bakes the current effective state into a standalone Instance:
   // snapshot_instance() over the current base and effective arrays.
-  // Bit-compatible with view() for solver parity as long as no live pair
-  // exceeds its user's cap (the parity-safety contract every workload
-  // trace keeps, workload/trace_state.h).
+  // Bit-compatible with view() for solver parity: the effective arrays
+  // already hold the builder's cap rule, so the builder drops exactly the
+  // zero pairs.
   [[nodiscard]] Instance materialize() const {
     return snapshot_instance(instance(), edge_utility_, capacity_);
   }
@@ -179,11 +187,16 @@ class InstanceOverlay {
   // explicit override exists for its pair.
   [[nodiscard]] double declared_utility(EdgeId e, UserId u,
                                         StreamId s) const noexcept;
+  // Effective utility of edge e = (u, s) under the current alive flags,
+  // declared values and declared cap (see the header comment).
+  [[nodiscard]] double effective_utility(EdgeId e, UserId u,
+                                         StreamId s) const noexcept;
   // Recomputes one stream's total by a full CSR resum — bit-equal to the
   // sum a freshly built Instance would carry (adding 0.0 terms is exact).
   void resum_total(StreamId s);
-  // Re-derives the effective utilities of every edge incident to u / s
-  // (after an alive-flag flip), resumming affected stream totals.
+  // Re-derive the effective utilities of every edge incident to u / s
+  // (after an alive-flag flip or a cap change). The user side resums only
+  // the streams whose pair changed.
   void refresh_user_edges(UserId u);
   void refresh_stream_edges(StreamId s);
   // Rebuilds the owned base from the current structural state plus the
@@ -202,6 +215,9 @@ class InstanceOverlay {
   std::vector<double> total_utility_;  // effective, per stream
   std::vector<double> capacity_;       // effective, per user
   std::vector<double> declared_cap_;   // survives tombstones
+  // Per user: at least every declared utility of its pairs (overrides
+  // included; it only grows). A cap at or above it clips nothing.
+  std::vector<double> max_declared_;
   std::vector<char> user_alive_;
   std::vector<char> stream_alive_;
   // Explicit UtilityChange values by (u, s) pair — stable across rebuilds.

@@ -1,10 +1,11 @@
 // Shared bookkeeping for the workload trace generators: alive flags,
 // current declared caps, per-user utility ceilings, and event emitters
-// that are the one home of the parity-safety contract — caps floored at
-// the user's largest declared pair utility, utilities clamped to the
-// declared value — so w_u(S) <= W_u keeps holding at every prefix and
-// InstanceOverlay::materialize() stays bit-compatible with the overlay
-// view. Internal to src/workload/ — the public surface is workload.h.
+// that keep every declared pair live — caps floored at the user's
+// largest declared pair utility, utilities clamped to the declared
+// value — so w_u(S) <= W_u holds at every prefix and no generated event
+// clips a pair at its cap. (Parity does not rest on this: the overlay
+// applies the cap rule to any event, model/overlay.h.) Internal to
+// src/workload/ — the public surface is workload.h.
 #pragma once
 
 #include <algorithm>
@@ -115,7 +116,7 @@ struct TraceState {
     return true;
   }
 
-  // Capacity change floored at max_w[u] (the parity-safety contract);
+  // Capacity change floored at max_w[u] (no pair crosses its cap);
   // unbounded caps are never churned.
   bool emit_capacity(model::UserId u, double value,
                      std::vector<model::InstanceEvent>& out) {

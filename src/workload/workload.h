@@ -8,14 +8,13 @@
 // churned-snapshot scenarios resolve through, so every trace is
 // reproducible from one `family=NAME,key=value,...` line.
 //
-// Every family honors the parity-safety contract of
-// workload/trace_state.h, whose emitters every generator goes through:
+// Every family goes through the emitters of workload/trace_state.h:
 // generated capacities never drop below the user's largest declared pair
 // utility and generated utilities never rise above the declared value,
-// so w_u(S) <= W_u keeps holding at every prefix and
-// InstanceOverlay::materialize() stays bit-compatible with the overlay
-// view — the invariant the resolve-policy parity checks (and the
-// competitive harness's ratio == 1.0 differential) stand on.
+// so w_u(S) <= W_u keeps holding at every prefix and no pair is clipped
+// at its cap. The resolve-policy parity checks (and the competitive
+// harness's ratio == 1.0 differential) do not depend on it: the overlay
+// gives clipped pairs one meaning in view and snapshot alike.
 #pragma once
 
 #include <cstdint>

@@ -398,6 +398,25 @@ run_cli(0 gen-events "${traces_dir}/compete_smoke.vd" --family flash-crowd
 expect_same_file("${WORK_DIR}/flash_crowd.events"
                  "${traces_dir}/flash_crowd.events")
 
+# --- cap-crossing events keep every differential contract --------------------
+# contract_breakers.events pushes pairs across their users' caps, which no
+# workload generator does, over the committed `gen --kind cap --streams 12
+# --seed 2` world. The overlay clips such a pair in the view and the
+# snapshot alike, so resolve stays bit-equal to the from-scratch solve
+# after every event (serve --check 1 exits 0, not 4), repair stays within
+# its bound, and compete's resolve ratio is exactly 1.0 (exit 5 below).
+set(breakers_vd "${traces_dir}/contract_breakers.vd")
+set(breakers_ev "${traces_dir}/contract_breakers.events")
+run_cli(0 gen --kind cap --streams 12 --seed 2
+        --out "${WORK_DIR}/contract_breakers.vd")
+expect_same_file("${WORK_DIR}/contract_breakers.vd" "${breakers_vd}")
+foreach(policy resolve repair)
+  run_cli(0 serve "${breakers_vd}" --events "${breakers_ev}"
+          --policy ${policy} --check 1)
+endforeach()
+run_cli(0 compete "${breakers_vd}" --events "${breakers_ev}"
+        --policy resolve --every 1 --min-ratio 1.0)
+
 # --- perf --filter: label-subset runs ----------------------------------------
 run_cli(0 perf --smoke 1 --reps 3 --filter greedy
         --out "${WORK_DIR}/perf-filter.json")

@@ -162,6 +162,53 @@ TEST(InstanceOverlay, MaterializeBakesTheEffectiveState) {
               overlay.total_utility(static_cast<StreamId>(s)));
 }
 
+// One meaning for a pair above its user's cap: the builder's rule (w = 0
+// unless w is approx_le the cap) holds in the live view as in the
+// snapshot, through capacity, utility and join events, and the pair
+// comes back when the cap admits it again.
+TEST(InstanceOverlay, PairsAboveTheCapAreClippedInViewAndSnapshotAlike) {
+  const Instance parent = small_cap();
+  InstanceOverlay overlay(parent);
+  const auto expect_agree = [&](const char* step) {
+    const Instance snap = overlay.materialize();
+    for (std::size_t uu = 0; uu < overlay.num_users(); ++uu)
+      for (std::size_t ss = 0; ss < overlay.num_streams(); ++ss) {
+        const auto u = static_cast<UserId>(uu);
+        const auto s = static_cast<StreamId>(ss);
+        EXPECT_EQ(snap.utility(u, s), overlay.pair_utility(u, s)) << step;
+      }
+    for (std::size_t ss = 0; ss < overlay.num_streams(); ++ss)
+      EXPECT_EQ(snap.total_utility(static_cast<StreamId>(ss)),
+                overlay.total_utility(static_cast<StreamId>(ss)))
+          << step;
+  };
+  overlay.set_capacity(1, 5.5);  // (1, 1) = 6 crosses, (1, 0) = 5 stays
+  EXPECT_EQ(overlay.pair_utility(1, 1), 0.0);
+  EXPECT_EQ(overlay.pair_utility(1, 0), 5.0);
+  EXPECT_EQ(overlay.total_utility(1), 7.0);
+  EXPECT_EQ(overlay.total_utility(0), 9.0);
+  expect_agree("cap below a pair");
+  overlay.set_utility(2, 2, 20.0);  // above user 2's cap of 14
+  EXPECT_EQ(overlay.pair_utility(2, 2), 0.0);
+  EXPECT_EQ(overlay.total_utility(2), 0.0);
+  expect_agree("utility above the cap");
+  overlay.user_leave(0);
+  overlay.user_join(0, 3.0);  // (0, 0) = 4 returns above the new cap
+  EXPECT_EQ(overlay.pair_utility(0, 0), 0.0);
+  EXPECT_EQ(overlay.total_utility(0), 5.0);
+  expect_agree("join below a pair");
+  overlay.set_capacity(1, 12.0);
+  overlay.set_capacity(2, 25.0);
+  overlay.user_join(0, 10.0);  // already alive: a cap change
+  EXPECT_EQ(overlay.pair_utility(1, 1), 6.0);
+  EXPECT_EQ(overlay.pair_utility(2, 2), 20.0);
+  EXPECT_EQ(overlay.pair_utility(0, 0), 4.0);
+  EXPECT_EQ(overlay.total_utility(0), 9.0);
+  EXPECT_EQ(overlay.total_utility(1), 13.0);
+  EXPECT_EQ(overlay.total_utility(2), 20.0);
+  expect_agree("caps lifted");
+}
+
 TEST(InstanceOverlay, ApplyDispatchesAndValidates) {
   const Instance parent = small_cap();
   InstanceOverlay overlay(parent);

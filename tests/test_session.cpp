@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <climits>
+#include <cstdint>
 #include <cmath>
 #include <map>
 #include <string>
@@ -449,6 +451,50 @@ TEST(Session, CheckParityHoldsUnderRepairWithPerEventRefresh) {
   EXPECT_TRUE(model::validate(on_snap).feasible());
 }
 
+// Events no generator emits, because they push pairs across their cap: a
+// cap below a user's pairs, a utility above its cap, then the caps lifted
+// again. View and snapshot give such a pair one meaning, so resolve stays
+// bit-equal to the from-scratch solve, repair stays within its bound, and
+// the repair assignment stays feasible on the snapshot.
+TEST(Session, CapCrossingEventsKeepParityUnderEveryPolicy) {
+  const Instance inst = churn_base(2, 20, 10);
+  std::vector<InstanceEvent> trace;
+  for (UserId u = 0; u < 5; ++u) {
+    const auto edges = inst.edges_of(u);
+    if (edges.empty()) continue;
+    const double cap = inst.capacity(u, 0);
+    double top = 0.0;
+    for (const model::EdgeId e : edges) top = std::max(top, inst.edge_utility(e));
+    trace.push_back({.type = EventType::kCapacityChange, .user = u,
+                     .value = 0.5 * top, .interests = {}});
+    trace.push_back({.type = EventType::kUtilityChange, .user = u,
+                     .stream = inst.streams_of(u).front(), .value = 3.0 * cap,
+                     .interests = {}});
+  }
+  for (UserId u = 0; u < 5; ++u)
+    trace.push_back({.type = EventType::kCapacityChange, .user = u,
+                     .value = 4.0 * inst.capacity(u, 0), .interests = {}});
+  for (const ServePolicy policy : {ServePolicy::kResolve, ServePolicy::kRepair}) {
+    ServeConfig cfg;
+    cfg.policy = policy;
+    cfg.refresh = 1;
+    const auto backend = make_backend(inst, cfg);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      backend->apply(trace[i]);
+      const ParityReport parity = backend->check_parity();
+      EXPECT_TRUE(parity.ok) << to_string(policy) << " event " << i << ": "
+                             << parity.detail;
+      const Instance snap = backend->snapshot();
+      model::Assignment on_snap(snap);
+      for (const auto& [u, s] :
+           pairs_of(backend->assignment(), snap.num_users()))
+        on_snap.assign(u, s);
+      EXPECT_TRUE(model::validate(on_snap).feasible())
+          << to_string(policy) << " event " << i;
+    }
+  }
+}
+
 // The online policy has no per-event bound against the offline optimum:
 // its parity report is trivially ok and echoes the maintained objective.
 TEST(Session, OnlineCheckParityEchoesTheMaintainedObjective) {
@@ -853,7 +899,7 @@ TEST(ChurnScenario, RegisteredAndLayersOverUnitSkewBases) {
 // touched. At every event of a flash-crowd, a hetero-cap and a churn
 // trace they must match a full winner_partial + amax_partial pass (the
 // argmax exactly, the sums to 1e-12 relative), and winner_objective
-// must equal race() over that pass. The world spans several user
+// must equal core::race_winner over that pass. The world spans several user
 // blocks; its loose budget lets completions add streams (and the churn
 // trace releases them); the check runs in every build type, not only
 // under the debug assert.
@@ -907,15 +953,115 @@ TEST(RepairCore, MaintainedRaceTermsMatchAFullPassAtEveryEvent) {
         ASSERT_TRUE(close(kept.winner.split.w1, full.split.w1)) << where;
         ASSERT_TRUE(close(kept.winner.split.w2, full.split.w2)) << where;
         const char* kept_variant = "";
-        const char* full_variant = "";
         const double value = repair.winner_objective(w, mode, &kept_variant);
-        const double expect = RepairCore::race(
-            full, RepairCore::amax_value(w, amax), mode, &full_variant);
-        ASSERT_TRUE(close(value, expect)) << where;
-        ASSERT_STREQ(kept_variant, full_variant) << where;
+        const core::RaceOutcome expect = core::race_winner(
+            mode, full.capped, full.split, RepairCore::amax_value(w, amax));
+        ASSERT_TRUE(close(value, expect.value)) << where;
+        ASSERT_STREQ(kept_variant, expect.variant) << where;
       }
       EXPECT_GT(added, 0u) << family << ": no completion added a stream";
     }
+  }
+}
+
+// RepairCore keeps its prepared rows current per event: it marks stale
+// only the rows an event changed (the user of a user event, every user of
+// a pulled or restored stream), re-sorts those when walked, and prepares
+// them afresh on appends and at resolve(). After every event of a trace from each
+// workload family — with a user and a stream appended mid-trace, and
+// events that clip pairs at their cap and lift the clip again — the rows
+// and the cost order must equal a cold prepare_rows of the overlay's
+// view, bit for bit.
+TEST(RepairCore, MaintainedRowsEqualAColdPrepAfterEveryEvent) {
+  gen::RandomCapConfig cfg;
+  cfg.num_streams = 120;
+  cfg.num_users = 80;
+  cfg.interest_per_stream = 8.0;
+  cfg.budget_fraction = 0.6;
+  cfg.seed = 11;
+  const Instance inst = gen::random_cap_instance(cfg);
+  const auto new_user = static_cast<UserId>(inst.num_users());
+  const auto new_stream = static_cast<StreamId>(inst.num_streams());
+  const UserId u0 = inst.edge_user(inst.first_edge(0));
+  const auto same_bits = [](std::span<const double> a,
+                            std::span<const double> b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](double x, double y) {
+                        return std::bit_cast<std::uint64_t>(x) ==
+                               std::bit_cast<std::uint64_t>(y);
+                      });
+  };
+  for (const std::string family :
+       {"churn", "zipf-drift", "flash-crowd", "diurnal", "hetero-cap"}) {
+    std::vector<InstanceEvent> trace =
+        workload::WorkloadRegistry::global().generate(
+            family, inst, {{"events", "200"}, {"seed", "5"}});
+    InstanceEvent user_append;
+    user_append.type = EventType::kUserJoin;
+    user_append.user = new_user;
+    user_append.value = 30.0;
+    user_append.interests = {{.stream = 0, .utility = 4.0},
+                             {.stream = 7, .utility = 9.0}};
+    InstanceEvent stream_append;
+    stream_append.type = EventType::kStreamAdd;
+    stream_append.stream = new_stream;
+    stream_append.value = 1.0;
+    stream_append.interests = {{.user = 2, .utility = 3.0},
+                               {.user = new_user, .utility = 5.0}};
+    // Cap-crossing events no generator emits: a cap below u0's pairs, a
+    // pair above the new user's cap, then both lifted again.
+    const auto event = [](EventType type, UserId u, StreamId s, double v) {
+      InstanceEvent ev;
+      ev.type = type;
+      ev.user = u;
+      ev.stream = s;
+      ev.value = v;
+      return ev;
+    };
+    const InstanceEvent clip_cap =
+        event(EventType::kCapacityChange, u0, model::kInvalidStream, 0.05);
+    const InstanceEvent clip_pair =
+        event(EventType::kUtilityChange, new_user, 7, 45.0);
+    const InstanceEvent lift_cap =
+        event(EventType::kCapacityChange, u0, model::kInvalidStream, 80.0);
+    const InstanceEvent lift_pair = event(EventType::kCapacityChange,
+                                          new_user, model::kInvalidStream, 60.0);
+    trace.insert(trace.begin() + 160, {clip_cap, clip_pair, lift_cap});
+    trace.insert(trace.begin() + 120, {lift_pair, clip_cap});
+    trace.insert(trace.begin() + 100, stream_append);
+    trace.insert(trace.begin() + 50, user_append);
+    trace.insert(trace.begin() + 52, clip_pair);
+
+    model::InstanceOverlay overlay(inst);
+    const auto world = [&] {
+      return WorldRef{&overlay.instance(), overlay.edge_utilities(),
+                      overlay.total_utilities(), overlay.capacities(),
+                      overlay.stream_alive_flags()};
+    };
+    core::SolveWorkspace ws;
+    core::SelectStats select;
+    RepairCore repair;
+    const RepairCore::Context ctx{&ws, core::SelectStrategy::kDelta,
+                                  core::SmdMode::kFeasible};
+    repair.resolve(world(), ctx, select);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const RepairCore::PreEvent pre = repair.pre_event(world(), trace[i]);
+      overlay.apply(trace[i]);
+      RepairStats stats;
+      repair.post_event(world(), trace[i], pre, ctx, select, stats);
+      if (i % 40 == 39) repair.resolve(world(), ctx, select);  // warm prep
+      core::SolveWorkspace cold;
+      (void)core::prepare_rows(overlay.view(), cold);
+      const core::SolveWorkspace& kept = repair.current_rows(world());
+      const std::string where = family + " event " + std::to_string(i);
+      ASSERT_TRUE(same_bits(kept.user_edge_w, cold.user_edge_w)) << where;
+      ASSERT_TRUE(std::ranges::equal(kept.user_edge_s, cold.user_edge_s))
+          << where;
+      ASSERT_TRUE(std::ranges::equal(kept.cost_order, cold.cost_order))
+          << where;
+    }
+    EXPECT_EQ(overlay.num_users(), inst.num_users() + 1) << family;
+    EXPECT_EQ(overlay.num_streams(), inst.num_streams() + 1) << family;
   }
 }
 
