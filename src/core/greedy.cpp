@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -449,17 +448,21 @@ void GreedyEngine::sync_assignment() {
   assignment_dirty_ = false;
 }
 
+SelectStats GreedyEngine::select_stats() const {
+  SelectStats stats = selector_.stats();
+  stats.rows_sorted = rows_sorted_;
+  return stats;
+}
+
 const GreedyResult& GreedyEngine::result() {
   sync_assignment();
-  result_.select = selector_.stats();
-  result_.select.rows_sorted = rows_sorted_;
+  result_.select = select_stats();
   return result_;
 }
 
 GreedyResult GreedyEngine::take() && {
   sync_assignment();
-  result_.select = selector_.stats();
-  result_.select.rows_sorted = rows_sorted_;
+  result_.select = select_stats();
   return std::move(result_);
 }
 
@@ -666,25 +669,104 @@ Assignment materialize_split(const InstanceView& view, const Assignment& semi,
                     });
 }
 
+namespace {
+
+// Groups ws.pair_log by user into ws.user_pairs, pick order kept within
+// each user: per-user counts, an inclusive scan to each user's end, then
+// a back-to-front fill that walks each offset down to its user's start.
+void group_pairs_by_user(std::size_t users, SolveWorkspace& ws) {
+  auto& begin = ws.user_pair_begin;
+  begin.assign(users + 1, 0);
+  for (const AssignedPair& p : ws.pair_log)
+    ++begin[static_cast<std::size_t>(p.user)];
+  for (std::size_t u = 1; u <= users; ++u) begin[u] += begin[u - 1];
+  ws.user_pairs.resize(ws.pair_log.size());
+  for (std::size_t i = ws.pair_log.size(); i-- > 0;) {
+    const AssignedPair& p = ws.pair_log[i];
+    ws.user_pairs[--begin[static_cast<std::size_t>(p.user)]] = p;
+  }
+}
+
+// End of the grouped pairs of user u that A1 keeps. The engine's user_w
+// is u's pair utilities summed in pick order from 0.0 — the very sum
+// split_last_stream's peel decision recomputes.
+[[nodiscard]] std::uint32_t a1_end(const InstanceView& view,
+                                   const SolveWorkspace& ws, UserId u) {
+  const auto uu = static_cast<std::size_t>(u);
+  const std::uint32_t end = ws.user_pair_begin[uu + 1];
+  return split_peels_last(ws.user_w[uu], view.capacity(u)) ? end - 1 : end;
+}
+
+// split_last_stream's values from the grouped pairs, with its per-pair
+// running sums in user-then-pick order (view.edge_utility(e) is the
+// double pair_utility(u, s) finds by search).
+[[nodiscard]] SplitValues grouped_split_values(const InstanceView& view,
+                                               const SolveWorkspace& ws) {
+  SplitValues out;
+  for (std::size_t uu = 0; uu < view.num_users(); ++uu) {
+    const std::uint32_t begin = ws.user_pair_begin[uu];
+    const std::uint32_t end = ws.user_pair_begin[uu + 1];
+    if (begin == end) continue;
+    const std::uint32_t keep = a1_end(view, ws, static_cast<UserId>(uu));
+    for (std::uint32_t t = begin; t < keep; ++t)
+      out.w1 += view.edge_utility(ws.user_pairs[t].edge);
+    out.w2 += view.edge_utility(ws.user_pairs[end - 1].edge);
+  }
+  return out;
+}
+
+// One side of the split (keep_rest = A1, else A2) from the grouped
+// pairs, assigned in split_last_stream's user-then-pick order.
+[[nodiscard]] Assignment grouped_split_side(const InstanceView& view,
+                                            const SolveWorkspace& ws,
+                                            bool keep_rest) {
+  Assignment out(view.base());
+  for (std::size_t uu = 0; uu < view.num_users(); ++uu) {
+    const auto u = static_cast<UserId>(uu);
+    const std::uint32_t begin = ws.user_pair_begin[uu];
+    const std::uint32_t end = ws.user_pair_begin[uu + 1];
+    if (begin == end) continue;
+    const std::uint32_t from = keep_rest ? begin : end - 1;
+    const std::uint32_t to = keep_rest ? a1_end(view, ws, u) : end;
+    out.reserve_streams(u, to - from);
+    for (std::uint32_t t = from; t < to; ++t)
+      out.assign_edge(u, ws.user_pairs[t].stream, ws.user_pairs[t].edge);
+  }
+  return out;
+}
+
+}  // namespace
+
 SmdSolveResult solve_unit_skew(const InstanceView& view, SmdMode mode,
                                const GreedyOptions& opts) {
-  GreedyResult g = greedy_unit_skew(view, opts);
+  SolveWorkspace local;
+  SolveWorkspace& ws = opts.workspace != nullptr ? *opts.workspace : local;
+  GreedyOptions engine_opts = opts;
+  engine_opts.workspace = &ws;
+  // The pair log scores the split and builds the winner; a values-only
+  // augmented solve needs neither.
+  engine_opts.build_assignment =
+      opts.build_assignment || mode == SmdMode::kFeasible;
+  GreedyEngine engine(view, ws, engine_opts);
+  engine.run();
+  const SelectStats select = engine.select_stats();
   Assignment amax = best_single_stream(view);
   const double w_amax = view_capped_utility(view, amax);
   // Theorem 2.8 races the split's sides (the last stream assigned to each
   // user peeled); Corollary 2.7 races the semi-feasible greedy itself.
-  std::optional<FeasibleSplit> split;
-  if (mode == SmdMode::kFeasible) split = split_last_stream(view, g.assignment);
+  SplitValues split;
+  if (mode == SmdMode::kFeasible) {
+    group_pairs_by_user(view.num_users(), ws);
+    split = grouped_split_values(view, ws);
+  }
   const RaceOutcome won =
-      race_winner(mode, g.capped_utility,
-                  split ? SplitValues{split->w1, split->w2} : SplitValues{},
-                  w_amax);
+      race_winner(mode, engine.capped_utility(), split, w_amax);
   const std::string_view v = won.variant;
-  Assignment winner = v == "greedy" ? std::move(g.assignment)
-                      : v == "A1"   ? std::move(split->a1)
-                      : v == "A2"   ? std::move(split->a2)
-                                    : std::move(amax);
-  return {std::move(winner), won.value, won.variant, g.select};
+  Assignment winner = !opts.build_assignment ? Assignment(view.base())
+                      : v == "greedy" ? std::move(engine).take().assignment
+                      : v == "Amax"   ? std::move(amax)
+                                      : grouped_split_side(view, ws, v == "A1");
+  return {std::move(winner), won.value, won.variant, select};
 }
 
 SmdSolveResult solve_unit_skew(const Instance& inst, SmdMode mode,

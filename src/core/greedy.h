@@ -53,8 +53,10 @@ struct GreedyOptions {
   // (GreedyEngine::materialize_assignment / materialize_split). This is
   // the §2.3 enumeration's inner-loop mode: thousands of candidate
   // completions are scored, a handful are ever materialized. The
-  // Instance/view free functions force this back on — the assignment is
-  // their whole return value.
+  // greedy_unit_skew* free functions force this back on — the assignment
+  // is their whole return value. solve_unit_skew honours it: false
+  // returns the race's utility, variant and counters with an empty
+  // assignment.
   bool build_assignment = true;
 };
 
@@ -219,8 +221,11 @@ inline SplitValues& operator+=(SplitValues& acc,
 }
 
 // One user's split terms for assigned utility w with last pair `last`.
-// Every split sum adds these per user in user order, so all of them (the
-// engine's, the trace's, the replay's, the repair's) agree bit for bit.
+// The engine's, the trace's, the replay's and the repair's split sums add
+// these per user in user order, so they agree bit for bit. The free
+// functions (solve_unit_skew, split_last_stream*, materialize_split) sum
+// per pair instead, in user-then-pick order: same peel decisions, sums
+// equal to these only up to rounding.
 [[nodiscard]] inline SplitValues split_term(double w, double last,
                                             double cap) noexcept {
   return {split_peels_last(w, cap) ? w - last : w, last};
@@ -272,6 +277,8 @@ class GreedyEngine {
   [[nodiscard]] const GreedyResult& result();
   // Moves the result out (terminal).
   [[nodiscard]] GreedyResult take() &&;
+  // The selection-kernel counters so far, without syncing the assignment.
+  [[nodiscard]] SelectStats select_stats() const;
 
   // The paper's capped utility of the current (partial) solution, under
   // the view's utilities. Maintained incrementally; valid in any mode.
@@ -437,6 +444,10 @@ struct SmdSolveResult {
 };
 
 // The fixed greedy of Section 2.2 for unit-skew SMD instances / views.
+// The race runs on values — the greedy's capped utility, the split's
+// sums from the greedy's pair log (split_last_stream's per-pair
+// arithmetic), Amax's — and only the winner is assigned: none at all
+// with opts.build_assignment = false.
 [[nodiscard]] SmdSolveResult solve_unit_skew(
     const model::InstanceView& view, SmdMode mode = SmdMode::kFeasible,
     const GreedyOptions& opts = {});

@@ -41,7 +41,7 @@ double assign_seed_only(const InstanceView& view,
       const auto uu = static_cast<std::size_t>(u);
       const double w = view.edge_utility(e);
       if (ws.rem[uu] <= util::kAbsEps || w <= 0.0) continue;
-      out.assign(u, s);
+      out.assign_edge(u, s, e);  // seeds are distinct streams
       capped += std::min(w, ws.rem[uu]);
       ws.rem[uu] -= w;
     }

@@ -210,6 +210,12 @@ struct SolveWorkspace {
   // per-user stream lists from.
   std::vector<AssignedPair> pair_log;
   std::vector<std::int32_t> user_pair_count;
+  // The pair log grouped by user, pick order kept within each user (CSR:
+  // user u's pairs run from user_pair_begin[u] to user_pair_begin[u + 1]
+  // in user_pairs) — what solve_unit_skew scores the Theorem 2.8 split
+  // and builds its winner from.
+  std::vector<std::uint32_t> user_pair_begin;
+  std::vector<AssignedPair> user_pairs;
   // Radix-sort ping-pong buffers (the constructor's cost-order build).
   std::vector<std::uint64_t> radix_keys;
   std::vector<std::uint64_t> radix_key_scratch;

@@ -199,9 +199,11 @@ class Session {
   [[nodiscard]] model::Instance snapshot() const {
     return overlay_.materialize();
   }
-  // Solves snapshot() from scratch and compares: kResolve demands
-  // bit-equality, kRepair drift within bound (+1e-9 slack), kOnline is
-  // trivially ok (Allocate's competitiveness is not a per-event bound).
+  // Solves snapshot() from scratch, value-only (solve_unit_skew with
+  // build_assignment = false: the race's winner is never assigned), and
+  // compares: kResolve demands bit-equality, kRepair drift within bound
+  // (+1e-9 slack), kOnline is trivially ok (Allocate's competitiveness is
+  // not a per-event bound).
   [[nodiscard]] ParityReport check_parity();
 
  private:

@@ -91,6 +91,7 @@ ParityReport Session::check_parity() {
   gopts.strategy = opts_.strategy;
   gopts.workspace = ws_;
   gopts.record_trace = false;
+  gopts.build_assignment = false;  // the value is the whole report
   rep.fresh =
       core::solve_unit_skew(overlay_.materialize(), opts_.mode, gopts).utility;
   rep.drift = (rep.fresh - objective_) / std::max(rep.fresh, 1.0);

@@ -2,16 +2,32 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <optional>
+#include <set>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "cap_form.h"
 #include "core/submodular.h"
+#include "engine/scenario.h"
 #include "gen/random_instances.h"
 #include "model/factory.h"
+#include "model/overlay.h"
 #include "model/validate.h"
+#include "workload/workload.h"
 
 namespace vdist::core {
 namespace {
 
+using model::Assignment;
 using model::build_cap_instance;
 using model::Instance;
+using model::InstanceView;
+using model::StreamId;
+using model::UserId;
 
 TEST(Greedy, RequiresCapForm) {
   const Instance skewed = model::build_smd_instance(
@@ -189,6 +205,182 @@ TEST(SolveUnitSkew, AugmentedModeIsSemiFeasibleAndNoWorse) {
     // utility (greedy >= max(A1, A2) because w(A1)+w(A2) >= w(A) splits).
     EXPECT_GE(aug.utility + 1e-9, feas.utility * 0.5);
   }
+}
+
+// --- solve_unit_skew against the composition it replaced ------------------
+
+// The oracle: the §2.2 race composed from the public pieces, every
+// candidate materialized — the greedy's assignment, both split sides,
+// Amax — and the winner moved out.
+SmdSolveResult composed_solve(const InstanceView& view, SmdMode mode,
+                              const GreedyOptions& opts) {
+  GreedyResult g = greedy_unit_skew(view, opts);
+  Assignment amax = best_single_stream(view);
+  const double w_amax = view_capped_utility(view, amax);
+  std::optional<FeasibleSplit> split;
+  if (mode == SmdMode::kFeasible) split = split_last_stream(view, g.assignment);
+  const RaceOutcome won =
+      race_winner(mode, g.capped_utility,
+                  split ? SplitValues{split->w1, split->w2} : SplitValues{},
+                  w_amax);
+  const std::string_view v = won.variant;
+  Assignment winner = v == "greedy" ? std::move(g.assignment)
+                      : v == "A1"   ? std::move(split->a1)
+                      : v == "A2"   ? std::move(split->a2)
+                                    : std::move(amax);
+  return {std::move(winner), won.value, won.variant, g.select};
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_same_counters(const SelectStats& got, const SelectStats& want,
+                          const std::string& where) {
+  EXPECT_EQ(got.picks, want.picks) << where;
+  EXPECT_EQ(got.evaluations, want.evaluations) << where;
+  EXPECT_EQ(got.pairs_touched, want.pairs_touched) << where;
+  EXPECT_EQ(got.rows_walked, want.rows_walked) << where;
+  EXPECT_EQ(got.heap_sifts, want.heap_sifts) << where;
+  EXPECT_EQ(got.rows_sorted, want.rows_sorted) << where;
+}
+
+// Everything an Assignment reports, utilities and loads as bits, stream
+// lists in assignment order.
+struct Accounting {
+  std::vector<std::vector<StreamId>> streams;
+  std::vector<std::uint64_t> user_utility;
+  std::vector<std::uint64_t> user_load;
+  std::uint64_t utility = 0;
+  std::uint64_t server_cost = 0;
+  std::size_t range_size = 0;
+  bool operator==(const Accounting&) const = default;
+};
+
+Accounting accounting_of(const Assignment& a) {
+  Accounting out;
+  for (std::size_t uu = 0; uu < a.instance().num_users(); ++uu) {
+    const auto u = static_cast<UserId>(uu);
+    const auto streams = a.streams_of(u);
+    out.streams.emplace_back(streams.begin(), streams.end());
+    out.user_utility.push_back(bits(a.user_utility(u)));
+    out.user_load.push_back(bits(a.user_load(u, 0)));
+  }
+  out.utility = bits(a.utility());
+  out.server_cost = bits(a.server_cost(0));
+  out.range_size = a.range_size();
+  return out;
+}
+
+// One workspace per solve path, each fed the same sequence of views, so
+// their row caches (and rows_sorted) stay in step.
+struct RaceWorkspaces {
+  SolveWorkspace race;
+  SolveWorkspace composed;
+  SolveWorkspace values;
+};
+
+// Solves `view` in both modes through solve_unit_skew, the oracle, and
+// the value-only solve; returns the variants that won.
+std::vector<std::string> expect_race_equals_composition(
+    const InstanceView& view, RaceWorkspaces& ws, const std::string& where) {
+  std::vector<std::string> variants;
+  for (const SmdMode mode : {SmdMode::kFeasible, SmdMode::kAugmented}) {
+    const std::string at =
+        where + (mode == SmdMode::kFeasible ? " feasible" : " augmented");
+    GreedyOptions opts;
+    opts.record_trace = mode == SmdMode::kAugmented;
+    opts.workspace = &ws.race;
+    const SmdSolveResult got = solve_unit_skew(view, mode, opts);
+    opts.workspace = &ws.composed;
+    const SmdSolveResult want = composed_solve(view, mode, opts);
+    EXPECT_EQ(bits(got.utility), bits(want.utility)) << at;
+    EXPECT_EQ(got.variant, want.variant) << at;
+    expect_same_counters(got.select, want.select, at);
+    EXPECT_TRUE(accounting_of(got.assignment) == accounting_of(want.assignment))
+        << at << " (" << want.variant << ")";
+
+    opts.workspace = &ws.values;
+    opts.build_assignment = false;
+    const SmdSolveResult values = solve_unit_skew(view, mode, opts);
+    EXPECT_EQ(bits(values.utility), bits(want.utility)) << at << " values";
+    EXPECT_EQ(values.variant, want.variant) << at << " values";
+    expect_same_counters(values.select, want.select, at + " values");
+    EXPECT_EQ(values.assignment.num_assigned_pairs(), 0u) << at << " values";
+    EXPECT_EQ(values.assignment.range_size(), 0u) << at << " values";
+    variants.push_back(want.variant);
+  }
+  return variants;
+}
+
+// Every registered scenario (in cap form) at seeds 1-4, and one instance
+// Amax wins: bit for bit the composition's utility, variant, stream
+// lists, accounting and counters, with every variant winning somewhere.
+TEST(SolveUnitSkew, RaceEqualsComposedSplitOnEveryScenario) {
+  std::set<std::string> won;
+  RaceWorkspaces ws;
+  for (const std::string& name : engine::ScenarioRegistry::global().names()) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      engine::ScenarioSpec spec;
+      spec.name = name;
+      spec.seed = seed;
+      const Instance inst = testing::cap_form_of(engine::build_scenario(spec));
+      for (const std::string& v : expect_race_equals_composition(
+               InstanceView::cap_form(inst), ws,
+               name + " seed " + std::to_string(seed)))
+        won.insert(v);
+    }
+  }
+  // §2.2's blocking example, where Amax wins in both modes.
+  const Instance blocking = build_cap_instance(
+      {1.0, 10.0}, 10.0, {100.0}, {{0, 0, 1.1}, {0, 1, 10.0}});
+  for (const std::string& v : expect_race_equals_composition(
+           InstanceView::cap_form(blocking), ws, "blocking"))
+    won.insert(v);
+  EXPECT_EQ(won, (std::set<std::string>{"A1", "A2", "Amax", "greedy"}));
+}
+
+// Overlay views: tombstoned streams and users, pairs clipped by a cap
+// that fell below them or a utility that rose above the cap, then churn
+// on top — the race reads the view's utilities, the winner's accounting
+// the base's declared ones, and both must match the composition.
+TEST(SolveUnitSkew, RaceEqualsComposedSplitOnOverlayViews) {
+  std::set<std::string> won;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    gen::RandomCapConfig cfg;
+    cfg.num_streams = 60;
+    cfg.num_users = 20;
+    cfg.cap_fraction = 0.4;
+    cfg.seed = seed;
+    const Instance inst = gen::random_cap_instance(cfg);
+    model::InstanceOverlay overlay(inst);
+    RaceWorkspaces ws;
+    overlay.stream_remove(0);
+    overlay.user_leave(1);
+    double top = 0.0;
+    for (const model::EdgeId e : inst.edges_of(2))
+      top = std::max(top, inst.edge_utility(e));
+    overlay.set_capacity(2, 0.5 * top);
+    overlay.set_utility(3, inst.streams_of(3).front(),
+                        2.0 * overlay.capacity(3) + 1.0);
+    std::size_t clipped = 0;
+    for (const model::EdgeId e : inst.edges_of(2))
+      clipped += overlay.view().edge_utility(e) == 0.0 ? 1 : 0;
+    ASSERT_GT(clipped, 0u);
+    const std::string world = "seed " + std::to_string(seed);
+    for (const std::string& v :
+         expect_race_equals_composition(overlay.view(), ws, world + " setup"))
+      won.insert(v);
+    const std::vector<model::InstanceEvent> trace =
+        workload::WorkloadRegistry::global().generate(
+            "churn", inst,
+            {{"events", "40"}, {"seed", std::to_string(seed + 10)}});
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      overlay.apply(trace[i]);
+      for (const std::string& v : expect_race_equals_composition(
+               overlay.view(), ws, world + " event " + std::to_string(i)))
+        won.insert(v);
+    }
+  }
+  EXPECT_TRUE(won.count("A1") == 1 && won.count("greedy") == 1);
 }
 
 TEST(GreedySeeded, SeedsAreForceAssignedFirst) {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "cap_form.h"
 #include "core/greedy.h"
 #include "core/select.h"
 #include "core/skew_bands.h"
@@ -40,6 +41,7 @@ using model::Instance;
 using model::InstanceOverlay;
 using model::StreamId;
 using model::UserId;
+using vdist::testing::cap_form_of;
 
 // What one engine prep leaves in a workspace, with utilities as bits.
 struct Rows {
@@ -102,39 +104,6 @@ std::size_t expect_warm_equals_cold(const InstanceOverlay& overlay,
   EXPECT_EQ(c.rows_sorted, overlay.num_users()) << where;
   EXPECT_LE(w.rows_sorted, overlay.num_users()) << where;
   return w.rows_sorted;
-}
-
-// The scenario itself when it is a cap form (the overlay's domain);
-// otherwise the cap form on its topology and utilities — costs and budget
-// of measure 0, caps at 60% of each user's total utility but no lower
-// than the user's largest utility (so no pair is dropped).
-Instance cap_form_of(const Instance& inst) {
-  if (inst.is_smd() && inst.is_unit_skew()) return inst;
-  std::vector<double> costs(inst.num_streams());
-  double total_cost = 0.0;
-  for (std::size_t s = 0; s < costs.size(); ++s) {
-    costs[s] = inst.cost(static_cast<StreamId>(s), 0);
-    total_cost += costs[s];
-  }
-  std::vector<double> caps(inst.num_users(), 0.0);
-  std::vector<model::CapEdge> edges;
-  for (std::size_t s = 0; s < inst.num_streams(); ++s) {
-    const auto sid = static_cast<StreamId>(s);
-    for (model::EdgeId e = inst.first_edge(sid); e < inst.last_edge(sid);
-         ++e) {
-      edges.push_back({inst.edge_user(e), sid, inst.edge_utility(e)});
-      caps[static_cast<std::size_t>(inst.edge_user(e))] +=
-          0.6 * inst.edge_utility(e);
-    }
-  }
-  for (const model::CapEdge& e : edges) {
-    double& cap = caps[static_cast<std::size_t>(e.user)];
-    cap = std::max(cap, e.utility);
-  }
-  double budget = 0.3 * total_cost;
-  for (const double c : costs) budget = std::max(budget, c);
-  return model::build_cap_instance(std::move(costs), budget, std::move(caps),
-                                   edges);
 }
 
 Instance cap_world(std::uint64_t seed) {

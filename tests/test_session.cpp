@@ -22,6 +22,8 @@
 #include "engine/scenario.h"
 #include "engine/serving.h"
 #include "gen/random_instances.h"
+#include "io/event_io.h"
+#include "io/instance_io.h"
 #include "model/factory.h"
 #include "model/overlay.h"
 #include "model/validate.h"
@@ -491,6 +493,54 @@ TEST(Session, CapCrossingEventsKeepParityUnderEveryPolicy) {
         on_snap.assign(u, s);
       EXPECT_TRUE(model::validate(on_snap).feasible())
           << to_string(policy) << " event " << i;
+    }
+  }
+}
+
+#ifndef VDIST_TESTS_DIR
+#define VDIST_TESTS_DIR "tests"
+#endif
+
+// check_parity's solve is value-only (no assignment built): after every
+// event of a churn trace and of the committed cap-crossing trace its
+// fresh value is, bit for bit, the full solve_unit_skew of the snapshot,
+// under both policies that check against it; resolve parity stays ok.
+TEST(Session, ValueOnlyParitySolveEqualsTheFullSolveAfterEveryEvent) {
+  struct World {
+    std::string name;
+    Instance inst;
+    std::vector<InstanceEvent> trace;
+  };
+  const std::string traces = VDIST_TESTS_DIR "/../bench/traces/";
+  std::vector<World> worlds;
+  worlds.push_back({"churn", churn_base(29, 30, 14), {}});
+  worlds.back().trace = churn_trace(worlds.back().inst, 40, 129);
+  worlds.push_back({"contract_breakers",
+                    io::load_instance_file(traces + "contract_breakers.vd"),
+                    io::load_events_file(traces + "contract_breakers.events")});
+  for (const World& world : worlds) {
+    for (const ServePolicy policy :
+         {ServePolicy::kRepair, ServePolicy::kResolve}) {
+      ServeConfig cfg;
+      cfg.policy = policy;
+      Session session(world.inst, cfg);
+      for (std::size_t i = 0; i < world.trace.size(); ++i) {
+        session.apply(world.trace[i]);
+        const std::string where = world.name + " " + to_string(policy) +
+                                  " event " + std::to_string(i);
+        const ParityReport parity = session.check_parity();
+        const Instance snap = session.snapshot();
+        core::GreedyOptions full;
+        full.build_assignment = true;
+        const core::SmdSolveResult fresh =
+            core::solve_unit_skew(snap, cfg.mode, full);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(parity.fresh),
+                  std::bit_cast<std::uint64_t>(fresh.utility))
+            << where;
+        if (policy == ServePolicy::kResolve) {
+          EXPECT_TRUE(parity.ok) << where << ": " << parity.detail;
+        }
+      }
     }
   }
 }
