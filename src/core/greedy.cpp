@@ -24,37 +24,6 @@ using util::approx_le;
 
 namespace {
 
-// Per-user peel decision shared by the materializing and values-only
-// split paths: how many leading streams stay in A1.
-[[nodiscard]] std::size_t a1_keep_count(const InstanceView& view, UserId u,
-                                        std::span<const StreamId> streams) {
-  double w = 0.0;
-  for (StreamId s : streams) w += view.pair_utility(u, s);
-  return streams.size() - (split_peels_last(w, view.capacity(u)) ? 1 : 0);
-}
-
-// The one Theorem 2.8 peel loop both materializing paths share; only the
-// per-user over-cap decision differs (recomputed pair sums for the free
-// function, the engine's running accumulator for scoring mode).
-template <typename OverCapFn>
-[[nodiscard]] Assignment peel_split(const InstanceView& view,
-                                    const Assignment& semi, bool keep_rest,
-                                    OverCapFn&& over_cap) {
-  Assignment out(view.base());
-  for (std::size_t uu = 0; uu < view.num_users(); ++uu) {
-    const auto u = static_cast<UserId>(uu);
-    const auto streams = semi.streams_of(u);
-    if (streams.empty()) continue;
-    if (keep_rest) {
-      const std::size_t keep = streams.size() - (over_cap(u, streams) ? 1 : 0);
-      for (std::size_t t = 0; t < keep; ++t) out.assign(u, streams[t]);
-    } else {
-      out.assign(u, streams.back());
-    }
-  }
-  return out;
-}
-
 // Sorts user u's row in place from the view's utilities. The order (w
 // desc, stream asc on ties) is a unique total order per row
 // (within-user CSR streams are strictly ascending), so a row is a pure
@@ -252,7 +221,6 @@ GreedyEngine::GreedyEngine(InstanceView view, SolveWorkspace& ws,
                            const GreedyOptions& opts)
     : view_(view),
       ws_(ws),
-      record_trace_(opts.record_trace),
       build_assignment_(opts.build_assignment),
       result_{Assignment(view.base()), 0.0, {}, {}} {
   const std::size_t users = view_.num_users();
@@ -296,10 +264,6 @@ void GreedyEngine::add_seed(StreamId s) {
   if (!approx_le(used_ + c, view_.budget()))
     throw std::invalid_argument("greedy seed does not fit the budget");
   ++result_.trace.num_considered;
-  if (record_trace_) {
-    result_.trace.considered.push_back(s);
-    result_.trace.added.push_back(1);
-  }
   add_stream(s, c);
   ws_.taken[ss] = 1;
   selector_.remove(s);
@@ -322,23 +286,21 @@ void GreedyEngine::run_loop() {
     // Budget cutoff: eager dead-stream removal keeps only wbar > eps
     // streams in the pool, so the moment the cheapest of them stops
     // fitting, every remaining pop would be a considered-and-skipped
-    // row. Untraced runs account for them in bulk instead of draining
-    // the selector one pop at a time.
-    if (!record_trace_) {
-      while (cost_cursor_ < ws_.cost_order.size() &&
-             !selector_.contains(ws_.cost_order[cost_cursor_]))
-        ++cost_cursor_;
-      if (cost_cursor_ >= ws_.cost_order.size()) break;  // pool empty
-      const double cheapest =
-          ws_.cost[static_cast<std::size_t>(ws_.cost_order[cost_cursor_])];
-      if (!approx_le(used_ + cheapest, B)) {
-        result_.trace.num_considered += selector_.pool_size();
-        result_.trace.skipped_budget += selector_.pool_size();
-        for (std::size_t s = 0; s < ws_.taken.size(); ++s)
-          if (selector_.contains(static_cast<StreamId>(s))) ws_.taken[s] = 1;
-        if (rec_ != nullptr) rec_->ended_on_budget = true;
-        break;
-      }
+    // row. They are accounted for in bulk instead of draining the
+    // selector one pop at a time.
+    while (cost_cursor_ < ws_.cost_order.size() &&
+           !selector_.contains(ws_.cost_order[cost_cursor_]))
+      ++cost_cursor_;
+    if (cost_cursor_ >= ws_.cost_order.size()) break;  // pool empty
+    const double cheapest =
+        ws_.cost[static_cast<std::size_t>(ws_.cost_order[cost_cursor_])];
+    if (!approx_le(used_ + cheapest, B)) {
+      result_.trace.num_considered += selector_.pool_size();
+      result_.trace.skipped_budget += selector_.pool_size();
+      for (std::size_t s = 0; s < ws_.taken.size(); ++s)
+        if (selector_.contains(static_cast<StreamId>(s))) ws_.taken[s] = 1;
+      if (rec_ != nullptr) rec_->ended_on_budget = true;
+      break;
     }
     const StreamId best = selector_.pop_best();
     if (best == model::kInvalidStream) break;
@@ -348,10 +310,6 @@ void GreedyEngine::run_loop() {
     ++result_.trace.num_considered;
     const double c = ws_.cost[bs];
     const bool fits = approx_le(used_ + c, B);
-    if (record_trace_) {
-      result_.trace.considered.push_back(best);
-      result_.trace.added.push_back(fits ? 1 : 0);
-    }
     if (rec_ != nullptr) {
       rec_->pick.push_back(best);
       rec_->applied.push_back(fits ? 1 : 0);
@@ -432,19 +390,7 @@ void GreedyEngine::add_stream(StreamId s, double cost) {
 
 void GreedyEngine::sync_assignment() {
   if (!assignment_dirty_) return;
-  result_.assignment.clear();
-  // Count each user's pairs first so every per-user stream list
-  // allocates exactly once instead of doubling through the replay.
-  auto& counts = ws_.user_pair_count;
-  counts.assign(view_.num_users(), 0);
-  for (const AssignedPair& p : ws_.pair_log)
-    ++counts[static_cast<std::size_t>(p.user)];
-  for (std::size_t u = 0; u < counts.size(); ++u)
-    if (counts[u] > 0)
-      result_.assignment.reserve_streams(static_cast<UserId>(u),
-                                         static_cast<std::size_t>(counts[u]));
-  for (const AssignedPair& p : ws_.pair_log)
-    result_.assignment.assign_edge(p.user, p.stream, p.edge);
+  result_.assignment = build_winner(view_, ws_, "greedy");
   assignment_dirty_ = false;
 }
 
@@ -479,11 +425,6 @@ void GreedyEngine::save(GreedyCheckpoint& out) const {
   out.cost_cursor = cost_cursor_;
   out.num_considered = result_.trace.num_considered;
   out.skipped_budget = result_.trace.skipped_budget;
-  if (record_trace_) {
-    out.considered.assign(result_.trace.considered.begin(),
-                          result_.trace.considered.end());
-    out.added.assign(result_.trace.added.begin(), result_.trace.added.end());
-  }
   if (build_assignment_)
     out.pair_log.assign(ws_.pair_log.begin(), ws_.pair_log.end());
 }
@@ -502,11 +443,6 @@ void GreedyEngine::restore(const GreedyCheckpoint& in) {
   result_.capped_utility = in.capped_utility;
   result_.trace.num_considered = in.num_considered;
   result_.trace.skipped_budget = in.skipped_budget;
-  if (record_trace_) {
-    result_.trace.considered.assign(in.considered.begin(),
-                                    in.considered.end());
-    result_.trace.added.assign(in.added.begin(), in.added.end());
-  }
   if (build_assignment_) {
     ws_.pair_log.assign(in.pair_log.begin(), in.pair_log.end());
     assignment_dirty_ = true;  // lazily rebuilt on the next result()
@@ -525,37 +461,9 @@ SplitValues GreedyEngine::split_values() const {
   return out;
 }
 
-Assignment GreedyEngine::materialize_assignment() const {
-  Assignment out(view_.base());
-  // Replay against fresh caps on the generic scratch (ws_.rem is live
-  // engine state): the pair set only depends on the added-stream order
-  // and the residual trajectory, which this reproduces exactly.
-  auto& rem = ws_.scratch;
-  rem.resize(view_.num_users());
-  for (std::size_t u = 0; u < rem.size(); ++u)
-    rem[u] = view_.capacity(static_cast<UserId>(u));
-  for (const StreamId s : added_streams_) {
-    for (EdgeId e = view_.first_edge(s); e < view_.last_edge(s); ++e) {
-      const UserId u = view_.edge_user(e);
-      const auto uu = static_cast<std::size_t>(u);
-      const double w = view_.edge_utility(e);
-      if (rem[uu] <= util::kAbsEps || w <= 0.0) continue;
-      out.assign_edge(u, s, e);
-      rem[uu] -= w;
-    }
-  }
-  return out;
-}
-
-Assignment GreedyEngine::materialize_split(bool keep_rest) const {
-  const Assignment semi = materialize_assignment();
-  // The same over-cap decision split_values() scored with.
-  return peel_split(view_, semi, keep_rest,
-                    [&](UserId u, std::span<const StreamId>) {
-                      return split_peels_last(
-                          ws_.user_w[static_cast<std::size_t>(u)],
-                          view_.capacity(u));
-                    });
+Assignment GreedyEngine::winner(std::string_view variant) const {
+  if (!build_assignment_) (void)log_fresh_pairs(view_, added_streams_, ws_);
+  return build_winner(view_, ws_, variant);
 }
 
 GreedyResult greedy_unit_skew(const InstanceView& view,
@@ -588,7 +496,7 @@ GreedyResult greedy_unit_skew_seeded(const Instance& inst,
   return greedy_unit_skew_seeded(InstanceView::cap_form(inst), seeds, opts);
 }
 
-Assignment best_single_stream(const InstanceView& view) {
+StreamId amax_stream(const InstanceView& view) {
   StreamId best = model::kInvalidStream;
   double best_w = -1.0;
   for (std::size_t s = 0; s < view.num_streams(); ++s) {
@@ -598,8 +506,23 @@ Assignment best_single_stream(const InstanceView& view) {
       best = static_cast<StreamId>(s);
     }
   }
+  return best_w > 0.0 ? best : model::kInvalidStream;
+}
+
+double stream_capped_value(const InstanceView& view, StreamId s) {
+  double total = 0.0;
+  if (s == model::kInvalidStream) return total;
+  for (EdgeId e = view.first_edge(s); e < view.last_edge(s); ++e) {
+    const double w = view.edge_utility(e);
+    if (w > 0.0) total += std::min(view.capacity(view.edge_user(e)), w);
+  }
+  return total;
+}
+
+Assignment best_single_stream(const InstanceView& view) {
+  const StreamId best = amax_stream(view);
   Assignment a(view.base());
-  if (best != model::kInvalidStream && best_w > 0.0)
+  if (best != model::kInvalidStream)
     for (EdgeId e = view.first_edge(best); e < view.last_edge(best); ++e)
       if (view.edge_utility(e) > 0.0) a.assign(view.edge_user(e), best);
   return a;
@@ -631,7 +554,10 @@ FeasibleSplit split_last_stream(const InstanceView& view,
     const auto u = static_cast<UserId>(uu);
     const auto streams = semi.streams_of(u);
     if (streams.empty()) continue;
-    const std::size_t keep = a1_keep_count(view, u, streams);
+    double w = 0.0;
+    for (StreamId s : streams) w += view.pair_utility(u, s);
+    const std::size_t keep =
+        streams.size() - (split_peels_last(w, view.capacity(u)) ? 1 : 0);
     for (std::size_t t = 0; t < keep; ++t) {
       out.a1.assign(u, streams[t]);
       out.w1 += view.pair_utility(u, streams[t]);
@@ -646,27 +572,26 @@ FeasibleSplit split_last_stream(const Instance& inst, const Assignment& semi) {
   return split_last_stream(InstanceView::cap_form(inst), semi);
 }
 
-SplitValues split_last_stream_values(const InstanceView& view,
-                                     const Assignment& semi) {
-  SplitValues out;
-  for (std::size_t uu = 0; uu < view.num_users(); ++uu) {
-    const auto u = static_cast<UserId>(uu);
-    const auto streams = semi.streams_of(u);
-    if (streams.empty()) continue;
-    const std::size_t keep = a1_keep_count(view, u, streams);
-    for (std::size_t t = 0; t < keep; ++t)
-      out.w1 += view.pair_utility(u, streams[t]);
-    out.w2 += view.pair_utility(u, streams.back());
+double log_fresh_pairs(const InstanceView& view,
+                       std::span<const StreamId> streams, SolveWorkspace& ws) {
+  ws.pair_log.clear();
+  auto& rem = ws.scratch;
+  rem.resize(view.num_users());
+  for (std::size_t u = 0; u < rem.size(); ++u)
+    rem[u] = view.capacity(static_cast<UserId>(u));
+  double capped = 0.0;
+  for (const StreamId s : streams) {
+    for (EdgeId e = view.first_edge(s); e < view.last_edge(s); ++e) {
+      const UserId u = view.edge_user(e);
+      const auto uu = static_cast<std::size_t>(u);
+      const double w = view.edge_utility(e);
+      if (rem[uu] <= util::kAbsEps || w <= 0.0) continue;
+      ws.pair_log.push_back({u, s, e});
+      capped += std::min(w, rem[uu]);
+      rem[uu] -= w;
+    }
   }
-  return out;
-}
-
-Assignment materialize_split(const InstanceView& view, const Assignment& semi,
-                             bool keep_rest) {
-  return peel_split(view, semi, keep_rest,
-                    [&](UserId u, std::span<const StreamId> streams) {
-                      return a1_keep_count(view, u, streams) < streams.size();
-                    });
+  return capped;
 }
 
 namespace {
@@ -687,55 +612,69 @@ void group_pairs_by_user(std::size_t users, SolveWorkspace& ws) {
   }
 }
 
-// End of the grouped pairs of user u that A1 keeps. The engine's user_w
-// is u's pair utilities summed in pick order from 0.0 — the very sum
-// split_last_stream's peel decision recomputes.
-[[nodiscard]] std::uint32_t a1_end(const InstanceView& view,
-                                   const SolveWorkspace& ws, UserId u) {
+// Adds user u's grouped pairs (at least one) to split_last_stream's
+// per-pair running sums — w1 over the pairs A1 keeps, w2 the last — and
+// returns the end of the pairs A1 keeps. A1 keeps every pair but the
+// last, and the last too unless u's pick-order sum from 0.0 (the peel
+// sum of split_last_stream and the engine's user_w) passes its cap.
+// view.edge_utility(e) is the double pair_utility(u, s) finds by search.
+std::uint32_t split_user(const InstanceView& view, const SolveWorkspace& ws,
+                         UserId u, SplitValues& acc) {
   const auto uu = static_cast<std::size_t>(u);
   const std::uint32_t end = ws.user_pair_begin[uu + 1];
-  return split_peels_last(ws.user_w[uu], view.capacity(u)) ? end - 1 : end;
+  double w = 0.0;
+  for (std::uint32_t t = ws.user_pair_begin[uu]; t + 1 < end; ++t) {
+    const double x = view.edge_utility(ws.user_pairs[t].edge);
+    w += x;
+    acc.w1 += x;
+  }
+  const double last = view.edge_utility(ws.user_pairs[end - 1].edge);
+  w += last;
+  acc.w2 += last;
+  if (split_peels_last(w, view.capacity(u))) return end - 1;
+  acc.w1 += last;
+  return end;
 }
 
-// split_last_stream's values from the grouped pairs, with its per-pair
-// running sums in user-then-pick order (view.edge_utility(e) is the
-// double pair_utility(u, s) finds by search).
-[[nodiscard]] SplitValues grouped_split_values(const InstanceView& view,
-                                               const SolveWorkspace& ws) {
+}  // namespace
+
+SplitValues split_pair_log(const InstanceView& view, SolveWorkspace& ws) {
+  group_pairs_by_user(view.num_users(), ws);
   SplitValues out;
-  for (std::size_t uu = 0; uu < view.num_users(); ++uu) {
-    const std::uint32_t begin = ws.user_pair_begin[uu];
-    const std::uint32_t end = ws.user_pair_begin[uu + 1];
-    if (begin == end) continue;
-    const std::uint32_t keep = a1_end(view, ws, static_cast<UserId>(uu));
-    for (std::uint32_t t = begin; t < keep; ++t)
-      out.w1 += view.edge_utility(ws.user_pairs[t].edge);
-    out.w2 += view.edge_utility(ws.user_pairs[end - 1].edge);
-  }
+  for (std::size_t uu = 0; uu < view.num_users(); ++uu)
+    if (ws.user_pair_begin[uu] < ws.user_pair_begin[uu + 1])
+      (void)split_user(view, ws, static_cast<UserId>(uu), out);
   return out;
 }
 
-// One side of the split (keep_rest = A1, else A2) from the grouped
-// pairs, assigned in split_last_stream's user-then-pick order.
-[[nodiscard]] Assignment grouped_split_side(const InstanceView& view,
-                                            const SolveWorkspace& ws,
-                                            bool keep_rest) {
+Assignment build_winner(const InstanceView& view, SolveWorkspace& ws,
+                        std::string_view variant) {
+  if (variant == "Amax") return best_single_stream(view);
+  group_pairs_by_user(view.num_users(), ws);
+  const bool semi = variant == "greedy";
   Assignment out(view.base());
+  SplitValues unused;
   for (std::size_t uu = 0; uu < view.num_users(); ++uu) {
     const auto u = static_cast<UserId>(uu);
     const std::uint32_t begin = ws.user_pair_begin[uu];
     const std::uint32_t end = ws.user_pair_begin[uu + 1];
     if (begin == end) continue;
-    const std::uint32_t from = keep_rest ? begin : end - 1;
-    const std::uint32_t to = keep_rest ? a1_end(view, ws, u) : end;
+    // A1 drops a peeled last pair, A2 keeps only the last pair.
+    const std::uint32_t from = variant == "A2" ? end - 1 : begin;
+    const std::uint32_t to =
+        variant == "A1" ? split_user(view, ws, u, unused) : end;
     out.reserve_streams(u, to - from);
+    if (semi) continue;
     for (std::uint32_t t = from; t < to; ++t)
       out.assign_edge(u, ws.user_pairs[t].stream, ws.user_pairs[t].edge);
   }
+  // The semi-feasible solution keeps the log's order: the accounting
+  // sums run in it.
+  if (semi)
+    for (const AssignedPair& p : ws.pair_log)
+      out.assign_edge(p.user, p.stream, p.edge);
   return out;
 }
-
-}  // namespace
 
 SmdSolveResult solve_unit_skew(const InstanceView& view, SmdMode mode,
                                const GreedyOptions& opts) {
@@ -749,24 +688,17 @@ SmdSolveResult solve_unit_skew(const InstanceView& view, SmdMode mode,
       opts.build_assignment || mode == SmdMode::kFeasible;
   GreedyEngine engine(view, ws, engine_opts);
   engine.run();
-  const SelectStats select = engine.select_stats();
-  Assignment amax = best_single_stream(view);
-  const double w_amax = view_capped_utility(view, amax);
+  const double w_amax = stream_capped_value(view, amax_stream(view));
   // Theorem 2.8 races the split's sides (the last stream assigned to each
   // user peeled); Corollary 2.7 races the semi-feasible greedy itself.
-  SplitValues split;
-  if (mode == SmdMode::kFeasible) {
-    group_pairs_by_user(view.num_users(), ws);
-    split = grouped_split_values(view, ws);
-  }
+  const SplitValues split = mode == SmdMode::kFeasible
+                                ? split_pair_log(view, ws)
+                                : SplitValues{};
   const RaceOutcome won =
       race_winner(mode, engine.capped_utility(), split, w_amax);
-  const std::string_view v = won.variant;
-  Assignment winner = !opts.build_assignment ? Assignment(view.base())
-                      : v == "greedy" ? std::move(engine).take().assignment
-                      : v == "Amax"   ? std::move(amax)
-                                      : grouped_split_side(view, ws, v == "A1");
-  return {std::move(winner), won.value, won.variant, select};
+  return {opts.build_assignment ? engine.winner(won.variant)
+                                : Assignment(view.base()),
+          won.value, won.variant, engine.select_stats()};
 }
 
 SmdSolveResult solve_unit_skew(const Instance& inst, SmdMode mode,

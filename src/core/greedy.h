@@ -29,6 +29,7 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/select.h"
@@ -39,20 +40,17 @@
 namespace vdist::core {
 
 // How the greedy family runs: which selection strategy extracts the
-// argmax (core/select.h; the strategies are pick-for-pick identical),
-// which reusable buffer pack to solve on (null = allocate locally), and
-// whether the per-pick trace vectors are recorded (pure overhead in
-// batch sweeps and enumeration inner loops; scalar counters stay on).
+// argmax (core/select.h; the strategies are pick-for-pick identical) and
+// which reusable buffer pack to solve on (null = allocate locally).
 struct GreedyOptions {
   SelectStrategy strategy = SelectStrategy::kDelta;
   SolveWorkspace* workspace = nullptr;
-  bool record_trace = true;
   // When false, the engine skips per-pair Assignment bookkeeping entirely
   // and GreedyResult::assignment stays EMPTY — the caller scores through
-  // capped_utility()/split_values() and materializes a winner on demand
-  // (GreedyEngine::materialize_assignment / materialize_split). This is
-  // the §2.3 enumeration's inner-loop mode: thousands of candidate
-  // completions are scored, a handful are ever materialized. The
+  // capped_utility()/split_values() and assigns a winner on demand
+  // (GreedyEngine::winner, which replays the picks into the pair log).
+  // This is the §2.3 enumeration's inner-loop mode: thousands of
+  // candidate completions are scored, a handful are ever assigned. The
   // greedy_unit_skew* free functions force this back on — the assignment
   // is their whole return value. solve_unit_skew honours it: false
   // returns the race's utility, variant and counters with an empty
@@ -60,13 +58,11 @@ struct GreedyOptions {
   bool build_assignment = true;
 };
 
+// The greedy's scalar counters (the pick order itself is recorded by
+// GreedyEngine::run(CompletionTrace&)).
 struct GreedyTrace {
-  // Streams in the order the algorithm considered them (seeds first, then
-  // argmax order). Only filled when GreedyOptions::record_trace.
-  std::vector<model::StreamId> considered;
-  // Parallel to `considered`: true if the stream was added to the solution.
-  std::vector<char> added;
-  // Scalar counters, maintained regardless of record_trace.
+  // Streams considered: seeds, picks, and the pool left when the budget
+  // cut the run off.
   std::size_t num_considered = 0;
   // Streams skipped because c(A) + c(S) > B.
   std::size_t skipped_budget = 0;
@@ -100,8 +96,6 @@ struct GreedyCheckpoint {
   double capped_utility = 0.0;
   std::size_t num_considered = 0;
   std::size_t skipped_budget = 0;
-  std::vector<model::StreamId> considered;
-  std::vector<char> added;
   // Filled only when the engine builds assignments: the (user, stream,
   // edge) pairs assigned so far, in assignment order. Restoring replays
   // them through sync_assignment() — copying the flat log is far cheaper
@@ -222,10 +216,9 @@ inline SplitValues& operator+=(SplitValues& acc,
 
 // One user's split terms for assigned utility w with last pair `last`.
 // The engine's, the trace's, the replay's and the repair's split sums add
-// these per user in user order, so they agree bit for bit. The free
-// functions (solve_unit_skew, split_last_stream*, materialize_split) sum
-// per pair instead, in user-then-pick order: same peel decisions, sums
-// equal to these only up to rounding.
+// these per user in user order, so they agree bit for bit. split_pair_log
+// and split_last_stream sum per pair instead, in user-then-pick order:
+// same peel decisions, sums equal to these only up to rounding.
 [[nodiscard]] inline SplitValues split_term(double w, double last,
                                             double cap) noexcept {
   return {split_peels_last(w, cap) ? w - last : w, last};
@@ -264,16 +257,16 @@ class GreedyEngine {
   // Runs the argmax loop to completion.
   void run();
   // Runs the argmax loop to completion while recording a CompletionTrace
-  // (cleared first) for the §2.3 shared-prefix replay. Requires
-  // untraced mode; behaviour and picks are identical to run(), with
-  // extra per-pick evaluations from the settles that give each pick its
-  // exact runner-up (StreamSelector::settle_top_eff). The trace is the
-  // same under both selection strategies.
+  // (cleared first) for the §2.3 shared-prefix replay. Behaviour and
+  // picks are identical to run(), with extra per-pick evaluations from
+  // the settles that give each pick its exact runner-up
+  // (StreamSelector::settle_top_eff). The trace is the same under both
+  // selection strategies.
   void run(CompletionTrace& rec);
 
   // The current result; select counters are synced on access. With
   // build_assignment = false the result's assignment is empty — use the
-  // accessors and materializers below instead.
+  // accessors and winner() below instead.
   [[nodiscard]] const GreedyResult& result();
   // Moves the result out (terminal).
   [[nodiscard]] GreedyResult take() &&;
@@ -290,15 +283,12 @@ class GreedyEngine {
   // per-user accumulators: O(num_users), no edge lookups, no Assignment.
   [[nodiscard]] SplitValues split_values() const;
 
-  // Rebuilds the current (semi-feasible) assignment by replaying the
-  // added streams against fresh residual caps — exact same pair set the
-  // incremental bookkeeping would have produced. O(picks + pairs); meant
-  // for scoring-mode callers materializing an incumbent.
-  [[nodiscard]] model::Assignment materialize_assignment() const;
-  // Materializes one side of the Theorem 2.8 split (keep_rest = A1, else
-  // A2), peeling with the same per-user over-cap decisions as
-  // split_values().
-  [[nodiscard]] model::Assignment materialize_split(bool keep_rest) const;
+  // The current solution's race candidate named `variant` ("greedy",
+  // "A1", "A2" or "Amax"), built by build_winner. In scoring mode the
+  // added streams are first replayed into the pair log
+  // (log_fresh_pairs): the same pairs, in the same order, as the
+  // incremental bookkeeping would have logged. O(picks + pairs).
+  [[nodiscard]] model::Assignment winner(std::string_view variant) const;
 
   void save(GreedyCheckpoint& out) const;
   void restore(const GreedyCheckpoint& in);
@@ -310,23 +300,21 @@ class GreedyEngine {
  private:
   void add_stream(model::StreamId s, double cost);
   void run_loop();
-  // Rebuilds result_.assignment from the workspace pair log (replaying
-  // assign_edge in the identical order — bit-identical accounting) when
-  // picks landed since the last sync. No-op in scoring mode.
+  // Rebuilds result_.assignment from the workspace pair log (the
+  // "greedy" winner) when picks landed since the last sync. No-op in
+  // scoring mode.
   void sync_assignment();
 
   model::InstanceView view_;
   SolveWorkspace& ws_;
   std::size_t rows_sorted_ = 0;  // user rows the constructor's prep sorted
-  bool record_trace_ = true;
   bool build_assignment_ = true;
   GreedyResult result_;
   StreamSelector selector_;
   std::vector<model::StreamId> added_streams_;
   // Cursor into ws_.cost_order: streams before it have left the pool.
   // The cheapest pool stream bounds every future pick's cost, so once it
-  // stops fitting the budget the whole remaining pool is one bulk skip
-  // (untraced runs only — traces need the per-stream pop order).
+  // stops fitting the budget the whole remaining pool is one bulk skip.
   std::size_t cost_cursor_ = 0;
   double used_ = 0.0;
   // Non-null while a recording run() is in flight: add_stream appends the
@@ -370,9 +358,17 @@ void sort_row(const model::InstanceView& view, SolveWorkspace& ws,
     const model::Instance& inst, std::span<const model::StreamId> seeds,
     const GreedyOptions& opts = {});
 
-// The best single-stream assignment Amax of Lemma 2.6: the stream S
-// maximizing w(S) = sum_u w_u(S) under the view's utilities, assigned to
-// every user the view gives it positive utility for.
+// The stream of Lemma 2.6's Amax: the first stream maximizing w(S) =
+// sum_u w_u(S) under the view's utilities; kInvalidStream when no stream
+// has positive utility.
+[[nodiscard]] model::StreamId amax_stream(const model::InstanceView& view);
+// A stream's capped value: the sum over its edges with w > 0 of
+// min(W_u, w), in edge (= user) order; 0 for kInvalidStream. For Amax's
+// stream this is w(Amax), bit for bit view_capped_utility's sum.
+[[nodiscard]] double stream_capped_value(const model::InstanceView& view,
+                                         model::StreamId s);
+// The best single-stream assignment Amax: amax_stream assigned to every
+// user the view gives it positive utility for.
 [[nodiscard]] model::Assignment best_single_stream(
     const model::InstanceView& view);
 [[nodiscard]] model::Assignment best_single_stream(
@@ -387,7 +383,9 @@ void sort_row(const model::InstanceView& view, SolveWorkspace& ws,
 
 // Theorem 2.8's per-user peel of a semi-feasible assignment: A1(u) drops
 // the *last* stream assigned to u, A2(u) keeps only that stream. Both are
-// feasible and w(A1) + w(A2) >= w(A). Utilities are the view's.
+// feasible and w(A1) + w(A2) >= w(A). Utilities are the view's. The
+// library scores and builds the split from a pair log (split_pair_log,
+// build_winner); this Assignment form is their reference.
 struct FeasibleSplit {
   model::Assignment a1;
   model::Assignment a2;
@@ -399,15 +397,39 @@ struct FeasibleSplit {
 [[nodiscard]] FeasibleSplit split_last_stream(const model::Instance& inst,
                                               const model::Assignment& semi);
 
-// The split's utilities for an explicit assignment — same decisions, no
-// Assignment materialization. The §2.3 enumeration scores its
-// directly-evaluated (seed-only) candidates with this.
-[[nodiscard]] SplitValues split_last_stream_values(
-    const model::InstanceView& view, const model::Assignment& semi);
-// Materializes one side of the split (keep_rest = A1, else A2).
-[[nodiscard]] model::Assignment materialize_split(
-    const model::InstanceView& view, const model::Assignment& semi,
-    bool keep_rest);
+// --- The race's one winner path ------------------------------------------
+//
+// Every producer of a semi-feasible solution hands its pairs, in
+// assignment order, to ws.pair_log: the engine its live log (or, in
+// scoring mode, a replay of its picks), the enumeration its seed-only
+// sets, the serving repair its per-user lists. split_pair_log scores the
+// Theorem 2.8 split from it and build_winner assigns the race's winner.
+
+// Replaces ws.pair_log with the pairs of handing `streams`, in order, to
+// every user with w > 0 whose residual cap (fresh caps, on ws.scratch) is
+// still positive — Algorithm 1's saturation rule, so the engine's picks
+// replay to its own log. Streams must be distinct. Returns the capped
+// utility, sum of min(w, residual) per pair.
+double log_fresh_pairs(const model::InstanceView& view,
+                       std::span<const model::StreamId> streams,
+                       SolveWorkspace& ws);
+
+// Groups ws.pair_log by user (ws.user_pair_begin / user_pairs, pick order
+// kept within each user) and scores the Theorem 2.8 split with
+// split_last_stream's per-pair running sums in user-then-pick order. A
+// user's peel is decided by its own pick-order sum over its pairs — the
+// sum the engine's user_w holds — so the values are split_last_stream's
+// bit for bit.
+[[nodiscard]] SplitValues split_pair_log(const model::InstanceView& view,
+                                         SolveWorkspace& ws);
+
+// The race candidate named `variant`, assigned on the view's base:
+// "greedy" is ws.pair_log in log order, "A1"/"A2" the split's sides in
+// user-then-pick order (with split_pair_log's peel decisions), "Amax"
+// best_single_stream. Regroups the log (ws.user_pair_begin / user_pairs).
+[[nodiscard]] model::Assignment build_winner(const model::InstanceView& view,
+                                             SolveWorkspace& ws,
+                                             std::string_view variant);
 
 enum class SmdMode {
   kFeasible,   // Theorem 2.8: feasible output, ratio 3e/(e-1)

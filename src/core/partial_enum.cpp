@@ -13,106 +13,40 @@
 namespace vdist::core {
 
 using model::Assignment;
-using model::EdgeId;
 using model::Instance;
 using model::InstanceView;
 using model::StreamId;
-using model::UserId;
 using util::approx_le;
 
 namespace {
 
-// Builds the semi-feasible assignment for a fixed stream set into `out`
-// (cleared first): streams are handed to users in the given order, each
-// user taking a stream while its residual cap is positive (the same
-// saturation rule as Algorithm 1). Returns the capped (surrogate)
-// utility.
-double assign_seed_only(const InstanceView& view,
-                        std::span<const StreamId> seeds, SolveWorkspace& ws,
-                        Assignment& out) {
-  out.clear();
-  double capped = 0.0;
-  ws.rem.resize(view.num_users());
-  for (std::size_t u = 0; u < ws.rem.size(); ++u)
-    ws.rem[u] = view.capacity(static_cast<UserId>(u));
-  for (StreamId s : seeds) {
-    for (EdgeId e = view.first_edge(s); e < view.last_edge(s); ++e) {
-      const UserId u = view.edge_user(e);
-      const auto uu = static_cast<std::size_t>(u);
-      const double w = view.edge_utility(e);
-      if (ws.rem[uu] <= util::kAbsEps || w <= 0.0) continue;
-      out.assign_edge(u, s, e);  // seeds are distinct streams
-      capped += std::min(w, ws.rem[uu]);
-      ws.rem[uu] -= w;
-    }
-  }
-  return capped;
-}
-
-// Scores one candidate semi-feasible assignment under the requested mode
-// and keeps it if it beats the incumbent. Candidates are scored through
-// the values-only split first; an Assignment is materialized (copied)
-// only for a new incumbent.
+// The best candidate so far. Candidates arrive as race values; only a
+// new incumbent is assigned, by build(variant).
 class Incumbent {
  public:
-  Incumbent(const InstanceView& view, SmdMode mode)
-      : view_(view),
-        mode_(mode),
-        best_{Assignment(view.base()), -1.0, "none", {}} {}
+  explicit Incumbent(const InstanceView& view)
+      : best_{Assignment(view.base()), -1.0, "none", {}} {}
 
-  void offer(const Assignment& semi, double capped_utility) {
-    if (mode_ == SmdMode::kAugmented) {
-      if (capped_utility > best_.utility)
-        best_ = {semi, capped_utility, "greedy", {}};
-      return;
-    }
-    const SplitValues v = split_last_stream_values(view_, semi);
-    if (v.w1 >= v.w2) {
-      if (v.w1 > best_.utility)
-        best_ = {materialize_split(view_, semi, /*keep_rest=*/true), v.w1,
-                 "A1",
-                 {}};
-    } else if (v.w2 > best_.utility) {
-      best_ = {materialize_split(view_, semi, /*keep_rest=*/false), v.w2,
-               "A2",
+  template <typename Build>
+  void offer(const RaceOutcome& candidate, Build&& build) {
+    if (candidate.value > best_.utility)
+      best_ = {build(candidate.variant), candidate.value, candidate.variant,
                {}};
-    }
-  }
-
-  // The hot path: scores the engine's current completion through its
-  // O(num_users) accumulators and only materializes (replays) a new
-  // incumbent — no per-candidate Assignment is ever built.
-  void offer_engine(const GreedyEngine& engine) {
-    if (mode_ == SmdMode::kAugmented) {
-      const double capped = engine.capped_utility();
-      if (capped > best_.utility)
-        best_ = {engine.materialize_assignment(), capped, "greedy", {}};
-      return;
-    }
-    const SplitValues v = engine.split_values();
-    if (v.w1 >= v.w2) {
-      if (v.w1 > best_.utility)
-        best_ = {engine.materialize_split(/*keep_rest=*/true), v.w1, "A1",
-                 {}};
-    } else if (v.w2 > best_.utility) {
-      best_ = {engine.materialize_split(/*keep_rest=*/false), v.w2, "A2",
-               {}};
-    }
-  }
-
-  void offer_single_best() {
-    Assignment amax = best_single_stream(view_);
-    const double w = view_capped_utility(view_, amax);
-    if (w > best_.utility) best_ = {std::move(amax), w, "Amax", {}};
   }
 
   SmdSolveResult take() && { return std::move(best_); }
 
  private:
-  const InstanceView& view_;
-  SmdMode mode_;
   SmdSolveResult best_;
 };
+
+// A semi-feasible candidate's race value under `mode`: its capped utility
+// or the better side of its split. Amax is offered once, on its own, so
+// it sits this race out.
+[[nodiscard]] RaceOutcome semi_race(SmdMode mode, double capped,
+                                    const SplitValues& split) noexcept {
+  return race_winner(mode, capped, split, -util::kInf);
+}
 
 // Enumerates all subsets of size exactly `k` whose total cost fits the
 // budget, invoking `fn` on each. Prunes on cost as it recurses. Used for
@@ -271,15 +205,14 @@ PartialEnumResult partial_enum_unit_skew(const InstanceView& view,
                        {},
                        0,
                        0};
-  Incumbent incumbent(view, opts.mode);
+  Incumbent incumbent(view);
 
   SolveWorkspace local;
   SolveWorkspace& ws = opts.workspace != nullptr ? *opts.workspace : local;
-  // Inner runs never expose traces or build per-candidate assignments;
-  // candidates are scored through the engine accumulators and only an
-  // improving incumbent is materialized.
+  // Inner runs never build per-candidate assignments; candidates are
+  // scored through the engine accumulators and only an improving
+  // incumbent is assigned.
   const GreedyOptions greedy_opts{opts.strategy, &ws,
-                                  /*record_trace=*/false,
                                   /*build_assignment=*/false};
 
   // One engine for the whole enumeration; its selection counters keep
@@ -311,6 +244,20 @@ PartialEnumResult partial_enum_unit_skew(const InstanceView& view,
   CompletionTrace trace;
   bool root_trace_ready = false;
 
+  // Engine completions race on the engine's accumulators and replay
+  // their picks only for a new incumbent; the other candidates' pairs
+  // are already in ws.pair_log (or need none, for Amax).
+  const bool feasible = opts.mode == SmdMode::kFeasible;
+  const auto offer_engine = [&] {
+    incumbent.offer(
+        semi_race(opts.mode, engine.capped_utility(),
+                  feasible ? engine.split_values() : SplitValues{}),
+        [&](const char* variant) { return engine.winner(variant); });
+  };
+  const auto build_from_log = [&](const char* variant) {
+    return build_winner(view, ws, variant);
+  };
+
   // The plain greedy (empty seed) and the single best stream are always
   // candidates; with seed_size == 0 they are the whole algorithm.
   if (replay_on && depth == 1) {
@@ -319,21 +266,27 @@ PartialEnumResult partial_enum_unit_skew(const InstanceView& view,
   } else {
     engine.run();
   }
-  incumbent.offer_engine(engine);
-  incumbent.offer_single_best();
+  offer_engine();
+  incumbent.offer({stream_capped_value(view, amax_stream(view)), "Amax"},
+                  build_from_log);
   out.candidates_evaluated = 2;
 
   std::size_t candidate_budget = opts.max_candidates;
 
-  // Cardinality-(< seed_size) sets, evaluated directly (no completion).
-  Assignment seed_scratch(view.base());
+  // Cardinality-(< seed_size) sets, evaluated directly (no completion):
+  // the set's streams handed out in order under the greedy's saturation
+  // rule. The replay runs on the workspace's scratch, clear of the live
+  // engine's state.
   for (int k = 1; k < opts.seed_size; ++k) {
     for_each_subset(
         view, k,
         [&](std::span<const StreamId> set) {
           ++out.candidates_evaluated;
-          const double capped = assign_seed_only(view, set, ws, seed_scratch);
-          incumbent.offer(seed_scratch, capped);
+          const double capped = log_fresh_pairs(view, set, ws);
+          incumbent.offer(
+              semi_race(opts.mode, capped,
+                        feasible ? split_pair_log(view, ws) : SplitValues{}),
+              build_from_log);
         },
         candidate_budget);
   }
@@ -383,7 +336,6 @@ PartialEnumResult partial_enum_unit_skew(const InstanceView& view,
             SolveWorkspace tws;
             GreedyEngine teng(view, tws,
                               GreedyOptions{opts.strategy, &tws,
-                                            /*record_trace=*/false,
                                             /*build_assignment=*/false});
             // Constructor-time counters are subtracted below: the work
             // tally must not depend on how many engines were built.
@@ -500,7 +452,7 @@ PartialEnumResult partial_enum_unit_skew(const InstanceView& view,
       engine.restore(frames[0]);
       for (StreamId s : best.seeds) engine.add_seed(s);
       engine.run();
-      incumbent.offer_engine(engine);
+      offer_engine();
     }
   }
 

@@ -205,15 +205,12 @@ struct SolveWorkspace {
   // loop instead of once per touched pair inside it.
   std::vector<model::StreamId> touched;
   std::vector<char> touch_mark;
-  // Deferred assignment materialization (build_assignment mode): the
-  // flat pair log plus the per-user counts sync_assignment() sizes the
-  // per-user stream lists from.
+  // The §2.2 race's input (core/greedy.h: log_fresh_pairs,
+  // split_pair_log, build_winner): a semi-feasible solution's pairs in
+  // assignment order, then grouped by user, pick order kept within each
+  // user (CSR: user u's pairs run from user_pair_begin[u] to
+  // user_pair_begin[u + 1] in user_pairs).
   std::vector<AssignedPair> pair_log;
-  std::vector<std::int32_t> user_pair_count;
-  // The pair log grouped by user, pick order kept within each user (CSR:
-  // user u's pairs run from user_pair_begin[u] to user_pair_begin[u + 1]
-  // in user_pairs) — what solve_unit_skew scores the Theorem 2.8 split
-  // and builds its winner from.
   std::vector<std::uint32_t> user_pair_begin;
   std::vector<AssignedPair> user_pairs;
   // Radix-sort ping-pong buffers (the constructor's cost-order build).

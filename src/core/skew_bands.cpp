@@ -145,7 +145,7 @@ SkewBandsResult solve_smd_any_skew(const Instance& inst,
                               .workspace = &ws})
                   .best
             : solve_unit_skew(band_view, opts.mode,
-                              {opts.strategy, &ws, /*record_trace=*/false});
+                              {opts.strategy, &ws});
     out.select.merge(solved.select);
 
     // The band assignment lives directly on the parent instance (views

@@ -55,9 +55,6 @@ std::vector<SolveResult> BatchRunner::run(
       // paired cells replay identical generated workloads (solver.h).
       req.seed = derive_seed(options_.base_seed, i, requests[i].seed);
       if (req.workspace == nullptr) req.workspace = &workspace;
-      // Batch cells never read per-pick traces; recording them across a
-      // 10k-cell sweep is pure allocation overhead.
-      req.record_trace = false;
       try {
         results[i] = registry.solve(req);
       } catch (const std::exception& e) {

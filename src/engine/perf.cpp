@@ -35,7 +35,6 @@ PerfMeasurement measure(const model::Instance& inst,
   req.options.set("select", core::to_string(strategy));
   req.seed = seed;
   req.validate = false;  // time the solve, not the O(n) validation
-  req.record_trace = false;  // trace vectors are not part of the hot path
   req.workspace = &ws;
 
   PerfMeasurement out;

@@ -39,7 +39,7 @@ SmdMode parse_mode(const SolveOptions& opts) {
 // baseline.
 core::GreedyOptions greedy_options(const SolveRequest& req) {
   return {core::parse_select_strategy(req.options.get("select", "delta")),
-          req.workspace, req.record_trace};
+          req.workspace};
 }
 
 core::SkewBandsOptions band_options(const SolveRequest& req) {
@@ -115,7 +115,6 @@ SolveOutcome run_plain_greedy(const SolveRequest& req) {
       core::greedy_unit_skew(*req.instance, greedy_options(req));
   SolveOutcome out{std::move(r.assignment)};
   out.objective = r.capped_utility;
-  // Scalar trace counters survive record_trace = false (batch runs).
   out.stats["considered"] = static_cast<double>(r.trace.num_considered);
   out.stats["skipped_budget"] = static_cast<double>(r.trace.skipped_budget);
   report_select(out, r.select);

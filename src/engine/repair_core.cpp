@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <string>
 
 #include "core/propagate.h"
 #include "util/float_cmp.h"
@@ -290,20 +289,9 @@ RepairCore::AmaxPartial RepairCore::amax_partial(const WorldRef& w,
   return best;
 }
 
-double RepairCore::amax_value(const WorldRef& w,
-                              const AmaxPartial& best) noexcept {
-  double w_amax = 0.0;
-  if (best.best != model::kInvalidStream && best.total > 0.0) {
-    const model::Instance& inst = *w.base;
-    for (model::EdgeId e = inst.first_edge(best.best);
-         e < inst.last_edge(best.best); ++e) {
-      const double wv = w.edge_utility[static_cast<std::size_t>(e)];
-      if (wv > 0.0)
-        w_amax += std::min(
-            w.capacity[static_cast<std::size_t>(inst.edge_user(e))], wv);
-    }
-  }
-  return w_amax;
+double RepairCore::amax_value(const WorldRef& w, const AmaxPartial& best) {
+  return best.total > 0.0 ? core::stream_capped_value(w.view(), best.best)
+                          : 0.0;
 }
 
 void RepairCore::update_race(const WorldRef& w,
@@ -379,12 +367,16 @@ const core::SolveWorkspace& RepairCore::current_rows(const WorldRef& w) {
   return ws_;
 }
 
-model::Assignment RepairCore::build_semi(const WorldRef& w) const {
-  model::Assignment semi(*w.base);
-  for (std::size_t uu = 0; uu < assigned_.size(); ++uu)
-    for (const StreamId s : assigned_[uu])
-      semi.assign(static_cast<UserId>(uu), s);
-  return semi;
+void RepairCore::log_pairs(const WorldRef& w, core::SolveWorkspace& ws) const {
+  ws.pair_log.clear();
+  for (std::size_t uu = 0; uu < assigned_.size(); ++uu) {
+    const auto u = static_cast<UserId>(uu);
+    for (const StreamId s : assigned_[uu]) {
+      const auto e = w.base->find_edge(u, s);
+      assert(e.has_value());  // the repair assigns interest edges only
+      ws.pair_log.push_back({u, s, *e});
+    }
+  }
 }
 
 RepairCore::PreEvent RepairCore::pre_event(const WorldRef& w,
@@ -499,7 +491,6 @@ double fresh_winner_objective(const WorldRef& w, const RepairCore::Context& ctx,
   core::GreedyOptions gopts;
   gopts.strategy = ctx.strategy;
   gopts.workspace = ctx.workspace;
-  gopts.record_trace = false;
   gopts.build_assignment = false;  // scoring mode: values only
   core::GreedyEngine engine(view, *ctx.workspace, gopts);
   engine.run();
@@ -511,17 +502,6 @@ double fresh_winner_objective(const WorldRef& w, const RepairCore::Context& ctx,
                                       : core::SplitValues{};
   return core::race_winner(ctx.mode, engine.capped_utility(), split, w_amax)
       .value;
-}
-
-model::Assignment materialize_winner(const model::InstanceView& view,
-                                     model::Assignment semi,
-                                     const char* variant) {
-  const std::string v = variant;
-  if (v == "greedy") return semi;
-  if (v == "A1") return core::materialize_split(view, semi, /*keep_rest=*/true);
-  if (v == "A2")
-    return core::materialize_split(view, semi, /*keep_rest=*/false);
-  return core::best_single_stream(view);
 }
 
 }  // namespace vdist::engine

@@ -160,13 +160,16 @@ class RepairCore {
   [[nodiscard]] static AmaxPartial amax_partial(const WorldRef& w,
                                                 std::size_t s_begin,
                                                 std::size_t s_end) noexcept;
-  // Values the Amax candidate: sum_u min(W_u, w_us) over the best
-  // stream's live pairs.
+  // Values the Amax candidate: core::stream_capped_value of the best
+  // stream (0 when no total is positive).
   [[nodiscard]] static double amax_value(const WorldRef& w,
-                                         const AmaxPartial& best) noexcept;
+                                         const AmaxPartial& best);
 
-  // The maintained semi-feasible assignment (the race's greedy input).
-  [[nodiscard]] model::Assignment build_semi(const WorldRef& w) const;
+  // Writes the maintained semi-feasible solution (the race's greedy
+  // input) into ws.pair_log, user-major, each user's pairs in its
+  // assigned order: what core::build_winner assigns the race's winner
+  // from.
+  void log_pairs(const WorldRef& w, core::SolveWorkspace& ws) const;
 
   // The state the completion walks (user_edge_w/_s, cost_order), stale
   // rows re-sorted first: for checks against a cold core::prepare_rows.
@@ -240,11 +243,5 @@ class RepairCore {
 [[nodiscard]] double fresh_winner_objective(const WorldRef& w,
                                             const RepairCore::Context& ctx,
                                             core::SelectStats& select);
-
-// The race winner as a concrete Assignment: the semi-feasible greedy
-// solution itself, one side of the Theorem 2.8 split, or Amax.
-[[nodiscard]] model::Assignment materialize_winner(
-    const model::InstanceView& view, model::Assignment semi,
-    const char* variant);
 
 }  // namespace vdist::engine

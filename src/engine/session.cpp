@@ -90,7 +90,6 @@ ParityReport Session::check_parity() {
   core::GreedyOptions gopts;
   gopts.strategy = opts_.strategy;
   gopts.workspace = ws_;
-  gopts.record_trace = false;
   gopts.build_assignment = false;  // the value is the whole report
   rep.fresh =
       core::solve_unit_skew(overlay_.materialize(), opts_.mode, gopts).utility;
@@ -113,7 +112,6 @@ void Session::resolve_apply() {
   core::GreedyOptions gopts;
   gopts.strategy = opts_.strategy;
   gopts.workspace = ws_;
-  gopts.record_trace = false;
   resolved_ = core::solve_unit_skew(view, opts_.mode, gopts);
   objective_ = resolved_->utility;
   variant_ = resolved_->variant == "greedy"  ? "greedy"
@@ -293,10 +291,10 @@ const model::Assignment& Session::assignment() {
     case ServePolicy::kRepair:
       break;
   }
-  // kRepair: build the maintained semi-feasible assignment, then hand
-  // back the same race winner objective() reflects.
-  assignment_ = materialize_winner(overlay_.view(),
-                                   repair_.build_semi(world()), variant_);
+  // kRepair: the race winner objective() reflects, assigned from the
+  // maintained semi-feasible pairs.
+  repair_.log_pairs(world(), *ws_);
+  assignment_ = core::build_winner(overlay_.view(), *ws_, variant_);
   return *assignment_;
 }
 

@@ -113,12 +113,6 @@ struct SolveRequest {
   // (the registry drops it), so the stats never depend on what the
   // workspace solved before.
   core::SolveWorkspace* workspace = nullptr;
-  // Record per-pick trace vectors in the greedy family (GreedyOptions::
-  // record_trace). On for interactive solves; BatchRunner and the perf
-  // runner turn it off — the vectors are pure overhead across thousands
-  // of sweep cells. Scalar counters (considered/skipped counts) stay on
-  // either way.
-  bool record_trace = true;
   // Opaque caller label, echoed back in the result (batch bookkeeping).
   std::string tag;
 };

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include "assignment_pairs.h"
+#include "recorded_picks.h"
 
 #include <algorithm>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -29,7 +32,10 @@ using model::InstanceView;
 using model::StreamId;
 using model::UserId;
 
+using vdist::testing::accounting_of;
+using vdist::testing::bits;
 using vdist::testing::pairs;
+using vdist::testing::recorded_picks;
 
 Instance cap_scenario(std::uint64_t seed, int streams, int users,
                       double budget_fraction = 0.3) {
@@ -102,39 +108,128 @@ TEST(GreedyCheckpoint, MidRunFrameSharesThePrefix) {
   EXPECT_EQ(pairs(engine.result().assignment), pairs(fresh_29.assignment));
 }
 
-// Scoring mode (build_assignment = false): the accumulator-backed split
-// values and the replay materializers must equal what the bookkeeping
-// path computes.
+// The engine's winner() for all four variants, in scoring mode (the
+// picks replayed into the pair log) and in building mode (the live log):
+// stream lists in per-user order and every accounting total, bit for
+// bit, equal the reference greedy's assignment, split_last_stream's
+// sides and best_single_stream. The log's split values are
+// split_last_stream's bits; the accumulator-backed ones agree up to
+// rounding.
 TEST(GreedyCheckpoint, ScoringModeMatchesMaterializingMode) {
+  std::size_t peeled = 0;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const Instance inst = cap_scenario(seed, 45, 14, 0.35);
     const InstanceView view = InstanceView::cap_form(inst);
-    SolveWorkspace ws;
-    GreedyOptions scoring{SelectStrategy::kDelta, &ws, /*record_trace=*/false,
-                          /*build_assignment=*/false};
-    GreedyEngine engine(view, ws, scoring);
-    engine.run();
-
     const GreedyResult reference = greedy_unit_skew(inst);
-    EXPECT_EQ(engine.capped_utility(), reference.capped_utility);
-    EXPECT_EQ(pairs(engine.materialize_assignment()),
-              pairs(reference.assignment));
-
-    const SplitValues values = engine.split_values();
     const FeasibleSplit split = split_last_stream(inst, reference.assignment);
-    // Same decisions; the accumulator arithmetic may differ by rounding.
-    EXPECT_TRUE(util::approx_eq(values.w1, split.w1)) << seed;
-    EXPECT_TRUE(util::approx_eq(values.w2, split.w2)) << seed;
-    EXPECT_EQ(pairs(engine.materialize_split(/*keep_rest=*/true)),
-              pairs(split.a1))
-        << seed;
-    EXPECT_EQ(pairs(engine.materialize_split(/*keep_rest=*/false)),
-              pairs(split.a2))
-        << seed;
+    const Assignment amax = best_single_stream(inst);
+    const std::pair<const char*, const Assignment*> oracles[] = {
+        {"greedy", &reference.assignment},
+        {"A1", &split.a1},
+        {"A2", &split.a2},
+        {"Amax", &amax}};
+    if (split.a1.num_assigned_pairs() < reference.assignment.num_assigned_pairs())
+      ++peeled;
+    for (const bool build : {false, true}) {
+      const std::string where = "seed " + std::to_string(seed) +
+                                (build ? " building" : " scoring");
+      SolveWorkspace ws;
+      GreedyEngine engine(view, ws, {SelectStrategy::kDelta, &ws, build});
+      engine.run();
+      EXPECT_EQ(engine.capped_utility(), reference.capped_utility) << where;
+      const SplitValues values = engine.split_values();
+      EXPECT_TRUE(util::approx_eq(values.w1, split.w1)) << where;
+      EXPECT_TRUE(util::approx_eq(values.w2, split.w2)) << where;
+      for (const auto& [variant, oracle] : oracles)
+        EXPECT_TRUE(accounting_of(engine.winner(variant)) ==
+                    accounting_of(*oracle))
+            << where << " " << variant;
+      const SplitValues logged = split_pair_log(view, ws);
+      EXPECT_EQ(bits(logged.w1), bits(split.w1)) << where;
+      EXPECT_EQ(bits(logged.w2), bits(split.w2)) << where;
+    }
   }
+  EXPECT_GT(peeled, 0u) << "no seed exercised the A1 peel";
 }
 
 // --- The checkpointed enumeration vs a from-scratch reference ----------
+
+// A directly evaluated seed set, built from scratch: the streams handed
+// out in order under the greedy's saturation rule, with its capped
+// utility.
+GreedyResult seed_only(const Instance& inst, std::span<const StreamId> set) {
+  GreedyResult g{Assignment(inst), 0.0, {}, {}};
+  std::vector<double> rem(inst.num_users());
+  for (std::size_t u = 0; u < rem.size(); ++u)
+    rem[u] = inst.capacity(static_cast<UserId>(u), 0);
+  for (StreamId s : set) {
+    for (model::EdgeId e = inst.first_edge(s); e < inst.last_edge(s); ++e) {
+      const UserId u = inst.edge_user(e);
+      const double w = inst.edge_utility(e);
+      if (rem[static_cast<std::size_t>(u)] <= util::kAbsEps || w <= 0.0)
+        continue;
+      g.assignment.assign(u, s);
+      g.capped_utility += std::min(w, rem[static_cast<std::size_t>(u)]);
+      rem[static_cast<std::size_t>(u)] -= w;
+    }
+  }
+  return g;
+}
+
+// The enumeration scores its seed-only sets on the workspace of a live
+// scoring-mode engine. The pair log of such a set must leave the
+// engine's state alone, and each user's peel must follow the set's own
+// pairs, not the engine's accumulators: the greedy's picks without the
+// first one give many users other sums than the engine holds. Capped
+// utility, split values and the winners of all three semi-feasible
+// variants equal the from-scratch set and split_last_stream, bit for bit.
+TEST(GreedyCheckpoint, SeedOnlySetsScoreOnALiveEngineWorkspace) {
+  std::size_t peels_differ = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Instance inst = cap_scenario(seed, 45, 14, 0.35);
+    const InstanceView view = InstanceView::cap_form(inst);
+    const GreedyResult reference = greedy_unit_skew(inst);
+    const CompletionTrace picks = recorded_picks(view);
+    std::vector<StreamId> set;
+    for (std::size_t i = 1; i < picks.num_picks(); ++i)
+      if (picks.applied[i] != 0) set.push_back(picks.pick[i]);
+    const GreedyResult want = seed_only(inst, set);
+    const FeasibleSplit split = split_last_stream(inst, want.assignment);
+
+    SolveWorkspace ws;
+    GreedyEngine engine(view, ws, {SelectStrategy::kDelta, &ws, false});
+    engine.run();
+    const std::vector<double> rem = ws.rem;
+    const std::vector<double> user_w = ws.user_w;
+    const std::string where = "seed " + std::to_string(seed);
+    EXPECT_EQ(bits(log_fresh_pairs(view, set, ws)),
+              bits(want.capped_utility))
+        << where;
+    const SplitValues got = split_pair_log(view, ws);
+    EXPECT_EQ(bits(got.w1), bits(split.w1)) << where;
+    EXPECT_EQ(bits(got.w2), bits(split.w2)) << where;
+    const std::pair<const char*, const Assignment*> oracles[] = {
+        {"greedy", &want.assignment}, {"A1", &split.a1}, {"A2", &split.a2}};
+    for (const auto& [variant, oracle] : oracles)
+      EXPECT_TRUE(accounting_of(build_winner(view, ws, variant)) ==
+                  accounting_of(*oracle))
+          << where << " " << variant;
+    EXPECT_EQ(ws.rem, rem) << where;
+    EXPECT_EQ(ws.user_w, user_w) << where;
+    EXPECT_TRUE(accounting_of(engine.winner("greedy")) ==
+                accounting_of(reference.assignment))
+        << where;
+    for (std::size_t uu = 0; uu < inst.num_users(); ++uu) {
+      const auto u = static_cast<UserId>(uu);
+      if (want.assignment.streams_of(u).empty()) continue;
+      const double cap = view.capacity(u);
+      if (split_peels_last(user_w[uu], cap) !=
+          split_peels_last(want.assignment.user_utility(u), cap))
+        ++peels_differ;
+    }
+  }
+  EXPECT_GT(peels_differ, 0u) << "the engine's sums decide every peel alike";
+}
 
 // PR-3 semantics, reimplemented naively: every seed set of cardinality
 // seed_size gets its own fresh seeded greedy; smaller sets are evaluated
@@ -173,26 +268,7 @@ SmdSolveResult reference_partial_enum(const Instance& inst, int seed_size,
                        int target) -> void {
     if (static_cast<int>(current.size()) == target) {
       if (target < seed_size) {
-        // Directly evaluated small set: the same saturation rule.
-        Assignment a(inst);
-        std::vector<double> rem(inst.num_users());
-        for (std::size_t u = 0; u < rem.size(); ++u)
-          rem[u] = inst.capacity(static_cast<UserId>(u), 0);
-        double capped = 0.0;
-        for (StreamId s : current) {
-          for (model::EdgeId e = inst.first_edge(s); e < inst.last_edge(s);
-               ++e) {
-            const UserId u = inst.edge_user(e);
-            const double w = inst.edge_utility(e);
-            if (rem[static_cast<std::size_t>(u)] <= util::kAbsEps || w <= 0.0)
-              continue;
-            a.assign(u, s);
-            capped += std::min(w, rem[static_cast<std::size_t>(u)]);
-            rem[static_cast<std::size_t>(u)] -= w;
-          }
-        }
-        GreedyResult g{std::move(a), capped, {}, {}};
-        offer(std::move(g));
+        offer(seed_only(inst, current));
       } else {
         offer(greedy_unit_skew_seeded(inst, current));
       }
@@ -212,7 +288,9 @@ SmdSolveResult reference_partial_enum(const Instance& inst, int seed_size,
 
 TEST(PartialEnumCheckpointed, MatchesFromScratchReference) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    for (const int depth : {1, 2}) {
+    // Depth 3 evaluates seed-only sets of two streams, where a user can
+    // hold two streams and the A1 peel fires.
+    for (const int depth : {1, 2, 3}) {
       for (const SmdMode mode : {SmdMode::kFeasible, SmdMode::kAugmented}) {
         const Instance inst = cap_scenario(seed, 16, 6, 0.5);
         PartialEnumOptions opts;

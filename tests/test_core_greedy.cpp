@@ -10,7 +10,9 @@
 #include <string_view>
 #include <vector>
 
+#include "assignment_pairs.h"
 #include "cap_form.h"
+#include "recorded_picks.h"
 #include "core/submodular.h"
 #include "engine/scenario.h"
 #include "gen/random_instances.h"
@@ -28,6 +30,9 @@ using model::Instance;
 using model::InstanceView;
 using model::StreamId;
 using model::UserId;
+using vdist::testing::accounting_of;
+using vdist::testing::bits;
+using vdist::testing::recorded_picks;
 
 TEST(Greedy, RequiresCapForm) {
   const Instance skewed = model::build_smd_instance(
@@ -46,10 +51,9 @@ TEST(Greedy, PicksByCostEffectivenessOrder) {
       {2.0, 5.0, 4.0}, 100.0, {100.0},
       {{0, 0, 6.0}, {0, 1, 5.0}, {0, 2, 8.0}});
   const GreedyResult g = greedy_unit_skew(inst);
-  ASSERT_EQ(g.trace.considered.size(), 3u);
-  EXPECT_EQ(g.trace.considered[0], 0);
-  EXPECT_EQ(g.trace.considered[1], 2);
-  EXPECT_EQ(g.trace.considered[2], 1);
+  const CompletionTrace rec = recorded_picks(inst);
+  EXPECT_EQ(rec.pick, (std::vector<StreamId>{0, 2, 1}));
+  EXPECT_EQ(rec.applied, (std::vector<char>{1, 1, 1}));
   EXPECT_DOUBLE_EQ(g.capped_utility, 19.0);
 }
 
@@ -83,7 +87,9 @@ TEST(Greedy, ZeroCostStreamsTakenFirst) {
   const Instance inst = build_cap_instance(
       {0.0, 1.0}, 1.0, {100.0}, {{0, 0, 0.5}, {0, 1, 50.0}});
   const GreedyResult g = greedy_unit_skew(inst);
-  EXPECT_EQ(g.trace.considered[0], 0);
+  const CompletionTrace rec = recorded_picks(inst);
+  ASSERT_FALSE(rec.pick.empty());
+  EXPECT_EQ(rec.pick[0], 0);
   EXPECT_TRUE(g.assignment.has(0, 0));
   EXPECT_TRUE(g.assignment.has(0, 1));
 }
@@ -98,9 +104,10 @@ TEST(Greedy, FractionalResidualDrivesSelection) {
        {1, 2, 3.0}});             // s2: eff 3
   const GreedyResult g = greedy_unit_skew(inst);
   // First pick: s1 (eff 5). Then user0 rem = 0 => s0 eff 0; s2 eff 3.
-  ASSERT_GE(g.trace.considered.size(), 2u);
-  EXPECT_EQ(g.trace.considered[0], 1);
-  EXPECT_EQ(g.trace.considered[1], 2);
+  const CompletionTrace rec = recorded_picks(inst);
+  ASSERT_GE(rec.pick.size(), 2u);
+  EXPECT_EQ(rec.pick[0], 1);
+  EXPECT_EQ(rec.pick[1], 2);
   EXPECT_DOUBLE_EQ(g.capped_utility, 9.0 + 1.0 + 3.0);
 }
 
@@ -231,8 +238,6 @@ SmdSolveResult composed_solve(const InstanceView& view, SmdMode mode,
   return {std::move(winner), won.value, won.variant, g.select};
 }
 
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
-
 void expect_same_counters(const SelectStats& got, const SelectStats& want,
                           const std::string& where) {
   EXPECT_EQ(got.picks, want.picks) << where;
@@ -243,32 +248,6 @@ void expect_same_counters(const SelectStats& got, const SelectStats& want,
   EXPECT_EQ(got.rows_sorted, want.rows_sorted) << where;
 }
 
-// Everything an Assignment reports, utilities and loads as bits, stream
-// lists in assignment order.
-struct Accounting {
-  std::vector<std::vector<StreamId>> streams;
-  std::vector<std::uint64_t> user_utility;
-  std::vector<std::uint64_t> user_load;
-  std::uint64_t utility = 0;
-  std::uint64_t server_cost = 0;
-  std::size_t range_size = 0;
-  bool operator==(const Accounting&) const = default;
-};
-
-Accounting accounting_of(const Assignment& a) {
-  Accounting out;
-  for (std::size_t uu = 0; uu < a.instance().num_users(); ++uu) {
-    const auto u = static_cast<UserId>(uu);
-    const auto streams = a.streams_of(u);
-    out.streams.emplace_back(streams.begin(), streams.end());
-    out.user_utility.push_back(bits(a.user_utility(u)));
-    out.user_load.push_back(bits(a.user_load(u, 0)));
-  }
-  out.utility = bits(a.utility());
-  out.server_cost = bits(a.server_cost(0));
-  out.range_size = a.range_size();
-  return out;
-}
 
 // One workspace per solve path, each fed the same sequence of views, so
 // their row caches (and rows_sorted) stay in step.
@@ -287,7 +266,6 @@ std::vector<std::string> expect_race_equals_composition(
     const std::string at =
         where + (mode == SmdMode::kFeasible ? " feasible" : " augmented");
     GreedyOptions opts;
-    opts.record_trace = mode == SmdMode::kAugmented;
     opts.workspace = &ws.race;
     const SmdSolveResult got = solve_unit_skew(view, mode, opts);
     opts.workspace = &ws.composed;
@@ -390,8 +368,10 @@ TEST(GreedySeeded, SeedsAreForceAssignedFirst) {
   const GreedyResult g = greedy_unit_skew_seeded(inst, seeds);
   EXPECT_TRUE(g.assignment.has(0, 0));
   EXPECT_TRUE(g.assignment.has(0, 1));
-  ASSERT_FALSE(g.trace.considered.empty());
-  EXPECT_EQ(g.trace.considered[0], 0);
+  // The seed went in before the completion, which picks only stream 1.
+  const CompletionTrace rec =
+      recorded_picks(inst, SelectStrategy::kDelta, seeds);
+  EXPECT_EQ(rec.pick, std::vector<StreamId>{1});
 }
 
 // A seed with zero total utility never enters the selection pool (dead-
@@ -425,7 +405,8 @@ TEST(Greedy, EmptyInstanceDegenerates) {
   const Instance inst = std::move(b).build();
   const GreedyResult g = greedy_unit_skew(inst);
   EXPECT_EQ(g.capped_utility, 0.0);
-  EXPECT_TRUE(g.trace.considered.empty());
+  EXPECT_EQ(g.trace.num_considered, 0u);
+  EXPECT_TRUE(recorded_picks(inst).pick.empty());
 }
 
 }  // namespace

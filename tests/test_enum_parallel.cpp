@@ -136,7 +136,8 @@ TEST(PartialEnumParallel, BitIdenticalAcrossThreadCountsAndScenarios) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       const Instance inst = small_scenario_instance(name, seed);
       if (!inst.is_smd() || !inst.is_unit_skew()) continue;  // not enum's form
-      for (const int depth : {1, 2}) {
+      // Depth 3 also scores seed-only sets of two streams.
+      for (const int depth : {1, 2, 3}) {
         PartialEnumOptions opts;
         opts.seed_size = depth;
         PartialEnumResult single = partial_enum_unit_skew(inst, opts);
@@ -179,7 +180,7 @@ TEST(PartialEnumParallel, BitIdenticalAcrossThreadCountsAndScenarios) {
   }
   // The registry must keep contributing unit-skew workloads; if this
   // drops to a handful the suite silently stopped testing anything.
-  EXPECT_GE(covered, 3u * 3u * 2u);  // >= 3 scenarios x 3 seeds x 2 depths
+  EXPECT_GE(covered, 3u * 3u * 3u);  // >= 3 scenarios x 3 seeds x 3 depths
 }
 
 // The shared-prefix replay must actually engage on a depth-2 walk: every

@@ -65,7 +65,6 @@ Rows rows_of(const SolveWorkspace& ws) {
 std::size_t prep(const model::InstanceView& view, SolveWorkspace& ws) {
   core::GreedyOptions opts;
   opts.workspace = &ws;
-  opts.record_trace = false;
   opts.build_assignment = false;
   core::GreedyEngine engine(view, ws, opts);
   return engine.result().select.rows_sorted;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "assignment_pairs.h"
+#include "recorded_picks.h"
 
 #include <algorithm>
 #include <utility>
@@ -33,6 +34,7 @@ using model::StreamId;
 using model::UserId;
 
 using vdist::testing::pairs;
+using vdist::testing::recorded_picks;
 
 SolveResult solve_with(const Instance& inst, const std::string& algorithm,
                        const char* select, SolveWorkspace* ws = nullptr) {
@@ -94,8 +96,8 @@ TEST(SelectKernel, AllStrategiesMatchOnEveryRegisteredScenario) {
   }
 }
 
-// Traces — the exact stream consideration order — must match too, not
-// just the final assignment.
+// Traces — the exact pick order, and which picks fit the budget — must
+// match too, not just the final assignment.
 TEST(SelectKernel, GreedyTracesIdenticalAcrossStrategies) {
   for (const char* scenario : {"cap", "trace"}) {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
@@ -107,10 +109,15 @@ TEST(SelectKernel, GreedyTracesIdenticalAcrossStrategies) {
           greedy_unit_skew(inst, {SelectStrategy::kNaiveScan, nullptr});
       const GreedyResult delta =
           greedy_unit_skew(inst, {SelectStrategy::kDelta, nullptr});
-      EXPECT_EQ(delta.trace.considered, naive.trace.considered)
+      const CompletionTrace naive_picks =
+          recorded_picks(inst, SelectStrategy::kNaiveScan);
+      const CompletionTrace delta_picks =
+          recorded_picks(inst, SelectStrategy::kDelta);
+      EXPECT_EQ(delta_picks.pick, naive_picks.pick)
           << scenario << " seed " << seed;
-      EXPECT_EQ(delta.trace.added, naive.trace.added)
+      EXPECT_EQ(delta_picks.applied, naive_picks.applied)
           << scenario << " seed " << seed;
+      EXPECT_EQ(delta.trace.num_considered, naive.trace.num_considered);
       EXPECT_EQ(delta.trace.skipped_budget, naive.trace.skipped_budget);
       EXPECT_EQ(delta.capped_utility, naive.capped_utility);
       EXPECT_EQ(delta.select.picks, naive.select.picks);
@@ -142,10 +149,10 @@ TEST(SelectKernel, TieBreakPrefersLargerResidual) {
       {{0, 0, 4.0}, {0, 1, 6.0}, {0, 2, 1.0}});
   for (const SelectStrategy strategy :
        {SelectStrategy::kDelta, SelectStrategy::kNaiveScan}) {
-    const GreedyResult g = greedy_unit_skew(inst, {strategy, nullptr});
-    ASSERT_GE(g.trace.considered.size(), 2u) << to_string(strategy);
-    EXPECT_EQ(g.trace.considered[0], 1) << to_string(strategy);
-    EXPECT_EQ(g.trace.considered[1], 0) << to_string(strategy);
+    const CompletionTrace rec = recorded_picks(inst, strategy);
+    ASSERT_GE(rec.pick.size(), 2u) << to_string(strategy);
+    EXPECT_EQ(rec.pick[0], 1) << to_string(strategy);
+    EXPECT_EQ(rec.pick[1], 0) << to_string(strategy);
   }
 }
 
@@ -160,9 +167,9 @@ TEST(SelectKernel, NearTieFallsBackToLowestStreamId) {
       {1.0, 1.0}, 100.0, {100.0}, {{0, 0, w0}, {0, 1, w1}});
   for (const SelectStrategy strategy :
        {SelectStrategy::kDelta, SelectStrategy::kNaiveScan}) {
-    const GreedyResult g = greedy_unit_skew(inst, {strategy, nullptr});
-    ASSERT_FALSE(g.trace.considered.empty());
-    EXPECT_EQ(g.trace.considered[0], 0) << to_string(strategy);
+    const CompletionTrace rec = recorded_picks(inst, strategy);
+    ASSERT_FALSE(rec.pick.empty());
+    EXPECT_EQ(rec.pick[0], 0) << to_string(strategy);
   }
 }
 
@@ -174,11 +181,11 @@ TEST(SelectKernel, ZeroCostStreamsRankFirstUnderBothStrategies) {
       {{0, 0, 0.5}, {0, 1, 2.0}, {0, 2, 50.0}});
   for (const SelectStrategy strategy :
        {SelectStrategy::kDelta, SelectStrategy::kNaiveScan}) {
-    const GreedyResult g = greedy_unit_skew(inst, {strategy, nullptr});
-    ASSERT_GE(g.trace.considered.size(), 3u);
-    EXPECT_EQ(g.trace.considered[0], 1) << "larger w̄ among the two infs";
-    EXPECT_EQ(g.trace.considered[1], 0);
-    EXPECT_EQ(g.trace.considered[2], 2);
+    const CompletionTrace rec = recorded_picks(inst, strategy);
+    ASSERT_GE(rec.pick.size(), 3u);
+    EXPECT_EQ(rec.pick[0], 1) << "larger w̄ among the two infs";
+    EXPECT_EQ(rec.pick[1], 0);
+    EXPECT_EQ(rec.pick[2], 2);
   }
 }
 
@@ -526,7 +533,6 @@ TEST(SelectKernel, CompletionTracesIdenticalAcrossStrategies) {
         GreedyOptions opts;
         opts.strategy = strategies[k];
         opts.workspace = &ws;
-        opts.record_trace = false;
         opts.build_assignment = false;
         GreedyEngine engine(view, ws, opts);
         engine.run(trace[k]);
@@ -583,16 +589,20 @@ TEST(SolveWorkspace, SequentialSolvesMatchFreshSolves) {
   // Big then small: shrinking buffers must not leak state.
   const GreedyResult reused_big =
       greedy_unit_skew(inst_big, {SelectStrategy::kDelta, &ws});
+  const CompletionTrace reused_big_picks =
+      recorded_picks(inst_big, SelectStrategy::kDelta, {}, &ws);
   const GreedyResult reused_small =
       greedy_unit_skew(inst_small, {SelectStrategy::kDelta, &ws});
+  const CompletionTrace reused_small_picks =
+      recorded_picks(inst_small, SelectStrategy::kDelta, {}, &ws);
   const GreedyResult fresh_big = greedy_unit_skew(inst_big);
   const GreedyResult fresh_small = greedy_unit_skew(inst_small);
 
   EXPECT_EQ(reused_big.capped_utility, fresh_big.capped_utility);
-  EXPECT_EQ(reused_big.trace.considered, fresh_big.trace.considered);
+  EXPECT_EQ(reused_big_picks.pick, recorded_picks(inst_big).pick);
   EXPECT_EQ(pairs(reused_big.assignment), pairs(fresh_big.assignment));
   EXPECT_EQ(reused_small.capped_utility, fresh_small.capped_utility);
-  EXPECT_EQ(reused_small.trace.considered, fresh_small.trace.considered);
+  EXPECT_EQ(reused_small_picks.pick, recorded_picks(inst_small).pick);
   EXPECT_EQ(pairs(reused_small.assignment), pairs(fresh_small.assignment));
 
   // And across algorithms: an enum solve after the greedy ones.
@@ -667,15 +677,31 @@ TEST(SelectKernel, SeededGreedyIdenticalAcrossStrategies) {
       inst, seeds, {SelectStrategy::kNaiveScan, nullptr});
   const GreedyResult delta = greedy_unit_skew_seeded(
       inst, seeds, {SelectStrategy::kDelta, nullptr});
-  EXPECT_EQ(delta.trace.considered, naive.trace.considered);
+  const CompletionTrace naive_picks =
+      recorded_picks(inst, SelectStrategy::kNaiveScan, seeds);
+  const CompletionTrace delta_picks =
+      recorded_picks(inst, SelectStrategy::kDelta, seeds);
+  EXPECT_EQ(delta_picks.pick, naive_picks.pick);
+  EXPECT_EQ(delta_picks.applied, naive_picks.applied);
   EXPECT_EQ(delta.capped_utility, naive.capped_utility);
-  ASSERT_GE(naive.trace.considered.size(), 2u);
-  EXPECT_EQ(naive.trace.considered[0], 3);
-  EXPECT_EQ(naive.trace.considered[1], 7);
-  // The duplicate seed was dropped: stream 3 appears exactly once.
-  EXPECT_EQ(std::count(naive.trace.considered.begin(),
-                       naive.trace.considered.end(), StreamId{3}),
-            1);
+  EXPECT_EQ(delta.trace.num_considered, naive.trace.num_considered);
+  // The seeds left the pool: the completion never picks them.
+  ASSERT_FALSE(naive_picks.pick.empty());
+  EXPECT_EQ(std::count(naive_picks.pick.begin(), naive_picks.pick.end(),
+                       StreamId{3}),
+            0);
+  EXPECT_EQ(std::count(naive_picks.pick.begin(), naive_picks.pick.end(),
+                       StreamId{7}),
+            0);
+  // The duplicate seed was dropped: the run is the one seeded {3, 7}.
+  const StreamId distinct[] = {3, 7};
+  const GreedyResult once = greedy_unit_skew_seeded(
+      inst, distinct, {SelectStrategy::kNaiveScan, nullptr});
+  EXPECT_EQ(naive.trace.num_considered, once.trace.num_considered);
+  EXPECT_EQ(naive.capped_utility, once.capped_utility);
+  EXPECT_EQ(pairs(naive.assignment), pairs(once.assignment));
+  EXPECT_EQ(naive_picks.pick,
+            recorded_picks(inst, SelectStrategy::kNaiveScan, distinct).pick);
 }
 
 }  // namespace

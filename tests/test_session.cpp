@@ -13,9 +13,12 @@
 #include <cstdint>
 #include <cmath>
 #include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
+#include "assignment_pairs.h"
 #include "core/greedy.h"
 #include "engine/batch.h"
 #include "engine/registry.h"
@@ -543,6 +546,106 @@ TEST(Session, ValueOnlyParitySolveEqualsTheFullSolveAfterEveryEvent) {
       }
     }
   }
+}
+
+// Under repair, assignment() is the race winner variant() names, built
+// from the maintained pairs. A RepairCore mirrors the session event for
+// event (and resolves when a drift check made the session resolve); from
+// its pair log the test builds the semi-feasible assignment and then the
+// oracle the variant names: the semi itself, split_last_stream's A1 or
+// A2, or best_single_stream. At open and after every event of a churn
+// trace and of the committed cap-crossing trace, under both modes, the
+// session's assignment equals it: stream lists in per-user order and
+// every accounting total, bit for bit. Two two-stream worlds make A2 and
+// Amax win at open.
+TEST(Session, RepairAssignmentIsTheWinnerBuiltFromThePairLog) {
+  struct World {
+    std::string name;
+    Instance inst;
+    std::vector<InstanceEvent> trace;
+  };
+  const std::string traces = VDIST_TESTS_DIR "/../bench/traces/";
+  std::vector<World> worlds;
+  worlds.push_back({"churn", churn_base(37, 30, 14), {}});
+  worlds.back().trace = churn_trace(worlds.back().inst, 60, 137);
+  worlds.push_back({"contract_breakers",
+                    io::load_instance_file(traces + "contract_breakers.vd"),
+                    io::load_events_file(traces + "contract_breakers.events")});
+  // The greedy takes the small stream, then the big one past the cap:
+  // A1 keeps the small one, A2 (tied with Amax, and first) the big one.
+  worlds.push_back({"peel",
+                    model::build_cap_instance({1.0, 9.0}, 10.0, {10.0},
+                                              {{0, 0, 2.0}, {0, 1, 9.5}}),
+                    {}});
+  // §2.2's blocking example: the small stream leaves no budget for the
+  // big one, which Amax serves.
+  worlds.push_back({"blocking",
+                    model::build_cap_instance({1.0, 10.0}, 10.0, {100.0},
+                                              {{0, 0, 1.1}, {0, 1, 10.0}}),
+                    {}});
+  std::set<std::string> won;
+  for (const World& world : worlds) {
+    for (const core::SmdMode mode :
+         {core::SmdMode::kFeasible, core::SmdMode::kAugmented}) {
+      ServeConfig cfg;
+      cfg.policy = ServePolicy::kRepair;
+      cfg.mode = mode;
+      Session session(world.inst, cfg);
+      model::InstanceOverlay overlay(world.inst);
+      const auto mirror_world = [&] {
+        return WorldRef{&overlay.instance(), overlay.edge_utilities(),
+                        overlay.total_utilities(), overlay.capacities(),
+                        overlay.stream_alive_flags()};
+      };
+      core::SolveWorkspace ws;
+      core::SelectStats select;
+      RepairCore mirror;
+      const RepairCore::Context ctx{&ws, cfg.strategy, mode};
+      mirror.resolve(mirror_world(), ctx, select);
+      for (std::size_t i = 0; i <= world.trace.size(); ++i) {
+        // i == 0 checks the opening solve; i > 0 the state after event i - 1.
+        if (i > 0) {
+          const InstanceEvent& event = world.trace[i - 1];
+          const RepairStats stats = session.apply(event);
+          const RepairCore::PreEvent pre =
+              mirror.pre_event(mirror_world(), event);
+          overlay.apply(event);
+          RepairStats mirrored;
+          mirror.post_event(mirror_world(), event, pre, ctx, select, mirrored);
+          if (stats.action == RepairAction::kFullResolve)
+            mirror.resolve(mirror_world(), ctx, select);
+        }
+        const std::string where =
+            world.name +
+            (mode == core::SmdMode::kFeasible ? " feasible" : " augmented") +
+            (i == 0 ? std::string(" at open")
+                    : " after event " + std::to_string(i - 1));
+        const char* variant = "";
+        const double objective =
+            mirror.winner_objective(mirror_world(), mode, &variant);
+        ASSERT_EQ(testing::bits(objective), testing::bits(session.objective()))
+            << where;
+        ASSERT_STREQ(variant, session.variant()) << where;
+
+        mirror.log_pairs(mirror_world(), ws);
+        model::Assignment semi(overlay.instance());
+        for (const core::AssignedPair& p : ws.pair_log)
+          semi.assign_edge(p.user, p.stream, p.edge);
+        const model::InstanceView view = overlay.view();
+        const std::string_view v = variant;
+        const model::Assignment oracle =
+            v == "greedy" ? semi
+            : v == "Amax" ? core::best_single_stream(view)
+            : v == "A1"   ? core::split_last_stream(view, semi).a1
+                          : core::split_last_stream(view, semi).a2;
+        EXPECT_TRUE(testing::accounting_of(session.assignment()) ==
+                    testing::accounting_of(oracle))
+            << where << " (" << variant << ")";
+        won.insert(variant);
+      }
+    }
+  }
+  EXPECT_EQ(won, (std::set<std::string>{"A1", "A2", "Amax", "greedy"}));
 }
 
 // The online policy has no per-event bound against the offline optimum:
