@@ -648,9 +648,9 @@ SplitValues split_pair_log(const InstanceView& view, SolveWorkspace& ws) {
 }
 
 Assignment build_winner(const InstanceView& view, SolveWorkspace& ws,
-                        std::string_view variant) {
+                        std::string_view variant, bool log_grouped) {
   if (variant == "Amax") return best_single_stream(view);
-  group_pairs_by_user(view.num_users(), ws);
+  if (!log_grouped) group_pairs_by_user(view.num_users(), ws);
   const bool semi = variant == "greedy";
   Assignment out(view.base());
   SplitValues unused;
@@ -696,9 +696,14 @@ SmdSolveResult solve_unit_skew(const InstanceView& view, SmdMode mode,
                                 : SplitValues{};
   const RaceOutcome won =
       race_winner(mode, engine.capped_utility(), split, w_amax);
-  return {opts.build_assignment ? engine.winner(won.variant)
-                                : Assignment(view.base()),
-          won.value, won.variant, engine.select_stats()};
+  // Under kFeasible the engine logs its pairs and split_pair_log has just
+  // grouped them: the winner's build reuses that grouping.
+  Assignment winner = !opts.build_assignment ? Assignment(view.base())
+                      : mode == SmdMode::kFeasible
+                          ? build_winner(view, ws, won.variant,
+                                         /*log_grouped=*/true)
+                          : engine.winner(won.variant);
+  return {std::move(winner), won.value, won.variant, engine.select_stats()};
 }
 
 SmdSolveResult solve_unit_skew(const Instance& inst, SmdMode mode,

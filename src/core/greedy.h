@@ -426,10 +426,13 @@ double log_fresh_pairs(const model::InstanceView& view,
 // The race candidate named `variant`, assigned on the view's base:
 // "greedy" is ws.pair_log in log order, "A1"/"A2" the split's sides in
 // user-then-pick order (with split_pair_log's peel decisions), "Amax"
-// best_single_stream. Regroups the log (ws.user_pair_begin / user_pairs).
+// best_single_stream. Regroups the log (ws.user_pair_begin / user_pairs)
+// unless `log_grouped` says split_pair_log grouped this very log and
+// nothing has written ws.pair_log since.
 [[nodiscard]] model::Assignment build_winner(const model::InstanceView& view,
                                              SolveWorkspace& ws,
-                                             std::string_view variant);
+                                             std::string_view variant,
+                                             bool log_grouped = false);
 
 enum class SmdMode {
   kFeasible,   // Theorem 2.8: feasible output, ratio 3e/(e-1)

@@ -26,7 +26,12 @@
 //     shared core::OnlineDriver: stream add/remove events become offers
 //     and releases (decisions never revoked, per the paper); user events
 //     update the allocator's capacity bounds and the ground-truth
-//     objective only.
+//     objective only. The objective is maintained per event: each user
+//     keeps its served-utility sum, an event re-sums only the users it
+//     can move (the event's user, or the users of the event's stream)
+//     over their CSR rows, then the capped sums are re-added in user
+//     order — O(moved users' degree + |U|) per event, bit-identical to a
+//     from-scratch recomputation, which check_parity() performs.
 //
 // The objective is the Section-2 value of the maintained solution under
 // the *current* overlay: for kRepair/kResolve the Theorem 2.8 feasible
@@ -199,11 +204,14 @@ class Session {
   [[nodiscard]] model::Instance snapshot() const {
     return overlay_.materialize();
   }
-  // Solves snapshot() from scratch, value-only (solve_unit_skew with
-  // build_assignment = false: the race's winner is never assigned), and
-  // compares: kResolve demands bit-equality, kRepair drift within bound
-  // (+1e-9 slack), kOnline is trivially ok (Allocate's competitiveness is
-  // not a per-event bound).
+  // kRepair/kResolve: solves snapshot() from scratch, value-only
+  // (solve_unit_skew with build_assignment = false: the race's winner is
+  // never assigned), and compares: kResolve demands bit-equality, kRepair
+  // drift within bound (+1e-9 slack). kOnline: Allocate's competitiveness
+  // is not a per-event bound, so `fresh` is the objective recomputed from
+  // snapshot() and assignment() — per user, the served pairs' utilities
+  // summed in stream order (pairs the snapshot dropped count 0), capped,
+  // summed in user order — and must equal the maintained one bit for bit.
   [[nodiscard]] ParityReport check_parity();
 
  private:
@@ -231,9 +239,16 @@ class Session {
   void resolve_apply();
   // --- kOnline internals -------------------------------------------------
   void online_open();
-  void online_apply(const model::InstanceEvent& event, RepairStats& stats);
+  void online_apply(const model::InstanceEvent& event,
+                    const model::EventScope& scope, RepairStats& stats);
   void online_offer(model::StreamId s, RepairStats& stats);
-  [[nodiscard]] double online_objective() const;
+  // Re-sums user u's served utility over its CSR row, ascending stream
+  // order, counting the pairs with w > 0 of the active streams that took
+  // it: the order a stream-major pass over the accepted streams adds in.
+  void online_resum_user(model::UserId u);
+  // Σ_u min(cap_u, served_u) over the users with served utility, in user
+  // order.
+  [[nodiscard]] double online_capped_total() const;
 
   ServeConfig opts_;
   std::unique_ptr<core::SolveWorkspace> owned_ws_;
@@ -255,6 +270,10 @@ class Session {
   // kOnline state.
   std::optional<core::OnlineDriver> driver_;
   std::vector<AcceptedStream> accepted_;
+  // Per user: the active streams that took it, ascending. Keyed by entity
+  // ids, which appends keep (edge ids they renumber).
+  std::vector<std::vector<model::StreamId>> served_streams_;
+  std::vector<double> served_utility_;  // per user, online_resum_user's sum
 
   std::optional<model::Assignment> assignment_;  // lazy cache
 };

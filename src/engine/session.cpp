@@ -48,11 +48,11 @@ RepairStats Session::apply(const InstanceEvent& event) {
   RepairStats stats;
   ++counters_.events;
   try {
+    const model::EventScope scope = model::classify_event(
+        event, overlay_.num_users(), overlay_.num_streams());
     // An unknown id: the overlay raises its canonical error before any
     // session state (or pre-event snapshot read) touches it.
-    if (!model::classify_event(event, overlay_.num_users(),
-                               overlay_.num_streams())
-             .ids_known) {
+    if (!scope.ids_known) {
       overlay_.apply(event);
       throw std::logic_error("Session: overlay accepted an out-of-range id");
     }
@@ -66,7 +66,7 @@ RepairStats Session::apply(const InstanceEvent& event) {
         stats.action = RepairAction::kFullResolve;
         break;
       case ServePolicy::kOnline:
-        online_apply(event, stats);
+        online_apply(event, scope, stats);
         break;
     }
   } catch (...) {
@@ -78,13 +78,41 @@ RepairStats Session::apply(const InstanceEvent& event) {
   return stats;
 }
 
+namespace {
+
+// The online objective from scratch: per user, the utilities of its
+// served pairs in `snap` summed in stream order (pairs the snapshot
+// dropped count 0), capped, then summed in user order.
+double served_objective(const model::Instance& snap,
+                        const model::Assignment& served) {
+  std::vector<StreamId> streams;
+  double total = 0.0;
+  for (std::size_t uu = 0; uu < snap.num_users(); ++uu) {
+    const auto u = static_cast<UserId>(uu);
+    const auto assigned = served.streams_of(u);
+    streams.assign(assigned.begin(), assigned.end());
+    std::sort(streams.begin(), streams.end());
+    double acc = 0.0;
+    for (const StreamId s : streams)
+      if (const auto e = snap.find_edge(u, s)) acc += snap.edge_utility(*e);
+    if (acc > 0.0) total += std::min(snap.capacity(u, 0), acc);
+  }
+  return total;
+}
+
+}  // namespace
+
 ParityReport Session::check_parity() {
   ParityReport rep;
   rep.current = objective_;
   if (opts_.policy == ServePolicy::kOnline) {
     // Allocate's guarantee is competitiveness over the arrival sequence,
-    // not a per-event bound against the offline optimum.
-    rep.fresh = objective_;
+    // not a per-event bound against the offline optimum: the check holds
+    // the maintained objective to its from-scratch recomputation.
+    rep.fresh = served_objective(snapshot(), assignment());
+    rep.ok = objective_ == rep.fresh;
+    if (!rep.ok)
+      rep.detail = "online objective diverged from the snapshot's served sum";
     return rep;
   }
   core::GreedyOptions gopts;
@@ -163,11 +191,15 @@ void Session::online_open() {
   driver_.emplace(overlay_.instance(), opts_.mu, opts_.guard);
   accepted_.clear();
   accepted_.resize(overlay_.num_streams());
+  served_streams_.assign(overlay_.num_users(), {});
+  served_utility_.assign(overlay_.num_users(), 0.0);
   RepairStats ignored;
   for (std::size_t s = 0; s < overlay_.num_streams(); ++s)
     if (overlay_.stream_alive(static_cast<StreamId>(s)))
       online_offer(static_cast<StreamId>(s), ignored);
-  objective_ = online_objective();
+  for (std::size_t u = 0; u < overlay_.num_users(); ++u)
+    online_resum_user(static_cast<UserId>(u));
+  objective_ = online_capped_total();
   variant_ = "online";
 }
 
@@ -179,6 +211,11 @@ void Session::online_offer(StreamId s, RepairStats& stats) {
   if (decision.accepted) {
     slot.taken = decision.taken;
     slot.active = true;
+    for (const std::size_t idx : slot.taken) {
+      auto& row = served_streams_[static_cast<std::size_t>(
+          slot.offer.candidates[idx].user)];
+      row.insert(std::upper_bound(row.begin(), row.end(), s), s);
+    }
     ++counters_.online_accepts;
     ++stats.streams_added;
   } else {
@@ -187,10 +224,10 @@ void Session::online_offer(StreamId s, RepairStats& stats) {
   }
 }
 
-void Session::online_apply(const InstanceEvent& event, RepairStats& stats) {
+void Session::online_apply(const InstanceEvent& event,
+                           const model::EventScope& scope,
+                           RepairStats& stats) {
   stats.action = RepairAction::kOnlineStep;
-  const model::EventScope scope = model::classify_event(
-      event, overlay_.num_users(), overlay_.num_streams());
   switch (event.type) {
     case EventType::kStreamAdd: {
       const bool was_alive =
@@ -208,6 +245,11 @@ void Session::online_apply(const InstanceEvent& event, RepairStats& stats) {
         // Footnote 1: a finite-duration stream departs — undo its loads.
         driver_->allocator().release(slot.offer.costs, slot.offer.live(),
                                      slot.taken);
+        for (const std::size_t idx : slot.taken) {
+          auto& row = served_streams_[static_cast<std::size_t>(
+              slot.offer.candidates[idx].user)];
+          row.erase(std::lower_bound(row.begin(), row.end(), event.stream));
+        }
         slot.active = false;
         stats.streams_released = 1;
       }
@@ -226,6 +268,8 @@ void Session::online_apply(const InstanceEvent& event, RepairStats& stats) {
             static_cast<double>(driver_->instance().num_users());
         driver_->allocator().add_user({overlay_.capacity(event.user)},
                                       {1.0 / d});
+        served_streams_.resize(overlay_.num_users());
+        served_utility_.resize(overlay_.num_users(), 0.0);
       } else {
         driver_->allocator().set_user_capacity(
             event.user, 0, overlay_.capacity(event.user));
@@ -245,27 +289,42 @@ void Session::online_apply(const InstanceEvent& event, RepairStats& stats) {
       overlay_.apply(event);
       break;
   }
-  objective_ = online_objective();
+  // Only the event's user, or the users of the event's stream, can have
+  // gained, lost or re-valued a served pair.
+  if (scope.user_event) {
+    online_resum_user(event.user);
+  } else {
+    for (const UserId u : overlay_.instance().users_of(event.stream))
+      online_resum_user(u);
+  }
+  objective_ = online_capped_total();
 }
 
-double Session::online_objective() const {
-  const std::size_t U = overlay_.num_users();
-  auto& acc = ws_->scratch;
-  acc.assign(U, 0.0);
-  for (std::size_t ss = 0; ss < accepted_.size(); ++ss) {
-    const AcceptedStream& slot = accepted_[ss];
-    if (!slot.active) continue;
-    for (const std::size_t idx : slot.taken) {
-      const UserId u = slot.offer.candidates[idx].user;
-      const double w =
-          overlay_.pair_utility(u, static_cast<StreamId>(ss));
-      if (w > 0.0) acc[static_cast<std::size_t>(u)] += w;
-    }
+void Session::online_resum_user(UserId u) {
+  const model::Instance& base = overlay_.instance();
+  const auto streams = base.streams_of(u);
+  const auto edges = base.edges_of(u);
+  // Every served stream is in the row (appends keep the topology), and
+  // both run ascending: one merge walk.
+  const std::vector<StreamId>& served =
+      served_streams_[static_cast<std::size_t>(u)];
+  double acc = 0.0;
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < streams.size() && k < served.size(); ++i) {
+    if (streams[i] != served[k]) continue;
+    ++k;
+    const double w = overlay_.edge_utility(edges[i]);
+    if (w > 0.0) acc += w;
   }
+  served_utility_[static_cast<std::size_t>(u)] = acc;
+}
+
+double Session::online_capped_total() const {
   double total = 0.0;
-  for (std::size_t u = 0; u < U; ++u)
-    if (acc[u] > 0.0)
-      total += std::min(overlay_.capacity(static_cast<UserId>(u)), acc[u]);
+  for (std::size_t u = 0; u < served_utility_.size(); ++u)
+    if (served_utility_[u] > 0.0)
+      total += std::min(overlay_.capacity(static_cast<UserId>(u)),
+                        served_utility_[u]);
   return total;
 }
 

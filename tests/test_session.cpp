@@ -649,7 +649,8 @@ TEST(Session, RepairAssignmentIsTheWinnerBuiltFromThePairLog) {
 }
 
 // The online policy has no per-event bound against the offline optimum:
-// its parity report is trivially ok and echoes the maintained objective.
+// its parity report recomputes the objective from the snapshot, which
+// equals the maintained one.
 TEST(Session, OnlineCheckParityEchoesTheMaintainedObjective) {
   const Instance inst = churn_base(43, 25, 12);
   ServeConfig opts;
@@ -664,6 +665,174 @@ TEST(Session, OnlineCheckParityEchoesTheMaintainedObjective) {
     EXPECT_STREQ(session.variant(), "online");
   }
   EXPECT_EQ(session.counters().events, 30u);
+}
+
+// The online objective from scratch, written apart from the session's:
+// per user, the snapshot's row (ascending streams, w > 0 pairs only)
+// filtered to the pairs the assignment serves, summed, capped, and summed
+// in user order.
+double online_oracle(const Instance& snap, const model::Assignment& served) {
+  double total = 0.0;
+  for (std::size_t uu = 0; uu < snap.num_users(); ++uu) {
+    const auto u = static_cast<UserId>(uu);
+    const auto streams = snap.streams_of(u);
+    const auto edges = snap.edges_of(u);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < streams.size(); ++i)
+      if (served.has(u, streams[i])) acc += snap.edge_utility(edges[i]);
+    if (acc > 0.0) total += std::min(snap.capacity(u, 0), acc);
+  }
+  return total;
+}
+
+// The maintained online objective is the oracle's bit for bit, and
+// check_parity agrees.
+void expect_online_objective_exact(Session& session,
+                                   const std::string& where) {
+  const double want = online_oracle(session.snapshot(), session.assignment());
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(session.objective()),
+            std::bit_cast<std::uint64_t>(want))
+      << where << ": " << session.objective() << " vs " << want;
+  const ParityReport parity = session.check_parity();
+  EXPECT_TRUE(parity.ok) << where << ": " << parity.detail;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(parity.fresh),
+            std::bit_cast<std::uint64_t>(want))
+      << where;
+}
+
+// The online objective is maintained per event (only the users an event
+// can move are re-summed); after every event of every workload family's
+// trace and of the committed cap-crossing trace it equals the from-scratch
+// value bit for bit.
+TEST(Session, OnlineObjectiveEqualsTheRecomputationAfterEveryEvent) {
+  struct World {
+    std::string name;
+    Instance inst;
+    std::vector<InstanceEvent> trace;
+  };
+  const std::string traces = VDIST_TESTS_DIR "/../bench/traces/";
+  std::vector<World> worlds;
+  const workload::WorkloadRegistry& registry =
+      workload::WorkloadRegistry::global();
+  for (const std::string& family : registry.names()) {
+    worlds.push_back({family, churn_base(61, 40, 18), {}});
+    worlds.back().trace = registry.generate(
+        family, worlds.back().inst, {{"events", "250"}, {"seed", "8"}});
+  }
+  worlds.push_back({"contract_breakers",
+                    io::load_instance_file(traces + "contract_breakers.vd"),
+                    io::load_events_file(traces + "contract_breakers.events")});
+  for (const World& world : worlds) {
+    ServeConfig cfg;
+    cfg.policy = ServePolicy::kOnline;
+    Session session(world.inst, cfg);
+    expect_online_objective_exact(session, world.name + " open");
+    std::size_t released = 0;
+    for (std::size_t i = 0; i < world.trace.size(); ++i) {
+      released += session.apply(world.trace[i]).streams_released;
+      expect_online_objective_exact(
+          session, world.name + " event " + std::to_string(i));
+      if (HasFatalFailure()) return;
+    }
+    if (world.name == "churn") {
+      EXPECT_GT(released, 0u) << "the churn trace releases no served stream";
+    }
+  }
+}
+
+// Each event kind the per-user update must get right, on one world: a
+// user and a stream append (the base is rebuilt and edge ids renumbered),
+// a leave and a rejoin, a capacity drop below a served pair (the
+// overlay's cap rule zeroes it), a utility change on a served and on an
+// unserved pair, and a remove and a restore of a served stream.
+TEST(Session, OnlineObjectiveFollowsEveryEventKind) {
+  const Instance inst = churn_base(71, 30, 12);
+  ServeConfig cfg;
+  cfg.policy = ServePolicy::kOnline;
+  Session session(inst, cfg);
+  expect_online_objective_exact(session, "open");
+  const auto event = [](EventType type, UserId u, StreamId s, double v) {
+    InstanceEvent ev;
+    ev.type = type;
+    ev.user = u;
+    ev.stream = s;
+    ev.value = v;
+    return ev;
+  };
+
+  const auto new_user = static_cast<UserId>(inst.num_users());
+  InstanceEvent user_append =
+      event(EventType::kUserJoin, new_user, model::kInvalidStream, 40.0);
+  user_append.interests = {{.stream = 1, .utility = 4.0},
+                           {.stream = 5, .utility = 6.0}};
+  session.apply(user_append);
+  expect_online_objective_exact(session, "user append");
+  InstanceEvent stream_append =
+      event(EventType::kStreamAdd, model::kInvalidUser,
+            static_cast<StreamId>(inst.num_streams()), 0.5);
+  stream_append.interests = {{.user = 0, .utility = 2.0},
+                             {.user = new_user, .utility = 7.0}};
+  session.apply(stream_append);
+  expect_online_objective_exact(session, "stream append");
+  ASSERT_EQ(session.overlay().generation(), 2u);
+
+  // A served pair (u, s) and an unserved interest pair (u, t) of the
+  // same user, found on the rebuilt base.
+  UserId u = model::kInvalidUser;
+  StreamId s = model::kInvalidStream;
+  StreamId t = model::kInvalidStream;
+  for (std::size_t uu = 0; uu < session.overlay().num_users(); ++uu) {
+    const auto cand = static_cast<UserId>(uu);
+    const auto served = session.assignment().streams_of(cand);
+    if (served.empty()) continue;
+    for (const StreamId x : session.instance().streams_of(cand))
+      if (std::find(served.begin(), served.end(), x) == served.end() &&
+          session.overlay().pair_utility(cand, x) > 0.0) {
+        u = cand;
+        s = served.front();
+        t = x;
+        break;
+      }
+    if (u != model::kInvalidUser) break;
+  }
+  ASSERT_NE(u, model::kInvalidUser) << "no user with a served and an "
+                                       "unserved pair";
+
+  const double w = session.overlay().pair_utility(u, s);
+  session.apply(event(EventType::kUtilityChange, u, s, 0.5 * w));
+  expect_online_objective_exact(session, "utility change on a served pair");
+  double before = session.objective();
+  session.apply(event(EventType::kUtilityChange, u, t,
+                      0.5 * session.overlay().pair_utility(u, t)));
+  expect_online_objective_exact(session, "utility change on an unserved pair");
+  EXPECT_EQ(session.objective(), before)
+      << "an unserved pair moved the objective";
+
+  const double cap = session.overlay().capacity(u);
+  session.apply(event(EventType::kCapacityChange, u, model::kInvalidStream,
+                      0.25 * w));
+  EXPECT_EQ(session.overlay().pair_utility(u, s), 0.0)
+      << "the cap rule should zero the served pair";
+  expect_online_objective_exact(session, "capacity drop below a served pair");
+  session.apply(event(EventType::kCapacityChange, u, model::kInvalidStream,
+                      cap));
+  expect_online_objective_exact(session, "capacity restored");
+
+  before = session.objective();
+  session.apply(event(EventType::kUserLeave, u, model::kInvalidStream, 0.0));
+  expect_online_objective_exact(session, "leave");
+  EXPECT_LT(session.objective(), before);
+  session.apply(event(EventType::kUserJoin, u, model::kInvalidStream, 0.0));
+  expect_online_objective_exact(session, "rejoin");
+  EXPECT_EQ(session.objective(), before)
+      << "a rejoin restores the user's served pairs";
+
+  const RepairStats removed = session.apply(
+      event(EventType::kStreamRemove, model::kInvalidUser, s, 0.0));
+  EXPECT_EQ(removed.streams_released, 1u);
+  expect_online_objective_exact(session, "remove a served stream");
+  session.apply(event(EventType::kStreamAdd, model::kInvalidUser, s, 0.0));
+  expect_online_objective_exact(session, "restore it");
 }
 
 // Appending a user and a stream rebases the overlay; churn over the grown
