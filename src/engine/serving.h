@@ -146,6 +146,10 @@ struct ParityReport {
   double fresh = 0.0;    // from-scratch solve of snapshot()
   double drift = 0.0;    // (fresh - current) / max(fresh, 1)
   std::string detail;    // set when !ok
+  // Wall time (steady clock) of the check's two halves: baking
+  // snapshot(), and the from-scratch solve (kOnline: the recount) on it.
+  double snapshot_ms = 0.0;
+  double solve_ms = 0.0;
 };
 
 // Threading contract: one logical caller (apply/assignment/check_parity
@@ -200,7 +204,8 @@ class Session {
   // Bakes the current world into a standalone Instance (the validation /
   // parity snapshot; bit-compatible with the live view after any
   // accepted event sequence — the overlay applies the builder's cap rule
-  // itself, model/overlay.h).
+  // itself, model/overlay.h). A filter of the base CSR, not a rebuild:
+  // O(nnz + |S| + |U|) with no sort.
   [[nodiscard]] model::Instance snapshot() const {
     return overlay_.materialize();
   }

@@ -105,11 +105,16 @@ double served_objective(const model::Instance& snap,
 ParityReport Session::check_parity() {
   ParityReport rep;
   rep.current = objective_;
+  util::Stopwatch watch;
+  const model::Instance snap = snapshot();
+  rep.snapshot_ms = watch.elapsed_ms();
+  watch.reset();
   if (opts_.policy == ServePolicy::kOnline) {
     // Allocate's guarantee is competitiveness over the arrival sequence,
     // not a per-event bound against the offline optimum: the check holds
     // the maintained objective to its from-scratch recomputation.
-    rep.fresh = served_objective(snapshot(), assignment());
+    rep.fresh = served_objective(snap, assignment());
+    rep.solve_ms = watch.elapsed_ms();
     rep.ok = objective_ == rep.fresh;
     if (!rep.ok)
       rep.detail = "online objective diverged from the snapshot's served sum";
@@ -119,8 +124,8 @@ ParityReport Session::check_parity() {
   gopts.strategy = opts_.strategy;
   gopts.workspace = ws_;
   gopts.build_assignment = false;  // the value is the whole report
-  rep.fresh =
-      core::solve_unit_skew(overlay_.materialize(), opts_.mode, gopts).utility;
+  rep.fresh = core::solve_unit_skew(snap, opts_.mode, gopts).utility;
+  rep.solve_ms = watch.elapsed_ms();
   rep.drift = (rep.fresh - objective_) / std::max(rep.fresh, 1.0);
   if (opts_.policy == ServePolicy::kResolve) {
     rep.ok = objective_ == rep.fresh;

@@ -14,12 +14,11 @@ using util::approx_le;
 using util::is_finite_nonneg;
 using util::is_unbounded;
 
-namespace {
-
-// Instance::uid() source; starts at 1 so 0 never names a built instance.
-std::atomic<std::uint64_t> next_uid{1};
-
-}  // namespace
+std::uint64_t Instance::next_uid() noexcept {
+  // Starts at 1 so 0 never names a built instance.
+  static std::atomic<std::uint64_t> counter{1};
+  return counter.fetch_add(1, std::memory_order_relaxed);
+}
 
 double Instance::utility(UserId u, StreamId s) const noexcept {
   const auto e = find_edge(u, s);
@@ -113,7 +112,7 @@ void InstanceBuilder::add_interest_unit_skew(UserId u, StreamId s,
 
 Instance InstanceBuilder::build() && {
   Instance inst;
-  inst.uid_ = next_uid.fetch_add(1, std::memory_order_relaxed);
+  inst.uid_ = Instance::next_uid();
   inst.m_ = m_;
   inst.mc_ = mc_;
   inst.budgets_ = std::move(budgets_);

@@ -27,7 +27,14 @@
 
 namespace vdist::model {
 
+class Instance;
 class InstanceBuilder;
+
+// Documented in overlay.h; a friend of Instance because it writes its
+// filtered CSR straight into one.
+[[nodiscard]] Instance snapshot_instance(const Instance& base,
+                                         std::span<const double> edge_utility,
+                                         std::span<const double> capacity);
 
 class Instance {
  public:
@@ -49,11 +56,12 @@ class Instance {
   [[nodiscard]] std::size_t input_length() const noexcept {
     return num_streams() + num_users() + num_edges();
   }
-  // Process-unique identity, assigned by InstanceBuilder::build() (the
-  // only way to make an Instance) and shared by copies, which are equal
-  // because an Instance never changes after build. Caches of data derived
-  // from one instance key on it (core::SolveWorkspace's sorted greedy
-  // rows); no built instance has uid 0.
+  // Process-unique identity, assigned by InstanceBuilder::build() and
+  // snapshot_instance() (the only ways to make an Instance) and shared by
+  // copies, which are equal because an Instance never changes after
+  // build. Caches of data derived from one instance key on it
+  // (core::SolveWorkspace's sorted greedy rows); no built instance has
+  // uid 0.
   [[nodiscard]] std::uint64_t uid() const noexcept { return uid_; }
 
   // --- Server side ------------------------------------------------------
@@ -191,7 +199,12 @@ class Instance {
 
  private:
   friend class InstanceBuilder;
+  friend Instance snapshot_instance(const Instance& base,
+                                    std::span<const double> edge_utility,
+                                    std::span<const double> capacity);
   Instance() = default;
+  // The next process-unique uid (never 0).
+  static std::uint64_t next_uid() noexcept;
 
   std::uint64_t uid_ = 0;
   int m_ = 1;

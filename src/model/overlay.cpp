@@ -35,23 +35,84 @@ Instance snapshot_instance(const Instance& base,
       capacity.size() != base.num_users())
     throw std::invalid_argument(
         "snapshot_instance: spans must cover every edge and user of base");
-  InstanceBuilder b(1, 1);
-  b.reserve(base.num_streams(), base.num_users(), base.num_edges());
-  b.set_budget(0, base.budget(0));
-  for (std::size_t ss = 0; ss < base.num_streams(); ++ss) {
-    const auto s = static_cast<StreamId>(ss);
-    b.add_stream({base.cost(s, 0)}, base.stream_name(s));
-  }
-  for (std::size_t u = 0; u < capacity.size(); ++u)
-    b.add_user({capacity[u]}, base.user_name(static_cast<UserId>(u)));
-  for (std::size_t ss = 0; ss < base.num_streams(); ++ss) {
-    const auto s = static_cast<StreamId>(ss);
-    for (EdgeId e = base.first_edge(s); e < base.last_edge(s); ++e) {
-      const double w = edge_utility[static_cast<std::size_t>(e)];
-      if (w > 0.0) b.add_interest_unit_skew(base.edge_user(e), s, w);
+  if (!base.is_smd() || !base.is_unit_skew())
+    throw std::invalid_argument(
+        "snapshot_instance: base must be a unit-skew cap-form instance "
+        "(m == mc == 1, load == utility)");
+  for (const double cap : capacity)
+    if (!(util::is_finite_nonneg(cap) || is_unbounded(cap)))
+      throw std::invalid_argument(
+          "snapshot_instance: capacities must be >= 0 or unbounded");
+
+  const std::size_t S = base.num_streams();
+  const std::size_t U = base.num_users();
+  Instance inst;
+  inst.uid_ = Instance::next_uid();
+  inst.unit_skew_ = true;  // m == mc == 1 and every load is its utility
+  inst.budgets_ = base.budgets_;
+  inst.costs_ = base.costs_;
+  inst.capacities_.assign(capacity.begin(), capacity.end());
+  inst.stream_names_ = base.stream_names_;
+  inst.user_names_ = base.user_names_;
+
+  // One pass over the stream CSR in edge order: keep the w > 0 pairs the
+  // builder's cap rule admits. The kept edges stay in (stream, user)
+  // order and the totals are summed in the builder's order, so every
+  // array is bit-identical to a build of the same pairs.
+  const std::size_t nnz = base.num_edges();
+  std::vector<EdgeId> remap(nnz, -1);  // old edge -> new, -1 when dropped
+  inst.stream_offsets_.resize(S + 1);
+  inst.edge_user_.resize(nnz);
+  inst.edge_utility_.resize(nnz);
+  inst.stream_total_utility_.resize(S);
+  std::size_t kept = 0;
+  for (std::size_t s = 0; s < S; ++s) {
+    double total = 0.0;
+    for (auto e = static_cast<std::size_t>(base.stream_offsets_[s]);
+         e < static_cast<std::size_t>(base.stream_offsets_[s + 1]); ++e) {
+      const double w = edge_utility[e];
+      if (!util::is_finite_nonneg(w))
+        throw std::invalid_argument(
+            "snapshot_instance: utilities must be finite, >= 0");
+      if (!(w > 0.0)) continue;
+      const UserId u = base.edge_user_[e];
+      if (!util::approx_le(w, capacity[static_cast<std::size_t>(u)])) {
+        ++inst.zeroed_edges_;
+        continue;
+      }
+      remap[e] = static_cast<EdgeId>(kept);
+      inst.edge_user_[kept] = u;
+      inst.edge_utility_[kept] = w;
+      ++kept;
+      total += w;
+      inst.utility_grand_total_ += w;
     }
+    inst.stream_total_utility_[s] = total;
+    inst.stream_offsets_[s + 1] = static_cast<EdgeId>(kept);
   }
-  return std::move(b).build();
+  inst.edge_user_.resize(kept);
+  inst.edge_utility_.resize(kept);
+  inst.edge_loads_ = inst.edge_utility_;
+
+  // The user mirror: base's, with the dropped edges filtered out. Each
+  // user's edges keep their stream order.
+  inst.user_offsets_.resize(U + 1);
+  inst.user_edge_idx_.resize(kept);
+  inst.user_edge_stream_.resize(kept);
+  std::size_t pos = 0;
+  for (std::size_t u = 0; u < U; ++u) {
+    for (auto t = static_cast<std::size_t>(base.user_offsets_[u]);
+         t < static_cast<std::size_t>(base.user_offsets_[u + 1]); ++t) {
+      const EdgeId e =
+          remap[static_cast<std::size_t>(base.user_edge_idx_[t])];
+      if (e < 0) continue;
+      inst.user_edge_idx_[pos] = e;
+      inst.user_edge_stream_[pos] = base.user_edge_stream_[t];
+      ++pos;
+    }
+    inst.user_offsets_[u + 1] = static_cast<EdgeId>(pos);
+  }
+  return inst;
 }
 
 InstanceOverlay::InstanceOverlay(const Instance& parent) : parent_(&parent) {
@@ -309,7 +370,16 @@ void InstanceOverlay::rebuild() {
       b.add_interest_unit_skew(u, spec.stream, spec.utility);
   }
 
-  auto rebuilt = std::make_unique<Instance>(std::move(b).build());
+  std::unique_ptr<Instance> rebuilt;
+  try {
+    rebuilt = std::make_unique<Instance>(std::move(b).build());
+  } catch (...) {
+    // The builder refused the staged append (a cost above the budget, a
+    // peer named twice): drop it, so the overlay stays as it was.
+    pending_users_.clear();
+    pending_streams_.clear();
+    throw;
+  }
 
   max_declared_.resize(max_w.size(), 0.0);
   for (std::size_t u = 0; u < max_w.size(); ++u)

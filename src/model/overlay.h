@@ -47,14 +47,20 @@
 
 namespace vdist::model {
 
-// Bakes effective cap-form state over `base` (same streams, costs,
-// budget, names and CSR topology) into a standalone Instance under the
-// paper's conventions: edge e carries edge_utility[e] (pairs <= 0 are
-// dropped), user u's cap is capacity[u], and the builder zeroes pairs
-// with w above their user's cap. O(nnz + |S| + |U|). The one snapshot of
-// the serving layer: InstanceOverlay::materialize() calls it. Throws
-// std::invalid_argument when the spans do not match base's edge and user
-// counts.
+// Bakes effective cap-form state over the unit-skew cap-form `base` into
+// a standalone Instance under the paper's conventions: edge e carries
+// edge_utility[e] (0 and -0 pairs are dropped), user u's cap is
+// capacity[u], and pairs with w above their user's cap are zeroed
+// (counted in num_edges_zeroed_by_capacity()), as InstanceBuilder would.
+// Costs, budget and names are base's; the uid is fresh. The result is a
+// filter of base's CSR, one pass in edge order plus its user mirror
+// through an old-to-new edge map: O(nnz + |S| + |U|), no sort and no
+// builder staging, and bit-identical to building the same kept pairs.
+// The one snapshot of the serving layer: InstanceOverlay::materialize()
+// calls it. Throws std::invalid_argument when the spans do not match
+// base's edge and user counts, when base is not unit-skew cap form, and
+// for a utility that is NaN, negative or infinite or a cap that is NaN
+// or negative, rather than rewrite what it cannot represent.
 [[nodiscard]] Instance snapshot_instance(const Instance& base,
                                          std::span<const double> edge_utility,
                                          std::span<const double> capacity);
@@ -164,6 +170,8 @@ class InstanceOverlay {
   // Append a brand-new user (returns its dense id == old num_users()) or
   // stream. Rebuilds the base CSR: O(nnz), bumps generation(). Interests
   // name existing peers (peer utilities must be > 0 to create a pair).
+  // A rejected append (an unknown peer, a peer named twice, a stream cost
+  // above the budget) throws std::invalid_argument and changes nothing.
   UserId append_user(double cap, std::span<const InterestSpec> interests);
   StreamId append_stream(double cost, std::span<const InterestSpec> interests);
 
@@ -173,10 +181,10 @@ class InstanceOverlay {
   void apply(const InstanceEvent& event);
 
   // Bakes the current effective state into a standalone Instance:
-  // snapshot_instance() over the current base and effective arrays.
-  // Bit-compatible with view() for solver parity: the effective arrays
-  // already hold the builder's cap rule, so the builder drops exactly the
-  // zero pairs.
+  // snapshot_instance() over the current base and effective arrays, a
+  // filter of the base CSR. Bit-compatible with view() for solver parity:
+  // the effective arrays already hold the builder's cap rule, so the
+  // filter drops exactly the zero pairs and zeroes none.
   [[nodiscard]] Instance materialize() const {
     return snapshot_instance(instance(), edge_utility_, capacity_);
   }

@@ -256,6 +256,12 @@ foreach(policy repair resolve online)
   if(NOT serve_json MATCHES "\"timeline\"")
     message(FATAL_ERROR "serve JSON missing timeline:\n${serve_json}")
   endif()
+  # The checks' wall-time split: one check per event, each half a median.
+  set(ms "[0-9][0-9.e+-]*")
+  if(NOT serve_json MATCHES
+     "\"checks\":[{]\"count\":50,\"snapshot_ms_p50\":${ms},\"solve_ms_p50\":${ms},\"max_ms\":${ms}[}]")
+    message(FATAL_ERROR "serve JSON missing the checks split:\n${serve_json}")
+  endif()
 endforeach()
 # serve consumes every flag itself and needs its inputs.
 run_cli(1 serve "${WORK_DIR}/cap.vd" --events "${WORK_DIR}/cap.events"

@@ -2,21 +2,28 @@
 // must be bit-identical to the comparison-sort build it replaced, kept
 // here as the reference, on every registered scenario, under any order of
 // adds, with dropped and zeroed edges mixed in, and through the overlay's
-// snapshot and rebuild paths.
+// rebuild path. snapshot_instance(), which filters a base CSR instead of
+// building, is held to the same reference after every event of a seeded
+// random trace over the whole event vocabulary.
 #include "model/instance.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "engine/scenario.h"
 #include "gen/random_instances.h"
+#include "io/event_io.h"
+#include "io/instance_io.h"
 #include "model/overlay.h"
 #include "util/float_cmp.h"
 #include "util/rng.h"
@@ -400,6 +407,376 @@ TEST(InstanceBuild, SnapshotRejectsSpansOfTheWrongSize) {
   const std::vector<double> short_edges(parent.num_edges() - 1, 1.0);
   EXPECT_THROW((void)snapshot_instance(parent, short_edges, caps),
                std::invalid_argument);
+}
+
+// A base whose costs, budgets or loads the snapshot's cap form cannot
+// carry is refused, not flattened to one measure or to load == utility.
+TEST(InstanceBuild, SnapshotRejectsABaseThatIsNotUnitSkewCapForm) {
+  const auto snapshot_of = [](const Instance& base) {
+    const std::vector<double> w(base.edge_utilities().begin(),
+                                base.edge_utilities().end());
+    const std::vector<double> caps(base.num_users(), 5.0);
+    return snapshot_instance(base, w, caps);
+  };
+  InstanceBuilder two_costs(2, 1);
+  two_costs.add_stream({1.0, 2.0});
+  two_costs.add_user({5.0});
+  two_costs.add_interest(0, 0, 1.0, {1.0});
+  EXPECT_THROW((void)snapshot_of(std::move(two_costs).build()),
+               std::invalid_argument);
+
+  InstanceBuilder loads_differ = one_measure_builder(2, 2);
+  loads_differ.add_interest(0, 0, 1.0, {2.0});
+  loads_differ.add_interest(1, 1, 1.0, {1.0});
+  const Instance skewed = std::move(loads_differ).build();
+  ASSERT_TRUE(skewed.is_smd());
+  ASSERT_FALSE(skewed.is_unit_skew());
+  EXPECT_THROW((void)snapshot_of(skewed), std::invalid_argument);
+
+  InstanceBuilder no_caps(1, 0);
+  no_caps.add_stream({1.0});
+  no_caps.add_user({});
+  no_caps.add_interest(0, 0, 1.0, {});
+  EXPECT_THROW((void)snapshot_of(std::move(no_caps).build()),
+               std::invalid_argument);
+}
+
+// NaN, negative and infinite utilities and NaN or negative caps throw
+// instead of vanishing through the w > 0 filter; 0, -0 and an unbounded
+// or zero cap are accepted.
+TEST(InstanceBuild, SnapshotRejectsUtilitiesAndCapsItCannotRepresent) {
+  const Instance parent = cap_world(2);
+  const std::vector<double> w(parent.edge_utilities().begin(),
+                              parent.edge_utilities().end());
+  const std::vector<double> caps(parent.num_users(), 3.0);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                           -std::numeric_limits<double>::denorm_min(),
+                           kUnbounded, -kUnbounded}) {
+    std::vector<double> edges = w;
+    edges[edges.size() / 2] = bad;
+    EXPECT_THROW((void)snapshot_instance(parent, edges, caps),
+                 std::invalid_argument)
+        << "utility " << bad;
+  }
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                           -kUnbounded}) {
+    std::vector<double> k = caps;
+    k.back() = bad;
+    EXPECT_THROW((void)snapshot_instance(parent, w, k), std::invalid_argument)
+        << "cap " << bad;
+  }
+  std::vector<double> edges = w;
+  edges[0] = 0.0;
+  edges[1] = -0.0;
+  std::vector<double> k = caps;
+  k[0] = 0.0;
+  k[1] = kUnbounded;
+  const Instance snap = snapshot_instance(parent, edges, k);
+  EXPECT_EQ(snap.num_edges() + 2 + snap.num_edges_zeroed_by_capacity(),
+            parent.num_edges());
+}
+
+// --- Seeded differential of snapshots over the accepted vocabulary -------
+
+StreamId stream_of_edge(const Instance& inst, EdgeId e) {
+  const auto offsets = inst.stream_offsets();
+  return static_cast<StreamId>(
+      std::upper_bound(offsets.begin(), offsets.end(), e) - offsets.begin() -
+      1);
+}
+
+InstanceEvent make_event(EventType type, UserId u, StreamId s, double value) {
+  InstanceEvent ev;
+  ev.type = type;
+  ev.user = u;
+  ev.stream = s;
+  ev.value = value;
+  return ev;
+}
+
+// Distinct random ids in [0, count), at most `most` of them.
+std::vector<std::int32_t> distinct_ids(util::Rng& rng, std::size_t count,
+                                       int most) {
+  std::set<std::int32_t> ids;
+  const auto n = rng.uniform_int(1, most);
+  for (std::int64_t k = 0; k < n; ++k)
+    ids.insert(static_cast<std::int32_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(count) - 1)));
+  return {ids.begin(), ids.end()};
+}
+
+// One random accepted event against the overlay's current state. Unlike
+// generator traces these push pairs across their caps: caps of 0, inf,
+// exactly a pair's utility and one ulp below it; utilities of 0, -0,
+// exactly the user's cap and above it; plus (re)joins with a new cap,
+// leaves, stream removes and restores, and user and stream appends.
+InstanceEvent random_event(const InstanceOverlay& overlay, util::Rng& rng) {
+  const Instance& base = overlay.instance();
+  const auto e = static_cast<EdgeId>(rng.uniform_int(
+      0, static_cast<std::int64_t>(base.num_edges()) - 1));
+  const UserId u = base.edge_user(e);
+  const StreamId s = stream_of_edge(base, e);
+  const double w = overlay.edge_utility(e) > 0.0 ? overlay.edge_utility(e)
+                                                 : base.edge_utility(e);
+  const double cap = overlay.declared_capacity(u);
+  const double finite_cap = util::is_unbounded(cap) ? w : cap;
+  switch (rng.uniform_int(0, 19)) {
+    case 0:
+      return make_event(EventType::kUserJoin, u, kInvalidStream, 0.0);
+    case 1:
+      return make_event(EventType::kUserJoin, u, kInvalidStream,
+                        rng.uniform(0.5, 3.0) * w);
+    case 2:
+    case 3:
+      return make_event(EventType::kUserLeave, u, kInvalidStream, 0.0);
+    case 4:
+      return make_event(EventType::kCapacityChange, u, kInvalidStream, 0.0);
+    case 5:
+      return make_event(EventType::kCapacityChange, u, kInvalidStream,
+                        kUnbounded);
+    case 6:
+      return make_event(EventType::kCapacityChange, u, kInvalidStream, w);
+    case 7:
+      return make_event(EventType::kCapacityChange, u, kInvalidStream,
+                        std::nextafter(w, 0.0));
+    case 8:
+      return make_event(EventType::kUtilityChange, u, s, 0.0);
+    case 9:
+      return make_event(EventType::kUtilityChange, u, s, -0.0);
+    case 10:
+      return make_event(EventType::kUtilityChange, u, s, finite_cap);
+    case 11:
+      return make_event(EventType::kUtilityChange, u, s,
+                        finite_cap * rng.uniform(1.01, 2.0) + 0.25);
+    case 12:
+      return make_event(EventType::kUtilityChange, u, s,
+                        rng.uniform(0.25, 1.5) * w);
+    case 13:
+    case 14:
+      return make_event(EventType::kStreamRemove, kInvalidUser, s, 0.0);
+    case 15:
+    case 16:
+      return make_event(EventType::kStreamAdd, kInvalidUser, s, 0.0);
+    case 17: {
+      InstanceEvent ev = make_event(
+          EventType::kUserJoin, static_cast<UserId>(overlay.num_users()),
+          kInvalidStream, rng.bernoulli(0.2) ? kUnbounded
+                                             : rng.uniform(1.0, 20.0));
+      for (const std::int32_t peer :
+           distinct_ids(rng, overlay.num_streams(), 3))
+        ev.interests.push_back({peer, kInvalidUser, rng.uniform(0.5, 12.0)});
+      return ev;
+    }
+    case 18: {
+      const double budget = overlay.budget();
+      InstanceEvent ev = make_event(
+          EventType::kStreamAdd, kInvalidUser,
+          static_cast<StreamId>(overlay.num_streams()),
+          rng.uniform(0.0, util::is_unbounded(budget) ? 10.0 : budget));
+      for (const std::int32_t peer : distinct_ids(rng, overlay.num_users(), 3))
+        ev.interests.push_back({kInvalidStream, peer, rng.uniform(0.5, 12.0)});
+      return ev;
+    }
+    default:  // a rejoin with the pair's own utility as the new cap
+      return make_event(EventType::kUserJoin, u, kInvalidStream, w);
+  }
+}
+
+// One event the overlay must refuse: an unknown id, a NaN or negative
+// utility, a negative or NaN cap, an appended stream that costs more than
+// the budget or an appended user that names a stream twice.
+InstanceEvent invalid_event(const InstanceOverlay& overlay, util::Rng& rng) {
+  const Instance& base = overlay.instance();
+  const auto e = static_cast<EdgeId>(rng.uniform_int(
+      0, static_cast<std::int64_t>(base.num_edges()) - 1));
+  const UserId u = base.edge_user(e);
+  const StreamId s = stream_of_edge(base, e);
+  const auto users = static_cast<UserId>(overlay.num_users());
+  const auto streams = static_cast<StreamId>(overlay.num_streams());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  switch (rng.uniform_int(0, 10)) {
+    case 0:
+      return make_event(EventType::kUserLeave, users + 1, kInvalidStream, 0.0);
+    case 9: {
+      InstanceEvent ev = make_event(EventType::kUserJoin, users,
+                                    kInvalidStream, 5.0);
+      ev.interests = {{s, kInvalidUser, 1.0}, {s, kInvalidUser, 2.0}};
+      return ev;
+    }
+    case 10:
+      if (!util::is_unbounded(overlay.budget()))
+        return make_event(EventType::kStreamAdd, kInvalidUser, streams,
+                          2.0 * overlay.budget() + 1.0);
+      [[fallthrough]];
+    case 1:
+      return make_event(EventType::kUserJoin, -1, kInvalidStream, 0.0);
+    case 2:
+      return make_event(EventType::kStreamRemove, kInvalidUser, streams + 1,
+                        0.0);
+    case 3:
+      return make_event(EventType::kUtilityChange, u, streams, 1.0);
+    case 4:
+      return make_event(EventType::kUtilityChange, u, s, nan);
+    case 5:
+      return make_event(EventType::kUtilityChange, u, s, -1.0);
+    case 6:
+      return make_event(EventType::kCapacityChange, u, kInvalidStream, -1.0);
+    case 7:
+      return make_event(EventType::kCapacityChange, u, kInvalidStream, nan);
+    default:
+      return make_event(EventType::kCapacityChange, users, kInvalidStream,
+                        1.0);
+  }
+}
+
+// Raw spans over `base` with a few pairs and caps moved to the builder's
+// edge cases: 0, -0, exactly the cap, an ulp above it (still admitted by
+// approx_le) and well above it (zeroed); caps of 0 and inf.
+void perturb(const Instance& base, std::vector<double>& w,
+             std::vector<double>& caps, util::Rng& rng) {
+  for (std::size_t e = 0; e < w.size(); ++e) {
+    if (!rng.bernoulli(0.15)) continue;
+    const double k = caps[static_cast<std::size_t>(
+        base.edge_user(static_cast<EdgeId>(e)))];
+    const double finite = util::is_unbounded(k) ? 4.0 : k;
+    switch (rng.uniform_int(0, 4)) {
+      case 0: w[e] = 0.0; break;
+      case 1: w[e] = -0.0; break;
+      case 2: w[e] = finite; break;
+      case 3: w[e] = std::nextafter(finite, kUnbounded); break;
+      default: w[e] = 2.0 * finite + 1.0; break;
+    }
+  }
+  for (double& k : caps) {
+    if (!rng.bernoulli(0.1)) continue;
+    k = rng.bernoulli(0.5) ? 0.0 : kUnbounded;
+  }
+}
+
+// The builder input of raw snapshot spans: every edge of base with its
+// span value (the reference drops the w <= 0 ones and zeroes the rest
+// over their cap).
+RawInput raw_spans(const Instance& base, const std::vector<double>& w,
+                   const std::vector<double>& caps) {
+  RawInput in = raw_of(base);
+  for (std::size_t u = 0; u < caps.size(); ++u) in.caps[u] = {caps[u]};
+  for (std::size_t e = 0; e < in.edges.size(); ++e)
+    in.edges[e].w = in.edges[e].loads[0] = w[e];
+  return in;
+}
+
+// Every value a snapshot carries, beyond the CSR arrays: caps, costs,
+// budget, names and the unit-skew flag.
+void expect_same_header(const Instance& got, const Instance& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.num_users(), want.num_users()) << where;
+  ASSERT_EQ(got.num_streams(), want.num_streams()) << where;
+  EXPECT_EQ(got.is_unit_skew(), want.is_unit_skew()) << where;
+  EXPECT_EQ(bits(to_vector(got.budgets())), bits(to_vector(want.budgets())))
+      << where;
+  EXPECT_EQ(bits(to_vector(got.costs_of_measure(0))),
+            bits(to_vector(want.costs_of_measure(0))))
+      << where;
+  EXPECT_EQ(bits(to_vector(got.capacities_single_measure())),
+            bits(to_vector(want.capacities_single_measure())))
+      << where;
+  for (std::size_t s = 0; s < got.num_streams(); ++s)
+    EXPECT_EQ(got.stream_name(static_cast<StreamId>(s)),
+              want.stream_name(static_cast<StreamId>(s)))
+        << where;
+  for (std::size_t u = 0; u < got.num_users(); ++u)
+    EXPECT_EQ(got.user_name(static_cast<UserId>(u)),
+              want.user_name(static_cast<UserId>(u)))
+        << where;
+}
+
+// materialize() after every event of a seeded random trace equals the
+// reference build of the overlay's effective state, and its header is
+// the base's with the effective caps. Every invalid event throws and
+// leaves materialize() byte-identical. On the side, raw spans with pairs
+// moved onto and across their caps check the zeroed count.
+void expect_snapshots_match_reference(InstanceOverlay& overlay,
+                                      std::uint64_t seed, int events,
+                                      const std::string& name) {
+  util::Rng rng(seed);
+  std::uint64_t last_uid = overlay.instance().uid();
+  Instance before = overlay.materialize();
+  for (int i = 0; i < events; ++i) {
+    const std::string where = name + " event " + std::to_string(i);
+    if (rng.bernoulli(0.1)) {
+      const InstanceEvent bad = invalid_event(overlay, rng);
+      EXPECT_THROW(overlay.apply(bad), std::invalid_argument) << where;
+      const Instance after = overlay.materialize();
+      expect_matches(after, csr_of(before), where + " (rejected)");
+      expect_same_header(after, before, where + " (rejected)");
+      continue;
+    }
+    overlay.apply(random_event(overlay, rng));
+    const Instance& base = overlay.instance();
+    const Instance snap = overlay.materialize();
+    const RawInput state = effective_state(overlay);
+    expect_matches(snap, reference_build(state), where);
+    EXPECT_EQ(snap.num_edges_zeroed_by_capacity(), 0u) << where;
+    EXPECT_TRUE(snap.is_unit_skew()) << where;
+    double upper = 0.0;
+    for (const RawInput::Edge& e : state.edges) upper += e.w;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(snap.utility_upper_bound()),
+              std::bit_cast<std::uint64_t>(upper))
+        << where;
+    EXPECT_EQ(bits(to_vector(snap.capacities_single_measure())),
+              bits(to_vector(overlay.capacities())))
+        << where;
+    EXPECT_EQ(bits(to_vector(snap.costs_of_measure(0))),
+              bits(to_vector(base.costs_of_measure(0))))
+        << where;
+    EXPECT_EQ(snap.budget(0), base.budget(0)) << where;
+    for (std::size_t s = 0; s < snap.num_streams(); ++s)
+      EXPECT_EQ(snap.stream_name(static_cast<StreamId>(s)),
+                base.stream_name(static_cast<StreamId>(s)))
+          << where;
+    for (std::size_t u = 0; u < snap.num_users(); ++u)
+      EXPECT_EQ(snap.user_name(static_cast<UserId>(u)),
+                base.user_name(static_cast<UserId>(u)))
+          << where;
+    EXPECT_NE(snap.uid(), 0u) << where;
+    EXPECT_NE(snap.uid(), base.uid()) << where;
+    EXPECT_NE(snap.uid(), last_uid) << where;
+    last_uid = snap.uid();
+
+    std::vector<double> w(overlay.edge_utilities().begin(),
+                          overlay.edge_utilities().end());
+    std::vector<double> caps(overlay.capacities().begin(),
+                             overlay.capacities().end());
+    perturb(base, w, caps, rng);
+    const Csr raw_ref = reference_build(raw_spans(base, w, caps));
+    expect_matches(snapshot_instance(base, w, caps), raw_ref, where + " raw");
+    before = snap;
+  }
+}
+
+TEST(InstanceBuild, SnapshotMatchesReferenceOverTheWholeEventVocabulary) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Instance parent = cap_world(seed);
+    InstanceOverlay overlay(parent);
+    expect_snapshots_match_reference(overlay, seed * 7919, 250,
+                                     "cap_world " + std::to_string(seed));
+  }
+
+  // The committed cap-crossing world: its own trace first, then a random
+  // one from where it ends.
+  const std::string traces = VDIST_TESTS_DIR "/../bench/traces/";
+  const Instance breakers =
+      io::load_instance_file(traces + "contract_breakers.vd");
+  InstanceOverlay overlay(breakers);
+  int i = 0;
+  for (const InstanceEvent& ev :
+       io::load_events_file(traces + "contract_breakers.events")) {
+    overlay.apply(ev);
+    expect_matches(overlay.materialize(),
+                   reference_build(effective_state(overlay)),
+                   "contract_breakers event " + std::to_string(i++));
+  }
+  expect_snapshots_match_reference(overlay, 17, 250, "contract_breakers");
 }
 
 }  // namespace

@@ -40,6 +40,7 @@
 #include "model/validate.h"
 #include "util/float_cmp.h"
 #include "util/json.h"
+#include "util/stats.h"
 #include "workload/workload.h"
 
 namespace {
@@ -378,7 +379,9 @@ int cmd_gen_events(const Args& args) {
 // (engine/serving.h) and reports objective-over-time as JSON. --check N
 // compares the session against a from-scratch solve every N events: the
 // resolve policy must match the fresh objective bit-exactly, the repair
-// policy must stay within --bound; a violation exits 4.
+// policy must stay within --bound; a violation exits 4. The JSON's
+// "checks" object splits the checks' wall time into their snapshot and
+// solve halves (medians) and reports the slowest whole check.
 int cmd_serve(const Args& args) {
   // Flags are ServeConfig's declared keys — minus the registry-only
   // trace-derivation knobs (events here names the event FILE; trace and
@@ -430,6 +433,10 @@ int cmd_serve(const Args& args) {
   timeline.precision(17);
   bool parity_failed = false;
   std::size_t applied = 0;
+  // Per check: its two halves and the slowest whole check.
+  std::vector<double> check_snapshot_ms;
+  std::vector<double> check_solve_ms;
+  double check_max_ms = 0.0;
   for (const model::InstanceEvent& event : trace) {
     const engine::RepairStats stats = backend->apply(event);
     ++applied;
@@ -447,6 +454,10 @@ int cmd_serve(const Args& args) {
     // instance and solve it from scratch (Session::check_parity).
     if (check_every > 0 && applied % check_every == 0) {
       const engine::ParityReport parity = backend->check_parity();
+      check_snapshot_ms.push_back(parity.snapshot_ms);
+      check_solve_ms.push_back(parity.solve_ms);
+      check_max_ms =
+          std::max(check_max_ms, parity.snapshot_ms + parity.solve_ms);
       if (!parity.ok) {
         parity_failed = true;
         std::cerr << "serve: parity violated after event " << applied
@@ -489,6 +500,10 @@ int cmd_serve(const Args& args) {
       << ",\"drift_checks\":" << counters.drift_checks
       << ",\"select_rows_sorted\":" << backend->select_stats().rows_sorted
       << ",\"feasible\":" << (report.feasible() ? "true" : "false")
+      << ",\"checks\":{\"count\":" << check_snapshot_ms.size()
+      << ",\"snapshot_ms_p50\":" << util::percentile(check_snapshot_ms, 50)
+      << ",\"solve_ms_p50\":" << util::percentile(check_solve_ms, 50)
+      << ",\"max_ms\":" << check_max_ms << "}"
       << ",\"timeline\":[" << timeline.str() << "]}\n";
   const std::string json_path = args.options.get("json", "-");
   if (json_path == "-") {
@@ -815,8 +830,10 @@ int cmd_help(std::ostream& os) {
       "objective-over-time JSON. With --check N the session is compared\n"
       "against a from-scratch solve every N events (resolve must match\n"
       "bit-exactly, repair must stay within --bound; exit 4 on\n"
-      "violation). 'compete' replays a trace (from --events FILE, or\n"
-      "derived via --family/--trace/--seed) through the same session and\n"
+      "violation); its JSON 'checks' object reports the checks' median\n"
+      "snapshot and solve milliseconds and the slowest check. 'compete'\n"
+      "replays a trace (from --events FILE, or derived via\n"
+      "--family/--trace/--seed) through the same session and\n"
       "solves the OFFLINE optimum on every --every N checkpoint prefix's\n"
       "materialized snapshot, reporting per-prefix online/offline/ratio\n"
       "rows plus min/mean/final aggregates; --offline picks the reference\n"
