@@ -78,17 +78,72 @@ void sort_row_in_place(const InstanceView& view, SolveWorkspace& ws,
   }
 }
 
+// Copies u's row from the source's row of the same user when it
+// verifies (prepare_rows' rule, core/greedy.h); false leaves the row
+// unwritten. ws.row_slot maps each of the row's streams to its position
+// in u's CSR row; a slot left by another row (or call) is caught by
+// checking the stream at the position it names.
+bool derive_row(const InstanceView& view, SolveWorkspace& ws,
+                const RowSource& from, UserId u) {
+  const auto streams_of_u = view.streams_of(u);
+  const auto edges_of_u = view.edges_of(u);
+  const std::size_t deg = streams_of_u.size();
+  if (deg > from.view->streams_of(u).size()) return false;
+  std::uint32_t* const slot = ws.row_slot.data();
+  for (std::size_t t = 0; t < deg; ++t)
+    slot[static_cast<std::size_t>(streams_of_u[t])] =
+        static_cast<std::uint32_t>(t);
+  const std::size_t src = from.view->user_edge_begin(u);
+  const double* const w_src = from.rows->user_edge_w.data() + src;
+  const StreamId* const s_src = from.rows->user_edge_s.data() + src;
+  const auto streams = static_cast<std::size_t>(view.num_streams());
+  for (std::size_t t = 0; t < deg; ++t) {
+    const double w = w_src[t];
+    const auto ss = static_cast<std::size_t>(s_src[t]);
+    if (ss >= streams) return false;
+    const std::size_t at = slot[ss];
+    if (at >= deg || streams_of_u[at] != s_src[t]) return false;
+    if (std::bit_cast<std::uint64_t>(w) !=
+        std::bit_cast<std::uint64_t>(view.edge_utility(edges_of_u[at])))
+      return false;
+    // Strictly after the previous entry: also rules out a stream twice,
+    // as both copies would carry that edge's one utility.
+    if (t > 0 &&
+        !(w_src[t - 1] > w || (w_src[t - 1] == w && s_src[t - 1] < s_src[t])))
+      return false;
+  }
+  const std::size_t begin = view.user_edge_begin(u);
+  std::copy(w_src, w_src + deg, ws.user_edge_w.data() + begin);
+  std::copy(s_src, s_src + deg, ws.user_edge_s.data() + begin);
+  return true;
+}
+
+// The cache key of `view`'s prepared rows.
+SolveWorkspace::RowKey row_key_of(const InstanceView& view) noexcept {
+  return {view.base().uid(), view.num_streams(), view.num_users(),
+          view.num_edges()};
+}
+
 }  // namespace
 
 // A warm row is dirty when one of its utilities differs in bits from the
 // ones it was sorted from: a 0.0/-0.0 flip is a change, an unchanged NaN
 // is not.
-std::size_t prepare_rows(const InstanceView& view, SolveWorkspace& ws) {
+std::size_t prepare_rows(const InstanceView& view, SolveWorkspace& ws,
+                         const RowSource* from) {
   const std::size_t users = view.num_users();
   const std::size_t streams = view.num_streams();
   const std::size_t edges = view.num_edges();
-  const SolveWorkspace::RowKey key{view.base().uid(), streams, users, edges};
+  const SolveWorkspace::RowKey key = row_key_of(view);
   const bool warm = key.uid != 0 && ws.row_key == key;
+  // A source serves a rebuild only, and only when it holds rows for its
+  // own view over the same ids.
+  if (from != nullptr &&
+      (warm || from->rows->row_key != row_key_of(*from->view) ||
+       from->view->num_users() != users ||
+       from->view->num_streams() != streams))
+    from = nullptr;
+  if (from != nullptr) ws.row_slot.resize(streams);
   // Unkeyed until every dirty row is sorted again.
   ws.invalidate_rows();
   if (warm) {
@@ -109,27 +164,40 @@ std::size_t prepare_rows(const InstanceView& view, SolveWorkspace& ws) {
       ws.row_edge_w[e] = view.edge_utility(static_cast<EdgeId>(e));
     ws.user_edge_w.resize(edges);
     ws.user_edge_s.resize(edges);
-    // Streams by ascending cost: run()'s budget cutoff reads the cheapest
-    // stream still in the pool off this order. Stable LSD radix on the
-    // order-preserving key keeps cost ties in ascending-id input order —
-    // exactly the old (cost, id) comparator's tie rule, a fraction of the
-    // branches. Costs are the base's, so the order lives as long as the
-    // key.
     ws.cost_order.resize(streams);
-    ws.radix_keys.resize(streams);
-    for (std::size_t s = 0; s < streams; ++s) {
-      ws.cost_order[s] = static_cast<StreamId>(s);
-      ws.radix_keys[s] =
-          util::radix_key_from_double(view.cost(static_cast<StreamId>(s)));
+    bool same_costs = from != nullptr;
+    for (std::size_t s = 0; same_costs && s < streams; ++s)
+      same_costs = std::bit_cast<std::uint64_t>(
+                       view.cost(static_cast<StreamId>(s))) ==
+                   std::bit_cast<std::uint64_t>(
+                       from->view->cost(static_cast<StreamId>(s)));
+    if (same_costs) {
+      std::copy(from->rows->cost_order.begin(), from->rows->cost_order.end(),
+                ws.cost_order.begin());
+    } else {
+      // Streams by ascending cost: run()'s budget cutoff reads the
+      // cheapest stream still in the pool off this order. Stable LSD
+      // radix on the order-preserving key keeps cost ties in
+      // ascending-id input order — exactly the old (cost, id)
+      // comparator's tie rule, a fraction of the branches. Costs are the
+      // base's, so the order lives as long as the key.
+      ws.radix_keys.resize(streams);
+      for (std::size_t s = 0; s < streams; ++s) {
+        ws.cost_order[s] = static_cast<StreamId>(s);
+        ws.radix_keys[s] =
+            util::radix_key_from_double(view.cost(static_cast<StreamId>(s)));
+      }
+      util::radix_sort_pairs(ws.radix_keys, ws.cost_order,
+                             ws.radix_key_scratch, ws.radix_val_scratch);
     }
-    util::radix_sort_pairs(ws.radix_keys, ws.cost_order,
-                           ws.radix_key_scratch, ws.radix_val_scratch);
   }
   std::size_t sorted = 0;
   for (std::size_t u = 0; u < users; ++u) {
     if (ws.row_dirty[u] == 0) continue;
+    const auto user = static_cast<UserId>(u);
+    if (from != nullptr && derive_row(view, ws, *from, user)) continue;
     ++sorted;
-    sort_row_in_place(view, ws, static_cast<UserId>(u));
+    sort_row_in_place(view, ws, user);
   }
   ws.row_key = key;
   return sorted;
@@ -221,6 +289,7 @@ GreedyEngine::GreedyEngine(InstanceView view, SolveWorkspace& ws,
                            const GreedyOptions& opts)
     : view_(view),
       ws_(ws),
+      rows_(opts.rows != nullptr ? *opts.rows : ws),
       build_assignment_(opts.build_assignment),
       result_{Assignment(view.base()), 0.0, {}, {}} {
   const std::size_t users = view_.num_users();
@@ -237,7 +306,11 @@ GreedyEngine::GreedyEngine(InstanceView view, SolveWorkspace& ws,
     ws_.wbar[s] = view_.total_utility(static_cast<StreamId>(s));
     ws_.cost[s] = view_.cost(static_cast<StreamId>(s));
   }
-  rows_sorted_ = prepare_rows(view_, ws_);
+  if (opts.rows == nullptr)
+    rows_sorted_ = prepare_rows(view_, ws_);
+  else if (opts.rows->row_key != row_key_of(view_))
+    throw std::invalid_argument(
+        "GreedyEngine: borrowed rows are keyed to another instance");
   // Propagation-batching scratch: the mark array stays all-zero between
   // picks (the propagation kernel clears the marks it set).
   ws_.touched.clear();
@@ -288,12 +361,13 @@ void GreedyEngine::run_loop() {
     // fitting, every remaining pop would be a considered-and-skipped
     // row. They are accounted for in bulk instead of draining the
     // selector one pop at a time.
-    while (cost_cursor_ < ws_.cost_order.size() &&
-           !selector_.contains(ws_.cost_order[cost_cursor_]))
+    const auto& cost_order = rows_.cost_order;
+    while (cost_cursor_ < cost_order.size() &&
+           !selector_.contains(cost_order[cost_cursor_]))
       ++cost_cursor_;
-    if (cost_cursor_ >= ws_.cost_order.size()) break;  // pool empty
+    if (cost_cursor_ >= cost_order.size()) break;  // pool empty
     const double cheapest =
-        ws_.cost[static_cast<std::size_t>(ws_.cost_order[cost_cursor_])];
+        ws_.cost[static_cast<std::size_t>(cost_order[cost_cursor_])];
     if (!approx_le(used_ + cheapest, B)) {
       result_.trace.num_considered += selector_.pool_size();
       result_.trace.skipped_budget += selector_.pool_size();
@@ -385,7 +459,7 @@ void GreedyEngine::add_stream(StreamId s, double cost) {
       if (g.rec_ != nullptr) g.rec_->death_stream.push_back(sp);
     }
   } hooks{*this, s};
-  propagate_pick(view_, ws_, selector_, s, hooks);
+  propagate_pick(view_, ws_, rows_, selector_, s, hooks);
 }
 
 void GreedyEngine::sync_assignment() {

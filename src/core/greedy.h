@@ -56,6 +56,16 @@ struct GreedyOptions {
   // returns the race's utility, variant and counters with an empty
   // assignment.
   bool build_assignment = true;
+  // Borrowed prepared rows (null = prepare the workspace's own). With a
+  // source the engine skips prepare_rows and reads user_edge_w/_s and
+  // cost_order from it; its row_key must equal the view's (the base's
+  // uid and sizes; throws std::invalid_argument otherwise) and its rows
+  // must be current for the view's utilities, which the key alone
+  // cannot show: a band view keys like its base. The serving repair's
+  // drift check borrows the repair core's rows (engine/repair_core.h),
+  // and its parity check the rows it derived into the workspace itself
+  // (prepare_rows below).
+  const SolveWorkspace* rows = nullptr;
 };
 
 // The greedy's scalar counters (the pick order itself is recorded by
@@ -234,9 +244,11 @@ inline SplitValues& operator+=(SplitValues& acc,
 //
 // Row cache contract: the constructor's prep (prepare_rows below) lives
 // in the workspace and outlives the engine. The prepared arrays are
-// bit-identical however warm the cache was, so picks, evaluations and
-// objectives never depend on what the workspace solved before.
-// SelectStats::rows_sorted reports the rows this prep re-sorted.
+// bit-identical however warm the cache was, and whether they were
+// sorted, derived from another view's rows or borrowed
+// (GreedyOptions::rows), so picks, evaluations and objectives never
+// depend on what the workspace solved before. SelectStats::rows_sorted
+// reports the rows this prep re-sorted: 0 on borrowed rows.
 //
 // Checkpoint contract: save() copies the full solve state into a frame;
 // restore() rewinds to it. Restores must target a frame saved by *this*
@@ -307,6 +319,8 @@ class GreedyEngine {
 
   model::InstanceView view_;
   SolveWorkspace& ws_;
+  // The prepared rows the engine reads: ws_'s own, or borrowed.
+  const SolveWorkspace& rows_;
   std::size_t rows_sorted_ = 0;  // user rows the constructor's prep sorted
   bool build_assignment_ = true;
   GreedyResult result_;
@@ -324,13 +338,34 @@ class GreedyEngine {
   bool assignment_dirty_ = false;
 };
 
+// Rows prepared for another view over the same user and stream ids, for
+// prepare_rows to derive from: `rows` keyed to and current for `view`.
+struct RowSource {
+  const SolveWorkspace* rows = nullptr;
+  const model::InstanceView* view = nullptr;
+};
+
 // Brings ws's prepared rows up to date for `view` and returns the number
 // of user rows it sorted: each user's utilities sorted by descending w,
 // streams in parallel (user_edge_w/_s, at the view's user_edge_begin),
 // and all streams by ascending cost (cost_order). On the base the cache
 // is keyed to (Instance::uid()) an O(nnz) diff re-sorts only the rows
 // whose utilities changed in bits; any other base rebuilds all of it.
-std::size_t prepare_rows(const model::InstanceView& view, SolveWorkspace& ws);
+//
+// With a source (`from`, not aliasing ws) a rebuild derives each row
+// from the source's row of the same user instead of sorting it: the
+// first deg(u) entries, accepted only when no longer than the source
+// row, every entry's stream is in u's CSR row with that edge's utility
+// bit for bit, and the entries run strictly by (w desc, stream asc).
+// The order is a unique total order, so an accepted row is exactly the
+// sorted one; a rejected row is sorted and counted. This is how a
+// snapshot's rows come from the live rows they filter: the snapshot
+// drops only w <= 0 pairs, so its row is the positive prefix of the
+// live sorted row. cost_order is copied when every cost matches the
+// source view's in bits, radix-sorted otherwise. A source whose key is
+// not its view's, or whose sizes differ from `view`'s, derives nothing.
+std::size_t prepare_rows(const model::InstanceView& view, SolveWorkspace& ws,
+                         const RowSource* from = nullptr);
 // prepare_rows for one row, for a caller that knows which rows an edit
 // moved: re-sorts u's row from the view's utilities and records them in
 // row_edge_w, so a later warm prepare_rows keeps it. The cache must

@@ -213,7 +213,8 @@ PartialEnumResult partial_enum_unit_skew(const InstanceView& view,
   // scored through the engine accumulators and only an improving
   // incumbent is assigned.
   const GreedyOptions greedy_opts{opts.strategy, &ws,
-                                  /*build_assignment=*/false};
+                                  /*build_assignment=*/false,
+                                  /*rows=*/nullptr};
 
   // One engine for the whole enumeration; its selection counters keep
   // accumulating across restores, so they report the solve's total work.
@@ -336,7 +337,8 @@ PartialEnumResult partial_enum_unit_skew(const InstanceView& view,
             SolveWorkspace tws;
             GreedyEngine teng(view, tws,
                               GreedyOptions{opts.strategy, &tws,
-                                            /*build_assignment=*/false});
+                                            /*build_assignment=*/false,
+                                            /*rows=*/nullptr});
             // Constructor-time counters are subtracted below: the work
             // tally must not depend on how many engines were built.
             const SelectStats base = teng.result().select;

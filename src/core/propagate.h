@@ -21,7 +21,8 @@
 namespace vdist::core {
 
 // Propagates the pick of `s` over ws's state (rem, wbar, user_w,
-// user_last_w) and prepared rows; the caller charges the cost. Hooks:
+// user_last_w) and the prepared rows in `prepared` (ws itself, or rows
+// the caller borrowed); the caller charges the cost. Hooks:
 //   * assign(u, e, w, rem_old): s goes to user u over edge e, before u's
 //     accounting moves and its row is walked;
 //   * skip(sp): sp's w̄ stays as it is (at least for sp == s);
@@ -29,14 +30,14 @@ namespace vdist::core {
 //   * died(sp): that stream fell to <= kAbsEps and just left the pool.
 template <typename Hooks>
 void propagate_pick(const model::InstanceView& view, SolveWorkspace& ws,
-                    StreamSelector& selector, model::StreamId s,
-                    Hooks& hooks) {
+                    const SolveWorkspace& prepared, StreamSelector& selector,
+                    model::StreamId s, Hooks& hooks) {
   double* const rem = ws.rem.data();
   double* const wbar = ws.wbar.data();
   double* const user_w = ws.user_w.data();
   double* const user_last_w = ws.user_last_w.data();
-  const double* const user_edge_w = ws.user_edge_w.data();
-  const model::StreamId* const user_edge_s = ws.user_edge_s.data();
+  const double* const user_edge_w = prepared.user_edge_w.data();
+  const model::StreamId* const user_edge_s = prepared.user_edge_s.data();
   char* const touch_mark = ws.touch_mark.data();
   auto& touched = ws.touched;
   touched.clear();

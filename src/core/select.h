@@ -78,8 +78,9 @@ enum class SelectStrategy {
 // baselines.
 // rows_sorted is the greedy engine's prep: the user rows its constructor
 // re-sorted (|U| on a cold workspace, only the rows whose utilities
-// changed on a warm one; see SolveWorkspace's row cache) — deterministic
-// given the sequence of solves a workspace ran.
+// changed on a warm one, none on borrowed rows; see SolveWorkspace's row
+// cache) — deterministic given the sequence of solves a workspace ran.
+// The serving repair's own row re-sorts are not counted.
 struct SelectStats {
   std::size_t picks = 0;         // streams returned by pop_best()
   std::size_t evaluations = 0;   // effectiveness (re-)computations
@@ -177,8 +178,10 @@ struct SolveWorkspace {
   // user's utilities sorted desc (user-major, at the view's
   // user_edge_begin), the streams parallel to them, and all streams by
   // ascending cost. prepare_rows (core/greedy.h) writes them for every
-  // GreedyEngine and for the serving repair at resolve and appends;
-  // sort_row re-sorts the repair's rows one at a time between events; the
+  // GreedyEngine that does not borrow another workspace's rows
+  // (GreedyOptions::rows), sorting each row or deriving it from a row
+  // source, and for the serving repair at resolve and appends; sort_row
+  // re-sorts the repair's rows one at a time between events; the
   // propagation kernel (core/propagate.h) and core/replay.cpp read them.
   // They hold for the instance named by row_key and the edge utilities
   // in row_edge_w (base edge order, as the rows were last sorted from): a
@@ -198,6 +201,9 @@ struct SolveWorkspace {
   RowKey row_key;                  // uid 0: nothing cached
   std::vector<double> row_edge_w;  // utilities the rows were sorted from
   std::vector<char> row_dirty;     // per user: re-sort at this prep
+  // Per stream: its position in the CSR row being derived (prepare_rows
+  // with a source); stale entries are harmless, as each is checked.
+  std::vector<std::uint32_t> row_slot;
   // w̄ propagation batching (core/propagate.h): the streams whose
   // residual utility changed during the current pick, deduplicated via
   // the parallel mark array (all-zero between picks), so the selector

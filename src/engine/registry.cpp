@@ -162,7 +162,7 @@ SolveResult SolverRegistry::solve(const SolveRequest& req) const {
   const Entry* entry = find(req.algorithm);
   if (entry == nullptr) {
     try {
-      info(req.algorithm);  // throws with the known-names message
+      (void)info(req.algorithm);  // throws with the known-names message
     } catch (const std::exception& e) {
       result.error = e.what();
     }

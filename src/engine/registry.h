@@ -27,18 +27,20 @@ enum class InstanceForm {
 
 // The raw outcome a solver adapter returns; the registry wraps it with
 // timing, validation and error capture to build the public SolveResult.
+// Every field but the assignment has an initializer, so an adapter names
+// the assignment and sets the rest as it needs.
 struct SolveOutcome {
   model::Assignment assignment;
   // The algorithm's own objective; negative means "use raw utility".
   double objective = -1.0;
-  std::string variant;
-  std::map<std::string, double> stats;
+  std::string variant{};
+  std::map<std::string, double> stats{};
   // When set, the registry reports this classification instead of
   // validating against the request instance. For adapters whose output
   // is defined over a *different* world than the input — the `serve`
   // session solves the event-churned overlay, so its end state must be
   // judged against the materialized overlay, not the pre-churn parent.
-  std::optional<model::Feasibility> feasibility;
+  std::optional<model::Feasibility> feasibility{};
 };
 
 struct SolverInfo {
@@ -51,7 +53,7 @@ struct SolverInfo {
   // Every SolveOptions key the adapter reads. Strict mode
   // (SolveRequest::strict, the CLI default) rejects keys outside this
   // list, catching `--bugdet 0.3`-style typos that lenient mode ignores.
-  std::vector<std::string> option_keys;
+  std::vector<std::string> option_keys{};
 };
 
 class SolverRegistry {

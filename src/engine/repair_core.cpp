@@ -223,7 +223,7 @@ void RepairCore::add_stream_state(const model::InstanceView& view, StreamId s,
     void touched(StreamId) {}
     void died(StreamId) {}
   } hooks{*this, view, s};
-  core::propagate_pick(view, ws_, selector_, s, hooks);
+  core::propagate_pick(view, ws_, ws_, selector_, s, hooks);
   ws_.wbar[static_cast<std::size_t>(s)] = 0.0;
 }
 
@@ -486,12 +486,14 @@ void RepairCore::post_event(const WorldRef& w, const InstanceEvent& event,
 }
 
 double fresh_winner_objective(const WorldRef& w, const RepairCore::Context& ctx,
-                              core::SelectStats& select) {
+                              core::SelectStats& select,
+                              const core::SolveWorkspace* rows) {
   const model::InstanceView view = w.view();
   core::GreedyOptions gopts;
   gopts.strategy = ctx.strategy;
   gopts.workspace = ctx.workspace;
   gopts.build_assignment = false;  // scoring mode: values only
+  gopts.rows = rows;
   core::GreedyEngine engine(view, *ctx.workspace, gopts);
   engine.run();
   select.merge(engine.result().select);

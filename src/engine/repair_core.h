@@ -171,8 +171,13 @@ class RepairCore {
   // from.
   void log_pairs(const WorldRef& w, core::SolveWorkspace& ws) const;
 
-  // The state the completion walks (user_edge_w/_s, cost_order), stale
-  // rows re-sorted first: for checks against a cold core::prepare_rows.
+  // The state the completion walks (user_edge_w/_s, cost_order, keyed
+  // to w's base), stale rows re-sorted first: then bit-identical to a
+  // cold core::prepare_rows of w.view(). The session's one row set under
+  // kRepair: its drift checks borrow these rows (fresh_winner_objective)
+  // and its parity check derives the snapshot's rows from them
+  // (core::prepare_rows with a source). Flushing here, at every drift
+  // check, keeps the stale set small when a parity check follows.
   [[nodiscard]] const core::SolveWorkspace& current_rows(const WorldRef& w);
 
  private:
@@ -211,7 +216,7 @@ class RepairCore {
   // The greedy's state (rem, wbar, cost, user_w, user_last_w, the
   // prepared rows and cost_order) and the completion selector's tree.
   // Owner-held: the drift check's fresh solves run a GreedyEngine on the
-  // caller's workspace and would clobber it.
+  // caller's workspace, which would clobber it; they only read its rows.
   core::SolveWorkspace ws_;
   std::vector<std::vector<model::StreamId>> assigned_;  // per user, in order
   std::vector<std::int32_t> added_seq_;  // per stream: add order, -1 = pool
@@ -239,9 +244,12 @@ class RepairCore {
 };
 
 // From-scratch §2.2 winner value of the world (scoring mode, no
-// assignment build) — the drift-check yardstick.
-[[nodiscard]] double fresh_winner_objective(const WorldRef& w,
-                                            const RepairCore::Context& ctx,
-                                            core::SelectStats& select);
+// assignment build) — the drift-check yardstick. `rows` (null: prepare
+// ctx.workspace's own) are borrowed prepared rows current for w.view(),
+// such as RepairCore::current_rows(w); the value is the same bits
+// either way.
+[[nodiscard]] double fresh_winner_objective(
+    const WorldRef& w, const RepairCore::Context& ctx,
+    core::SelectStats& select, const core::SolveWorkspace* rows = nullptr);
 
 }  // namespace vdist::engine

@@ -51,13 +51,15 @@ struct ScenarioInfo {
 // One workload: which scenario, how, under which seed. Params reuse the
 // string-keyed SolveOptions container so CLI flags, plan files and axes
 // all flow through the same representation as algorithm options.
+// Every field has an initializer, so a designated initializer names only
+// the fields it sets.
 struct ScenarioSpec {
-  std::string name;
-  SolveOptions params;
+  std::string name{};
+  SolveOptions params{};
   std::uint64_t seed = 1;
   // Optional display label (sweep cells, CSV); the registry ignores it.
   // Lets a plan carry two bases of the same family ("cap", "cap-reduced").
-  std::string label;
+  std::string label{};
 };
 
 class ScenarioRegistry {

@@ -16,8 +16,9 @@
 //     opened room (joins, restores, freed budget/capacity). Its picks run
 //     the greedy's own propagation kernel (core/propagate.h). Every
 //     `refresh` events the session scores a from-scratch greedy (scoring
-//     mode, no assignment build); relative drift beyond `bound` triggers
-//     a full resolve that rebuilds the state.
+//     mode, no assignment build) on the repair's own sorted rows;
+//     relative drift beyond `bound` triggers a full resolve that rebuilds
+//     the state.
 //   * kResolve — per-event from-scratch solve_unit_skew on the overlay
 //     view: bit-identical to a one-shot `greedy` solve of the overlay's
 //     materialized instance after every event (the differential anchor,
@@ -146,10 +147,17 @@ struct ParityReport {
   double fresh = 0.0;    // from-scratch solve of snapshot()
   double drift = 0.0;    // (fresh - current) / max(fresh, 1)
   std::string detail;    // set when !ok
-  // Wall time (steady clock) of the check's two halves: baking
-  // snapshot(), and the from-scratch solve (kOnline: the recount) on it.
+  // Wall time (steady clock) of the check's three layers: baking the
+  // snapshot, preparing its rows (kRepair: deriving them from the repair
+  // core's rows; 0 elsewhere, where the solve's prep sorts them), and
+  // the from-scratch solve (kOnline: the recount) on it.
   double snapshot_ms = 0.0;
+  double rows_ms = 0.0;
   double solve_ms = 0.0;
+  // User rows the check sorted: under kRepair the derived rows that
+  // failed verification (0 while the repair core's rows are exact),
+  // under kResolve every row (a new instance's prep is cold).
+  std::size_t fallback_rows = 0;
 };
 
 // Threading contract: one logical caller (apply/assignment/check_parity
@@ -198,7 +206,8 @@ class Session {
 
   // From-scratch §2.2 winner value of the *current* overlay state
   // (scoring mode, no assignment). The parity yardstick for any policy,
-  // and what drift checks compare against.
+  // and what drift checks compare against. Under kRepair it runs on the
+  // repair core's rows (flushed first) instead of preparing its own.
   [[nodiscard]] double fresh_objective();
 
   // Bakes the current world into a standalone Instance (the validation /
@@ -212,7 +221,12 @@ class Session {
   // kRepair/kResolve: solves snapshot() from scratch, value-only
   // (solve_unit_skew with build_assignment = false: the race's winner is
   // never assigned), and compares: kResolve demands bit-equality, kRepair
-  // drift within bound (+1e-9 slack). kOnline: Allocate's competitiveness
+  // drift within bound (+1e-9 slack). Under kRepair the snapshot's rows
+  // are not sorted: each is the positive prefix of the repair core's
+  // live row (RepairCore::current_rows), accepted only after
+  // core::prepare_rows verifies it against the snapshot's own CSR and
+  // utilities, so the check stays from scratch; a row that fails is
+  // sorted and counted in fallback_rows. kOnline: Allocate's competitiveness
   // is not a per-event bound, so `fresh` is the objective recomputed from
   // snapshot() and assignment() — per user, the served pairs' utilities
   // summed in stream order (pairs the snapshot dropped count 0), capped,

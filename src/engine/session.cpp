@@ -124,7 +124,19 @@ ParityReport Session::check_parity() {
   gopts.strategy = opts_.strategy;
   gopts.workspace = ws_;
   gopts.build_assignment = false;  // the value is the whole report
-  rep.fresh = core::solve_unit_skew(snap, opts_.mode, gopts).utility;
+  if (opts_.policy == ServePolicy::kRepair) {
+    const model::InstanceView live = overlay_.view();
+    const core::RowSource from{&repair_.current_rows(world()), &live};
+    rep.fallback_rows = core::prepare_rows(
+        model::InstanceView::cap_form(snap), *ws_, &from);
+    gopts.rows = ws_;
+    rep.rows_ms = watch.elapsed_ms();
+    watch.reset();
+  }
+  const core::SmdSolveResult solved =
+      core::solve_unit_skew(snap, opts_.mode, gopts);
+  rep.fresh = solved.utility;
+  rep.fallback_rows += solved.select.rows_sorted;
   rep.solve_ms = watch.elapsed_ms();
   rep.drift = (rep.fresh - objective_) / std::max(rep.fresh, 1.0);
   if (opts_.policy == ServePolicy::kResolve) {
@@ -164,7 +176,10 @@ void Session::full_resolve_repair() {
 }
 
 double Session::fresh_objective() {
-  return fresh_winner_objective(world(), repair_context(), select_);
+  const core::SolveWorkspace* rows =
+      opts_.policy == ServePolicy::kRepair ? &repair_.current_rows(world())
+                                           : nullptr;
+  return fresh_winner_objective(world(), repair_context(), select_, rows);
 }
 
 void Session::repair_apply(const InstanceEvent& event, RepairStats& stats) {

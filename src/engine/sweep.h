@@ -47,19 +47,21 @@ struct SweepAxis {
 // One algorithm column of the sweep: a registry name, fixed options, and
 // optional axes over further options (expanded for this algorithm only,
 // so `enum` can sweep depth without re-running `exact` per depth).
+// Every field has an initializer, so a designated initializer names only
+// the fields it sets.
 struct AlgorithmSpec {
-  std::string name;
-  SolveOptions options;
-  std::vector<SweepAxis> axes;
+  std::string name{};
+  SolveOptions options{};
+  std::vector<SweepAxis> axes{};
   // Display label; defaults to the name (plus axis values when swept).
-  std::string label;
+  std::string label{};
   // Scenario restriction: when non-empty, this algorithm only runs on
   // scenario cells whose base name (or explicit label) is listed here —
   // the other grid cells are marked skipped, not solved. Lets one plan
   // mix form-restricted algorithms (e.g. the unit-skew-only `serve`)
   // with general scenarios. Every entry must match at least one
   // scenario line or run_sweep throws (typos fail loudly).
-  std::vector<std::string> only;
+  std::vector<std::string> only{};
 };
 
 struct ExpandedSweep;

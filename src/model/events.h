@@ -41,9 +41,9 @@ struct InstanceEvent {
   UserId user = kInvalidUser;        // join / leave / capacity / utility
   StreamId stream = kInvalidStream;  // add / remove / utility
   // kCapacityChange: the new cap. kUtilityChange: the new w. kUserJoin on
-  // a known user: the new cap, or <= 0 to keep the declared one. kUserJoin
-  // past the current user count / kStreamAdd past the stream count: the
-  // appended entity's cap / cost.
+  // a known user: the new cap, or <= 0 to keep the declared one (NaN is
+  // rejected). kUserJoin past the current user count / kStreamAdd past
+  // the stream count: the appended entity's cap / cost.
   double value = 0.0;
   // Interest edges of an appended entity (ignored for non-append events).
   std::vector<InterestSpec> interests;

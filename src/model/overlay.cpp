@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -208,6 +209,8 @@ bool InstanceOverlay::user_leave(UserId u) {
 
 bool InstanceOverlay::user_join(UserId u, double cap) {
   check_user("user_join", u, num_users());
+  if (std::isnan(cap))
+    throw std::invalid_argument("user_join: cap must not be NaN");
   if (cap > 0.0 || is_unbounded(cap)) set_capacity(u, cap);
   if (user_alive(u)) return false;
   user_alive_[static_cast<std::size_t>(u)] = 1;

@@ -151,8 +151,10 @@ class InstanceOverlay {
   // Tombstone user u: effective cap and every pair -> 0. Returns false
   // (no-op) when already departed.
   bool user_leave(UserId u);
-  // Restore a departed user; cap > 0 replaces the declared cap first.
-  // Returns false (after applying any cap change) when already alive.
+  // Restore a departed user; cap > 0 replaces the declared cap first,
+  // and a cap <= 0 keeps it. A NaN cap throws std::invalid_argument and
+  // changes nothing. Returns false (after applying any cap change) when
+  // already alive.
   bool user_join(UserId u, double cap = 0.0);
   // Tombstone stream s: every pair -> 0. Returns false when already gone.
   bool stream_remove(StreamId s);

@@ -256,11 +256,17 @@ foreach(policy repair resolve online)
   if(NOT serve_json MATCHES "\"timeline\"")
     message(FATAL_ERROR "serve JSON missing timeline:\n${serve_json}")
   endif()
-  # The checks' wall-time split: one check per event, each half a median.
+  # The checks' wall-time split: one check per event, each layer a
+  # median, then the rows the checks sorted rather than derived.
   set(ms "[0-9][0-9.e+-]*")
   if(NOT serve_json MATCHES
-     "\"checks\":[{]\"count\":50,\"snapshot_ms_p50\":${ms},\"solve_ms_p50\":${ms},\"max_ms\":${ms}[}]")
+     "\"checks\":[{]\"count\":50,\"snapshot_ms_p50\":${ms},\"rows_ms_p50\":${ms},\"solve_ms_p50\":${ms},\"max_ms\":${ms},\"fallback_rows\":[0-9]+[}]")
     message(FATAL_ERROR "serve JSON missing the checks split:\n${serve_json}")
+  endif()
+  # Under repair every check derives the snapshot's rows from the repair
+  # core's: none may fall back to a sort.
+  if(policy STREQUAL "repair" AND NOT serve_json MATCHES "\"fallback_rows\":0[}]")
+    message(FATAL_ERROR "repair parity checks sorted rows:\n${serve_json}")
   endif()
 endforeach()
 # serve consumes every flag itself and needs its inputs.
@@ -495,6 +501,12 @@ endif()
 run_cli(1 sweep --scenario cap --algos greedy --replicates 99999999999)
 if(NOT cli_err MATCHES "option --replicates expects an integer in \\[1, 2147483647\\], got '99999999999'")
   message(FATAL_ERROR "sweep --replicates overflow not rejected:\n${cli_err}")
+endif()
+# A NaN cap on a join is an error, not "keep the declared cap".
+file(WRITE "${WORK_DIR}/join-nan.events" "vdist-events 1\njoin 2 nan\n")
+run_cli(1 serve "${serve_vd}" --events "${WORK_DIR}/join-nan.events")
+if(NOT cli_err MATCHES "user_join: cap must not be NaN")
+  message(FATAL_ERROR "serve join 2 nan not rejected:\n${cli_err}")
 endif()
 run_cli(1 gen --kind cap --streams 12 --seed 2 --interest nan
         --out "${WORK_DIR}/nan.vd")

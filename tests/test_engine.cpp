@@ -120,8 +120,9 @@ TEST(Registry, EveryAlgorithmRoundTrips) {
     // Server budgets must hold for every algorithm (only user caps may be
     // overrun, and only by the semi-feasible greedy variants).
     EXPECT_NE(r.feasibility, model::Feasibility::kInfeasible) << name;
-    if (name != "greedy-plain" && name != "greedy-augmented")
+    if (name != "greedy-plain" && name != "greedy-augmented") {
       EXPECT_TRUE(r.feasible()) << name;
+    }
   }
 }
 

@@ -5,7 +5,9 @@
 // through churn on every registered scenario, across instance switches
 // (another instance on the same workspace, a destroyed instance's storage
 // reused, overlay appends), surrogate band views on one base, and a
-// 0.0/-0.0 flip that == cannot see.
+// 0.0/-0.0 flip that == cannot see. Rows derived from another view's
+// (a snapshot's from the live rows) and borrowed rows are held to the
+// same cold prep, and corrupted sources must fall back to a sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include <cstdint>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,6 +27,7 @@
 #include "engine/scenario.h"
 #include "engine/solver.h"
 #include "gen/random_instances.h"
+#include "io/event_io.h"
 #include "io/instance_io.h"
 #include "model/factory.h"
 #include "model/instance.h"
@@ -170,8 +174,10 @@ TEST(GreedyRowCache, WarmEqualsColdThroughChurnOnEveryScenario) {
   EXPECT_LT(2 * warm_sorted, cold_sorted);
 }
 
-// A solve of another instance on the same workspace (the parity check's
-// snapshot) evicts the rows; the next drift check is a cold one.
+// A solve of another instance on the same workspace (a snapshot) evicts
+// the rows; the next drift check on the workspace's own rows is a cold
+// one. (The serving session's drift checks borrow the repair core's rows
+// instead, so its parity checks cannot evict them.)
 TEST(GreedyRowCache, SolvingAnotherInstanceEvictsTheRows) {
   const Instance inst = cap_world(2);
   InstanceOverlay overlay(inst);
@@ -338,6 +344,175 @@ TEST(GreedyRowCache, AppendsRebuildAndStayExact) {
                                       where + " utility on the new pair"),
               1u);
   }
+}
+
+// The snapshot's rows derived from live rows: prepare_rows over the
+// snapshot with `live` (rows current for the overlay's view) as source,
+// held byte for byte to a cold prep of the snapshot. Returns the rows it
+// sorted.
+std::size_t expect_derived_equals_cold(const InstanceOverlay& overlay,
+                                       const SolveWorkspace& live,
+                                       const std::string& where) {
+  const Instance snap = overlay.materialize();
+  const model::InstanceView view = model::InstanceView::cap_form(snap);
+  const model::InstanceView live_view = overlay.view();
+  const core::RowSource from{&live, &live_view};
+  SolveWorkspace derived;
+  const std::size_t sorted = core::prepare_rows(view, derived, &from);
+  SolveWorkspace cold;
+  EXPECT_EQ(core::prepare_rows(view, cold), snap.num_users()) << where;
+  EXPECT_TRUE(rows_of(derived) == rows_of(cold)) << where;
+  EXPECT_TRUE(derived.row_key == cold.row_key) << where;
+  EXPECT_EQ(derived.row_edge_w, cold.row_edge_w) << where;
+  // A warm prep on the derived rows finds nothing to re-sort.
+  EXPECT_EQ(core::prepare_rows(view, derived), 0u) << where;
+  return sorted;
+}
+
+// Live rows prepared cold for the overlay's current view.
+SolveWorkspace live_rows(const InstanceOverlay& overlay) {
+  SolveWorkspace live;
+  (void)core::prepare_rows(overlay.view(), live);
+  return live;
+}
+
+// After every event of a churn trace, of the committed cap-crossing trace
+// and of the committed append trace, every snapshot row derives from the
+// live rows: no row falls back to a sort, and the rows are a cold prep's.
+TEST(GreedyRowCache, DerivedSnapshotRowsEqualAColdPrep) {
+  struct World {
+    std::string name;
+    Instance inst;
+    std::vector<model::InstanceEvent> trace;
+  };
+  const std::string traces = VDIST_TESTS_DIR "/../bench/traces/";
+  std::vector<World> worlds;
+  worlds.push_back({"churn", cap_world(6), {}});
+  worlds.back().trace = workload::WorkloadRegistry::global().generate(
+      "churn", worlds.back().inst, {{"events", "80"}, {"seed", "6"}});
+  worlds.push_back({"contract_breakers",
+                    io::load_instance_file(traces + "contract_breakers.vd"),
+                    io::load_events_file(traces + "contract_breakers.events")});
+  worlds.push_back({"serve_appends",
+                    io::load_instance_file(traces + "serve_smoke.vd"),
+                    io::load_events_file(traces + "serve_appends.events")});
+  for (const World& world : worlds) {
+    InstanceOverlay overlay(world.inst);
+    EXPECT_EQ(expect_derived_equals_cold(overlay, live_rows(overlay),
+                                         world.name + " open"),
+              0u);
+    for (std::size_t i = 0; i < world.trace.size(); ++i) {
+      overlay.apply(world.trace[i]);
+      const std::string where = world.name + " event " + std::to_string(i);
+      EXPECT_EQ(
+          expect_derived_equals_cold(overlay, live_rows(overlay), where), 0u)
+          << where;
+    }
+  }
+}
+
+// Wrong sources: each corrupted row fails verification, falls back to a
+// sort and is counted, and the rows are still a cold prep's.
+TEST(GreedyRowCache, WrongSourceRowsFallBackToASort) {
+  const Instance parent = cap_world(7);
+  InstanceOverlay overlay(parent);
+  const std::vector<model::InstanceEvent> trace =
+      workload::WorkloadRegistry::global().generate(
+          "churn", parent, {{"events", "40"}, {"seed", "7"}});
+  for (std::size_t i = 0; i < 20; ++i) overlay.apply(trace[i]);
+  const model::InstanceView live_view = overlay.view();
+  const Instance snap = overlay.materialize();
+  // A user with at least two snapshot pairs, and a stream not in its row.
+  UserId u = 0;
+  while (snap.streams_of(u).size() < 2) ++u;
+  const auto snap_row = snap.streams_of(u);
+  StreamId outside = 0;
+  while (std::find(snap_row.begin(), snap_row.end(), outside) !=
+         snap_row.end())
+    ++outside;
+  const std::size_t at = live_view.user_edge_begin(u);
+
+  SolveWorkspace flipped = live_rows(overlay);
+  flipped.user_edge_w[at] = std::bit_cast<double>(
+      std::bit_cast<std::uint64_t>(flipped.user_edge_w[at]) ^ 1u);
+  EXPECT_EQ(expect_derived_equals_cold(overlay, flipped, "flipped bit"), 1u);
+
+  SolveWorkspace swapped = live_rows(overlay);
+  std::swap(swapped.user_edge_w[at], swapped.user_edge_w[at + 1]);
+  std::swap(swapped.user_edge_s[at], swapped.user_edge_s[at + 1]);
+  EXPECT_EQ(expect_derived_equals_cold(overlay, swapped, "swapped"), 1u);
+
+  SolveWorkspace missing = live_rows(overlay);
+  missing.user_edge_s[at + 1] = outside;
+  EXPECT_EQ(expect_derived_equals_cold(overlay, missing, "missing stream"),
+            1u);
+
+  // Rows sorted before the last 20 events: exactly the users whose
+  // snapshot row is not the stale row's prefix fall back.
+  InstanceOverlay old_world(parent);
+  for (std::size_t i = 0; i < 20; ++i) old_world.apply(trace[i]);
+  SolveWorkspace stale = live_rows(old_world);
+  for (std::size_t i = 20; i < trace.size(); ++i) overlay.apply(trace[i]);
+  ASSERT_EQ(overlay.instance().uid(), old_world.instance().uid());
+  const Instance now = overlay.materialize();
+  SolveWorkspace cold;
+  (void)core::prepare_rows(model::InstanceView::cap_form(now), cold);
+  std::size_t differ = 0;
+  for (std::size_t uu = 0; uu < now.num_users(); ++uu) {
+    const auto user = static_cast<UserId>(uu);
+    const std::size_t deg = now.streams_of(user).size();
+    const std::size_t src = overlay.view().user_edge_begin(user);
+    const std::size_t dst =
+        model::InstanceView::cap_form(now).user_edge_begin(user);
+    bool same = deg <= overlay.instance().streams_of(user).size();
+    for (std::size_t t = 0; same && t < deg; ++t)
+      same = std::bit_cast<std::uint64_t>(stale.user_edge_w[src + t]) ==
+                 std::bit_cast<std::uint64_t>(cold.user_edge_w[dst + t]) &&
+             stale.user_edge_s[src + t] == cold.user_edge_s[dst + t];
+    if (!same) ++differ;
+  }
+  EXPECT_GT(differ, 0u);
+  EXPECT_EQ(expect_derived_equals_cold(overlay, stale, "stale"), differ);
+
+  // A source keyed to another instance derives nothing.
+  const Instance other = cap_world(8);
+  SolveWorkspace foreign;
+  (void)core::prepare_rows(model::InstanceView::cap_form(other), foreign);
+  EXPECT_EQ(expect_derived_equals_cold(overlay, foreign, "foreign"),
+            overlay.num_users());
+}
+
+// Borrowed rows: an engine on them (GreedyOptions::rows) sorts nothing
+// and scores a cold engine's value; rows keyed to another instance are
+// refused.
+TEST(GreedyRowCache, BorrowedRowsScoreLikeOwnRows) {
+  const Instance parent = cap_world(9);
+  InstanceOverlay overlay(parent);
+  const std::vector<model::InstanceEvent> trace =
+      workload::WorkloadRegistry::global().generate(
+          "churn", parent, {{"events", "24"}, {"seed", "9"}});
+  for (const model::InstanceEvent& event : trace) {
+    overlay.apply(event);
+    const SolveWorkspace live = live_rows(overlay);
+    for (const core::SmdMode mode :
+         {core::SmdMode::kFeasible, core::SmdMode::kAugmented}) {
+      SolveWorkspace ws;
+      core::SelectStats select;
+      const RepairCore::Context ctx{&ws, core::SelectStrategy::kDelta, mode};
+      const double borrowed =
+          engine::fresh_winner_objective(world_of(overlay), ctx, select, &live);
+      EXPECT_EQ(select.rows_sorted, 0u);
+      const Fresh own = fresh(world_of(overlay), ws, mode);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(borrowed), own.bits);
+    }
+  }
+  const Instance other = cap_world(10);
+  SolveWorkspace foreign;
+  (void)core::prepare_rows(model::InstanceView::cap_form(other), foreign);
+  core::GreedyOptions opts;
+  opts.rows = &foreign;
+  EXPECT_THROW(core::solve_unit_skew(parent, core::SmdMode::kFeasible, opts),
+               std::invalid_argument);
 }
 
 // A registry request is a cold solve: its stats do not depend on what the

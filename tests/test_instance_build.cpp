@@ -300,7 +300,9 @@ TEST(InstanceBuild, MatchesComparisonSortForMultiMeasureAndZeroCapacityForms) {
       expect_builds_agree(in, shuffled_order(in, seed), where);
       const Instance built = build_new(in, identity_order(in));
       EXPECT_FALSE(built.is_unit_skew()) << where;
-      if (mc >= 1) EXPECT_GT(built.num_edges_zeroed_by_capacity(), 0u) << where;
+      if (mc >= 1) {
+        EXPECT_GT(built.num_edges_zeroed_by_capacity(), 0u) << where;
+      }
     }
   }
 }

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "gen/random_instances.h"
 #include "io/event_io.h"
@@ -99,6 +101,41 @@ TEST(InstanceOverlay, CapacityChangeIsDeclaredWhileDeparted) {
   EXPECT_DOUBLE_EQ(overlay.capacity(2), 0.0) << "departed: effective cap 0";
   overlay.user_join(2);
   EXPECT_DOUBLE_EQ(overlay.capacity(2), 21.0);
+}
+
+// A join's cap <= 0 keeps the declared cap; NaN is no cap at all and is
+// rejected like set_capacity's, departed or alive, with nothing changed.
+TEST(InstanceOverlay, JoinRejectsANaNCapAndChangesNothing) {
+  const Instance parent = small_cap();
+  InstanceOverlay overlay(parent);
+  const auto state = [&] {
+    std::vector<double> out(overlay.edge_utilities().begin(),
+                            overlay.edge_utilities().end());
+    out.insert(out.end(), overlay.capacities().begin(),
+               overlay.capacities().end());
+    out.insert(out.end(), overlay.total_utilities().begin(),
+               overlay.total_utilities().end());
+    return out;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto alive = state();
+  EXPECT_THROW(overlay.user_join(1, nan), std::invalid_argument);
+  EXPECT_EQ(state(), alive);
+  EXPECT_TRUE(overlay.user_alive(1));
+
+  overlay.user_leave(1);
+  const auto departed = state();
+  EXPECT_THROW(overlay.user_join(1, nan), std::invalid_argument);
+  InstanceEvent join;
+  join.type = EventType::kUserJoin;
+  join.user = 1;
+  join.value = nan;
+  EXPECT_THROW(overlay.apply(join), std::invalid_argument);
+  EXPECT_EQ(state(), departed);
+  EXPECT_FALSE(overlay.user_alive(1));
+
+  EXPECT_TRUE(overlay.user_join(1, -3.0));  // negative: keep the declared
+  EXPECT_DOUBLE_EQ(overlay.capacity(1), 12.0);
 }
 
 TEST(InstanceOverlay, AppendUserRebuildsWithStableEntityIds) {

@@ -651,7 +651,7 @@ TEST(SelectKernel, SelectOptionIsDeclaredAndValidated) {
     EXPECT_FALSE(bad.ok) << algo;
     EXPECT_NE(bad.error.find("select"), std::string::npos) << bad.error;
   }
-  EXPECT_THROW(parse_select_strategy("fastest"), std::invalid_argument);
+  EXPECT_THROW((void)parse_select_strategy("fastest"), std::invalid_argument);
   EXPECT_EQ(parse_select_strategy("delta"), SelectStrategy::kDelta);
   EXPECT_EQ(parse_select_strategy("naive"), SelectStrategy::kNaiveScan);
   // The vocabulary is exactly delta|naive; any other name is refused

@@ -7,9 +7,9 @@
 // shifts any pick (the exact failure mode of the SoA/AVX2 rebuild)
 // breaks here even if it shifts both strategies identically.
 //
-// Regenerate after an intentional pick change:
-//   VDIST_UPDATE_SELECT_REFERENCE=1 ./build/vdist_tests \
-//     --gtest_filter='SelectReference.*'
+// Regenerate after an intentional pick change by running
+// `./build/vdist_tests --gtest_filter='SelectReference.*'` with
+// VDIST_UPDATE_SELECT_REFERENCE=1 in the environment.
 // The file lives in the source tree (VDIST_TESTS_DIR, stamped by CMake),
 // so the rewrite lands in the checkout regardless of build directory.
 #include <gtest/gtest.h>

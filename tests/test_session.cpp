@@ -12,11 +12,14 @@
 #include <climits>
 #include <cstdint>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <vector>
 
 #include "assignment_pairs.h"
 #include "core/greedy.h"
@@ -82,7 +85,7 @@ TEST(Session, ParsePolicyNamesRoundTrip) {
   EXPECT_EQ(parse_serve_policy("repair"), ServePolicy::kRepair);
   EXPECT_EQ(parse_serve_policy("resolve"), ServePolicy::kResolve);
   EXPECT_EQ(parse_serve_policy("online"), ServePolicy::kOnline);
-  EXPECT_THROW(parse_serve_policy("rapair"), std::invalid_argument);
+  EXPECT_THROW((void)parse_serve_policy("rapair"), std::invalid_argument);
   EXPECT_STREQ(to_string(ServePolicy::kRepair), "repair");
 }
 
@@ -544,6 +547,142 @@ TEST(Session, ValueOnlyParitySolveEqualsTheFullSolveAfterEveryEvent) {
           EXPECT_TRUE(parity.ok) << where << ": " << parity.detail;
         }
       }
+    }
+  }
+}
+
+// Under repair the parity check derives the snapshot's rows from the
+// repair core's. After every event of a churn trace, of the committed
+// cap-crossing trace and of the committed append trace, no row falls
+// back to a sort — the repair's maintained rows are exact — and the
+// fresh value is, bit for bit, a from-scratch solve of snapshot() on a
+// fresh workspace. refresh 0 leaves every stale row to the check itself.
+TEST(Session, RepairParityDerivesExactRowsAfterEveryEvent) {
+  struct World {
+    std::string name;
+    Instance inst;
+    std::vector<InstanceEvent> trace;
+  };
+  const std::string traces = VDIST_TESTS_DIR "/../bench/traces/";
+  std::vector<World> worlds;
+  worlds.push_back({"churn", churn_base(31, 30, 14), {}});
+  worlds.back().trace = churn_trace(worlds.back().inst, 60, 131);
+  worlds.push_back({"contract_breakers",
+                    io::load_instance_file(traces + "contract_breakers.vd"),
+                    io::load_events_file(traces + "contract_breakers.events")});
+  worlds.push_back({"serve_appends",
+                    io::load_instance_file(traces + "serve_smoke.vd"),
+                    io::load_events_file(traces + "serve_appends.events")});
+  for (const World& world : worlds) {
+    for (const int refresh : {1, 0}) {
+      ServeConfig cfg;
+      cfg.policy = ServePolicy::kRepair;
+      cfg.refresh = refresh;
+      cfg.bound = refresh == 1 ? 0.05 : 1.0;
+      Session session(world.inst, cfg);
+      for (std::size_t i = 0; i < world.trace.size(); ++i) {
+        session.apply(world.trace[i]);
+        const std::string where = world.name + " refresh " +
+                                  std::to_string(refresh) + " event " +
+                                  std::to_string(i);
+        const ParityReport parity = session.check_parity();
+        EXPECT_EQ(parity.fallback_rows, 0u) << where;
+        const core::SmdSolveResult fresh =
+            core::solve_unit_skew(session.snapshot(), cfg.mode);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(parity.fresh),
+                  std::bit_cast<std::uint64_t>(fresh.utility))
+            << where;
+      }
+    }
+  }
+}
+
+// A parity check does not evict the drift check's rows: the drift check
+// right after one sorts no more rows than the same drift check in a
+// session that never checks parity, and the two sessions agree on every
+// objective.
+TEST(Session, DriftCheckAfterAParityCheckSortsNoMoreRows) {
+  const Instance inst = churn_base(37, 30, 14);
+  const auto trace = churn_trace(inst, 64, 137);
+  ServeConfig cfg;
+  cfg.policy = ServePolicy::kRepair;
+  cfg.refresh = 4;
+  Session checked(inst, cfg);
+  Session plain(inst, cfg);
+  std::size_t drift_checks = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const std::size_t checked_before = checked.select_stats().rows_sorted;
+    const std::size_t plain_before = plain.select_stats().rows_sorted;
+    const RepairStats stats = checked.apply(trace[i]);
+    (void)plain.apply(trace[i]);
+    const std::string where = "event " + std::to_string(i);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(checked.objective()),
+              std::bit_cast<std::uint64_t>(plain.objective()))
+        << where;
+    if (stats.drift_checked) {
+      ++drift_checks;
+      EXPECT_LE(checked.select_stats().rows_sorted - checked_before,
+                plain.select_stats().rows_sorted - plain_before)
+          << where;
+    }
+    // The event before each drift check ends on a parity check (whose
+    // drift may still exceed the bound: that is the drift check's call).
+    if ((i + 2) % 4 == 0) (void)checked.check_parity();
+  }
+  EXPECT_EQ(drift_checks, trace.size() / 4);
+}
+
+// A join with a NaN cap is rejected under every policy and leaves the
+// session as it was: snapshot(), objective() and assignment() unchanged.
+TEST(Session, NaNJoinCapIsRejectedWithTheSessionUnchanged) {
+  const Instance inst = churn_base(43, 20, 10);
+  const auto bits_of = [](std::span<const double> values) {
+    std::vector<std::uint64_t> out;
+    for (const double v : values)
+      out.push_back(std::bit_cast<std::uint64_t>(v));
+    return out;
+  };
+  for (const ServePolicy policy :
+       {ServePolicy::kRepair, ServePolicy::kResolve, ServePolicy::kOnline}) {
+    ServeConfig cfg;
+    cfg.policy = policy;
+    Session session(inst, cfg);
+    for (const InstanceEvent& event : churn_trace(inst, 12, 143))
+      session.apply(event);
+    InstanceEvent leave;
+    leave.type = EventType::kUserLeave;
+    leave.user = 2;
+    session.apply(leave);
+    for (const bool departed : {true, false}) {
+      const std::string where =
+          std::string(to_string(policy)) + (departed ? " departed" : " alive");
+      const Instance before = session.snapshot();
+      const double objective = session.objective();
+      const auto pairs = pairs_of(session.assignment(), inst.num_users());
+      const std::size_t events = session.counters().events;
+      InstanceEvent join;
+      join.type = EventType::kUserJoin;
+      join.user = 2;
+      join.value = std::numeric_limits<double>::quiet_NaN();
+      EXPECT_THROW(session.apply(join), std::invalid_argument) << where;
+      const Instance after = session.snapshot();
+      EXPECT_EQ(bits_of(after.edge_utilities()),
+                bits_of(before.edge_utilities()))
+          << where;
+      EXPECT_EQ(bits_of(after.capacities_single_measure()),
+                bits_of(before.capacities_single_measure()))
+          << where;
+      EXPECT_EQ(bits_of(after.stream_total_utilities()),
+                bits_of(before.stream_total_utilities()))
+          << where;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(session.objective()),
+                std::bit_cast<std::uint64_t>(objective))
+          << where;
+      EXPECT_EQ(pairs_of(session.assignment(), inst.num_users()), pairs)
+          << where;
+      EXPECT_EQ(session.counters().events, events) << where;
+      join.value = 0.0;  // a real join goes through
+      if (departed) session.apply(join);
     }
   }
 }

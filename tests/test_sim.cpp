@@ -58,8 +58,9 @@ TEST(Engine, SessionPolicyDrivesTheSimulator) {
   EXPECT_EQ(ra.totals.accepted, rb.totals.accepted);
   // Requires the session's cap form.
   const auto mmd = small_workload().instance;
-  if (!mmd.is_unit_skew())
+  if (!mmd.is_unit_skew()) {
     EXPECT_THROW(SessionPolicy{mmd}, std::invalid_argument);
+  }
 }
 
 TEST(Engine, TotalsAreConsistent) {

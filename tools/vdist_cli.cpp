@@ -380,8 +380,10 @@ int cmd_gen_events(const Args& args) {
 // compares the session against a from-scratch solve every N events: the
 // resolve policy must match the fresh objective bit-exactly, the repair
 // policy must stay within --bound; a violation exits 4. The JSON's
-// "checks" object splits the checks' wall time into their snapshot and
-// solve halves (medians) and reports the slowest whole check.
+// "checks" object splits the checks' wall time into their snapshot, row
+// and solve layers (medians), reports the slowest whole check, and sums
+// the rows the checks sorted rather than derived (fallback_rows: 0 under
+// repair while the repair's rows are exact).
 int cmd_serve(const Args& args) {
   // Flags are ServeConfig's declared keys — minus the registry-only
   // trace-derivation knobs (events here names the event FILE; trace and
@@ -433,10 +435,12 @@ int cmd_serve(const Args& args) {
   timeline.precision(17);
   bool parity_failed = false;
   std::size_t applied = 0;
-  // Per check: its two halves and the slowest whole check.
+  // Per check: its three layers and the slowest whole check.
   std::vector<double> check_snapshot_ms;
+  std::vector<double> check_rows_ms;
   std::vector<double> check_solve_ms;
   double check_max_ms = 0.0;
+  std::size_t check_fallback_rows = 0;
   for (const model::InstanceEvent& event : trace) {
     const engine::RepairStats stats = backend->apply(event);
     ++applied;
@@ -455,9 +459,12 @@ int cmd_serve(const Args& args) {
     if (check_every > 0 && applied % check_every == 0) {
       const engine::ParityReport parity = backend->check_parity();
       check_snapshot_ms.push_back(parity.snapshot_ms);
+      check_rows_ms.push_back(parity.rows_ms);
       check_solve_ms.push_back(parity.solve_ms);
-      check_max_ms =
-          std::max(check_max_ms, parity.snapshot_ms + parity.solve_ms);
+      check_max_ms = std::max(check_max_ms, parity.snapshot_ms +
+                                                parity.rows_ms +
+                                                parity.solve_ms);
+      check_fallback_rows += parity.fallback_rows;
       if (!parity.ok) {
         parity_failed = true;
         std::cerr << "serve: parity violated after event " << applied
@@ -502,8 +509,10 @@ int cmd_serve(const Args& args) {
       << ",\"feasible\":" << (report.feasible() ? "true" : "false")
       << ",\"checks\":{\"count\":" << check_snapshot_ms.size()
       << ",\"snapshot_ms_p50\":" << util::percentile(check_snapshot_ms, 50)
+      << ",\"rows_ms_p50\":" << util::percentile(check_rows_ms, 50)
       << ",\"solve_ms_p50\":" << util::percentile(check_solve_ms, 50)
-      << ",\"max_ms\":" << check_max_ms << "}"
+      << ",\"max_ms\":" << check_max_ms
+      << ",\"fallback_rows\":" << check_fallback_rows << "}"
       << ",\"timeline\":[" << timeline.str() << "]}\n";
   const std::string json_path = args.options.get("json", "-");
   if (json_path == "-") {
@@ -831,7 +840,8 @@ int cmd_help(std::ostream& os) {
       "against a from-scratch solve every N events (resolve must match\n"
       "bit-exactly, repair must stay within --bound; exit 4 on\n"
       "violation); its JSON 'checks' object reports the checks' median\n"
-      "snapshot and solve milliseconds and the slowest check. 'compete'\n"
+      "snapshot, row and solve milliseconds, the slowest check and the\n"
+      "rows the checks sorted rather than derived. 'compete'\n"
       "replays a trace (from --events FILE, or derived via\n"
       "--family/--trace/--seed) through the same session and\n"
       "solves the OFFLINE optimum on every --every N checkpoint prefix's\n"
