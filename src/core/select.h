@@ -80,7 +80,8 @@ enum class SelectStrategy {
 // re-sorted (|U| on a cold workspace, only the rows whose utilities
 // changed on a warm one, none on borrowed rows; see SolveWorkspace's row
 // cache) — deterministic given the sequence of solves a workspace ran.
-// The serving repair's own row re-sorts are not counted.
+// The serving repair's own row sorts are counted apart, in
+// engine::SessionCounters::repair_rows_sorted.
 struct SelectStats {
   std::size_t picks = 0;         // streams returned by pop_best()
   std::size_t evaluations = 0;   // effectiveness (re-)computations

@@ -53,15 +53,8 @@ CompetitiveReport run_competitive(const model::Instance& parent,
                                   std::span<const model::InstanceEvent> trace,
                                   const CompetitiveOptions& opts) {
   ServeConfig cfg = opts.serve;
-  // The repair bound is guaranteed at the backend's own drift
-  // checkpoints; align them with the measurement prefixes so every
-  // measured ratio had its chance to self-correct (the serve --check
-  // rule). A refresh that divides `every` already lands there.
-  if (opts.align_refresh && opts.every > 0 &&
-      cfg.policy == ServePolicy::kRepair) {
-    const auto every = static_cast<int>(opts.every);
-    if (cfg.refresh <= 0 || every % cfg.refresh != 0) cfg.refresh = every;
-  }
+  // Every measured ratio has had its chance to self-correct.
+  if (opts.align_refresh) align_refresh(cfg, opts.every);
 
   CompetitiveReport report;
   report.policy = to_string(cfg.policy);

@@ -202,19 +202,15 @@ SolveOutcome run_serve(const SolveRequest& req) {
   // Share the batch runner's per-thread workspace like every adapter.
   cfg.workspace = greedy_options(req).workspace;
 
-  std::map<std::string, std::string> wparams;
-  wparams["events"] = std::to_string(cfg.events);
   // The trace is the workload, not solver randomness: prefer the paired
   // workload_seed (sweeps set it per replicate, batch-index-stable) so
   // every algorithm cell of a replicate churns the identical trace.
-  wparams["seed"] =
-      std::to_string(req.workload_seed != 0 ? req.workload_seed : req.seed);
   // --trace key=value,... overrides any family knob, including events and
   // seed — a plan line reproduces the exact workload.
-  workload::apply_workload_overrides(wparams, cfg.trace, "option --trace");
-  const std::vector<model::InstanceEvent> trace =
-      workload::WorkloadRegistry::global().generate(cfg.family,
-                                                    *req.instance, wparams);
+  const std::vector<model::InstanceEvent> trace = derive_trace(
+      *req.instance, cfg.family,
+      req.workload_seed != 0 ? req.workload_seed : req.seed, cfg.events,
+      cfg.trace, "option --trace");
 
   const std::unique_ptr<Session> backend = make_backend(*req.instance, cfg);
   double objective_sum = 0.0;
@@ -232,13 +228,7 @@ SolveOutcome run_serve(const SolveRequest& req) {
     // Judge feasibility against the world the backend actually serves —
     // the event-churned state — not the pre-churn parent, whose caps
     // and utilities the trace has since moved.
-    const model::Instance snapshot = backend->snapshot();
-    model::Assignment on_snapshot(snapshot);
-    for (std::size_t u = 0; u < snapshot.num_users(); ++u)
-      for (const model::StreamId s :
-           out.assignment.streams_of(static_cast<model::UserId>(u)))
-        on_snapshot.assign(static_cast<model::UserId>(u), s);
-    const model::ValidationReport report = model::validate(on_snapshot);
+    const model::ValidationReport report = validate_served(*backend);
     out.feasibility = report.feasibility;
     out.stats["violations"] =
         static_cast<double>(report.violations.size());

@@ -36,7 +36,7 @@ double WorldRef::pair_utility(UserId u, StreamId s) const noexcept {
 void RepairCore::prepare(const WorldRef& w) {
   const auto costs = w.base->costs_of_measure(0);
   ws_.cost.assign(costs.begin(), costs.end());
-  (void)core::prepare_rows(w.view(), ws_);
+  rows_sorted_ += core::prepare_rows(w.view(), ws_);
   row_stale_.assign(w.num_users(), 0);
   ws_.touch_mark.assign(w.num_streams(), 0);
 }
@@ -112,7 +112,7 @@ void RepairCore::flush_select(core::SelectStats& select) {
   flushed_ = now;
 }
 
-// Re-derives every per-entity array after an overlay rebuild (append).
+// Re-derives every per-entity array after an overlay splice (append).
 // Entity ids are stable, so the assigned lists survive; the accounting,
 // the pool residuals and the rows are recomputed against the new edge-id
 // space.
@@ -215,6 +215,7 @@ void RepairCore::add_stream_state(const model::InstanceView& view, StreamId s,
       if (r.row_stale_[uu] != 0) {
         core::sort_row(view, r.ws_, u);
         r.row_stale_[uu] = 0;
+        ++r.rows_sorted_;
       }
     }
     [[nodiscard]] bool skip(StreamId sp) const {
@@ -363,6 +364,7 @@ const core::SolveWorkspace& RepairCore::current_rows(const WorldRef& w) {
     if (row_stale_[uu] != 0) {
       core::sort_row(w.view(), ws_, static_cast<UserId>(uu));
       row_stale_[uu] = 0;
+      ++rows_sorted_;
     }
   return ws_;
 }

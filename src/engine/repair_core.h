@@ -138,7 +138,7 @@ class RepairCore {
   [[nodiscard]] PreEvent pre_event(const WorldRef& w,
                                    const model::InstanceEvent& event);
   // Finishes the incremental repair after the caller mutated the world
-  // (and, on appends, rebound `w` to the rebuilt base). Fills
+  // (and, on appends, rebound `w` to the spliced base). Fills
   // stats.users_refreshed / streams_released / streams_added.
   void post_event(const WorldRef& w, const model::InstanceEvent& event,
                   const PreEvent& pre, const Context& ctx,
@@ -179,6 +179,11 @@ class RepairCore {
   // (core::prepare_rows with a source). Flushing here, at every drift
   // check, keeps the stale set small when a parity check follows.
   [[nodiscard]] const core::SolveWorkspace& current_rows(const WorldRef& w);
+  // User rows this core has sorted: prepare()'s (resolve and appends),
+  // the stale rows a pick re-sorts and the ones current_rows() flushes.
+  [[nodiscard]] std::size_t rows_sorted() const noexcept {
+    return rows_sorted_;
+  }
 
  private:
   [[nodiscard]] std::size_t run_completion(const WorldRef& w);
@@ -221,6 +226,7 @@ class RepairCore {
   std::vector<std::vector<model::StreamId>> assigned_;  // per user, in order
   std::vector<std::int32_t> added_seq_;  // per stream: add order, -1 = pool
   std::vector<char> row_stale_;  // per user: the row lags the world
+  std::size_t rows_sorted_ = 0;  // see rows_sorted()
   std::int32_t next_seq_ = 0;
   double used_ = 0.0;
   // Per-event scratch: the touched user's pre-event pair utilities and

@@ -3,7 +3,10 @@
 #include <array>
 #include <climits>
 #include <cmath>
+#include <map>
 #include <stdexcept>
+
+#include "workload/workload.h"
 
 namespace vdist::engine {
 
@@ -81,10 +84,10 @@ ServeConfig ServeConfig::from_options(const SolveOptions& opts) {
       opts.get_int("events", static_cast<std::int64_t>(cfg.events), 0));
   cfg.trace = opts.get("trace", "");
   cfg.family = opts.get("family", cfg.family);
-  // Resolves (and therefore validates) lazily at generation time, so the
-  // engine layer does not pull the workload registry in here; the serve
-  // adapter and CLI both route through WorkloadRegistry::global(), which
-  // rejects unknown names with the known-family list.
+  // Resolves (and therefore validates) lazily at generation time: the
+  // serve adapter and CLI both derive through derive_trace() and
+  // WorkloadRegistry::global(), which rejects unknown names with the
+  // known-family list.
   return cfg;
 }
 
@@ -99,6 +102,33 @@ double parse_mu_option(const SolveOptions& opts) {
 std::unique_ptr<Session> make_backend(const model::Instance& parent,
                                       const ServeConfig& cfg) {
   return std::make_unique<Session>(parent, cfg);
+}
+
+void align_refresh(ServeConfig& cfg, std::size_t every) {
+  if (every == 0 || cfg.policy != ServePolicy::kRepair) return;
+  const auto gate = static_cast<int>(every);
+  if (cfg.refresh <= 0 || gate % cfg.refresh != 0) cfg.refresh = gate;
+}
+
+model::ValidationReport validate_served(Session& backend) {
+  const model::Instance snapshot = backend.snapshot();
+  model::Assignment on_snapshot(snapshot);
+  for (std::size_t u = 0; u < snapshot.num_users(); ++u)
+    for (const model::StreamId s :
+         backend.assignment().streams_of(static_cast<model::UserId>(u)))
+      on_snapshot.assign(static_cast<model::UserId>(u), s);
+  return model::validate(on_snapshot);
+}
+
+std::vector<model::InstanceEvent> derive_trace(
+    const model::Instance& inst, const std::string& family,
+    std::uint64_t seed, std::optional<std::size_t> events,
+    const std::string& overrides, const std::string& what) {
+  std::map<std::string, std::string> params;
+  if (events) params["events"] = std::to_string(*events);
+  params["seed"] = std::to_string(seed);
+  workload::apply_workload_overrides(params, overrides, what);
+  return workload::WorkloadRegistry::global().generate(family, inst, params);
 }
 
 }  // namespace vdist::engine

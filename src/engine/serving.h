@@ -62,6 +62,7 @@
 #include "model/events.h"
 #include "model/instance.h"
 #include "model/overlay.h"
+#include "model/validate.h"
 
 namespace vdist::engine {
 
@@ -82,6 +83,10 @@ struct SessionCounters {
   std::size_t drift_checks = 0;
   std::size_t online_accepts = 0;
   std::size_t online_rejects = 0;
+  // kRepair: user rows the repair core sorted (RepairCore::rows_sorted);
+  // 0 under the other policies, whose solves count theirs in
+  // SelectStats::rows_sorted.
+  std::size_t repair_rows_sorted = 0;
 };
 
 // One declared serve option: the single source the registry's
@@ -185,7 +190,7 @@ class Session {
   // Valid until the next apply().
   [[nodiscard]] const model::Assignment& assignment();
 
-  // The overlay's current base (stable entity ids; rebuilt on appends).
+  // The overlay's current base (stable entity ids; spliced on appends).
   [[nodiscard]] const model::Instance& instance() const noexcept {
     return overlay_.instance();
   }
@@ -193,8 +198,10 @@ class Session {
     return overlay_;
   }
   [[nodiscard]] ServePolicy policy() const noexcept { return opts_.policy; }
-  [[nodiscard]] const SessionCounters& counters() const noexcept {
-    return counters_;
+  [[nodiscard]] SessionCounters counters() const noexcept {
+    SessionCounters out = counters_;
+    out.repair_rows_sorted = repair_.rows_sorted();
+    return out;
   }
   // Selection-kernel work accumulated across every repair/resolve.
   [[nodiscard]] const core::SelectStats& select_stats() const noexcept {
@@ -305,5 +312,33 @@ using ServingBackend = Session;
 // that outlives the session.
 [[nodiscard]] std::unique_ptr<Session> make_backend(
     const model::Instance& parent, const ServeConfig& cfg);
+
+// The serving drivers' shared rules (`vdist_cli serve`/`compete`, the
+// registry's `serve` adapter, run_competitive).
+//
+// The repair bound is guaranteed at the backend's own drift checkpoints:
+// under kRepair, aligns them with an external gate every `every` events
+// (parity checks, competitive checkpoints) so every gated prefix has had
+// its chance to self-correct. A refresh that divides `every` already
+// lands on every gated event; any other, or 0, becomes `every`. No-op
+// for `every` == 0 and the other policies.
+void align_refresh(ServeConfig& cfg, std::size_t every);
+
+// The backend's assignment re-accounted on its snapshot(): feasibility
+// judged against the world it serves now (caps and utilities as of the
+// last event), not the parent it opened on. kOnline never revokes a
+// commitment, so a cap decrease can leave user caps exceeded there: only
+// server_feasible() is that policy's contract.
+[[nodiscard]] model::ValidationReport validate_served(Session& backend);
+
+// The event trace a serving run derives when it reads no event file:
+// workload `family` over `inst` with seed `seed` and `events` events
+// (unset: the family's default), then the comma-separated key=value
+// `overrides` on top, which may move any family knob, events and seed
+// included. `what` names the overrides' flag or option in errors.
+[[nodiscard]] std::vector<model::InstanceEvent> derive_trace(
+    const model::Instance& inst, const std::string& family,
+    std::uint64_t seed, std::optional<std::size_t> events,
+    const std::string& overrides, const std::string& what);
 
 }  // namespace vdist::engine

@@ -29,12 +29,15 @@ namespace vdist::model {
 
 class Instance;
 class InstanceBuilder;
+struct InstanceEvent;
 
 // Documented in overlay.h; a friend of Instance because it writes its
 // filtered CSR straight into one.
 [[nodiscard]] Instance snapshot_instance(const Instance& base,
                                          std::span<const double> edge_utility,
-                                         std::span<const double> capacity);
+                                         std::span<const double> capacity,
+                                         const InstanceEvent* append,
+                                         std::vector<EdgeId>* edge_map);
 
 class Instance {
  public:
@@ -201,7 +204,9 @@ class Instance {
   friend class InstanceBuilder;
   friend Instance snapshot_instance(const Instance& base,
                                     std::span<const double> edge_utility,
-                                    std::span<const double> capacity);
+                                    std::span<const double> capacity,
+                                    const InstanceEvent* append,
+                                    std::vector<EdgeId>* edge_map);
   Instance() = default;
   // The next process-unique uid (never 0).
   static std::uint64_t next_uid() noexcept;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -27,11 +28,41 @@ void check_stream(const char* who, StreamId s, std::size_t count) {
                                 std::to_string(s));
 }
 
+// An append's interests sorted by peer id, after checking each names a
+// known peer (`peer` picks the id field, `count` bounds it) once, with a
+// finite utility > 0.
+std::vector<InterestSpec> sorted_peers(const char* who,
+                                       std::span<const InterestSpec> interests,
+                                       std::int32_t InterestSpec::*peer,
+                                       std::size_t count) {
+  std::vector<InterestSpec> out(interests.begin(), interests.end());
+  for (const InterestSpec& spec : out) {
+    if (spec.*peer < 0 || static_cast<std::size_t>(spec.*peer) >= count)
+      throw std::invalid_argument(std::string(who) + ": unknown peer " +
+                                  std::to_string(spec.*peer));
+    if (!(spec.utility > 0.0) || !std::isfinite(spec.utility))
+      throw std::invalid_argument(std::string(who) +
+                                  ": utilities must be finite and > 0");
+  }
+  std::sort(out.begin(), out.end(),
+            [&](const InterestSpec& a, const InterestSpec& b) {
+              return a.*peer < b.*peer;
+            });
+  for (std::size_t k = 1; k < out.size(); ++k)
+    if (out[k].*peer == out[k - 1].*peer)
+      throw std::invalid_argument(std::string(who) + ": peer " +
+                                  std::to_string(out[k].*peer) +
+                                  " named twice");
+  return out;
+}
+
 }  // namespace
 
 Instance snapshot_instance(const Instance& base,
                            std::span<const double> edge_utility,
-                           std::span<const double> capacity) {
+                           std::span<const double> capacity,
+                           const InstanceEvent* append,
+                           std::vector<EdgeId>* edge_map) {
   if (edge_utility.size() != base.num_edges() ||
       capacity.size() != base.num_users())
     throw std::invalid_argument(
@@ -45,8 +76,20 @@ Instance snapshot_instance(const Instance& base,
       throw std::invalid_argument(
           "snapshot_instance: capacities must be >= 0 or unbounded");
 
-  const std::size_t S = base.num_streams();
-  const std::size_t U = base.num_users();
+  // The appended entity: a user whose peers are streams, or a stream
+  // whose peers are users, each peer named once and in id order.
+  const bool new_user =
+      append != nullptr && append->type == EventType::kUserJoin;
+  const bool new_stream = append != nullptr && !new_user;
+  std::span<const InterestSpec> peers;
+  if (append != nullptr) peers = append->interests;
+  const std::size_t base_S = base.num_streams();
+  const std::size_t base_U = base.num_users();
+  const auto peer_of = [&](const InterestSpec& p) {
+    return static_cast<std::size_t>(new_user ? p.stream : p.user);
+  };
+  const std::size_t S = base_S + (new_stream ? 1 : 0);
+  const std::size_t U = base_U + (new_user ? 1 : 0);
   Instance inst;
   inst.uid_ = Instance::next_uid();
   inst.unit_skew_ = true;  // m == mc == 1 and every load is its utility
@@ -55,38 +98,55 @@ Instance snapshot_instance(const Instance& base,
   inst.capacities_.assign(capacity.begin(), capacity.end());
   inst.stream_names_ = base.stream_names_;
   inst.user_names_ = base.user_names_;
+  if (new_stream) inst.costs_.push_back(append->value);
+  if (new_user) inst.capacities_.push_back(append->value);
+  inst.stream_names_.resize(S);
+  inst.user_names_.resize(U);
 
   // One pass over the stream CSR in edge order: keep the w > 0 pairs the
-  // builder's cap rule admits. The kept edges stay in (stream, user)
-  // order and the totals are summed in the builder's order, so every
-  // array is bit-identical to a build of the same pairs.
+  // builder's cap rule admits. An appended user's pair goes last in its
+  // row and an appended stream is the last row, so the kept edges stay in
+  // (stream, user) order and the totals are summed in the builder's
+  // order: every array is bit-identical to a build of the same pairs.
   const std::size_t nnz = base.num_edges();
   std::vector<EdgeId> remap(nnz, -1);  // old edge -> new, -1 when dropped
+  std::vector<EdgeId> peer_edge(peers.size(), -1);  // likewise per peer
   inst.stream_offsets_.resize(S + 1);
-  inst.edge_user_.resize(nnz);
-  inst.edge_utility_.resize(nnz);
+  inst.edge_user_.resize(nnz + peers.size());
+  inst.edge_utility_.resize(nnz + peers.size());
   inst.stream_total_utility_.resize(S);
   std::size_t kept = 0;
+  double total = 0.0;
+  const auto keep = [&](UserId u, double w) -> EdgeId {
+    if (!util::is_finite_nonneg(w))
+      throw std::invalid_argument(
+          "snapshot_instance: utilities must be finite, >= 0");
+    if (!(w > 0.0)) return -1;
+    if (!util::approx_le(w, inst.capacities_[static_cast<std::size_t>(u)])) {
+      ++inst.zeroed_edges_;
+      return -1;
+    }
+    inst.edge_user_[kept] = u;
+    inst.edge_utility_[kept] = w;
+    total += w;
+    inst.utility_grand_total_ += w;
+    return static_cast<EdgeId>(kept++);
+  };
+  std::size_t next = 0;  // the next peer to place
   for (std::size_t s = 0; s < S; ++s) {
-    double total = 0.0;
-    for (auto e = static_cast<std::size_t>(base.stream_offsets_[s]);
-         e < static_cast<std::size_t>(base.stream_offsets_[s + 1]); ++e) {
-      const double w = edge_utility[e];
-      if (!util::is_finite_nonneg(w))
-        throw std::invalid_argument(
-            "snapshot_instance: utilities must be finite, >= 0");
-      if (!(w > 0.0)) continue;
-      const UserId u = base.edge_user_[e];
-      if (!util::approx_le(w, capacity[static_cast<std::size_t>(u)])) {
-        ++inst.zeroed_edges_;
-        continue;
+    total = 0.0;
+    if (s < base_S) {
+      for (auto e = static_cast<std::size_t>(base.stream_offsets_[s]);
+           e < static_cast<std::size_t>(base.stream_offsets_[s + 1]); ++e)
+        remap[e] = keep(base.edge_user_[e], edge_utility[e]);
+      if (new_user && next < peers.size() && peer_of(peers[next]) == s) {
+        peer_edge[next] = keep(static_cast<UserId>(base_U),
+                               peers[next].utility);
+        ++next;
       }
-      remap[e] = static_cast<EdgeId>(kept);
-      inst.edge_user_[kept] = u;
-      inst.edge_utility_[kept] = w;
-      ++kept;
-      total += w;
-      inst.utility_grand_total_ += w;
+    } else {
+      for (; next < peers.size(); ++next)
+        peer_edge[next] = keep(peers[next].user, peers[next].utility);
     }
     inst.stream_total_utility_[s] = total;
     inst.stream_offsets_[s + 1] = static_cast<EdgeId>(kept);
@@ -95,24 +155,36 @@ Instance snapshot_instance(const Instance& base,
   inst.edge_utility_.resize(kept);
   inst.edge_loads_ = inst.edge_utility_;
 
-  // The user mirror: base's, with the dropped edges filtered out. Each
-  // user's edges keep their stream order.
+  // The user mirror: base's, with the dropped edges filtered out and the
+  // appended pairs placed the same way. Each user's edges keep their
+  // stream order.
   inst.user_offsets_.resize(U + 1);
   inst.user_edge_idx_.resize(kept);
   inst.user_edge_stream_.resize(kept);
   std::size_t pos = 0;
+  const auto put = [&](EdgeId e, std::size_t s) {
+    if (e < 0) return;
+    inst.user_edge_idx_[pos] = e;
+    inst.user_edge_stream_[pos] = static_cast<StreamId>(s);
+    ++pos;
+  };
+  next = 0;
   for (std::size_t u = 0; u < U; ++u) {
-    for (auto t = static_cast<std::size_t>(base.user_offsets_[u]);
-         t < static_cast<std::size_t>(base.user_offsets_[u + 1]); ++t) {
-      const EdgeId e =
-          remap[static_cast<std::size_t>(base.user_edge_idx_[t])];
-      if (e < 0) continue;
-      inst.user_edge_idx_[pos] = e;
-      inst.user_edge_stream_[pos] = base.user_edge_stream_[t];
-      ++pos;
+    if (u < base_U) {
+      for (auto t = static_cast<std::size_t>(base.user_offsets_[u]);
+           t < static_cast<std::size_t>(base.user_offsets_[u + 1]); ++t)
+        put(remap[static_cast<std::size_t>(base.user_edge_idx_[t])],
+            static_cast<std::size_t>(base.user_edge_stream_[t]));
+      if (new_stream && next < peers.size() && peer_of(peers[next]) == u)
+        put(peer_edge[next++], base_S);
+    } else {
+      for (; next < peers.size(); ++next)
+        put(peer_edge[next], peer_of(peers[next]));
     }
     inst.user_offsets_[u + 1] = static_cast<EdgeId>(pos);
   }
+  assert(pos == kept);  // the peers were ascending: each pair is mirrored
+  if (edge_map != nullptr) *edge_map = std::move(remap);
   return inst;
 }
 
@@ -275,140 +347,62 @@ UserId InstanceOverlay::append_user(double cap,
                                     std::span<const InterestSpec> interests) {
   if (!(util::is_finite_nonneg(cap) || is_unbounded(cap)))
     throw std::invalid_argument("append_user: cap must be >= 0 or inf");
-  PendingUser pending{cap, {}};
-  for (const InterestSpec& spec : interests) {
-    check_stream("append_user interest", spec.stream, num_streams());
-    if (!(spec.utility > 0.0) || !std::isfinite(spec.utility))
-      throw std::invalid_argument(
-          "append_user: interest utilities must be finite and > 0");
-    pending.interests.push_back(spec);
-  }
-  pending_users_.push_back(std::move(pending));
-  rebuild();
-  return static_cast<UserId>(num_users() - 1);
+  InstanceEvent append;
+  append.type = EventType::kUserJoin;
+  append.value = kUnbounded;  // the base's caps are; the overlay keeps `cap`
+  append.interests =
+      sorted_peers("append_user", interests, &InterestSpec::stream,
+                   num_streams());
+  splice(append);
+  const auto u = static_cast<UserId>(num_users());
+  declared_cap_.push_back(cap);
+  capacity_.push_back(cap);
+  user_alive_.push_back(1);
+  max_declared_.push_back(0.0);
+  for (const InterestSpec& spec : append.interests)
+    max_declared_.back() = std::max(max_declared_.back(), spec.utility);
+  refresh_user_edges(u);
+  return u;
 }
 
 StreamId InstanceOverlay::append_stream(
     double cost, std::span<const InterestSpec> interests) {
   if (!util::is_finite_nonneg(cost))
     throw std::invalid_argument("append_stream: cost must be finite, >= 0");
-  PendingStream pending{cost, {}};
-  for (const InterestSpec& spec : interests) {
-    check_user("append_stream interest", spec.user, num_users());
-    if (!(spec.utility > 0.0) || !std::isfinite(spec.utility))
-      throw std::invalid_argument(
-          "append_stream: interest utilities must be finite and > 0");
-    pending.interests.push_back(spec);
+  if (!util::approx_le(cost, budget()))
+    throw std::invalid_argument("append_stream: cost " + std::to_string(cost) +
+                                " exceeds the budget");
+  InstanceEvent append;
+  append.type = EventType::kStreamAdd;
+  append.value = cost;
+  append.interests = sorted_peers("append_stream", interests,
+                                  &InterestSpec::user, num_users());
+  splice(append);
+  const auto s = static_cast<StreamId>(num_streams());
+  total_utility_.push_back(0.0);
+  stream_alive_.push_back(1);
+  for (const InterestSpec& spec : append.interests) {
+    double& top = max_declared_[static_cast<std::size_t>(spec.user)];
+    top = std::max(top, spec.utility);
   }
-  pending_streams_.push_back(std::move(pending));
-  rebuild();
-  return static_cast<StreamId>(num_streams() - 1);
+  refresh_stream_edges(s);
+  return s;
 }
 
-// The one O(nnz) step of the overlay: bake structure (old base + staged
-// appends) into a fresh Instance, then re-derive every effective array.
-// Entity ids are preserved (old entities first, appends after, in order);
-// edge ids are reassigned by the builder's (stream, user) sort. Base caps
-// are clamped up to each user's largest structural utility so the builder
-// never drops a structural edge (it zeroes load > cap pairs); effective
-// caps — what view() and materialize() expose — keep the declared values.
-void InstanceOverlay::rebuild() {
+void InstanceOverlay::splice(const InstanceEvent& append) {
   const Instance& old = base();
-  const std::size_t old_users = old.num_users();
-  const std::size_t old_streams = old.num_streams();
-
-  // Largest structural utility per user (old edges + staged appends).
-  std::vector<double> max_w(old_users + pending_users_.size(), 0.0);
-  for (std::size_t ss = 0; ss < old_streams; ++ss) {
-    const auto s = static_cast<StreamId>(ss);
-    for (EdgeId e = old.first_edge(s); e < old.last_edge(s); ++e)
-      max_w[static_cast<std::size_t>(old.edge_user(e))] =
-          std::max(max_w[static_cast<std::size_t>(old.edge_user(e))],
-                   old.edge_utility(e));
-  }
-  for (const PendingStream& ps : pending_streams_)
-    for (const InterestSpec& spec : ps.interests)
-      max_w[static_cast<std::size_t>(spec.user)] =
-          std::max(max_w[static_cast<std::size_t>(spec.user)], spec.utility);
-  for (std::size_t k = 0; k < pending_users_.size(); ++k)
-    for (const InterestSpec& spec : pending_users_[k].interests)
-      max_w[old_users + k] = std::max(max_w[old_users + k], spec.utility);
-
-  std::size_t new_edges = old.num_edges();
-  for (const PendingStream& ps : pending_streams_)
-    new_edges += ps.interests.size();
-  for (const PendingUser& pu : pending_users_)
-    new_edges += pu.interests.size();
-  InstanceBuilder b(1, 1);
-  b.reserve(old_streams + pending_streams_.size(),
-            old_users + pending_users_.size(), new_edges);
-  b.set_budget(0, old.budget(0));
-  for (std::size_t ss = 0; ss < old_streams; ++ss) {
-    const auto s = static_cast<StreamId>(ss);
-    b.add_stream({old.cost(s, 0)}, old.stream_name(s));
-  }
-  for (const PendingStream& ps : pending_streams_) b.add_stream({ps.cost});
-  auto builder_cap = [&](double declared, std::size_t u) {
-    return is_unbounded(declared) ? kUnbounded : std::max(declared, max_w[u]);
-  };
-  for (std::size_t u = 0; u < old_users; ++u)
-    b.add_user({builder_cap(declared_cap_[u], u)},
-               old.user_name(static_cast<UserId>(u)));
-  for (std::size_t k = 0; k < pending_users_.size(); ++k)
-    b.add_user({builder_cap(pending_users_[k].cap, old_users + k)});
-
-  for (std::size_t ss = 0; ss < old_streams; ++ss) {
-    const auto s = static_cast<StreamId>(ss);
-    for (EdgeId e = old.first_edge(s); e < old.last_edge(s); ++e)
-      b.add_interest_unit_skew(old.edge_user(e), s, old.edge_utility(e));
-  }
-  for (std::size_t k = 0; k < pending_streams_.size(); ++k) {
-    const auto s = static_cast<StreamId>(old_streams + k);
-    for (const InterestSpec& spec : pending_streams_[k].interests)
-      b.add_interest_unit_skew(spec.user, s, spec.utility);
-  }
-  for (std::size_t k = 0; k < pending_users_.size(); ++k) {
-    const auto u = static_cast<UserId>(old_users + k);
-    for (const InterestSpec& spec : pending_users_[k].interests)
-      b.add_interest_unit_skew(u, spec.stream, spec.utility);
-  }
-
-  std::unique_ptr<Instance> rebuilt;
-  try {
-    rebuilt = std::make_unique<Instance>(std::move(b).build());
-  } catch (...) {
-    // The builder refused the staged append (a cost above the budget, a
-    // peer named twice): drop it, so the overlay stays as it was.
-    pending_users_.clear();
-    pending_streams_.clear();
-    throw;
-  }
-
-  max_declared_.resize(max_w.size(), 0.0);
-  for (std::size_t u = 0; u < max_w.size(); ++u)
-    max_declared_[u] = std::max(max_declared_[u], max_w[u]);
-  for (const PendingUser& pu : pending_users_) {
-    declared_cap_.push_back(pu.cap);
-    capacity_.push_back(pu.cap);
-    user_alive_.push_back(1);
-  }
-  for (std::size_t k = 0; k < pending_streams_.size(); ++k) {
-    total_utility_.push_back(0.0);
-    stream_alive_.push_back(1);
-  }
-  pending_users_.clear();
-  pending_streams_.clear();
-  owned_ = std::move(rebuilt);
+  const std::vector<double> unbounded(old.num_users(), kUnbounded);
+  std::vector<EdgeId> edge_map;
+  auto spliced = std::make_unique<Instance>(snapshot_instance(
+      old, old.edge_utilities(), unbounded, &append, &edge_map));
+  // Every structural pair is > 0 and no cap binds, so every old edge has
+  // a new id.
+  std::vector<double> moved(spliced->num_edges(), 0.0);
+  for (std::size_t e = 0; e < edge_map.size(); ++e)
+    moved[static_cast<std::size_t>(edge_map[e])] = edge_utility_[e];
+  edge_utility_ = std::move(moved);
+  owned_ = std::move(spliced);
   ++generation_;
-
-  // Re-derive effective utilities against the new edge-id space.
-  const Instance& inst = *owned_;
-  edge_utility_.resize(inst.num_edges());
-  for (std::size_t ss = 0; ss < inst.num_streams(); ++ss)
-    refresh_stream_edges(static_cast<StreamId>(ss));
-  for (std::size_t u = 0; u < capacity_.size(); ++u)
-    capacity_[u] =
-        user_alive_[u] != 0 ? declared_cap_[u] : 0.0;
 }
 
 void InstanceOverlay::apply(const InstanceEvent& event) {

@@ -12,11 +12,13 @@
 //     restores them exactly;
 //   * value changes: set_capacity() / set_utility() move one cap or one
 //     pair's utility (utility changes are remembered in an override map so
-//     they survive tombstone/restore cycles and rebuilds);
+//     they survive tombstone/restore cycles and splices);
 //   * appends: append_user() / append_stream() admit genuinely new
 //     entities. Ids are handed out densely past the current counts; the
-//     base CSR is rebuilt (O(nnz)) and generation() is bumped — edge ids
-//     are NOT stable across a rebuild, entity ids are.
+//     base CSR is spliced by snapshot_instance() (one O(nnz) copy, no
+//     sort) and generation() is bumped — edge ids are NOT stable across a
+//     splice, entity ids are. The spliced base holds structure only: its
+//     caps are kUnbounded, the effective caps live in the overlay.
 //
 // One meaning per event: a pair's effective utility is its declared
 // value while both ends are alive and the value is approx_le the user's
@@ -47,23 +49,29 @@
 
 namespace vdist::model {
 
-// Bakes effective cap-form state over the unit-skew cap-form `base` into
-// a standalone Instance under the paper's conventions: edge e carries
-// edge_utility[e] (0 and -0 pairs are dropped), user u's cap is
-// capacity[u], and pairs with w above their user's cap are zeroed
-// (counted in num_edges_zeroed_by_capacity()), as InstanceBuilder would.
-// Costs, budget and names are base's; the uid is fresh. The result is a
-// filter of base's CSR, one pass in edge order plus its user mirror
-// through an old-to-new edge map: O(nnz + |S| + |U|), no sort and no
-// builder staging, and bit-identical to building the same kept pairs.
-// The one snapshot of the serving layer: InstanceOverlay::materialize()
-// calls it. Throws std::invalid_argument when the spans do not match
-// base's edge and user counts, when base is not unit-skew cap form, and
-// for a utility that is NaN, negative or infinite or a cap that is NaN
-// or negative, rather than rewrite what it cannot represent.
-[[nodiscard]] Instance snapshot_instance(const Instance& base,
-                                         std::span<const double> edge_utility,
-                                         std::span<const double> capacity);
+// The overlay's one CSR writer. Bakes effective cap-form state over the
+// unit-skew cap-form `base` into a standalone Instance under the paper's
+// conventions: edge e carries edge_utility[e] (0 and -0 pairs are
+// dropped), user u's cap is capacity[u], and pairs with w above their
+// user's cap are zeroed (counted in num_edges_zeroed_by_capacity()), as
+// InstanceBuilder would. Costs, budget and names are base's; the uid is
+// fresh. The result is a filter of base's CSR, one pass in edge order
+// plus its user mirror through an old-to-new edge map: O(nnz + |S| + |U|),
+// no sort and no builder staging, and bit-identical to building the same
+// kept pairs. `append`, when given, is an append event the overlay has
+// validated, its interests sorted by peer id: one more unnamed user of
+// cap `value` (its pairs go last in their stream rows) or stream of cost
+// `value` (a new last row), under the same filter. `edge_map`, when
+// given, receives the old-to-new edge map (-1 for a dropped edge).
+// materialize() and the overlay's appends call it. Throws
+// std::invalid_argument when the spans do not match base's edge and user
+// counts, when base is not unit-skew cap form, and for a utility that is
+// NaN, negative or infinite or a cap that is NaN or negative, rather than
+// write what it cannot represent.
+[[nodiscard]] Instance snapshot_instance(
+    const Instance& base, std::span<const double> edge_utility,
+    std::span<const double> capacity, const InstanceEvent* append = nullptr,
+    std::vector<EdgeId>* edge_map = nullptr);
 
 class InstanceOverlay {
  public:
@@ -76,13 +84,13 @@ class InstanceOverlay {
   explicit InstanceOverlay(Instance&&) = delete;
 
   // The current base instance: the parent until the first append, then an
-  // owned rebuilt instance. Stream/user ids are stable across rebuilds;
-  // edge ids are not. Assignments for the overlay's current state must be
+  // owned spliced instance (kUnbounded caps; see the header comment).
+  // Stream/user ids are stable across splices; edge ids are not. Assignments for the overlay's current state must be
   // built against this instance.
   [[nodiscard]] const Instance& instance() const noexcept {
     return owned_ != nullptr ? *owned_ : *parent_;
   }
-  // Bumped on every rebuild (append); holders of edge-indexed caches or
+  // Bumped on every splice (append); holders of edge-indexed caches or
   // of Assignments against a previous base use this to invalidate.
   [[nodiscard]] std::uint64_t generation() const noexcept {
     return generation_;
@@ -165,15 +173,17 @@ class InstanceOverlay {
   void set_capacity(UserId u, double cap);
   // Set w_u(S) of an existing interest pair (>= 0; 0 disables the pair,
   // and so does a value above the user's cap until the cap admits it).
-  // The override outlives tombstone/restore cycles and rebuilds. Throws
+  // The override outlives tombstone/restore cycles and splices. Throws
   // std::invalid_argument when the pair is not in the interest graph.
   void set_utility(UserId u, StreamId s, double utility);
 
   // Append a brand-new user (returns its dense id == old num_users()) or
-  // stream. Rebuilds the base CSR: O(nnz), bumps generation(). Interests
-  // name existing peers (peer utilities must be > 0 to create a pair).
-  // A rejected append (an unknown peer, a peer named twice, a stream cost
-  // above the budget) throws std::invalid_argument and changes nothing.
+  // stream. Splices the base CSR: O(nnz), bumps generation(); only the
+  // new pairs are derived. Interests name existing peers, each once, with
+  // a finite utility > 0. Every check runs before anything moves: a
+  // rejected append (an unknown peer, a peer named twice, a utility of 0,
+  // NaN or inf, a stream cost that is NaN, negative or above the budget)
+  // throws std::invalid_argument and changes nothing.
   UserId append_user(double cap, std::span<const InterestSpec> interests);
   StreamId append_stream(double cost, std::span<const InterestSpec> interests);
 
@@ -209,9 +219,10 @@ class InstanceOverlay {
   // the streams whose pair changed.
   void refresh_user_edges(UserId u);
   void refresh_stream_edges(StreamId s);
-  // Rebuilds the owned base from the current structural state plus the
-  // staged append, then re-derives every effective array.
-  void rebuild();
+  // Splices the append event into the owned base (snapshot_instance over
+  // the structural utilities, unbounded caps) and moves the effective
+  // utilities onto the new edge ids; the new pairs start at 0.
+  void splice(const InstanceEvent& append);
 
   static std::uint64_t pair_key(UserId u, StreamId s) noexcept {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(u)) << 32) |
@@ -230,19 +241,8 @@ class InstanceOverlay {
   std::vector<double> max_declared_;
   std::vector<char> user_alive_;
   std::vector<char> stream_alive_;
-  // Explicit UtilityChange values by (u, s) pair — stable across rebuilds.
+  // Explicit UtilityChange values by (u, s) pair — stable across splices.
   std::map<std::uint64_t, double> utility_override_;
-  // Staged appends consumed by rebuild().
-  struct PendingUser {
-    double cap;
-    std::vector<InterestSpec> interests;
-  };
-  struct PendingStream {
-    double cost;
-    std::vector<InterestSpec> interests;
-  };
-  std::vector<PendingUser> pending_users_;
-  std::vector<PendingStream> pending_streams_;
   std::uint64_t generation_ = 0;
 };
 

@@ -279,6 +279,24 @@ run_cli(1 serve "${WORK_DIR}/cap.vd")
 if(NOT cli_err MATCHES "--events")
   message(FATAL_ERROR "serve without --events not rejected:\n${cli_err}")
 endif()
+# The repair core's own row sorts are counted apart from the selection
+# kernel's: some under repair on the committed smoke trace, none under
+# the policies that keep no repair core.
+foreach(policy repair resolve online)
+  run_cli(0 serve "${_repo_root}/bench/traces/serve_smoke.vd"
+          --events "${_repo_root}/bench/traces/serve_smoke.events"
+          --policy ${policy})
+  if(NOT cli_out MATCHES "\"repair_rows_sorted\":([0-9]+)")
+    message(FATAL_ERROR "serve JSON missing repair_rows_sorted:\n${cli_out}")
+  endif()
+  set(sorted "${CMAKE_MATCH_1}")
+  if(policy STREQUAL "repair" AND sorted EQUAL 0)
+    message(FATAL_ERROR "repair_rows_sorted is 0 under repair:\n${cli_out}")
+  endif()
+  if(NOT policy STREQUAL "repair" AND NOT sorted EQUAL 0)
+    message(FATAL_ERROR "repair_rows_sorted is ${sorted} under ${policy}")
+  endif()
+endforeach()
 run_cli(1 serve "${WORK_DIR}/cap.vd" --events "${WORK_DIR}/cap.events"
         --policy fastest)
 if(NOT cli_err MATCHES "repair|resolve|online")

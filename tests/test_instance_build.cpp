@@ -1,10 +1,10 @@
 // Differential tests for InstanceBuilder::build(): the counting-sort CSR
 // must be bit-identical to the comparison-sort build it replaced, kept
 // here as the reference, on every registered scenario, under any order of
-// adds, with dropped and zeroed edges mixed in, and through the overlay's
-// rebuild path. snapshot_instance(), which filters a base CSR instead of
-// building, is held to the same reference after every event of a seeded
-// random trace over the whole event vocabulary.
+// adds, and with dropped and zeroed edges mixed in. snapshot_instance(),
+// which filters a base CSR instead of building, is held to the same
+// reference after every event of a seeded random trace over the whole
+// event vocabulary, and so is the base an append splices through it.
 #include "model/instance.h"
 
 #include <gtest/gtest.h>
@@ -15,12 +15,12 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "engine/scenario.h"
+#include "event_vocabulary.h"
 #include "gen/random_instances.h"
 #include "io/event_io.h"
 #include "io/instance_io.h"
@@ -379,7 +379,7 @@ TEST(InstanceBuild, MaterializeMatchesReferenceAfterAppendsAndChurn) {
     expect_matches(overlay.materialize(),
                    reference_build(effective_state(overlay)), where);
 
-    // Appends rebuild the base; its CSR must match the reference too.
+    // Appends splice the base; its CSR must match the reference too.
     const std::vector<InterestSpec> user_interests = {
         {3, kInvalidUser, 0.5}, {0, kInvalidUser, 0.25}};
     overlay.append_user(2.0, user_interests);
@@ -480,157 +480,6 @@ TEST(InstanceBuild, SnapshotRejectsUtilitiesAndCapsItCannotRepresent) {
 
 // --- Seeded differential of snapshots over the accepted vocabulary -------
 
-StreamId stream_of_edge(const Instance& inst, EdgeId e) {
-  const auto offsets = inst.stream_offsets();
-  return static_cast<StreamId>(
-      std::upper_bound(offsets.begin(), offsets.end(), e) - offsets.begin() -
-      1);
-}
-
-InstanceEvent make_event(EventType type, UserId u, StreamId s, double value) {
-  InstanceEvent ev;
-  ev.type = type;
-  ev.user = u;
-  ev.stream = s;
-  ev.value = value;
-  return ev;
-}
-
-// Distinct random ids in [0, count), at most `most` of them.
-std::vector<std::int32_t> distinct_ids(util::Rng& rng, std::size_t count,
-                                       int most) {
-  std::set<std::int32_t> ids;
-  const auto n = rng.uniform_int(1, most);
-  for (std::int64_t k = 0; k < n; ++k)
-    ids.insert(static_cast<std::int32_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(count) - 1)));
-  return {ids.begin(), ids.end()};
-}
-
-// One random accepted event against the overlay's current state. Unlike
-// generator traces these push pairs across their caps: caps of 0, inf,
-// exactly a pair's utility and one ulp below it; utilities of 0, -0,
-// exactly the user's cap and above it; plus (re)joins with a new cap,
-// leaves, stream removes and restores, and user and stream appends.
-InstanceEvent random_event(const InstanceOverlay& overlay, util::Rng& rng) {
-  const Instance& base = overlay.instance();
-  const auto e = static_cast<EdgeId>(rng.uniform_int(
-      0, static_cast<std::int64_t>(base.num_edges()) - 1));
-  const UserId u = base.edge_user(e);
-  const StreamId s = stream_of_edge(base, e);
-  const double w = overlay.edge_utility(e) > 0.0 ? overlay.edge_utility(e)
-                                                 : base.edge_utility(e);
-  const double cap = overlay.declared_capacity(u);
-  const double finite_cap = util::is_unbounded(cap) ? w : cap;
-  switch (rng.uniform_int(0, 19)) {
-    case 0:
-      return make_event(EventType::kUserJoin, u, kInvalidStream, 0.0);
-    case 1:
-      return make_event(EventType::kUserJoin, u, kInvalidStream,
-                        rng.uniform(0.5, 3.0) * w);
-    case 2:
-    case 3:
-      return make_event(EventType::kUserLeave, u, kInvalidStream, 0.0);
-    case 4:
-      return make_event(EventType::kCapacityChange, u, kInvalidStream, 0.0);
-    case 5:
-      return make_event(EventType::kCapacityChange, u, kInvalidStream,
-                        kUnbounded);
-    case 6:
-      return make_event(EventType::kCapacityChange, u, kInvalidStream, w);
-    case 7:
-      return make_event(EventType::kCapacityChange, u, kInvalidStream,
-                        std::nextafter(w, 0.0));
-    case 8:
-      return make_event(EventType::kUtilityChange, u, s, 0.0);
-    case 9:
-      return make_event(EventType::kUtilityChange, u, s, -0.0);
-    case 10:
-      return make_event(EventType::kUtilityChange, u, s, finite_cap);
-    case 11:
-      return make_event(EventType::kUtilityChange, u, s,
-                        finite_cap * rng.uniform(1.01, 2.0) + 0.25);
-    case 12:
-      return make_event(EventType::kUtilityChange, u, s,
-                        rng.uniform(0.25, 1.5) * w);
-    case 13:
-    case 14:
-      return make_event(EventType::kStreamRemove, kInvalidUser, s, 0.0);
-    case 15:
-    case 16:
-      return make_event(EventType::kStreamAdd, kInvalidUser, s, 0.0);
-    case 17: {
-      InstanceEvent ev = make_event(
-          EventType::kUserJoin, static_cast<UserId>(overlay.num_users()),
-          kInvalidStream, rng.bernoulli(0.2) ? kUnbounded
-                                             : rng.uniform(1.0, 20.0));
-      for (const std::int32_t peer :
-           distinct_ids(rng, overlay.num_streams(), 3))
-        ev.interests.push_back({peer, kInvalidUser, rng.uniform(0.5, 12.0)});
-      return ev;
-    }
-    case 18: {
-      const double budget = overlay.budget();
-      InstanceEvent ev = make_event(
-          EventType::kStreamAdd, kInvalidUser,
-          static_cast<StreamId>(overlay.num_streams()),
-          rng.uniform(0.0, util::is_unbounded(budget) ? 10.0 : budget));
-      for (const std::int32_t peer : distinct_ids(rng, overlay.num_users(), 3))
-        ev.interests.push_back({kInvalidStream, peer, rng.uniform(0.5, 12.0)});
-      return ev;
-    }
-    default:  // a rejoin with the pair's own utility as the new cap
-      return make_event(EventType::kUserJoin, u, kInvalidStream, w);
-  }
-}
-
-// One event the overlay must refuse: an unknown id, a NaN or negative
-// utility, a negative or NaN cap, an appended stream that costs more than
-// the budget or an appended user that names a stream twice.
-InstanceEvent invalid_event(const InstanceOverlay& overlay, util::Rng& rng) {
-  const Instance& base = overlay.instance();
-  const auto e = static_cast<EdgeId>(rng.uniform_int(
-      0, static_cast<std::int64_t>(base.num_edges()) - 1));
-  const UserId u = base.edge_user(e);
-  const StreamId s = stream_of_edge(base, e);
-  const auto users = static_cast<UserId>(overlay.num_users());
-  const auto streams = static_cast<StreamId>(overlay.num_streams());
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  switch (rng.uniform_int(0, 10)) {
-    case 0:
-      return make_event(EventType::kUserLeave, users + 1, kInvalidStream, 0.0);
-    case 9: {
-      InstanceEvent ev = make_event(EventType::kUserJoin, users,
-                                    kInvalidStream, 5.0);
-      ev.interests = {{s, kInvalidUser, 1.0}, {s, kInvalidUser, 2.0}};
-      return ev;
-    }
-    case 10:
-      if (!util::is_unbounded(overlay.budget()))
-        return make_event(EventType::kStreamAdd, kInvalidUser, streams,
-                          2.0 * overlay.budget() + 1.0);
-      [[fallthrough]];
-    case 1:
-      return make_event(EventType::kUserJoin, -1, kInvalidStream, 0.0);
-    case 2:
-      return make_event(EventType::kStreamRemove, kInvalidUser, streams + 1,
-                        0.0);
-    case 3:
-      return make_event(EventType::kUtilityChange, u, streams, 1.0);
-    case 4:
-      return make_event(EventType::kUtilityChange, u, s, nan);
-    case 5:
-      return make_event(EventType::kUtilityChange, u, s, -1.0);
-    case 6:
-      return make_event(EventType::kCapacityChange, u, kInvalidStream, -1.0);
-    case 7:
-      return make_event(EventType::kCapacityChange, u, kInvalidStream, nan);
-    default:
-      return make_event(EventType::kCapacityChange, users, kInvalidStream,
-                        1.0);
-  }
-}
-
 // Raw spans over `base` with a few pairs and caps moved to the builder's
 // edge cases: 0, -0, exactly the cap, an ulp above it (still admitted by
 // approx_le) and well above it (zeroed); caps of 0 and inf.
@@ -692,10 +541,40 @@ void expect_same_header(const Instance& got, const Instance& want,
         << where;
 }
 
+// The builder input of the base an append splices: `base`'s pairs plus
+// the event's, every cap unbounded.
+RawInput structure_after_append(const Instance& base,
+                                const InstanceEvent& event) {
+  RawInput in = raw_of(base);
+  const bool user = event.type == EventType::kUserJoin;
+  if (user) {
+    in.caps.emplace_back();
+  } else {
+    in.costs.push_back({event.value});
+  }
+  for (auto& k : in.caps) k = {kUnbounded};
+  for (const InterestSpec& spec : event.interests) {
+    const UserId u = user ? static_cast<UserId>(base.num_users()) : spec.user;
+    const StreamId s =
+        user ? spec.stream : static_cast<StreamId>(base.num_streams());
+    in.edges.push_back({u, s, spec.utility, {spec.utility}});
+  }
+  return in;
+}
+
+std::vector<double> flat_costs(const RawInput& in) {
+  std::vector<double> out;
+  for (const auto& c : in.costs) out.push_back(c[0]);
+  return out;
+}
+
 // materialize() after every event of a seeded random trace equals the
 // reference build of the overlay's effective state, and its header is
-// the base's with the effective caps. Every invalid event throws and
-// leaves materialize() byte-identical. On the side, raw spans with pairs
+// the base's with the effective caps. After every append the base itself
+// equals the reference build of the old structure plus the new pairs,
+// with unbounded caps, a fresh uid and the next generation. Every
+// invalid event throws and leaves materialize(), the base's uid and
+// generation() as they were. On the side, raw spans with pairs
 // moved onto and across their caps check the zeroed count.
 void expect_snapshots_match_reference(InstanceOverlay& overlay,
                                       std::uint64_t seed, int events,
@@ -705,16 +584,44 @@ void expect_snapshots_match_reference(InstanceOverlay& overlay,
   Instance before = overlay.materialize();
   for (int i = 0; i < events; ++i) {
     const std::string where = name + " event " + std::to_string(i);
+    const std::uint64_t base_uid = overlay.instance().uid();
+    const std::uint64_t generation = overlay.generation();
     if (rng.bernoulli(0.1)) {
-      const InstanceEvent bad = invalid_event(overlay, rng);
+      const InstanceEvent bad = testing::invalid_event(overlay, rng);
       EXPECT_THROW(overlay.apply(bad), std::invalid_argument) << where;
       const Instance after = overlay.materialize();
       expect_matches(after, csr_of(before), where + " (rejected)");
       expect_same_header(after, before, where + " (rejected)");
+      EXPECT_EQ(overlay.instance().uid(), base_uid) << where;
+      EXPECT_EQ(overlay.generation(), generation) << where;
       continue;
     }
-    overlay.apply(random_event(overlay, rng));
+    const InstanceEvent event = testing::random_event(overlay, rng);
+    const EventScope scope = classify_event(event, overlay.num_users(),
+                                            overlay.num_streams());
+    const bool appends = scope.appends_user || scope.appends_stream;
+    // The base a splice must write: the old structure plus the appended
+    // pairs, every cap unbounded.
+    RawInput spliced;
+    if (appends) spliced = structure_after_append(overlay.instance(), event);
+    overlay.apply(event);
     const Instance& base = overlay.instance();
+    if (appends) {
+      EXPECT_EQ(overlay.generation(), generation + 1) << where;
+      EXPECT_NE(base.uid(), base_uid) << where;
+      EXPECT_NE(base.uid(), 0u) << where;
+      expect_matches(base, reference_build(spliced), where + " base");
+      for (std::size_t u = 0; u < base.num_users(); ++u)
+        EXPECT_TRUE(
+            util::is_unbounded(base.capacity(static_cast<UserId>(u), 0)))
+            << where;
+      EXPECT_EQ(bits(to_vector(base.costs_of_measure(0))),
+                bits(flat_costs(spliced)))
+          << where;
+    } else {
+      EXPECT_EQ(overlay.generation(), generation) << where;
+      EXPECT_EQ(base.uid(), base_uid) << where;
+    }
     const Instance snap = overlay.materialize();
     const RawInput state = effective_state(overlay);
     expect_matches(snap, reference_build(state), where);

@@ -161,6 +161,25 @@ TEST(InstanceOverlay, AppendUserRebuildsWithStableEntityIds) {
   EXPECT_DOUBLE_EQ(view.total_utility(0), 8.5);
 }
 
+// A pair above its appended user's cap is structure all the same: 0
+// while the cap excludes it, back when the cap admits it. The base holds
+// structure only, so its caps are unbounded.
+TEST(InstanceOverlay, AppendedPairAboveItsCapComesBackWithTheCap) {
+  const Instance parent = small_cap();
+  InstanceOverlay overlay(parent);
+  const UserId added = overlay.append_user(
+      2.0, std::vector<InterestSpec>{{/*stream=*/1, kInvalidUser, 3.0},
+                                     {/*stream=*/0, kInvalidUser, 1.5}});
+  EXPECT_TRUE(overlay.instance().find_edge(added, 1).has_value());
+  EXPECT_EQ(overlay.instance().capacity(added, 0), kUnbounded);
+  EXPECT_DOUBLE_EQ(overlay.pair_utility(added, 1), 0.0);
+  EXPECT_DOUBLE_EQ(overlay.pair_utility(added, 0), 1.5);
+  EXPECT_DOUBLE_EQ(overlay.capacity(added), 2.0);
+  overlay.set_capacity(added, 3.0);
+  EXPECT_DOUBLE_EQ(overlay.pair_utility(added, 1), 3.0);
+  EXPECT_DOUBLE_EQ(overlay.total_utility(1), 6.0 + 7.0 + 3.0);
+}
+
 TEST(InstanceOverlay, AppendStreamOffersToExistingUsers) {
   const Instance parent = small_cap();
   InstanceOverlay overlay(parent);

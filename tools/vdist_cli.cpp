@@ -418,16 +418,8 @@ int cmd_serve(const Args& args) {
   engine::ServeConfig cfg = engine::ServeConfig::from_options(raw);
   const auto check_every =
       static_cast<std::size_t>(args.options.get_int("check", 0, 0, INT_MAX));
-  // The repair bound is guaranteed at the backend's own drift
-  // checkpoints; align them with the external gate so every checked
-  // prefix has had its chance to self-correct. A refresh interval that
-  // divides the check interval already lands a self-correction on every
-  // gated event; anything else is replaced by the check interval itself.
-  if (check_every > 0 && cfg.policy == engine::ServePolicy::kRepair) {
-    const auto check_int = static_cast<int>(check_every);
-    if (cfg.refresh <= 0 || check_int % cfg.refresh != 0)
-      cfg.refresh = check_int;
-  }
+  // Every checked prefix has had its chance to self-correct.
+  engine::align_refresh(cfg, check_every);
 
   const std::unique_ptr<engine::Session> backend =
       engine::make_backend(inst, cfg);
@@ -473,20 +465,11 @@ int cmd_serve(const Args& args) {
       }
     }
   }
-  // Feasibility is judged against the world the backend actually serves:
-  // the assignment's pairs re-accounted on the baked snapshot (caps and
-  // utilities as of now, not as of the parent instance).
-  const model::Instance snapshot = backend->snapshot();
-  model::Assignment snapshot_assignment(snapshot);
-  for (std::size_t u = 0; u < snapshot.num_users(); ++u)
-    for (const model::StreamId s :
-         backend->assignment().streams_of(static_cast<model::UserId>(u)))
-      snapshot_assignment.assign(static_cast<model::UserId>(u), s);
-  // The online policy never revokes commitments, so a capacity decrease
-  // can legitimately leave user caps exceeded on the current world —
-  // only a server-budget violation is a bug there; the greedy policies
-  // must be exactly feasible.
-  const auto report = model::validate(snapshot_assignment);
+  // Feasibility is judged against the world the backend actually serves.
+  // The online policy never revokes commitments, so only a server-budget
+  // violation is a bug there; the greedy policies must be exactly
+  // feasible.
+  const model::ValidationReport report = engine::validate_served(*backend);
   const bool feasibility_ok =
       cfg.policy == engine::ServePolicy::kOnline ? report.server_feasible()
                                                  : report.feasible();
@@ -506,6 +489,7 @@ int cmd_serve(const Args& args) {
       << ",\"full_resolves\":" << counters.full_resolves
       << ",\"drift_checks\":" << counters.drift_checks
       << ",\"select_rows_sorted\":" << backend->select_stats().rows_sorted
+      << ",\"repair_rows_sorted\":" << counters.repair_rows_sorted
       << ",\"feasible\":" << (report.feasible() ? "true" : "false")
       << ",\"checks\":{\"count\":" << check_snapshot_ms.size()
       << ",\"snapshot_ms_p50\":" << util::percentile(check_snapshot_ms, 50)
@@ -577,15 +561,14 @@ int cmd_compete(const Args& args) {
           "not both");
     trace = io::load_events_file(events_path);
   } else {
-    // The same derivation path the serve solver's family/trace options
-    // take, so a sweep cell and a compete run on equal flags replay the
-    // identical trace.
-    std::map<std::string, std::string> wparams;
-    wparams["seed"] = std::to_string(args.options.get_int("seed", 1, 0));
-    workload::apply_workload_overrides(wparams, args.options.get("trace", ""),
-                                       "--trace");
-    trace = workload::WorkloadRegistry::global().generate(family, inst,
-                                                          wparams);
+    // The same derivation the serve solver's family/trace options take,
+    // so a sweep cell and a compete run on equal flags replay the
+    // identical trace (the family's default length unless --trace sets
+    // events).
+    trace = engine::derive_trace(
+        inst, family,
+        static_cast<std::uint64_t>(args.options.get_int("seed", 1, 0)),
+        std::nullopt, args.options.get("trace", ""), "--trace");
   }
 
   engine::SolveOptions raw;
