@@ -198,8 +198,8 @@ void RepairCore::refresh_user(const WorldRef& w, UserId u, double old_clamp,
 }
 
 // GreedyEngine's pick, through the same kernel; the hooks keep the
-// assigned lists and the race blocks, bring a stale row up to date before
-// the kernel walks it, and leave added streams' w̄ alone.
+// assigned lists and the race's dirty leaves, bring a stale row up to
+// date before the kernel walks it, and leave added streams' w̄ alone.
 void RepairCore::add_stream_state(const model::InstanceView& view, StreamId s,
                                   double cost) {
   used_ += cost;
@@ -298,23 +298,23 @@ double RepairCore::amax_value(const WorldRef& w, const AmaxPartial& best) {
 void RepairCore::update_race(const WorldRef& w,
                              std::span<const StreamId> changed) {
   const std::size_t U = w.num_users();
+  const auto leaf_term = [&](std::size_t b) {
+    return winner_partial(w, b * kRaceLeafUsers,
+                          std::min(U, (b + 1) * kRaceLeafUsers));
+  };
   AmaxPartial& best = race_.amax;
   if (race_stale_) {
-    race_block_.resize((U + kRaceBlock - 1) / kRaceBlock);
-    for (std::size_t b = 0; b < race_block_.size(); ++b)
-      race_block_[b] =
-          winner_partial(w, b * kRaceBlock, std::min(U, (b + 1) * kRaceBlock));
-    block_dirty_.assign(race_block_.size(), 0);
-    dirty_blocks_.clear();
+    race_tree_.build((U + kRaceLeafUsers - 1) / kRaceLeafUsers, leaf_term);
+    leaf_dirty_.assign(race_tree_.size(), 0);
+    dirty_leaves_.clear();
     best = amax_partial(w, 0, w.num_streams());
     race_stale_ = false;
   } else {
-    for (const std::size_t b : dirty_blocks_) {
-      race_block_[b] =
-          winner_partial(w, b * kRaceBlock, std::min(U, (b + 1) * kRaceBlock));
-      block_dirty_[b] = 0;
+    for (const std::size_t b : dirty_leaves_) {
+      race_tree_.set(b, leaf_term(b));
+      leaf_dirty_[b] = 0;
     }
-    dirty_blocks_.clear();
+    dirty_leaves_.clear();
     // The first-max argmax over the changed totals: rescan only when the
     // argmax itself lost ground; otherwise it still beats every
     // unchanged stream, and each changed one challenges it under the
@@ -335,11 +335,7 @@ void RepairCore::update_race(const WorldRef& w,
       }
     }
   }
-  race_.winner = {};
-  for (const WinnerPartial& p : race_block_) {
-    race_.winner.capped += p.capped;
-    race_.winner.split += p.split;
-  }
+  race_.winner = race_tree_.total();
 }
 
 double RepairCore::winner_objective(const WorldRef& w, core::SmdMode mode,

@@ -24,9 +24,10 @@
 // (update on a decrease, readmit on an increase or a re-entry, remove on
 // an add or a death), and streams skipped as over budget rejoin when
 // their completion ends. The Theorem 2.8 race terms are maintained too:
-// the per-user sums as fixed blocks of users, recomputed when one of
-// their users changes and summed in block order, and the Amax argmax
-// over the streams whose effective totals the event changed.
+// the per-user sums as one util::SumTree whose leaves are fixed runs of
+// kRaceLeafUsers users, a leaf and its path to the root recomputed when
+// one of its users changes (O(log |U|)), and the Amax argmax over the
+// streams whose effective totals the event changed.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +40,7 @@
 #include "model/events.h"
 #include "model/instance.h"
 #include "model/view.h"
+#include "util/sum_tree.h"
 
 namespace vdist::engine {
 
@@ -116,6 +118,13 @@ class RepairCore {
   struct WinnerPartial {
     double capped = 0.0;  // greedy capped utility
     core::SplitValues split;
+
+    // Componentwise: the race tree's node sum.
+    friend WinnerPartial operator+(const WinnerPartial& a,
+                                   const WinnerPartial& b) noexcept {
+      return {a.capped + b.capped,
+              {a.split.w1 + b.split.w1, a.split.w2 + b.split.w2}};
+    }
   };
   // First-max argmax of the (effective) stream totals over a range.
   struct AmaxPartial {
@@ -123,8 +132,14 @@ class RepairCore {
     double total = -1.0;
   };
   // The race terms of the maintained state: the per-user sums over all
-  // users (per-block partials summed in block order) and the Amax argmax
-  // over all streams (identical to amax_partial over [0, |S|)).
+  // users and the Amax argmax over all streams (identical to
+  // amax_partial over [0, |S|)). The sums are util::SumTree's pairwise
+  // sum over leaves of kRaceLeafUsers users each, leaf b being
+  // winner_partial over [b * kRaceLeafUsers, (b + 1) * kRaceLeafUsers)
+  // clipped to |U|: per-user leaves would cost 48 bytes per padded
+  // leaf, a measurable share of a million-user session's memory, and a
+  // leaf of 8 costs 8 one-user terms to recompute.
+  static constexpr std::size_t kRaceLeafUsers = 8;
   struct RaceTerms {
     WinnerPartial winner;
     AmaxPartial amax;
@@ -150,10 +165,11 @@ class RepairCore {
                                         const char** variant) const;
   [[nodiscard]] const RaceTerms& race_terms() const noexcept { return race_; }
 
-  // The race computed from scratch, in pieces: the maintained terms are
-  // built from these per block, and a full pass over [0, |U|) and
-  // [0, |S|) is the reference the maintained race_terms() are checked
-  // against.
+  // The race computed from scratch, in pieces: the maintained sums are
+  // the pairwise tree over the leaves' pieces, and a full sequential pass
+  // over [0, |U|) and [0, |S|) is the reference the maintained
+  // race_terms() are checked against (to rounding: the two sum in
+  // different orders).
   [[nodiscard]] WinnerPartial winner_partial(const WorldRef& w,
                                              std::size_t u_begin,
                                              std::size_t u_end) const noexcept;
@@ -208,10 +224,10 @@ class RepairCore {
   void flush_select(core::SelectStats& select);
   void mark_user(std::size_t u) {
     if (race_stale_) return;
-    const std::size_t b = u / kRaceBlock;
-    if (block_dirty_[b] != 0) return;
-    block_dirty_[b] = 1;
-    dirty_blocks_.push_back(b);
+    const std::size_t b = u / kRaceLeafUsers;
+    if (leaf_dirty_[b] != 0) return;
+    leaf_dirty_[b] = 1;
+    dirty_leaves_.push_back(b);
   }
   // Brings race_ up to date; `changed` lists the streams whose effective
   // totals may have changed since the last call.
@@ -239,12 +255,12 @@ class RepairCore {
   core::SelectStats flushed_;           // selector work already merged
   std::vector<model::StreamId> skipped_;  // over budget this completion
 
-  // Maintained race terms: per-block user sums, the blocks touched since
-  // the last update_race(), and a pending full recompute (reset/rebind).
-  static constexpr std::size_t kRaceBlock = 256;
-  std::vector<WinnerPartial> race_block_;
-  std::vector<char> block_dirty_;
-  std::vector<std::size_t> dirty_blocks_;
+  // Maintained race terms: the sum tree (see RaceTerms), the leaves
+  // with a user touched since the last update_race(), and a pending full
+  // rebuild (reset/rebind).
+  util::SumTree<WinnerPartial> race_tree_;
+  std::vector<char> leaf_dirty_;
+  std::vector<std::size_t> dirty_leaves_;
   bool race_stale_ = true;
   RaceTerms race_;
 };

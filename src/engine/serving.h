@@ -27,12 +27,13 @@
 //     shared core::OnlineDriver: stream add/remove events become offers
 //     and releases (decisions never revoked, per the paper); user events
 //     update the allocator's capacity bounds and the ground-truth
-//     objective only. The objective is maintained per event: each user
-//     keeps its served-utility sum, an event re-sums only the users it
-//     can move (the event's user, or the users of the event's stream)
-//     over their CSR rows, then the capped sums are re-added in user
-//     order — O(moved users' degree + |U|) per event, bit-identical to a
-//     from-scratch recomputation, which check_parity() performs.
+//     objective only. The objective is maintained per event: an event
+//     re-sums only the users it can move (the event's user, or the users
+//     of the event's stream) over their CSR rows, and each moved user's
+//     capped sum min(cap_u, served_u) is one leaf of a util::SumTree whose
+//     root is the objective — O(moved users' degree + log |U|) per event.
+//     check_parity() folds the same pairwise shape from scratch, so the
+//     two agree bit for bit.
 //
 // The objective is the Section-2 value of the maintained solution under
 // the *current* overlay: for kRepair/kResolve the Theorem 2.8 feasible
@@ -63,6 +64,7 @@
 #include "model/instance.h"
 #include "model/overlay.h"
 #include "model/validate.h"
+#include "util/sum_tree.h"
 
 namespace vdist::engine {
 
@@ -237,7 +239,8 @@ class Session {
   // is not a per-event bound, so `fresh` is the objective recomputed from
   // snapshot() and assignment() — per user, the served pairs' utilities
   // summed in stream order (pairs the snapshot dropped count 0), capped,
-  // summed in user order — and must equal the maintained one bit for bit.
+  // folded in util::SumTree's pairwise shape over the users — and must
+  // equal the maintained one bit for bit.
   [[nodiscard]] ParityReport check_parity();
 
  private:
@@ -268,13 +271,11 @@ class Session {
   void online_apply(const model::InstanceEvent& event,
                     const model::EventScope& scope, RepairStats& stats);
   void online_offer(model::StreamId s, RepairStats& stats);
-  // Re-sums user u's served utility over its CSR row, ascending stream
-  // order, counting the pairs with w > 0 of the active streams that took
-  // it: the order a stream-major pass over the accepted streams adds in.
-  void online_resum_user(model::UserId u);
-  // Σ_u min(cap_u, served_u) over the users with served utility, in user
-  // order.
-  [[nodiscard]] double online_capped_total() const;
+  // User u's leaf of online_tree_: min(cap_u, served_u), 0 without
+  // served utility. served_u sums u's CSR row in ascending stream order
+  // over the pairs with w > 0 of the active streams that took it — the
+  // order a stream-major pass over the accepted streams adds in.
+  [[nodiscard]] double online_user_term(model::UserId u) const;
 
   ServeConfig opts_;
   std::unique_ptr<core::SolveWorkspace> owned_ws_;
@@ -299,7 +300,8 @@ class Session {
   // Per user: the active streams that took it, ascending. Keyed by entity
   // ids, which appends keep (edge ids they renumber).
   std::vector<std::vector<model::StreamId>> served_streams_;
-  std::vector<double> served_utility_;  // per user, online_resum_user's sum
+  // Per user, online_user_term; its root is the objective.
+  util::SumTree<double> online_tree_;
 
   std::optional<model::Assignment> assignment_;  // lazy cache
 };

@@ -6,6 +6,7 @@
 
 #include "util/float_cmp.h"
 #include "util/stopwatch.h"
+#include "util/sum_tree.h"
 
 namespace vdist::engine {
 
@@ -82,11 +83,12 @@ namespace {
 
 // The online objective from scratch: per user, the utilities of its
 // served pairs in `snap` summed in stream order (pairs the snapshot
-// dropped count 0), capped, then summed in user order.
+// dropped count 0), capped, then folded in the maintained sum tree's
+// pairwise shape.
 double served_objective(const model::Instance& snap,
                         const model::Assignment& served) {
   std::vector<StreamId> streams;
-  double total = 0.0;
+  std::vector<double> capped(snap.num_users(), 0.0);
   for (std::size_t uu = 0; uu < snap.num_users(); ++uu) {
     const auto u = static_cast<UserId>(uu);
     const auto assigned = served.streams_of(u);
@@ -95,9 +97,9 @@ double served_objective(const model::Instance& snap,
     double acc = 0.0;
     for (const StreamId s : streams)
       if (const auto e = snap.find_edge(u, s)) acc += snap.edge_utility(*e);
-    if (acc > 0.0) total += std::min(snap.capacity(u, 0), acc);
+    if (acc > 0.0) capped[uu] = std::min(snap.capacity(u, 0), acc);
   }
-  return total;
+  return util::SumTree<double>::fold(std::move(capped));
 }
 
 }  // namespace
@@ -212,14 +214,14 @@ void Session::online_open() {
   accepted_.clear();
   accepted_.resize(overlay_.num_streams());
   served_streams_.assign(overlay_.num_users(), {});
-  served_utility_.assign(overlay_.num_users(), 0.0);
   RepairStats ignored;
   for (std::size_t s = 0; s < overlay_.num_streams(); ++s)
     if (overlay_.stream_alive(static_cast<StreamId>(s)))
       online_offer(static_cast<StreamId>(s), ignored);
-  for (std::size_t u = 0; u < overlay_.num_users(); ++u)
-    online_resum_user(static_cast<UserId>(u));
-  objective_ = online_capped_total();
+  online_tree_.build(overlay_.num_users(), [&](std::size_t u) {
+    return online_user_term(static_cast<UserId>(u));
+  });
+  objective_ = online_tree_.total();
   variant_ = "online";
 }
 
@@ -289,7 +291,7 @@ void Session::online_apply(const InstanceEvent& event,
         driver_->allocator().add_user({overlay_.capacity(event.user)},
                                       {1.0 / d});
         served_streams_.resize(overlay_.num_users());
-        served_utility_.resize(overlay_.num_users(), 0.0);
+        online_tree_.grow(overlay_.num_users());
       } else {
         driver_->allocator().set_user_capacity(
             event.user, 0, overlay_.capacity(event.user));
@@ -311,16 +313,19 @@ void Session::online_apply(const InstanceEvent& event,
   }
   // Only the event's user, or the users of the event's stream, can have
   // gained, lost or re-valued a served pair.
+  const auto resum = [&](UserId u) {
+    online_tree_.set(static_cast<std::size_t>(u), online_user_term(u));
+  };
   if (scope.user_event) {
-    online_resum_user(event.user);
+    resum(event.user);
   } else {
     for (const UserId u : overlay_.instance().users_of(event.stream))
-      online_resum_user(u);
+      resum(u);
   }
-  objective_ = online_capped_total();
+  objective_ = online_tree_.total();
 }
 
-void Session::online_resum_user(UserId u) {
+double Session::online_user_term(UserId u) const {
   const model::Instance& base = overlay_.instance();
   const auto streams = base.streams_of(u);
   const auto edges = base.edges_of(u);
@@ -336,16 +341,7 @@ void Session::online_resum_user(UserId u) {
     const double w = overlay_.edge_utility(edges[i]);
     if (w > 0.0) acc += w;
   }
-  served_utility_[static_cast<std::size_t>(u)] = acc;
-}
-
-double Session::online_capped_total() const {
-  double total = 0.0;
-  for (std::size_t u = 0; u < served_utility_.size(); ++u)
-    if (served_utility_[u] > 0.0)
-      total += std::min(overlay_.capacity(static_cast<UserId>(u)),
-                        served_utility_[u]);
-  return total;
+  return acc > 0.0 ? std::min(overlay_.capacity(u), acc) : 0.0;
 }
 
 // --- Assignment materialization ---------------------------------------------

@@ -263,6 +263,17 @@ foreach(policy repair resolve online)
      "\"checks\":[{]\"count\":50,\"snapshot_ms_p50\":${ms},\"rows_ms_p50\":${ms},\"solve_ms_p50\":${ms},\"max_ms\":${ms},\"fallback_rows\":[0-9]+[}]")
     message(FATAL_ERROR "serve JSON missing the checks split:\n${serve_json}")
   endif()
+  # The per-event apply latency: every event counted, p50 <= p99 <= max.
+  if(NOT serve_json MATCHES
+     "\"events\":[{]\"count\":50,\"apply_us_p50\":(${ms}),\"apply_us_p99\":(${ms}),\"apply_us_max\":(${ms})[}]")
+    message(FATAL_ERROR "serve JSON missing the events latency:\n${serve_json}")
+  endif()
+  set(p50 "${CMAKE_MATCH_1}")
+  set(p99 "${CMAKE_MATCH_2}")
+  set(pmax "${CMAKE_MATCH_3}")
+  if(p50 GREATER p99 OR p99 GREATER pmax OR NOT pmax GREATER 0)
+    message(FATAL_ERROR "serve events latency out of order:\n${serve_json}")
+  endif()
   # Under repair every check derives the snapshot's rows from the repair
   # core's: none may fall back to a sort.
   if(policy STREQUAL "repair" AND NOT serve_json MATCHES "\"fallback_rows\":0[}]")

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "assignment_pairs.h"
+#include "pairwise_sum.h"
 #include "core/greedy.h"
 #include "engine/batch.h"
 #include "engine/registry.h"
@@ -808,10 +809,12 @@ TEST(Session, OnlineCheckParityEchoesTheMaintainedObjective) {
 
 // The online objective from scratch, written apart from the session's:
 // per user, the snapshot's row (ascending streams, w > 0 pairs only)
-// filtered to the pairs the assignment serves, summed, capped, and summed
-// in user order.
+// filtered to the pairs the assignment serves, summed and capped; the
+// capped terms are then summed pairwise in user order, padded with zeros
+// to a power of two (the shape the session's sum tree keeps, by the
+// test's own recursion).
 double online_oracle(const Instance& snap, const model::Assignment& served) {
-  double total = 0.0;
+  std::vector<double> capped(snap.num_users(), 0.0);
   for (std::size_t uu = 0; uu < snap.num_users(); ++uu) {
     const auto u = static_cast<UserId>(uu);
     const auto streams = snap.streams_of(u);
@@ -819,9 +822,9 @@ double online_oracle(const Instance& snap, const model::Assignment& served) {
     double acc = 0.0;
     for (std::size_t i = 0; i < streams.size(); ++i)
       if (served.has(u, streams[i])) acc += snap.edge_utility(edges[i]);
-    if (acc > 0.0) total += std::min(snap.capacity(u, 0), acc);
+    if (acc > 0.0) capped[uu] = std::min(snap.capacity(u, 0), acc);
   }
-  return total;
+  return testing::pairwise_sum(capped);
 }
 
 // The maintained online objective is the oracle's bit for bit, and
@@ -1356,21 +1359,25 @@ TEST(ChurnScenario, RegisteredAndLayersOverUnitSkewBases) {
 }
 
 // RepairCore keeps the Theorem 2.8 race terms incrementally: the per-user
-// sums as per-block partials, the Amax argmax over the streams an event
+// sums in a pairwise sum tree, the Amax argmax over the streams an event
 // touched. At every event of a flash-crowd, a hetero-cap and a churn
-// trace they must match a full winner_partial + amax_partial pass (the
-// argmax exactly, the sums to 1e-12 relative), and winner_objective
-// must equal core::race_winner over that pass. The world spans several user
-// blocks; its loose budget lets completions add streams (and the churn
-// trace releases them); the check runs in every build type, not only
-// under the debug assert.
+// trace they must equal, bit for bit, a pairwise fold of the one-user
+// terms winner_partial(w, u, u + 1), added in user order within each
+// leaf of RepairCore::kRaceLeafUsers users; match a full sequential
+// winner_partial + amax_partial pass (the argmax exactly, the sums to
+// 1e-12 relative), and winner_objective must equal core::race_winner over
+// that pass. User appends spread over each trace carry the world from
+// 510 to 514 users: from 64 leaves, the last one partial, to 65, past
+// the tree's power-of-two width. The loose budget lets completions add
+// streams (and the churn trace releases them); the check runs in every
+// build type, not only under the debug assert.
 TEST(RepairCore, MaintainedRaceTermsMatchAFullPassAtEveryEvent) {
   const auto close = [](double a, double b) {
     return std::abs(a - b) <= 1e-12 * std::max(std::abs(a), std::abs(b));
   };
   gen::RandomCapConfig cfg;
   cfg.num_streams = 300;
-  cfg.num_users = 600;
+  cfg.num_users = 510;
   cfg.interest_per_stream = 12.0;
   cfg.budget_fraction = 0.85;
   cfg.seed = 9;
@@ -1378,9 +1385,20 @@ TEST(RepairCore, MaintainedRaceTermsMatchAFullPassAtEveryEvent) {
   for (const std::string family : {"flash-crowd", "hetero-cap", "churn"}) {
     for (const core::SmdMode mode :
          {core::SmdMode::kFeasible, core::SmdMode::kAugmented}) {
-      const std::vector<InstanceEvent> trace =
+      std::vector<InstanceEvent> trace =
           workload::WorkloadRegistry::global().generate(
               family, inst, {{"events", "300"}, {"seed", "4"}});
+      for (std::size_t k = 4; k-- > 0;) {
+        InstanceEvent append;
+        append.type = EventType::kUserJoin;
+        append.user = static_cast<UserId>(inst.num_users() + k);
+        append.value = 20.0 + 5.0 * static_cast<double>(k);
+        append.interests = {
+            {.stream = static_cast<StreamId>(3 * k), .utility = 6.0},
+            {.stream = static_cast<StreamId>(3 * k + 40), .utility = 11.0}};
+        trace.insert(trace.begin() + static_cast<std::ptrdiff_t>(60 * k + 30),
+                     append);
+      }
       model::InstanceOverlay overlay(inst);
       const auto world = [&] {
         return WorldRef{&overlay.instance(), overlay.edge_utilities(),
@@ -1408,6 +1426,23 @@ TEST(RepairCore, MaintainedRaceTermsMatchAFullPassAtEveryEvent) {
         const RepairCore::AmaxPartial amax =
             RepairCore::amax_partial(w, 0, w.num_streams());
         const std::string where = family + " event " + std::to_string(i);
+        // Leaves of kRaceLeafUsers one-user terms added in user order.
+        std::vector<RepairCore::WinnerPartial> leaves;
+        for (std::size_t uu = 0; uu < w.num_users(); ++uu) {
+          if (uu % RepairCore::kRaceLeafUsers == 0) leaves.emplace_back();
+          leaves.back() =
+              leaves.back() + repair.winner_partial(w, uu, uu + 1);
+        }
+        const RepairCore::WinnerPartial folded = testing::pairwise_sum(leaves);
+        ASSERT_EQ(testing::bits(kept.winner.capped),
+                  testing::bits(folded.capped))
+            << where;
+        ASSERT_EQ(testing::bits(kept.winner.split.w1),
+                  testing::bits(folded.split.w1))
+            << where;
+        ASSERT_EQ(testing::bits(kept.winner.split.w2),
+                  testing::bits(folded.split.w2))
+            << where;
         ASSERT_EQ(kept.amax.best, amax.best) << where;
         ASSERT_EQ(kept.amax.total, amax.total) << where;
         ASSERT_TRUE(close(kept.winner.capped, full.capped)) << where;
@@ -1421,6 +1456,7 @@ TEST(RepairCore, MaintainedRaceTermsMatchAFullPassAtEveryEvent) {
         ASSERT_STREQ(kept_variant, expect.variant) << where;
       }
       EXPECT_GT(added, 0u) << family << ": no completion added a stream";
+      EXPECT_EQ(overlay.num_users(), inst.num_users() + 4) << family;
     }
   }
 }

@@ -383,7 +383,9 @@ int cmd_gen_events(const Args& args) {
 // "checks" object splits the checks' wall time into their snapshot, row
 // and solve layers (medians), reports the slowest whole check, and sums
 // the rows the checks sorted rather than derived (fallback_rows: 0 under
-// repair while the repair's rows are exact).
+// repair while the repair's rows are exact). The "events" object holds
+// the applied-event count and the p50, p99 and max of apply()'s wall
+// time in µs, over the same events the timeline lists.
 int cmd_serve(const Args& args) {
   // Flags are ServeConfig's declared keys — minus the registry-only
   // trace-derivation knobs (events here names the event FILE; trace and
@@ -433,9 +435,11 @@ int cmd_serve(const Args& args) {
   std::vector<double> check_solve_ms;
   double check_max_ms = 0.0;
   std::size_t check_fallback_rows = 0;
+  std::vector<double> event_us;  // each apply()'s wall time
   for (const model::InstanceEvent& event : trace) {
     const engine::RepairStats stats = backend->apply(event);
     ++applied;
+    event_us.push_back(stats.wall_ms * 1e3);
     if (applied > 1) timeline << ',';
     timeline << "{\"event\":" << applied << ",\"objective\":"
              << stats.objective << ",\"wall_ms\":" << stats.wall_ms
@@ -482,7 +486,10 @@ int cmd_serve(const Args& args) {
   std::ostringstream doc;
   doc.precision(17);
   doc << "{\"serve\":\"" << engine::to_string(cfg.policy)
-      << "\",\"events\":" << counters.events
+      << "\",\"events\":{\"count\":" << counters.events
+      << ",\"apply_us_p50\":" << util::percentile(event_us, 50)
+      << ",\"apply_us_p99\":" << util::percentile(event_us, 99)
+      << ",\"apply_us_max\":" << util::percentile(event_us, 100) << "}"
       << ",\"objective\":" << backend->objective()
       << ",\"variant\":\"" << backend->variant()
       << "\",\"local_repairs\":" << counters.local_repairs
